@@ -21,7 +21,7 @@
 
    Experiment ids: table1 table2 table3 fig1..fig12 ablate-split
    ablate-cta ablate-l2 ablate-prefetch ablate-bypass ablate-warpsched
-   ablate-advisor sensitivity micro sweep perf policies all *)
+   ablate-advisor sensitivity micro sweep policies all *)
 
 module E = Critload.Experiments
 
@@ -185,131 +185,6 @@ let policy_bench ~jobs ~scale ~out_dir ~policies () =
       close_out oc);
   E.render_policy_rows rows
 
-(* ---- repeated-rounds single-sim perf harness (luamark shape) ----
-
-   `main.exe perf` times one full timing simulation per app over
-   several rounds and reports median / min / max wall seconds plus a
-   cycles/sec throughput column (simulated cycles over the median
-   round).  Repeated rounds make a speedup claim statistically
-   defensible: a regression must move the median, not just lose one
-   noisy sample.  `--out DIR` additionally writes perf.json
-   (critload-bench-perf-v1), the schema BENCH_PR8.json embeds. *)
-
-type perf_row = {
-  pf_app : string;
-  pf_cycles : int;
-  pf_warp_insts : int;
-  pf_wall : float array; (* per-round wall seconds, sorted ascending *)
-}
-
-let median sorted =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else if n land 1 = 1 then sorted.(n / 2)
-  else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.
-
-let perf_row ~rounds ~cfg ~scale (app : Workloads.App.t) =
-  let wall = Array.make rounds 0. in
-  let cycles = ref 0 and warp_insts = ref 0 in
-  for r = 0 to rounds - 1 do
-    let t0 = Unix.gettimeofday () in
-    let res =
-      match
-        Critload.Runner.run ~cfg ~scale ~warmup:false ~fast_forward:true app
-      with
-      | Ok rep -> rep
-      | Error e -> failwith (Gsim.Sim_error.to_string e)
-    in
-    wall.(r) <- Unix.gettimeofday () -. t0;
-    let s = Critload.Runner.Report.stats_exn res in
-    cycles := s.Gsim.Stats.cycles;
-    warp_insts := s.Gsim.Stats.warp_insts
-  done;
-  Array.sort compare wall;
-  {
-    pf_app = app.Workloads.App.name;
-    pf_cycles = !cycles;
-    pf_warp_insts = !warp_insts;
-    pf_wall = wall;
-  }
-
-let perf_json ~rounds rows =
-  let module J = Gsim.Stats_io.Json in
-  J.Obj
-    [
-      ("schema", J.Str "critload-bench-perf-v1");
-      ("rounds", J.Int rounds);
-      ( "apps",
-        J.Arr
-          (List.map
-             (fun r ->
-               let med = median r.pf_wall in
-               J.Obj
-                 [
-                   ("app", J.Str r.pf_app);
-                   ("cycles", J.Int r.pf_cycles);
-                   ("warp_insts", J.Int r.pf_warp_insts);
-                   ("wall_s_median", J.Float med);
-                   ("wall_s_min", J.Float r.pf_wall.(0));
-                   ( "wall_s_max",
-                     J.Float r.pf_wall.(Array.length r.pf_wall - 1) );
-                   ( "cycles_per_sec",
-                     J.Float
-                       (if med > 0. then float_of_int r.pf_cycles /. med
-                        else 0.) );
-                 ])
-             rows) );
-      ( "totals",
-        let med_sum = List.fold_left (fun a r -> a +. median r.pf_wall) 0. rows
-        and cyc_sum = List.fold_left (fun a r -> a + r.pf_cycles) 0 rows in
-        J.Obj
-          [
-            ("wall_s_median_sum", J.Float med_sum);
-            ("cycles_sum", J.Int cyc_sum);
-            ( "cycles_per_sec",
-              J.Float
-                (if med_sum > 0. then float_of_int cyc_sum /. med_sum else 0.)
-            );
-          ] );
-    ]
-
-let perf ~rounds ~scale ~out_dir ~only () =
-  let cfg = E.timing_cfg () in
-  let apps =
-    match only with
-    | [] -> Workloads.Suite.all
-    | names -> List.map Workloads.Suite.find names
-  in
-  let rows = List.map (fun app -> perf_row ~rounds ~cfg ~scale app) apps in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-6s %10s %10s %9s %9s %9s %12s\n" "app" "cycles"
-       "warpinsts" "med(s)" "min(s)" "max(s)" "cycles/s");
-  List.iter
-    (fun r ->
-      let med = median r.pf_wall in
-      Buffer.add_string buf
-        (Printf.sprintf "%-6s %10d %10d %9.4f %9.4f %9.4f %12.0f\n" r.pf_app
-           r.pf_cycles r.pf_warp_insts med r.pf_wall.(0)
-           r.pf_wall.(Array.length r.pf_wall - 1)
-           (if med > 0. then float_of_int r.pf_cycles /. med else 0.)))
-    rows;
-  let med_sum = List.fold_left (fun a r -> a +. median r.pf_wall) 0. rows in
-  let cyc_sum = List.fold_left (fun a r -> a + r.pf_cycles) 0 rows in
-  Buffer.add_string buf
-    (Printf.sprintf "%-6s %10d %10s %9.4f %9s %9s %12.0f\n" "TOTAL" cyc_sum ""
-       med_sum "" ""
-       (if med_sum > 0. then float_of_int cyc_sum /. med_sum else 0.));
-  (match out_dir with
-  | None -> ()
-  | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let oc = open_out (Filename.concat dir "perf.json") in
-      Gsim.Stats_io.Json.to_channel oc (perf_json ~rounds rows);
-      output_char oc '\n';
-      close_out oc);
-  Buffer.contents buf
-
 (* ---- Bechamel microbenchmarks of core primitives ---- *)
 
 let micro () =
@@ -399,8 +274,6 @@ let () =
   let cap = ref 0 in
   let out_dir = ref None in
   let jobs = ref 4 in
-  let rounds = ref 5 in
-  let only = ref [] in
   let policies = ref [] in
   let selected = ref [] in
   let rec parse = function
@@ -416,12 +289,6 @@ let () =
         parse rest
     | "--jobs" :: n :: rest ->
         jobs := int_of_string n;
-        parse rest
-    | "--rounds" :: n :: rest ->
-        rounds := int_of_string n;
-        parse rest
-    | "--only" :: apps :: rest ->
-        only := String.split_on_char ',' apps;
         parse rest
     | "--policies" :: names :: rest ->
         policies :=
@@ -455,9 +322,6 @@ let () =
             ( name,
               sweep ~jobs:!jobs ~scale:!scale ~out_dir:!out_dir
                 ~policies:!policies )
-          else if name = "perf" then
-            (name, perf ~rounds:!rounds ~scale:!scale ~out_dir:!out_dir
-                     ~only:!only)
           else if name = "policies" then
             ( name,
               policy_bench ~jobs:!jobs ~scale:!scale ~out_dir:!out_dir
@@ -468,7 +332,7 @@ let () =
             | None ->
                 failwith
                   (Printf.sprintf
-                     "unknown experiment %s (have: %s, micro, sweep, perf, \
+                     "unknown experiment %s (have: %s, micro, sweep, \
                       policies)"
                      name
                      (String.concat ", " (List.map fst exps)))

@@ -38,7 +38,9 @@ let () =
   (* 2. baseline vs guided machine *)
   let base = Gsim.Config.default |> Gsim.Config.with_caps ~max_warp_insts:cap () in
   let guided =
-    base |> Gsim.Config.with_pc_policies (Critload.Advisor.policies advice)
+    match Critload.Advisor.policies advice with
+    | [] -> base
+    | ps -> base |> Gsim.Config.(with_policy (Per_pc (ps, Baseline)))
   in
   run_variant app scale base "baseline";
   run_variant app scale guided "advisor"

@@ -567,12 +567,22 @@ let render_ablation ~title rows =
 
 let graph_apps () = Suite.by_category App.Graph
 
+(* Class-wide N-load flags; an ablation's all-off row is plain
+   [Baseline], so it shares the baseline's digest and stats. *)
+let with_ndet_flags fl cfg =
+  Config.with_policy
+    (if fl = Config.no_policy then Config.Baseline else Config.Ndet_flags fl)
+    cfg
+
 let ablate_split scale =
   List.concat_map
     (fun app ->
       List.map
         (fun width ->
-          let cfg = timing_cfg () |> Config.with_warp_split width in
+          let cfg =
+            timing_cfg ()
+            |> with_ndet_flags { Config.no_policy with lp_split = width }
+          in
           ablation_run scale app cfg
             (if width = 0 then "baseline" else Printf.sprintf "split%d" width))
         [ 0; 8; 4 ])
@@ -606,7 +616,10 @@ let ablate_prefetch scale =
     (fun app ->
       List.map
         (fun (on, name) ->
-          let cfg = timing_cfg () |> Config.with_prefetch_ndet on in
+          let cfg =
+            timing_cfg ()
+            |> with_ndet_flags { Config.no_policy with lp_prefetch = on }
+          in
           ablation_run scale app cfg name)
         [ (false, "baseline"); (true, "prefetch-N") ])
     (graph_apps () @ [ Suite.find "spmv" ])
@@ -623,7 +636,10 @@ let ablate_bypass scale =
     (fun app ->
       List.map
         (fun (on, name) ->
-          let cfg = timing_cfg () |> Config.with_bypass_ndet on in
+          let cfg =
+            timing_cfg ()
+            |> with_ndet_flags { Config.no_policy with lp_bypass = on }
+          in
           ablation_run scale app cfg name)
         [ (false, "baseline"); (true, "bypass-N") ])
     (graph_apps () @ [ Suite.find "spmv" ])
@@ -658,7 +674,9 @@ let ablate_advisor scale =
     (fun app ->
       let advice = Advisor.advise_app app scale in
       let guided =
-        timing_cfg () |> Config.with_pc_policies (Advisor.policies advice)
+        match Advisor.policies advice with
+        | [] -> timing_cfg ()
+        | ps -> timing_cfg () |> Config.(with_policy (Per_pc (ps, Baseline)))
       in
       [ ablation_run scale app (timing_cfg ()) "baseline";
         ablation_run scale app guided "advisor" ])

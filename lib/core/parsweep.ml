@@ -1,12 +1,13 @@
-(* Parallel experiment sweep runner: a fork-based worker pool.
+(* Parallel experiment sweep runner: a driver of the worker pool.
 
-   The parent never serializes jobs — a forked child inherits the job
-   closure — but results always cross back as JSON text over a pipe,
-   the same representation the CLI writes to disk.  The parent
-   multiplexes worker pipes with select, enforces per-job wall-clock
-   deadlines, and retries a crashed or hung worker exactly once; since
-   the simulators are deterministic, a retry reproduces the lost result
-   bit-for-bit. *)
+   The parent never serializes jobs — the pool's workers fork after the
+   job array exists, so a task names a job by its index — but results
+   always cross back as JSON text over a pipe, the same representation
+   the CLI writes to disk.  {!Pool} supervises the workers and reports
+   one verdict per assignment; this driver keeps job order, settles
+   checkpoints and the cache, and retries a crashed, garbled or hung
+   job exactly once — since the simulators are deterministic, a retry
+   reproduces the lost result bit-for-bit. *)
 
 module Json = Gsim.Stats_io.Json
 
@@ -334,11 +335,6 @@ let cache_probe ~dir j =
                 | _ -> damaged "%s: missing digest field" path)
             | _ -> damaged "%s: missing schema or sim_tag field" path))
 
-let cache_lookup ~dir j =
-  match cache_probe ~dir j with
-  | Cache_hit r -> Some r
-  | Cache_miss | Cache_damaged _ -> None
-
 (* ---- worker body ---- *)
 
 let exec_job j =
@@ -362,7 +358,7 @@ let exec_job j =
         }
   | Func -> func_summary_to_json (func_summary (Runner.Report.func_exn report))
 
-(* ---- pool ---- *)
+(* ---- driving the worker pool ---- *)
 
 type outcome = Completed of Json.t | Failed of string
 
@@ -375,61 +371,7 @@ type event =
   | Cached of job
   | Cache_damage of job * string
 
-(* Raised by a [chaos] hook to make the worker ship deliberately
-   corrupted bytes instead of a result envelope — exercises the
-   parent's parse-failure → retry path. *)
-exception Garble
-
-type worker = {
-  w_pid : int;
-  w_index : int;
-  w_attempt : int;
-  w_buf : Buffer.t;
-  w_start : float;
-  w_deadline : float;
-}
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
-  done
-
-(* The child must not replay the parent's buffered output nor run its
-   at_exit handlers, hence the flushes before fork and _exit after. *)
-let spawn ~chaos job_arr index attempt =
-  flush stdout;
-  flush stderr;
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close rd;
-      (try
-         match
-           (try chaos ~job_index:index ~attempt; None
-            with Garble -> Some "{\"status\": \"ok\", \"result\": tr")
-         with
-         | Some junk -> write_all wr junk
-         | None ->
-             let envelope =
-               try
-                 Json.Obj
-                   [ ("status", Json.Str "ok");
-                     ("result", exec_job job_arr.(index)) ]
-               with e ->
-                 Json.Obj
-                   [ ("status", Json.Str "error");
-                     ("message", Json.Str (Printexc.to_string e)) ]
-             in
-             write_all wr (Json.to_string envelope)
-       with _ -> ());
-      (try Unix.close wr with Unix.Unix_error _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close wr;
-      (rd, pid)
+exception Garble = Pool.Garble
 
 let run ?(workers = 1) ?(timeout = 600.)
     ?(on_event = fun (_ : event) -> ())
@@ -440,7 +382,6 @@ let run ?(workers = 1) ?(timeout = 600.)
   let job_arr = Array.of_list job_list in
   let n = Array.length job_arr in
   let results = Array.make n (Failed "never ran") in
-  let workers = max 1 workers in
   let settled = ref 0 in
   (* Terminal outcome for job [i]: record it and tell the caller (the
      checkpoint writer) right away, so a later crash loses at most the
@@ -482,137 +423,75 @@ let run ?(workers = 1) ?(timeout = 600.)
               on_event (Cached j)
           | None -> Queue.add (i, 0) pending))
     job_arr;
-  let running : (Unix.file_descr, worker) Hashtbl.t = Hashtbl.create 8 in
-  let chunk = Bytes.create 65536 in
-  (* A finished worker either completed, failed deterministically (its
-     own error envelope — retrying cannot help), or crashed / timed
-     out / shipped garbage, which earns the single retry. *)
-  let settle w ~crashed reason =
-    let j = job_arr.(w.w_index) in
-    let envelope =
-      if crashed then None
-      else
-        match Json.of_string (Buffer.contents w.w_buf) with
-        | v -> Some v
-        | exception Json.Parse_error _ -> None
+  (* A worker's verdict on job [i]: a deterministic failure is final,
+     while a crash, garbage or a timeout earns the single retry. *)
+  let started = Array.make n 0. in
+  let on_verdict (i, attempt) verdict =
+    let j = job_arr.(i) in
+    let lost reason =
+      if attempt = 0 then begin
+        on_event (Retried (j, reason));
+        Queue.add (i, 1) pending
+      end
+      else begin
+        record i (Failed reason);
+        on_event (Gave_up (j, reason))
+      end
     in
-    match envelope with
-    | Some v when Json.member "status" v = Json.Str "ok" ->
-        let payload = Json.member "result" v in
-        record w.w_index (Completed payload);
-        (match cache_dir with
-        | Some dir -> cache_store ~dir j payload
-        | None -> ());
-        on_event (Finished (j, Unix.gettimeofday () -. w.w_start))
-    | Some v ->
-        let msg =
-          match Json.member "message" v with
-          | Json.Str m -> m
-          | _ -> "worker reported an error"
-        in
-        record w.w_index (Failed msg);
+    match verdict with
+    | Pool.Done payload ->
+        record i (Completed payload);
+        Option.iter (fun dir -> cache_store ~dir j payload) cache_dir;
+        on_event (Finished (j, Unix.gettimeofday () -. started.(i)))
+    | Pool.Failed msg ->
+        record i (Failed msg);
         on_event (Gave_up (j, msg))
-    | None ->
-        if w.w_attempt = 0 then begin
-          on_event (Retried (j, reason));
-          Queue.add (w.w_index, 1) pending
-        end
-        else begin
-          record w.w_index (Failed reason);
-          on_event (Gave_up (j, reason))
-        end
+    | Pool.Lost reason -> lost reason
+    | Pool.Timed_out -> lost (Printf.sprintf "timeout after %.0fs" timeout)
   in
-  let reap fd w ~crashed reason =
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Hashtbl.remove running fd;
-    let crashed =
-      match snd (Unix.waitpid [] w.w_pid) with
-      | Unix.WEXITED 0 -> crashed
-      | _ -> true
-    in
-    settle w ~crashed reason
-  in
-  (* Kill every in-flight worker without settling its job, so the
-     checkpoint keeps only genuinely finished work and a resume re-runs
-     the rest. *)
-  let kill_all () =
-    Hashtbl.iter
-      (fun fd w ->
-        (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
-        try Unix.close fd with Unix.Unix_error _ -> ())
-      running;
-    Hashtbl.reset running
+  (* Workers fork after [job_arr] exists, so a task is just the job's
+     index: jobs never cross the pipe, only results do. *)
+  let pool =
+    Pool.create ~workers ~timeout ~backoff_base:0.05 ~backoff_cap:2.0
+      ~log:ignore ~inherited:(fun () -> []) ~on_verdict (fun task ->
+        let i = Json.int_field "job" task in
+        chaos ~job_index:i ~attempt:(Json.int_field "attempt" task);
+        exec_job job_arr.(i))
   in
   let abort_hit () =
     match abort_after with Some k -> !settled >= k | None -> false
   in
-  (try
-     while
-       (Hashtbl.length running > 0 || not (Queue.is_empty pending))
-       && not (abort_hit ())
-     do
-       while
-         Hashtbl.length running < workers && not (Queue.is_empty pending)
-       do
-         let index, attempt = Queue.pop pending in
-         let rd, pid = spawn ~chaos job_arr index attempt in
-         let now = Unix.gettimeofday () in
-         Hashtbl.replace running rd
-           {
-             w_pid = pid;
-             w_index = index;
-             w_attempt = attempt;
-             w_buf = Buffer.create 4096;
-             w_start = now;
-             w_deadline = now +. timeout;
-           };
-         on_event (Started (job_arr.(index), attempt))
-       done;
-       let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) running [] in
-       let now = Unix.gettimeofday () in
-       let next_deadline =
-         Hashtbl.fold
-           (fun _ w acc -> min acc w.w_deadline)
-           running (now +. 0.25)
-       in
-       let sel_timeout = max 0.01 (next_deadline -. now) in
-       let ready, _, _ =
-         try Unix.select fds [] [] sel_timeout
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-       in
-       List.iter
-         (fun fd ->
-           match Hashtbl.find_opt running fd with
-           | None -> ()
-           | Some w -> (
-               match Unix.read fd chunk 0 (Bytes.length chunk) with
-               | 0 -> reap fd w ~crashed:false "worker closed the pipe"
-               | nread -> Buffer.add_subbytes w.w_buf chunk 0 nread
-               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
-         ready;
-       let now = Unix.gettimeofday () in
-       let overdue =
-         Hashtbl.fold
-           (fun fd w acc ->
-             if now > w.w_deadline then (fd, w) :: acc else acc)
-           running []
-       in
-       List.iter
-         (fun (fd, w) ->
-           (try Unix.kill w.w_pid Sys.sigkill
-            with Unix.Unix_error _ -> ());
-           reap fd w ~crashed:true
-             (Printf.sprintf "timeout after %.0fs" timeout))
-         overdue
-     done;
-     if abort_hit () then kill_all ()
-   with Sys.Break ->
-     (* ctrl-C: reap the pool before propagating, so no orphan worker
-        keeps simulating after the parent is gone *)
-     kill_all ();
-     raise Sys.Break);
-  results
+  let rec loop () =
+    let busy = List.length (Pool.in_flight pool) in
+    let work = busy + Queue.length pending in
+    if work > 0 && not (abort_hit ()) then begin
+      Pool.spawn_due pool ~want:work;
+      while Pool.has_idle pool && not (Queue.is_empty pending) do
+        let i, attempt = Queue.peek pending in
+        let task =
+          Json.Obj [ ("attempt", Json.Int attempt); ("job", Json.Int i) ]
+        in
+        if Pool.assign pool (i, attempt) task then begin
+          ignore (Queue.pop pending);
+          started.(i) <- Unix.gettimeofday ();
+          on_event (Started (job_arr.(i), attempt))
+        end
+      done;
+      ignore (Pool.wait pool ~reads:[] ~writes:[]);
+      loop ()
+    end
+  in
+  (* An abort, or any exception (Sys.Break from ctrl-C or a hook),
+     kills in-flight workers without settling their jobs, so the
+     checkpoint keeps only genuinely finished work and a resume
+     re-runs the rest; no orphan keeps simulating either way. *)
+  match loop () with
+  | () ->
+      Pool.shutdown pool ~kill:(abort_hit ());
+      results
+  | exception e ->
+      Pool.shutdown pool ~kill:true;
+      raise e
 
 (* ---- sweep documents ---- *)
 

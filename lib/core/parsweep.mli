@@ -1,17 +1,21 @@
 (** Parallel experiment sweep runner.
 
-    Executes (app x scale x config) jobs across a pool of forked worker
-    processes.  Each worker runs one job and ships its result back over
-    a pipe as JSON (see {!Gsim.Stats_io}), so results survive the
-    process boundary in the same machine-readable form the CLI exports.
+    Executes (app x scale x config) jobs on a {!Pool} of persistent
+    forked worker processes — the same supervision the [serve] daemon
+    uses.  Workers run job after job and ship each result back over a
+    pipe as JSON (see {!Gsim.Stats_io}), so results survive the process
+    boundary in the same machine-readable form the CLI exports.
 
     Guarantees:
     - results come back in job order, regardless of completion order;
-    - a worker that crashes or exceeds the per-job wall-clock timeout
-      is killed and its job retried once on a fresh fork (safe because
-      simulation is deterministic — see the determinism test);
+    - a worker that crashes, ships garbage or exceeds the per-job
+      wall-clock timeout is killed and its job retried once on another
+      worker (safe because simulation is deterministic — see the
+      determinism test);
     - a job that fails twice yields [Failed], never a corrupted or
-      missing slot. *)
+      missing slot;
+    - at most [min workers pending] workers are forked, so a sweep
+      settled entirely from checkpoints or the cache forks none. *)
 
 type mode =
   | Func  (** functional simulation ({!Runner.run} with [Runner.Func]) *)
@@ -98,12 +102,6 @@ type cache_probe =
 val cache_probe : dir:string -> job -> cache_probe
 (** Probe [dir] for the job's entry; never raises. *)
 
-val cache_lookup : dir:string -> job -> Gsim.Stats_io.Json.t option
-(** The cached result payload for a job, if [dir] holds a well-formed
-    entry under the job's digest with the current {!Version.sim_tag}.
-    Unreadable, torn, or mismatched entries are misses, never errors
-    ({!cache_probe} with the damage verdict collapsed into [None]). *)
-
 val cache_store : dir:string -> job -> Gsim.Stats_io.Json.t -> unit
 (** Write a job's result payload under its digest (creating [dir] if
     needed), via a temporary file and rename so readers never observe a
@@ -170,7 +168,8 @@ type event =
 exception Garble
 (** A [chaos] hook may raise this to make its worker ship deliberately
     corrupted bytes instead of a result envelope, exercising the
-    parent's parse-failure → retry path. *)
+    parent's parse-failure → retry path (the same exception as
+    {!Pool.Garble}). *)
 
 val exec_job : job -> Gsim.Stats_io.Json.t
 (** Run one job in-process (the code a worker executes) and return its
@@ -188,11 +187,11 @@ val run :
   ?cache_dir:string ->
   job list ->
   outcome array
-(** Run the jobs over [workers] concurrent forked processes (default 1;
+(** Run the jobs over [workers] concurrent worker processes (default 1;
     values < 1 clamp to 1) with a per-job wall-clock [timeout] in
     seconds (default 600).  The result array is indexed by job order.
 
-    [chaos] runs inside the worker before the job body — a test hook
+    [chaos] runs inside the worker before each job body — a test hook
     for fault injection (self-[SIGKILL], a hang the timeout must catch,
     or raising {!Garble}); the default does nothing.
 
@@ -215,9 +214,11 @@ val run :
     stored back.  Checkpoints ([prefilled]) outrank the cache.  Failed
     jobs are never cached.
 
-    On [Sys.Break] the pool is reaped (no orphan workers) and the
-    exception propagates; jobs settled before the interrupt have
-    already reached [on_result]. *)
+    Every worker is reaped before [run] returns.  On [Sys.Break] (or
+    any exception, including one raised by [on_event] or [on_result])
+    the pool is killed first (no orphan workers) and the exception
+    propagates; jobs settled before the interrupt have already reached
+    [on_result]. *)
 
 val job_envelope : job -> outcome -> Gsim.Stats_io.Json.t
 (** Self-describing per-job record: app, scale, label, mode, status and

@@ -1,14 +1,15 @@
 (* The serve daemon: one select loop multiplexing a listening
-   Unix-domain socket, N client connections, and a supervised pool of
-   persistent forked workers.
+   Unix-domain socket, N client connections, and the supervised
+   {!Pool} of persistent forked workers.
 
-   The parent owns all policy — queueing, fairness, deadlines, retry,
-   backoff, the cache — and workers only ever do one thing: read a job
-   line, simulate, write an envelope line.  Everything a worker can do
-   wrong (crash, hang, write garbage, die mid-line) is detected at the
-   pipe and handled by the supervisor; nothing a client can do
-   (disconnect mid-job, pipeline junk, stop reading) reaches a worker
-   at all. *)
+   The daemon owns all policy — queueing, fairness, retry, the cache —
+   and the pool owns every process concern: fork, deadlines, crash
+   detection, respawn backoff, reaping.  Workers only ever do one
+   thing: read a job line, simulate, write an envelope line.
+   Everything a worker can do wrong (crash, hang, write garbage, die
+   mid-line) reaches this file as one pool verdict; nothing a client
+   can do (disconnect mid-job, pipeline junk, stop reading) reaches a
+   worker at all. *)
 
 module Json = Gsim.Stats_io.Json
 module Framing = Gsim.Stats_io.Framing
@@ -43,74 +44,26 @@ let default_config ~socket_path =
     log = None;
   }
 
-(* ---- small fd helpers ---- *)
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
-  done
-
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* ---- the worker process ---- *)
-
-(* A worker loops forever on its job pipe: one line in (a job plus its
-   attempt number), one envelope line out.  EOF on the pipe is the
-   supervisor saying "drain and exit".  The chaos hook fires between
-   reading a job and running it, so an injected SIGKILL always loses
-   exactly one in-flight job — the worst case the retry path must
-   cover. *)
-let worker_main ~chaos job_rd result_wr =
-  Sys.set_signal Sys.sigterm Sys.Signal_default;
-  Sys.set_signal Sys.sigint Sys.Signal_default;
-  Sys.set_signal Sys.sigpipe Sys.Signal_default;
-  let split = Framing.Splitter.create () in
-  let chunk = Bytes.create 65536 in
+(* The work a pool worker does for one task line: a job plus its
+   attempt number.  The chaos hook fires between reading the job and
+   running it, so an injected SIGKILL always loses exactly one
+   in-flight job — the worst case the retry path must cover.  Its
+   counter lives in each forked worker's own copy of the closure. *)
+let exec_task ~chaos =
   let jobs_seen = ref 0 in
-  let process line =
+  fun task ->
     incr jobs_seen;
-    let v = Json.of_string line in
-    let attempt = Json.int_field "attempt" v in
+    let attempt = Json.int_field "attempt" task in
     (match chaos with
     | Some { kill_every = n } when n > 0 && attempt = 0 && !jobs_seen mod n = 0
       ->
-        Unix.kill (Unix.getpid ()) Sys.sigkill
+        raise Pool.Crash
     | _ -> ());
-    let envelope =
-      match P.job_of_json (Json.member "job" v) with
-      | Error e ->
-          Json.Obj
-            [ ("status", Json.Str "error");
-              ("message", Json.Str ("bad job: " ^ e)) ]
-      | Ok job -> (
-          match Parsweep.exec_job job with
-          | payload ->
-              Json.Obj [ ("status", Json.Str "ok"); ("result", payload) ]
-          | exception e ->
-              Json.Obj
-                [ ("status", Json.Str "error");
-                  ("message", Json.Str (Printexc.to_string e)) ])
-    in
-    write_all result_wr (Framing.frame envelope)
-  in
-  let rec loop () =
-    match Framing.Splitter.pop split with
-    | Some line ->
-        if String.trim line <> "" then process line;
-        loop ()
-    | None -> (
-        match Unix.read job_rd chunk 0 (Bytes.length chunk) with
-        | 0 -> () (* supervisor closed the pipe: clean exit *)
-        | n ->
-            Framing.Splitter.feed split (Bytes.sub_string chunk 0 n);
-            loop ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-  in
-  (try loop () with _ -> ());
-  Unix._exit 0
+    match P.job_of_json (Json.member "job" task) with
+    | Error e -> invalid_arg ("bad job: " ^ e)
+    | Ok job -> Parsweep.exec_job job
 
 (* ---- supervisor state ---- *)
 
@@ -121,23 +74,6 @@ type pending = {
   p_job : Parsweep.job;
   p_attempt : int;  (** 0, or 1 after a worker crash *)
 }
-
-type wproc = {
-  wp_pid : int;
-  wp_to : Unix.file_descr;  (** job lines in *)
-  wp_from : Unix.file_descr;  (** envelope lines out *)
-  wp_split : Framing.Splitter.t;
-  mutable wp_streak : int;
-      (** consecutive crashes on this slot before this process; reset
-          by the first envelope it delivers *)
-}
-
-type slot_state =
-  | Idle of wproc
-  | Busy of wproc * pending * float  (** deadline *)
-  | Down of { d_until : float; d_crashes : int }
-
-type slot = { mutable s : slot_state }
 
 type client = {
   c_key : int;
@@ -215,100 +151,19 @@ let run ?(on_listening = fun () -> ()) cfg =
         let accepted = ref 0 and completed = ref 0 and failed = ref 0 in
         let timeouts = ref 0 and rejected = ref 0 in
         let cache_hits = ref 0 and cache_misses = ref 0 in
-        let cache_damaged = ref 0 in
-        let crashes = ref 0 and restarts = ref 0 and disconnects = ref 0 in
+        let cache_damaged = ref 0 and disconnects = ref 0 in
 
         (* -- state -- *)
         let clients : (int, client) Hashtbl.t = Hashtbl.create 16 in
         let fd_client : (Unix.file_descr, client) Hashtbl.t =
           Hashtbl.create 16
         in
-        let slots = Array.init workers (fun _ -> { s = Down { d_until = 0.; d_crashes = 0 } }) in
         let retries : pending Queue.t = Queue.create () in
         let queued = ref 0 in
         (* retries are part of the queue bound *)
         let next_key = ref 0 in
         let tick = ref 0 in
         let chunk = Bytes.create 65536 in
-
-        let inflight () =
-          Array.fold_left
-            (fun n sl -> match sl.s with Busy _ -> n + 1 | _ -> n)
-            0 slots
-        in
-        let alive () =
-          Array.fold_left
-            (fun n sl -> match sl.s with Idle _ | Busy _ -> n + 1 | _ -> n)
-            0 slots
-        in
-        let health () =
-          {
-            P.h_queued = !queued;
-            h_inflight = inflight ();
-            h_clients = Hashtbl.length clients;
-            h_workers = workers;
-            h_alive = alive ();
-            h_accepted = !accepted;
-            h_completed = !completed;
-            h_failed = !failed;
-            h_timeouts = !timeouts;
-            h_rejected = !rejected;
-            h_cache_hits = !cache_hits;
-            h_cache_misses = !cache_misses;
-            h_cache_damaged = !cache_damaged;
-            h_crashes = !crashes;
-            h_restarts = !restarts;
-            h_disconnects = !disconnects;
-          }
-        in
-
-        (* -- worker lifecycle -- *)
-
-        (* Forked children inherit every parent fd; each must drop the
-           listen socket, all client sockets, and the pipes of every
-           other worker, or EOF-based crash detection breaks. *)
-        let parent_fds () =
-          let acc = ref [ listen_fd ] in
-          Hashtbl.iter (fun fd _ -> acc := fd :: !acc) fd_client;
-          Array.iter
-            (fun sl ->
-              match sl.s with
-              | Idle w | Busy (w, _, _) -> acc := w.wp_to :: w.wp_from :: !acc
-              | Down _ -> ())
-            slots;
-          !acc
-        in
-        let spawn_worker streak =
-          let job_rd, job_wr = Unix.pipe () in
-          let res_rd, res_wr = Unix.pipe () in
-          flush stdout;
-          flush stderr;
-          match Unix.fork () with
-          | 0 ->
-              List.iter close_noerr (parent_fds ());
-              close_noerr job_wr;
-              close_noerr res_rd;
-              worker_main ~chaos:cfg.chaos job_rd res_wr
-          | pid ->
-              close_noerr job_rd;
-              close_noerr res_wr;
-              {
-                wp_pid = pid;
-                wp_to = job_wr;
-                wp_from = res_rd;
-                wp_split = Framing.Splitter.create ();
-                wp_streak = streak;
-              }
-        in
-        let backoff n =
-          min cfg.backoff_cap (cfg.backoff_base *. (2. ** float_of_int (n - 1)))
-        in
-        let reap_worker w =
-          close_noerr w.wp_to;
-          close_noerr w.wp_from;
-          try ignore (Unix.waitpid [] w.wp_pid)
-          with Unix.Unix_error _ -> ()
-        in
 
         (* -- responding -- *)
 
@@ -326,51 +181,69 @@ let run ?(on_listening = fun () -> ()) cfg =
           | _ -> () (* the client is gone; the work still warmed the cache *)
         in
 
-        (* -- settle paths -- *)
+        (* -- verdicts: how each assignment ends -- *)
 
-        let settle_ok p payload =
-          incr completed;
-          (match cfg.cache_dir with
-          | Some dir -> Parsweep.cache_store ~dir p.p_job payload
-          | None -> ());
-          respond_key p.p_client (P.Result { id = p.p_id; payload })
-        in
         let settle_failed p message =
           incr failed;
           respond_key p.p_client (P.Job_failed { id = p.p_id; message })
         in
-
-        (* A worker died under an assignment: first loss earns the
-           deterministic retry, the second is a real failure. *)
-        let lost_assignment p reason =
-          if p.p_attempt = 0 then begin
-            log "job %s: %s; retrying" p.p_id reason;
-            Queue.add { p with p_attempt = 1 } retries;
-            incr queued
-          end
-          else
-            settle_failed p
-              (Printf.sprintf "worker lost twice (%s)" reason)
+        let on_verdict p = function
+          | Pool.Done payload ->
+              incr completed;
+              (match cfg.cache_dir with
+              | Some dir -> Parsweep.cache_store ~dir p.p_job payload
+              | None -> ());
+              respond_key p.p_client (P.Result { id = p.p_id; payload })
+          | Pool.Failed message -> settle_failed p message
+          | Pool.Lost reason ->
+              (* first loss earns the deterministic retry, the second
+                 is a real failure *)
+              if p.p_attempt = 0 then begin
+                log "job %s: %s; retrying" p.p_id reason;
+                Queue.add { p with p_attempt = 1 } retries;
+                incr queued
+              end
+              else
+                settle_failed p
+                  (Printf.sprintf "worker lost twice (%s)" reason)
+          | Pool.Timed_out ->
+              (* a timeout is the job's verdict, not the worker's: the
+                 slot respawns without backoff, the client hears it
+                 distinctly, and there is no retry *)
+              incr timeouts;
+              log "job %s: deadline %.1fs expired, worker killed" p.p_id
+                cfg.job_timeout;
+              respond_key p.p_client
+                (P.Job_timeout { id = p.p_id; after = cfg.job_timeout })
         in
-
-        let worker_crashed si reason =
-          match slots.(si).s with
-          | Down _ -> ()
-          | Idle w | Busy (w, _, _) -> (
-              incr crashes;
-              let streak = w.wp_streak + 1 in
-              let delay = backoff streak in
-              log "worker %d (slot %d) %s; backoff %.2fs (streak %d)"
-                w.wp_pid si reason delay streak;
-              let prev = slots.(si).s in
-              reap_worker w;
-              slots.(si).s <-
-                Down
-                  { d_until = Unix.gettimeofday () +. delay;
-                    d_crashes = streak };
-              match prev with
-              | Busy (_, p, _) -> lost_assignment p reason
-              | _ -> ())
+        let pool =
+          Pool.create ~workers ~timeout:cfg.job_timeout
+            ~backoff_base:cfg.backoff_base ~backoff_cap:cfg.backoff_cap
+            ~log:(log "%s")
+            ~inherited:(fun () ->
+              Hashtbl.fold (fun fd _ acc -> fd :: acc) fd_client [ listen_fd ])
+            ~on_verdict (exec_task ~chaos:cfg.chaos)
+        in
+        let inflight () = List.length (Pool.in_flight pool) in
+        let health () =
+          {
+            P.h_queued = !queued;
+            h_inflight = inflight ();
+            h_clients = Hashtbl.length clients;
+            h_workers = workers;
+            h_alive = Pool.alive pool;
+            h_accepted = !accepted;
+            h_completed = !completed;
+            h_failed = !failed;
+            h_timeouts = !timeouts;
+            h_rejected = !rejected;
+            h_cache_hits = !cache_hits;
+            h_cache_misses = !cache_misses;
+            h_cache_damaged = !cache_damaged;
+            h_crashes = Pool.crashes pool;
+            h_restarts = Pool.restarts pool;
+            h_disconnects = !disconnects;
+          }
         in
 
         (* -- dispatch: round-robin over clients, retries first -- *)
@@ -394,48 +267,23 @@ let run ?(on_listening = fun () -> ()) cfg =
                 Some (Queue.pop c.c_queue)
           end
         in
-        let find_idle () =
-          let rec go i =
-            if i >= Array.length slots then None
-            else match slots.(i).s with Idle _ -> Some i | _ -> go (i + 1)
-          in
-          go 0
-        in
         let dispatch () =
-          let progress = ref true in
-          while !progress && !queued > 0 do
-            progress := false;
-            match find_idle () with
-            | None -> ()
-            | Some si -> (
-                match pick_pending () with
-                | None -> queued := 0 (* queues and counter out of sync *)
-                | Some p -> (
-                    decr queued;
-                    match slots.(si).s with
-                    | Idle w -> (
-                        let line =
-                          Framing.frame
-                            (Json.Obj
-                               [ ("attempt", Json.Int p.p_attempt);
-                                 ("job", P.job_to_json p.p_job) ])
-                        in
-                        match write_all w.wp_to line with
-                        | () ->
-                            slots.(si).s <-
-                              Busy
-                                ( w,
-                                  p,
-                                  Unix.gettimeofday () +. cfg.job_timeout );
-                            progress := true
-                        | exception Unix.Unix_error _ ->
-                            (* the worker died before taking the job:
-                               treat as a crash; the job keeps its
-                               attempt count (nothing was lost) *)
-                            Queue.add p retries;
-                            incr queued;
-                            worker_crashed si "died before accepting a job")
-                    | _ -> ()))
+          while !queued > 0 && Pool.has_idle pool do
+            match pick_pending () with
+            | None -> queued := 0 (* queues and counter out of sync *)
+            | Some p ->
+                decr queued;
+                let task =
+                  Json.Obj
+                    [ ("attempt", Json.Int p.p_attempt);
+                      ("job", P.job_to_json p.p_job) ]
+                in
+                if not (Pool.assign pool p task) then begin
+                  (* every idle worker died before taking it: the job
+                     keeps its attempt count (nothing was lost) *)
+                  Queue.add p retries;
+                  incr queued
+                end
           done
         in
 
@@ -444,12 +292,7 @@ let run ?(on_listening = fun () -> ()) cfg =
         let drop_client ?(lost = false) c =
           let pending_work =
             (not (Queue.is_empty c.c_queue))
-            || Array.exists
-                 (fun sl ->
-                   match sl.s with
-                   | Busy (_, p, _) -> p.p_client = c.c_key
-                   | _ -> false)
-                 slots
+            || List.exists (fun p -> p.p_client = c.c_key) (Pool.in_flight pool)
           in
           if lost && pending_work then incr disconnects;
           queued := !queued - Queue.length c.c_queue;
@@ -601,90 +444,6 @@ let run ?(on_listening = fun () -> ()) cfg =
           done
         in
 
-        (* -- worker pipe events -- *)
-
-        let worker_readable si =
-          match slots.(si).s with
-          | Down _ -> ()
-          | (Idle w | Busy (w, _, _)) as state -> (
-              match Unix.read w.wp_from chunk 0 (Bytes.length chunk) with
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-              | exception Unix.Unix_error _ ->
-                  worker_crashed si "result pipe error"
-              | 0 -> worker_crashed si "crashed (pipe closed)"
-              | n -> (
-                  Framing.Splitter.feed w.wp_split (Bytes.sub_string chunk 0 n);
-                  match Framing.Splitter.pop w.wp_split with
-                  | None -> ()
-                  | Some line -> (
-                      match state with
-                      | Busy (_, p, _) -> (
-                          match Json.of_string line with
-                          | exception Json.Parse_error _ ->
-                              (* garbage where an envelope should be:
-                                 the worker can no longer be trusted;
-                                 the slot is still Busy, so the crash
-                                 path retries the assignment *)
-                              worker_crashed si "shipped garbage"
-                          | v -> (
-                              match
-                                (Json.member "status" v, Json.member "result" v)
-                              with
-                              | Json.Str "ok", payload when payload <> Json.Null
-                                ->
-                                  w.wp_streak <- 0;
-                                  slots.(si).s <- Idle w;
-                                  settle_ok p payload
-                              | Json.Str "error", _ ->
-                                  let msg =
-                                    match Json.member "message" v with
-                                    | Json.Str m -> m
-                                    | _ -> "worker reported an error"
-                                  in
-                                  w.wp_streak <- 0;
-                                  slots.(si).s <- Idle w;
-                                  settle_failed p msg
-                              | _ -> worker_crashed si "malformed envelope"))
-                      | _ ->
-                          (* an envelope with no assignment: the slot is
-                             out of sync; recycle it *)
-                          worker_crashed si "unexpected output while idle")))
-        in
-
-        let check_deadlines now =
-          Array.iteri
-            (fun si sl ->
-              match sl.s with
-              | Busy (w, p, deadline) when now > deadline ->
-                  incr timeouts;
-                  log "job %s: deadline %.1fs expired, killing worker %d"
-                    p.p_id cfg.job_timeout w.wp_pid;
-                  (try Unix.kill w.wp_pid Sys.sigkill
-                   with Unix.Unix_error _ -> ());
-                  reap_worker w;
-                  (* a timeout is the job's verdict, not the worker's:
-                     respawn without backoff and answer distinctly *)
-                  slots.(si).s <- Idle (spawn_worker w.wp_streak);
-                  respond_key p.p_client
-                    (P.Job_timeout { id = p.p_id; after = cfg.job_timeout })
-              | _ -> ())
-            slots
-        in
-
-        let respawn_due now =
-          Array.iteri
-            (fun si sl ->
-              match sl.s with
-              | Down { d_until; d_crashes } when now >= d_until ->
-                  slots.(si).s <- Idle (spawn_worker d_crashes);
-                  if d_crashes > 0 then begin
-                    incr restarts;
-                    log "slot %d: respawned after %d crash(es)" si d_crashes
-                  end
-              | _ -> ())
-            slots
-        in
-
         (* -- main loop -- *)
 
         on_listening ();
@@ -700,8 +459,7 @@ let run ?(on_listening = fun () -> ()) cfg =
                log "shutdown requested: draining %d queued + %d in-flight"
                  !queued (inflight ())
              end;
-             let now = Unix.gettimeofday () in
-             respawn_due now;
+             Pool.spawn_due pool ~want:workers;
              dispatch ();
              let reads = ref [] and writes = ref [] in
              if not (stopping ()) then reads := [ listen_fd ];
@@ -711,25 +469,8 @@ let run ?(on_listening = fun () -> ()) cfg =
                  if Buffer.length c.c_out > c.c_out_off || c.c_closing then
                    writes := fd :: !writes)
                fd_client;
-             Array.iter
-               (fun sl ->
-                 match sl.s with
-                 | Idle w | Busy (w, _, _) -> reads := w.wp_from :: !reads
-                 | Down _ -> ())
-               slots;
-             let horizon =
-               Array.fold_left
-                 (fun acc sl ->
-                   match sl.s with
-                   | Busy (_, _, deadline) -> min acc deadline
-                   | Down { d_until; _ } -> min acc d_until
-                   | Idle _ -> acc)
-                 (now +. 0.25) slots
-             in
-             let sel_timeout = max 0.01 (horizon -. now) in
-             let readable, writable, _ =
-               try Unix.select !reads !writes [] sel_timeout
-               with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+             let readable, writable =
+               Pool.wait pool ~reads:!reads ~writes:!writes
              in
              List.iter
                (fun fd ->
@@ -737,22 +478,14 @@ let run ?(on_listening = fun () -> ()) cfg =
                  else
                    match Hashtbl.find_opt fd_client fd with
                    | Some c -> client_readable c
-                   | None ->
-                       Array.iteri
-                         (fun si sl ->
-                           match sl.s with
-                           | (Idle w | Busy (w, _, _)) when w.wp_from = fd ->
-                               worker_readable si
-                           | _ -> ())
-                         slots)
+                   | None -> ())
                readable;
              List.iter
                (fun fd ->
                  match Hashtbl.find_opt fd_client fd with
                  | Some c -> client_writable c
                  | None -> ())
-               writable;
-             check_deadlines (Unix.gettimeofday ())
+               writable
            done
          with e ->
            (* a supervisor bug must still tear the pool down *)
@@ -788,33 +521,9 @@ let run ?(on_listening = fun () -> ()) cfg =
         Hashtbl.iter (fun fd _ -> close_noerr fd) fd_client;
         Hashtbl.reset fd_client;
         Hashtbl.reset clients;
-        (* retire workers: EOF first, SIGKILL stragglers — no orphans *)
-        Array.iter
-          (fun sl ->
-            match sl.s with
-            | Idle w | Busy (w, _, _) ->
-                close_noerr w.wp_to;
-                let deadline = Unix.gettimeofday () +. 2.0 in
-                let rec wait () =
-                  match Unix.waitpid [ Unix.WNOHANG ] w.wp_pid with
-                  | 0, _ ->
-                      if Unix.gettimeofday () > deadline then begin
-                        (try Unix.kill w.wp_pid Sys.sigkill
-                         with Unix.Unix_error _ -> ());
-                        (try ignore (Unix.waitpid [] w.wp_pid)
-                         with Unix.Unix_error _ -> ())
-                      end
-                      else begin
-                        Unix.sleepf 0.01;
-                        wait ()
-                      end
-                  | _ -> ()
-                  | exception Unix.Unix_error _ -> ()
-                in
-                wait ();
-                close_noerr w.wp_from
-            | Down _ -> ())
-          slots;
+        (* retire workers: EOF first, SIGKILL stragglers — no orphans;
+           a forced shutdown skips the grace period *)
+        Pool.shutdown pool ~kill:(forced ());
         close_noerr listen_fd;
         (try Sys.remove cfg.socket_path with Sys_error _ -> ());
         Sys.set_signal Sys.sigterm prev_term;

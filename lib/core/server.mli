@@ -3,20 +3,23 @@
 
     One process owns a Unix-domain stream socket and multiplexes any
     number of concurrent clients (speaking {!Protocol} over JSONL
-    framing) onto a supervised pool of forked worker processes.  The
-    design treats failure as the normal case:
+    framing) onto a {!Pool} of persistent forked worker processes —
+    the same supervised pool [critload sweep] runs on.  The pool owns
+    the processes and reports one verdict per job; this driver owns
+    the socket, the queues and what each verdict means.  The design
+    treats failure as the normal case:
 
-    - {b Supervision.}  Each worker slot is watched; a worker that
-      crashes (or ships garbage) is reaped and its slot respawned with
-      capped exponential backoff.  A job lost to a crash is retried
-      once on another worker — simulation is deterministic, so the
-      retry reproduces the lost result bit-for-bit.  A job that
-      crashes twice fails loudly ({!Protocol.Job_failed}), never
-      silently.
+    - {b Supervision.}  A worker that crashes (or ships garbage) is
+      reaped and its slot respawned with capped exponential backoff.
+      A job lost to a crash is retried once on another worker —
+      simulation is deterministic, so the retry reproduces the lost
+      result bit-for-bit.  A job that crashes twice fails loudly
+      ({!Protocol.Job_failed}), never silently.
     - {b Deadlines.}  Every request carries the server's per-job
       wall-clock deadline; an overdue worker is SIGKILLed and the
       client receives a distinct {!Protocol.Job_timeout} (no retry —
-      a timeout is evidence the job does not fit the budget).
+      a timeout is evidence the job does not fit the budget; unlike
+      [critload sweep], which runs unattended and retries it once).
     - {b Backpressure.}  The pending queue is bounded; a submission
       that would overflow it is turned away immediately with
       {!Protocol.Rejected} and a [retry_after] hint, never buffered
@@ -33,7 +36,8 @@
       submissions are rejected as [Shutting_down]), drains queued and
       in-flight jobs, flushes client responses, reaps every worker (no
       orphans), removes the socket, and returns the final counters.  A
-      second signal forces immediate teardown. *)
+      second signal forces immediate teardown: queued work is dropped
+      and the workers are killed at once. *)
 
 (** Deterministic fault injection for the chaos/soak harness:
     [kill_every n] makes each worker SIGKILL itself on every [n]-th

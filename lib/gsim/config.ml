@@ -233,43 +233,6 @@ let with_warp_sched p c = { c with warp_sched = p }
 let with_l2_cluster k c = { c with l2_cluster = k }
 let with_policy p c = { c with policy = p }
 
-(* Deprecated flag builders: the former class-wide knobs, kept so old
-   call sites (and the X.A ablation tables) still read naturally.
-   They edit the [Ndet_flags] layer of the current policy — all-off
-   flags normalize back to [Baseline], so
-   [default |> with_warp_split 0 = default] — and leave a structured
-   policy ([Iar]/[Holistic]) untouched. *)
-
-let rec edit_ndet_flags f = function
-  | Baseline ->
-      let fl = f no_policy in
-      if fl = no_policy then Baseline else Ndet_flags fl
-  | Ndet_flags fl ->
-      let fl = f fl in
-      if fl = no_policy then Baseline else Ndet_flags fl
-  | Per_pc (ps, inner) -> Per_pc (ps, edit_ndet_flags f inner)
-  | (Iar _ | Holistic _) as p -> p
-
-let with_warp_split w c =
-  { c with policy = edit_ndet_flags (fun f -> { f with lp_split = w }) c.policy }
-
-let with_prefetch_ndet b c =
-  { c with
-    policy = edit_ndet_flags (fun f -> { f with lp_prefetch = b }) c.policy }
-
-let with_bypass_ndet b c =
-  { c with
-    policy = edit_ndet_flags (fun f -> { f with lp_bypass = b }) c.policy }
-
-(* Deprecated: replaces the per-pc override table wholesale (the old
-   [pc_policies] field semantics), wrapping whatever structured policy
-   is already selected.  New code should build [Per_pc] directly. *)
-let with_pc_policies ps c =
-  let inner =
-    match c.policy with Per_pc (_, inner) -> inner | p -> p
-  in
-  { c with policy = (match ps with [] -> inner | _ -> Per_pc (ps, inner)) }
-
 (* ---- canonical key / digest ----
 
    [to_key] renders every field in a fixed order, so two configs share

@@ -167,22 +167,6 @@ val with_l2_cluster : int -> t -> t
 val with_policy : policy -> t -> t
 (** Select the memory-system policy (see {!policy}). *)
 
-val with_warp_split : int -> t -> t
-(** @deprecated Edits the {!Ndet_flags} layer of the current policy
-    (all-off flags normalize to {!Baseline}); leaves a structured
-    policy untouched.  Use {!with_policy}. *)
-
-val with_prefetch_ndet : bool -> t -> t
-(** @deprecated See {!with_warp_split}. *)
-
-val with_bypass_ndet : bool -> t -> t
-(** @deprecated See {!with_warp_split}. *)
-
-val with_pc_policies : ((string * int) * load_policy) list -> t -> t
-(** @deprecated Replaces the per-pc override table wholesale, wrapping
-    the current structured policy in {!Per_pc} ([[]] unwraps).  Build
-    {!Per_pc} directly via {!with_policy} instead. *)
-
 (** {1 Canonical identity} *)
 
 val to_key : t -> string

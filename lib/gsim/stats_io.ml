@@ -604,32 +604,6 @@ let rec mem_policy_of_json v : Config.policy =
       | lp -> Config.Ndet_flags (load_policy_of_json lp))
   | w -> raise (Parse_error ("bad policy: " ^ type_name w))
 
-(* Documents written before the policy redesign carried four separate
-   members (warp_split_width / prefetch_ndet / bypass_ndet /
-   pc_policies); rebuild the equivalent policy tree from them. *)
-let legacy_policy_of_json v : Config.policy =
-  let split =
-    match member "warp_split_width" v with Null -> 0 | w -> get_int w
-  in
-  let prefetch =
-    match member "prefetch_ndet" v with Null -> false | b -> get_bool b
-  in
-  let bypass =
-    match member "bypass_ndet" v with Null -> false | b -> get_bool b
-  in
-  let pcs =
-    match member "pc_policies" v with
-    | Null -> []
-    | ps -> List.map pc_policy_of_json (get_list ps)
-  in
-  let base =
-    if split = 0 && (not prefetch) && not bypass then Config.Baseline
-    else
-      Config.Ndet_flags
-        { Config.lp_split = split; lp_prefetch = prefetch; lp_bypass = bypass }
-  in
-  match pcs with [] -> base | _ -> Config.Per_pc (pcs, base)
-
 let config_to_json (c : Config.t) =
   let cta_sched =
     match c.Config.cta_sched with
@@ -690,11 +664,6 @@ let config_of_json v : Config.t =
     | Str s -> raise (Parse_error ("unknown warp_sched " ^ s))
     | w -> raise (Parse_error ("bad warp_sched: " ^ type_name w))
   in
-  let policy =
-    match member "policy" v with
-    | Null -> legacy_policy_of_json v
-    | p -> mem_policy_of_json p
-  in
   {
     Config.n_sms = int_field "n_sms" v;
     warp_size = int_field "warp_size" v;
@@ -728,7 +697,7 @@ let config_of_json v : Config.t =
     cta_sched;
     warp_sched;
     l2_cluster = int_field "l2_cluster" v;
-    policy;
+    policy = mem_policy_of_json (member "policy" v);
   }
 
 (* ---- classification summaries ---- *)

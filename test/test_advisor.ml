@@ -118,7 +118,8 @@ let test_advisor_preserves_results () =
   let cfg =
     Gsim.Config.default
     |> Gsim.Config.with_caps ~max_warp_insts:0 ()
-    |> Gsim.Config.with_pc_policies (A.policies advice)
+    |> Gsim.Config.with_policy
+         (Gsim.Config.Per_pc (A.policies advice, Gsim.Config.Baseline))
   in
   let machine = Gsim.Gpu.create_machine ~cfg () in
   let continue_ = ref true in

@@ -103,13 +103,17 @@ let run_kernel kernel inputs ~mode =
 
 let uncapped = Gsim.Config.default |> Gsim.Config.with_caps ~max_warp_insts:0 ()
 
+let ndet_flags fl =
+  `Cycle (uncapped |> Gsim.Config.with_policy (Gsim.Config.Ndet_flags fl))
+
 let modes =
+  let open Gsim.Config in
   [
     ("cycle", `Cycle uncapped);
-    ("gto", `Cycle (uncapped |> Gsim.Config.with_warp_sched Gsim.Config.Gto));
-    ("split", `Cycle (uncapped |> Gsim.Config.with_warp_split 8));
-    ("prefetch", `Cycle (uncapped |> Gsim.Config.with_prefetch_ndet true));
-    ("bypass", `Cycle (uncapped |> Gsim.Config.with_bypass_ndet true));
+    ("gto", `Cycle (uncapped |> with_warp_sched Gto));
+    ("split", ndet_flags { no_policy with lp_split = 8 });
+    ("prefetch", ndet_flags { no_policy with lp_prefetch = true });
+    ("bypass", ndet_flags { no_policy with lp_bypass = true });
   ]
 
 let prop_equivalence =

@@ -205,7 +205,10 @@ let test_ablation_split_runs () =
   in
   let split =
     E.ablation_run scale app
-      (E.timing_cfg () |> Gsim.Config.with_warp_split 8)
+      (E.timing_cfg ()
+      |> Gsim.Config.with_policy
+           (Gsim.Config.Ndet_flags
+              { Gsim.Config.no_policy with Gsim.Config.lp_split = 8 }))
       "split8"
   in
   Alcotest.(check bool) "both ran" true

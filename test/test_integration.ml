@@ -64,7 +64,13 @@ let test_prefetcher_reduces_misses () =
     | Error e -> raise (Gsim.Sim_error.Error e)
   in
   let base = run cap in
-  let pf = run (cap |> Gsim.Config.with_prefetch_ndet true) in
+  let pf =
+    run
+      (cap
+      |> Gsim.Config.with_policy
+           (Gsim.Config.Ndet_flags
+              { Gsim.Config.no_policy with Gsim.Config.lp_prefetch = true }))
+  in
   let miss s =
     Gsim.Stats.l1_miss_ratio s Dataflow.Classify.Nondeterministic
   in
@@ -141,7 +147,9 @@ let test_warp_split_preserves_results () =
   let cfg =
     Gsim.Config.default
     |> Gsim.Config.with_caps ~max_warp_insts:0 ()
-    |> Gsim.Config.with_warp_split 8
+    |> Gsim.Config.with_policy
+         (Gsim.Config.Ndet_flags
+            { Gsim.Config.no_policy with Gsim.Config.lp_split = 8 })
   in
   let machine = Gsim.Gpu.create_machine ~cfg () in
   let continue_ = ref true in
@@ -178,7 +186,9 @@ let test_bypass_preserves_results () =
   let cfg =
     Gsim.Config.default
     |> Gsim.Config.with_caps ~max_warp_insts:0 ()
-    |> Gsim.Config.with_bypass_ndet true
+    |> Gsim.Config.with_policy
+         (Gsim.Config.Ndet_flags
+            { Gsim.Config.no_policy with Gsim.Config.lp_bypass = true })
   in
   let machine = Gsim.Gpu.create_machine ~cfg () in
   let continue_ = ref true in
@@ -201,7 +211,9 @@ let test_prefetch_preserves_results () =
   let cfg =
     Gsim.Config.default
     |> Gsim.Config.with_caps ~max_warp_insts:0 ()
-    |> Gsim.Config.with_prefetch_ndet true
+    |> Gsim.Config.with_policy
+         (Gsim.Config.Ndet_flags
+            { Gsim.Config.no_policy with Gsim.Config.lp_prefetch = true })
   in
   let machine = Gsim.Gpu.create_machine ~cfg () in
   let continue_ = ref true in

@@ -247,6 +247,55 @@ let test_sweep_document () =
       ignore (P.timing_summary_of_json (Json.member "result" env)))
     jobs results
 
+(* ---- pool lifecycle ---- *)
+
+(* workers are persistent: with one worker, every job runs in the same
+   process, observed through the pids a chaos hook records *)
+let test_one_worker_runs_every_job () =
+  let pids = Filename.temp_file "critload-pids" ".txt" in
+  let chaos ~job_index:_ ~attempt:_ =
+    let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 pids in
+    Printf.fprintf oc "%d\n" (Unix.getpid ());
+    close_out oc
+  in
+  let out = P.run ~workers:1 ~timeout:300. ~chaos (mk_jobs apps4) in
+  List.iteri (fun i app -> ignore (payload_exn app out.(i))) apps4;
+  let ic = open_in pids in
+  let rec lines acc =
+    match input_line ic with
+    | l -> lines (l :: acc)
+    | exception End_of_file -> acc
+  in
+  let seen = lines [] in
+  close_in ic;
+  Sys.remove pids;
+  Alcotest.(check int) "the hook ran once per job" 4 (List.length seen);
+  Alcotest.(check (list string)) "one worker process ran them all"
+    [ List.hd seen ]
+    (List.sort_uniq compare seen);
+  Alcotest.(check bool) "that worker is not this process" true
+    (List.hd seen <> string_of_int (Unix.getpid ()))
+
+(* no worker outlives [run]: after a normal return, after an abort, and
+   after Sys.Break raised from a progress hook *)
+let assert_no_children what =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | 0, _ -> Alcotest.failf "%s: a worker is still running" what
+  | pid, _ -> Alcotest.failf "%s: worker %d was left unreaped" what pid
+
+let test_no_orphan_workers () =
+  let jobs = mk_jobs apps4 in
+  ignore (P.run ~workers:2 ~timeout:300. jobs);
+  assert_no_children "normal return";
+  ignore (P.run ~workers:2 ~timeout:300. ~abort_after:1 jobs);
+  assert_no_children "abort_after";
+  let on_event = function P.Finished _ -> raise Sys.Break | _ -> () in
+  (match P.run ~workers:2 ~timeout:300. ~on_event jobs with
+  | _ -> Alcotest.fail "Sys.Break did not propagate"
+  | exception Sys.Break -> ());
+  assert_no_children "Sys.Break from on_event"
+
 let () =
   Alcotest.run "parsweep"
     [ ( "parsweep",
@@ -267,4 +316,8 @@ let () =
           Alcotest.test_case "func mode round-trip" `Quick
             test_func_mode_roundtrip;
           Alcotest.test_case "sweep document parses back" `Quick
-            test_sweep_document ] ) ]
+            test_sweep_document;
+          Alcotest.test_case "one worker runs every job" `Quick
+            test_one_worker_runs_every_job;
+          Alcotest.test_case "no orphan workers" `Quick
+            test_no_orphan_workers ] ) ]

@@ -29,14 +29,7 @@ let test_baseline_noops () =
    byte identity of the runs then follows from determinism *)
 let test_baseline_structural_identity () =
   Alcotest.(check bool) "with_policy Baseline = default" true
-    (cfg_of C.Baseline = C.default);
-  Alcotest.(check bool) "deprecated knobs round-trip to Baseline" true
-    (C.default |> C.with_warp_split 8 |> C.with_warp_split 0 = C.default);
-  Alcotest.(check bool) "empty per-pc table unwraps" true
-    (C.default
-     |> C.with_pc_policies [ (("k", 4), { C.no_policy with C.lp_split = 4 }) ]
-     |> C.with_pc_policies []
-    = C.default)
+    (cfg_of C.Baseline = C.default)
 
 (* ---- IAR reorder buffer ---- *)
 
@@ -252,9 +245,12 @@ let test_digest_sensitivity () =
           (C.Per_pc
              ([ (("k", 4), { C.no_policy with C.lp_prefetch = true }) ],
               C.Baseline)) );
-      ("deprecated_split", C.with_warp_split 4 C.default);
-      ("deprecated_prefetch", C.with_prefetch_ndet true C.default);
-      ("deprecated_bypass", C.with_bypass_ndet true C.default);
+      ( "ndet_split",
+        cfg_of (C.Ndet_flags { C.no_policy with C.lp_split = 4 }) );
+      ( "ndet_prefetch",
+        cfg_of (C.Ndet_flags { C.no_policy with C.lp_prefetch = true }) );
+      ( "ndet_bypass",
+        cfg_of (C.Ndet_flags { C.no_policy with C.lp_bypass = true }) );
     ]
   in
   let all = ("default", C.default) :: variants in
@@ -291,6 +287,27 @@ let test_digest_json_agreement () =
         ( [ (("k", 8), { C.no_policy with C.lp_bypass = true }) ],
           C.Iar { C.iar_entries = 16; iar_max_wait = 8 } );
     ]
+
+(* a config document without a "policy" member is a typed decode
+   error, never a guessed Baseline *)
+let test_missing_policy_rejected () =
+  let module Json = Gsim.Stats_io.Json in
+  let config =
+    match Gsim.Stats_io.config_to_json C.default with
+    | Json.Obj fields -> Json.Obj (List.remove_assoc "policy" fields)
+    | _ -> Alcotest.fail "config JSON is not an object"
+  in
+  match
+    Critload.Protocol.job_of_json
+      (Json.Obj [ ("app", Json.Str "2mm"); ("config", config) ])
+  with
+  | Error e ->
+      let rec mentions i =
+        i + 6 <= String.length e
+        && (String.sub e i 6 = "policy" || mentions (i + 1))
+      in
+      Alcotest.(check bool) ("error names the policy: " ^ e) true (mentions 0)
+  | Ok _ -> Alcotest.fail "a config without a policy decoded"
 
 (* ---- end-to-end: explicit Baseline is byte-identical to the locked
    goldens on a graph app; the real policies complete and diverge ---- *)
@@ -376,6 +393,8 @@ let () =
             test_digest_sensitivity;
           Alcotest.test_case "config JSON preserves the key" `Quick
             test_digest_json_agreement;
+          Alcotest.test_case "config without a policy is an error" `Quick
+            test_missing_policy_rejected;
         ] );
       ( "end-to-end",
         [

@@ -108,21 +108,21 @@ let test_store_lookup_roundtrip () =
   let dir = fresh_dir () in
   let j = P.job ~cfg ~warmup:false "2mm" in
   Alcotest.(check bool) "empty cache misses" true
-    (P.cache_lookup ~dir j = None);
+    (P.cache_probe ~dir j = P.Cache_miss);
   let payload = P.exec_job j in
   P.cache_store ~dir j payload;
-  (match P.cache_lookup ~dir j with
-  | Some v ->
+  (match P.cache_probe ~dir j with
+  | P.Cache_hit v ->
       Alcotest.(check string) "payload round-trips"
         (Json.to_string payload) (Json.to_string v)
-  | None -> Alcotest.fail "stored entry not found");
+  | P.Cache_miss | P.Cache_damaged _ -> Alcotest.fail "stored entry not found");
   (* a torn / corrupt entry is a miss, not an error *)
   let entry = Filename.concat dir (P.job_digest j ^ ".json") in
   let oc = open_out entry in
   output_string oc "{ not json";
   close_out oc;
   Alcotest.(check bool) "corrupt entry degrades to a miss" true
-    (P.cache_lookup ~dir j = None);
+    (match P.cache_probe ~dir j with P.Cache_hit _ -> false | _ -> true);
   rm_rf dir
 
 (* ---- probe verdicts: hit vs stale-miss vs damaged ---- *)
@@ -193,7 +193,7 @@ let test_probe_verdicts () =
   (* re-storing repairs the entry *)
   P.cache_store ~dir j payload;
   Alcotest.(check bool) "re-stored entry hits again" true
-    (P.cache_lookup ~dir j <> None);
+    (match P.cache_probe ~dir j with P.Cache_hit _ -> true | _ -> false);
   rm_rf dir
 
 (* ---- cold vs warm sweep ---- *)
