@@ -126,7 +126,7 @@ let job_digest j =
       [ cache_schema;
         Version.sim_tag;
         app_fingerprint app j.sj_scale;
-        Gsim.Config.to_digest j.sj_cfg;
+        Gsim.Stats_io.config_digest j.sj_cfg;
         string_of_mode j.sj_mode;
         (if j.sj_warmup then "warmup" else "nowarmup");
         (if j.sj_profile then "profile" else "noprofile") ]
@@ -213,47 +213,49 @@ let func_summary (r : Runner.func_result) =
     fu_atom_warps = fs.Gsim.Funcsim.atom_warps;
   }
 
-let int_array_to_json a =
-  Json.Arr (Array.to_list (Array.map (fun i -> Json.Int i) a))
+module Codec = Gsim.Stats_io.Codec
 
-let int_array_of_json v =
-  Array.of_list (List.map Json.get_int (Json.get_list v))
+(* Per-class counts are D/N pairs. *)
+let func_summary_codec =
+  let open Codec in
+  let by_class = int_array 2 in
+  obj
+    [ field "launches" int (fun f -> f.fu_launches)
+        (fun f x -> { f with fu_launches = x });
+      field "ctas" int (fun f -> f.fu_ctas) (fun f x -> { f with fu_ctas = x });
+      field "threads_per_cta" int (fun f -> f.fu_threads_per_cta)
+        (fun f x -> { f with fu_threads_per_cta = x });
+      field "static_d" int (fun f -> f.fu_static_d)
+        (fun f x -> { f with fu_static_d = x });
+      field "static_n" int (fun f -> f.fu_static_n)
+        (fun f x -> { f with fu_static_n = x });
+      field "check" bool (fun f -> f.fu_check)
+        (fun f x -> { f with fu_check = x });
+      field "warp_insts" int (fun f -> f.fu_warp_insts)
+        (fun f x -> { f with fu_warp_insts = x });
+      field "thread_insts" int (fun f -> f.fu_thread_insts)
+        (fun f x -> { f with fu_thread_insts = x });
+      field "gld_warps" by_class (fun f -> f.fu_gld_warps)
+        (fun f x -> { f with fu_gld_warps = x });
+      field "gld_requests" by_class (fun f -> f.fu_gld_requests)
+        (fun f x -> { f with fu_gld_requests = x });
+      field "gld_active_threads" by_class (fun f -> f.fu_gld_active_threads)
+        (fun f x -> { f with fu_gld_active_threads = x });
+      field "shared_load_warps" int (fun f -> f.fu_shared_load_warps)
+        (fun f x -> { f with fu_shared_load_warps = x });
+      field "global_store_warps" int (fun f -> f.fu_global_store_warps)
+        (fun f x -> { f with fu_global_store_warps = x });
+      field "atom_warps" int (fun f -> f.fu_atom_warps)
+        (fun f x -> { f with fu_atom_warps = x }) ]
+    (fun () ->
+      { fu_launches = 0; fu_ctas = 0; fu_threads_per_cta = 0; fu_static_d = 0;
+        fu_static_n = 0; fu_check = false; fu_warp_insts = 0;
+        fu_thread_insts = 0; fu_gld_warps = [||]; fu_gld_requests = [||];
+        fu_gld_active_threads = [||]; fu_shared_load_warps = 0;
+        fu_global_store_warps = 0; fu_atom_warps = 0 })
 
-let func_summary_to_json f =
-  Json.Obj
-    [ ("launches", Json.Int f.fu_launches);
-      ("ctas", Json.Int f.fu_ctas);
-      ("threads_per_cta", Json.Int f.fu_threads_per_cta);
-      ("static_d", Json.Int f.fu_static_d);
-      ("static_n", Json.Int f.fu_static_n);
-      ("check", Json.Bool f.fu_check);
-      ("warp_insts", Json.Int f.fu_warp_insts);
-      ("thread_insts", Json.Int f.fu_thread_insts);
-      ("gld_warps", int_array_to_json f.fu_gld_warps);
-      ("gld_requests", int_array_to_json f.fu_gld_requests);
-      ("gld_active_threads", int_array_to_json f.fu_gld_active_threads);
-      ("shared_load_warps", Json.Int f.fu_shared_load_warps);
-      ("global_store_warps", Json.Int f.fu_global_store_warps);
-      ("atom_warps", Json.Int f.fu_atom_warps) ]
-
-let func_summary_of_json v =
-  {
-    fu_launches = Json.int_field "launches" v;
-    fu_ctas = Json.int_field "ctas" v;
-    fu_threads_per_cta = Json.int_field "threads_per_cta" v;
-    fu_static_d = Json.int_field "static_d" v;
-    fu_static_n = Json.int_field "static_n" v;
-    fu_check = Json.get_bool (Json.member "check" v);
-    fu_warp_insts = Json.int_field "warp_insts" v;
-    fu_thread_insts = Json.int_field "thread_insts" v;
-    fu_gld_warps = int_array_of_json (Json.member "gld_warps" v);
-    fu_gld_requests = int_array_of_json (Json.member "gld_requests" v);
-    fu_gld_active_threads =
-      int_array_of_json (Json.member "gld_active_threads" v);
-    fu_shared_load_warps = Json.int_field "shared_load_warps" v;
-    fu_global_store_warps = Json.int_field "global_store_warps" v;
-    fu_atom_warps = Json.int_field "atom_warps" v;
-  }
+let func_summary_to_json = func_summary_codec.enc
+let func_summary_of_json = func_summary_codec.dec
 
 type timing_summary = {
   tm_launches : int;
@@ -261,24 +263,25 @@ type timing_summary = {
   tm_profile : Gsim.Profile.t option;
 }
 
-let timing_summary_to_json t =
-  Json.Obj
-    ([ ("launches", Json.Int t.tm_launches);
-       ("stats", Gsim.Stats_io.stats_to_json t.tm_stats) ]
-    @
-    match t.tm_profile with
-    | None -> []
-    | Some p -> [ ("profile", Gsim.Profile.to_json p) ])
+let timing_summary_codec =
+  let open Codec in
+  let stats =
+    { enc = Gsim.Stats_io.stats_to_json; dec = Gsim.Stats_io.stats_of_json }
+  in
+  let profile = { enc = Gsim.Profile.to_json; dec = Gsim.Profile.of_json } in
+  obj
+    [ field "launches" int (fun t -> t.tm_launches)
+        (fun t x -> { t with tm_launches = x });
+      field "stats" stats (fun t -> t.tm_stats)
+        (fun t x -> { t with tm_stats = x });
+      (* present only for profiled jobs *)
+      field "profile" (option profile) (fun t -> t.tm_profile)
+        (fun t x -> { t with tm_profile = x }) ]
+    (fun () ->
+      { tm_launches = 0; tm_stats = Gsim.Stats.create (); tm_profile = None })
 
-let timing_summary_of_json v =
-  {
-    tm_launches = Json.int_field "launches" v;
-    tm_stats = Gsim.Stats_io.stats_of_json (Json.member "stats" v);
-    tm_profile =
-      (match Json.member "profile" v with
-      | Json.Null -> None
-      | p -> Some (Gsim.Profile.of_json p));
-  }
+let timing_summary_to_json = timing_summary_codec.enc
+let timing_summary_of_json = timing_summary_codec.dec
 
 (* ---- cache probing ----
 

@@ -72,8 +72,8 @@ val job_key : job -> string
     job's result depends on — the app's kernels (as normalized text:
     print → parse → print, so formatting-only edits don't invalidate),
     launch geometry, dataset seed, the full {!Gsim.Config.t} (via
-    {!Gsim.Config.to_digest}), the simulation mode, warmup and profile
-    settings, and {!Version.sim_tag}.  The config {e label} and the
+    {!Gsim.Stats_io.config_digest}), the simulation mode, warmup and
+    profile settings, and {!Version.sim_tag}.  The config {e label} and the
     fast-forward flag are deliberately excluded: they cannot change the
     result bytes, so jobs differing only there share an entry. *)
 

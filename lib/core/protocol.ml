@@ -154,41 +154,45 @@ let empty_health =
 
 (* Field spellings double as the health JSON schema; keep them in sync
    with the README's "Operating the service" table. *)
-let health_fields =
-  [ ("queued", (fun h -> h.h_queued), fun h x -> { h with h_queued = x });
-    ("inflight", (fun h -> h.h_inflight), fun h x -> { h with h_inflight = x });
-    ("clients", (fun h -> h.h_clients), fun h x -> { h with h_clients = x });
-    ("workers", (fun h -> h.h_workers), fun h x -> { h with h_workers = x });
-    ("alive", (fun h -> h.h_alive), fun h x -> { h with h_alive = x });
-    ("accepted", (fun h -> h.h_accepted), fun h x -> { h with h_accepted = x });
-    ( "completed",
-      (fun h -> h.h_completed),
-      fun h x -> { h with h_completed = x } );
-    ("failed", (fun h -> h.h_failed), fun h x -> { h with h_failed = x });
-    ("timeouts", (fun h -> h.h_timeouts), fun h x -> { h with h_timeouts = x });
-    ("rejected", (fun h -> h.h_rejected), fun h x -> { h with h_rejected = x });
-    ( "cache_hits",
-      (fun h -> h.h_cache_hits),
-      fun h x -> { h with h_cache_hits = x } );
-    ( "cache_misses",
-      (fun h -> h.h_cache_misses),
-      fun h x -> { h with h_cache_misses = x } );
-    ( "cache_damaged",
-      (fun h -> h.h_cache_damaged),
-      fun h x -> { h with h_cache_damaged = x } );
-    ("crashes", (fun h -> h.h_crashes), fun h x -> { h with h_crashes = x });
-    ("restarts", (fun h -> h.h_restarts), fun h x -> { h with h_restarts = x });
-    ( "disconnects",
-      (fun h -> h.h_disconnects),
-      fun h x -> { h with h_disconnects = x } ) ]
+let health_codec =
+  let open Gsim.Stats_io.Codec in
+  obj
+    [ field "queued" int (fun h -> h.h_queued)
+        (fun h x -> { h with h_queued = x });
+      field "inflight" int (fun h -> h.h_inflight)
+        (fun h x -> { h with h_inflight = x });
+      field "clients" int (fun h -> h.h_clients)
+        (fun h x -> { h with h_clients = x });
+      field "workers" int (fun h -> h.h_workers)
+        (fun h x -> { h with h_workers = x });
+      field "alive" int (fun h -> h.h_alive)
+        (fun h x -> { h with h_alive = x });
+      field "accepted" int (fun h -> h.h_accepted)
+        (fun h x -> { h with h_accepted = x });
+      field "completed" int (fun h -> h.h_completed)
+        (fun h x -> { h with h_completed = x });
+      field "failed" int (fun h -> h.h_failed)
+        (fun h x -> { h with h_failed = x });
+      field "timeouts" int (fun h -> h.h_timeouts)
+        (fun h x -> { h with h_timeouts = x });
+      field "rejected" int (fun h -> h.h_rejected)
+        (fun h x -> { h with h_rejected = x });
+      field "cache_hits" int (fun h -> h.h_cache_hits)
+        (fun h x -> { h with h_cache_hits = x });
+      field "cache_misses" int (fun h -> h.h_cache_misses)
+        (fun h x -> { h with h_cache_misses = x });
+      field "cache_damaged" int (fun h -> h.h_cache_damaged)
+        (fun h x -> { h with h_cache_damaged = x });
+      field "crashes" int (fun h -> h.h_crashes)
+        (fun h x -> { h with h_crashes = x });
+      field "restarts" int (fun h -> h.h_restarts)
+        (fun h x -> { h with h_restarts = x });
+      field "disconnects" int (fun h -> h.h_disconnects)
+        (fun h x -> { h with h_disconnects = x }) ]
+    (fun () -> empty_health)
 
-let health_to_json h =
-  Json.Obj (List.map (fun (name, get, _) -> (name, Json.Int (get h))) health_fields)
-
-let health_of_json v =
-  List.fold_left
-    (fun h (name, _, set) -> set h (Json.int_field name v))
-    empty_health health_fields
+let health_to_json = health_codec.enc
+let health_of_json = health_codec.dec
 
 type response =
   | Result of { id : string; payload : Json.t }

@@ -45,7 +45,8 @@ let default_iar = { iar_entries = 48; iar_max_wait = 64 }
    classifier-driven L1 bypass for streaming deterministic loads, line
    protection for non-deterministic loads, and CTA-granular warp
    throttling when the reservation-fail rate spikes.  All thresholds
-   are integers (percent / counts) so the canonical key stays exact. *)
+   are integers (percent / counts) so the canonical config JSON, and
+   so its digest, stays exact. *)
 type holistic_params = {
   hp_bypass_sample : int; (* D-load probes per pc before judging it *)
   hp_bypass_hit_pct : int; (* mark streaming when hit% <= this *)
@@ -233,46 +234,6 @@ let with_warp_sched p c = { c with warp_sched = p }
 let with_l2_cluster k c = { c with l2_cluster = k }
 let with_policy p c = { c with policy = p }
 
-(* ---- canonical key / digest ----
-
-   [to_key] renders every field in a fixed order, so two configs share
-   a key iff they are semantically identical; [to_digest] hashes the
-   key (stdlib MD5) into the short stable token the sweep cache and
-   provenance records embed.  Any new field MUST be appended here —
-   forgetting it would make the cache return stale results across
-   configs differing only in that field. *)
-
-let string_of_cta_sched = function
-  | Round_robin -> "rr"
-  | Clustered k -> "clustered:" ^ string_of_int k
-
-let string_of_warp_sched = function Lrr -> "lrr" | Gto -> "gto"
-
-let string_of_load_policy (p : load_policy) =
-  Printf.sprintf "%d:%b:%b" p.lp_split p.lp_prefetch p.lp_bypass
-
-(* Canonical policy rendering: every parameter appears, so two configs
-   share a key iff their policies are semantically identical. *)
-let rec string_of_mem_policy = function
-  | Baseline -> "baseline"
-  | Ndet_flags f -> "ndet{" ^ string_of_load_policy f ^ "}"
-  | Iar p -> Printf.sprintf "iar{%d:%d}" p.iar_entries p.iar_max_wait
-  | Holistic p ->
-      Printf.sprintf "holistic{%d:%d:%b:%d:%d:%d}" p.hp_bypass_sample
-        p.hp_bypass_hit_pct p.hp_protect_ndet p.hp_throttle_window
-        p.hp_throttle_high_pct p.hp_throttle_low_pct
-  | Per_pc (ps, inner) ->
-      let b = Buffer.create 64 in
-      Buffer.add_string b "perpc{";
-      List.iter
-        (fun ((kernel, pc), f) ->
-          Buffer.add_string b
-            (Printf.sprintf "%s@%d=%s;" kernel pc (string_of_load_policy f)))
-        ps;
-      Buffer.add_string b "}:";
-      Buffer.add_string b (string_of_mem_policy inner);
-      Buffer.contents b
-
 let policy_name = function
   | Baseline -> "baseline"
   | Ndet_flags _ -> "ndet-flags"
@@ -288,57 +249,6 @@ let policy_of_string = function
       Error
         (Printf.sprintf
            "unknown policy %S (expected baseline, iar or holistic)" s)
-
-let to_key c =
-  let b = Buffer.create 256 in
-  let i n v =
-    Buffer.add_string b n;
-    Buffer.add_char b '=';
-    Buffer.add_string b (string_of_int v);
-    Buffer.add_char b ';'
-  in
-  let s n v =
-    Buffer.add_string b n;
-    Buffer.add_char b '=';
-    Buffer.add_string b v;
-    Buffer.add_char b ';'
-  in
-  i "n_sms" c.n_sms;
-  i "warp_size" c.warp_size;
-  i "max_threads_per_sm" c.max_threads_per_sm;
-  i "max_ctas_per_sm" c.max_ctas_per_sm;
-  i "shared_mem_per_sm" c.shared_mem_per_sm;
-  i "l1_sets" c.l1_sets;
-  i "l1_ways" c.l1_ways;
-  i "line_size" c.line_size;
-  i "l1_mshr_entries" c.l1_mshr_entries;
-  i "l1_mshr_max_merge" c.l1_mshr_max_merge;
-  i "l1_hit_latency" c.l1_hit_latency;
-  i "n_mem_partitions" c.n_mem_partitions;
-  i "l2_sets" c.l2_sets;
-  i "l2_ways" c.l2_ways;
-  i "l2_mshr_entries" c.l2_mshr_entries;
-  i "l2_latency" c.l2_latency;
-  i "icnt_latency" c.icnt_latency;
-  i "icnt_buffer_size" c.icnt_buffer_size;
-  i "l2_input_queue_size" c.l2_input_queue_size;
-  i "dram_latency" c.dram_latency;
-  i "dram_interval" c.dram_interval;
-  i "dram_queue_size" c.dram_queue_size;
-  i "sp_latency" c.sp_latency;
-  i "sfu_latency" c.sfu_latency;
-  i "sfu_initiation" c.sfu_initiation;
-  i "shared_latency" c.shared_latency;
-  i "shared_banks" c.shared_banks;
-  i "max_warp_insts" c.max_warp_insts;
-  i "max_cycles" c.max_cycles;
-  s "cta_sched" (string_of_cta_sched c.cta_sched);
-  s "warp_sched" (string_of_warp_sched c.warp_sched);
-  i "l2_cluster" c.l2_cluster;
-  s "policy" (string_of_mem_policy c.policy);
-  Buffer.contents b
-
-let to_digest c = Digest.to_hex (Digest.string (to_key c))
 
 (* Latency of a load that misses everywhere, with empty queues: request
    over icnt, L2 access, DRAM, and the return trip.  The L1 probe that

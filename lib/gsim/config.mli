@@ -44,7 +44,8 @@ val default_iar : iar_params
     classifier-driven bypass for streaming deterministic loads, line
     protection for non-deterministic loads, CTA-granular warp
     throttling on reservation-fail spikes.  Integer thresholds keep
-    the canonical key exact. *)
+    the canonical config JSON, and so its digest
+    ({!Stats_io.config_digest}), exact. *)
 type holistic_params = {
   hp_bypass_sample : int;  (** D-load probes per pc before judging it *)
   hp_bypass_hit_pct : int;  (** mark streaming when hit% <= this *)
@@ -69,9 +70,6 @@ type policy =
 
 val policy_name : policy -> string
 (** Short label for tables and sweep job names. *)
-
-val string_of_mem_policy : policy -> string
-(** Canonical rendering with every parameter (the {!to_key} form). *)
 
 val policy_of_string : string -> (policy, string) result
 (** Parse a CLI policy name ([baseline] / [iar] / [holistic]), using
@@ -166,19 +164,6 @@ val with_l2_cluster : int -> t -> t
 
 val with_policy : policy -> t -> t
 (** Select the memory-system policy (see {!policy}). *)
-
-(** {1 Canonical identity} *)
-
-val to_key : t -> string
-(** Canonical rendering of every field in a fixed order: two configs
-    share a key iff they are semantically identical.  The input to
-    {!to_digest} and the contract the sweep cache keys rest on. *)
-
-val to_digest : t -> string
-(** Hex MD5 of {!to_key} — the short stable token embedded in
-    content-addressed cache keys and provenance records.  The JSON
-    counterpart ({!Stats_io.config_to_json} / [config_of_json]) is the
-    round-trippable form. *)
 
 val unloaded_dram_latency : t -> int
 (** Contention-free latency of a load serviced by DRAM. *)

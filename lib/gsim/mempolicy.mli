@@ -12,8 +12,9 @@
 
     To add a policy: extend {!Config.policy}, give it a state arm
     here, answer {!decide} (and whichever of the optional hooks it
-    needs), and name its parameters in [Config.string_of_mem_policy]
-    so sweep-cache keys distinguish its runs. *)
+    needs), and give it a JSON arm in [Stats_io]'s policy codec.  The
+    config digest is the MD5 of that JSON, so sweep-cache keys then
+    distinguish its runs with no second rendering. *)
 
 type cls = Dataflow.Classify.load_class
 

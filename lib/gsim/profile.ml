@@ -134,15 +134,15 @@ let create () =
 
 let class_profile t c = t.per_class.(Stats.cls_index c)
 
+let new_pc_profile kernel pc c =
+  { pp_kernel = kernel; pp_pc = pc; pp_cls = c; pp_issues = 0;
+    pp_returns = 0; pp_sum_turnaround = 0; pp_hist = Array.make n_buckets 0 }
+
 let pc_profile t kernel pc c =
   match Hashtbl.find_opt t.per_pc (kernel, pc) with
   | Some pp -> pp
   | None ->
-      let pp =
-        { pp_kernel = kernel; pp_pc = pc; pp_cls = c; pp_issues = 0;
-          pp_returns = 0; pp_sum_turnaround = 0;
-          pp_hist = Array.make n_buckets 0 }
-      in
+      let pp = new_pc_profile kernel pc c in
       Hashtbl.add t.per_pc (kernel, pc) pp;
       pp
 
@@ -305,141 +305,124 @@ let occ_sorted t =
 
 (* ---- JSON (rides stats_io through the parsweep pipeline) ---- *)
 
-let int_arr a = Json.Arr (Array.to_list (Array.map (fun i -> Json.Int i) a))
+open Stats_io.Codec
 
-let int_arr_of v = Array.of_list (List.map Json.get_int (Json.get_list v))
+let class_codec =
+  obj
+    [ field "issues" int (fun c -> c.cp_issues)
+        (fun c x -> c.cp_issues <- x; c);
+      field "returns" int (fun c -> c.cp_returns)
+        (fun c x -> c.cp_returns <- x; c);
+      field "sum_turnaround" int (fun c -> c.cp_sum_turnaround)
+        (fun c x -> c.cp_sum_turnaround <- x; c);
+      field "max_turnaround" int (fun c -> c.cp_max_turnaround)
+        (fun c x -> c.cp_max_turnaround <- x; c);
+      field "hist" (int_array n_buckets) (fun c -> c.cp_hist)
+        (fun c x -> { c with cp_hist = x });
+      field "l1_hit" int (fun c -> c.cp_l1_hit)
+        (fun c x -> c.cp_l1_hit <- x; c);
+      field "l1_merge" int (fun c -> c.cp_l1_merge)
+        (fun c x -> c.cp_l1_merge <- x; c);
+      field "l1_miss" int (fun c -> c.cp_l1_miss)
+        (fun c x -> c.cp_l1_miss <- x; c);
+      field "l1_fail" (int_array n_fail) (fun c -> c.cp_l1_fail)
+        (fun c x -> { c with cp_l1_fail = x });
+      field "l2_access" int (fun c -> c.cp_l2_access)
+        (fun c x -> c.cp_l2_access <- x; c);
+      field "l2_miss" int (fun c -> c.cp_l2_miss)
+        (fun c x -> c.cp_l2_miss <- x; c);
+      field "l2_fail" (int_array n_fail) (fun c -> c.cp_l2_fail)
+        (fun c x -> { c with cp_l2_fail = x }) ]
+    empty_class_profile
 
-let class_to_json cp =
-  Json.Obj
-    [ ("issues", Json.Int cp.cp_issues);
-      ("returns", Json.Int cp.cp_returns);
-      ("sum_turnaround", Json.Int cp.cp_sum_turnaround);
-      ("max_turnaround", Json.Int cp.cp_max_turnaround);
-      ("hist", int_arr cp.cp_hist);
-      ("l1_hit", Json.Int cp.cp_l1_hit);
-      ("l1_merge", Json.Int cp.cp_l1_merge);
-      ("l1_miss", Json.Int cp.cp_l1_miss);
-      ("l1_fail", int_arr cp.cp_l1_fail);
-      ("l2_access", Json.Int cp.cp_l2_access);
-      ("l2_miss", Json.Int cp.cp_l2_miss);
-      ("l2_fail", int_arr cp.cp_l2_fail) ]
+let pc_codec =
+  obj
+    [ field "kernel" string (fun p -> p.pp_kernel)
+        (fun p x -> { p with pp_kernel = x });
+      field "pc" int (fun p -> p.pp_pc) (fun p x -> { p with pp_pc = x });
+      field "cls" load_class (fun p -> p.pp_cls)
+        (fun p x -> { p with pp_cls = x });
+      field "issues" int (fun p -> p.pp_issues)
+        (fun p x -> p.pp_issues <- x; p);
+      field "returns" int (fun p -> p.pp_returns)
+        (fun p x -> p.pp_returns <- x; p);
+      field "sum_turnaround" int (fun p -> p.pp_sum_turnaround)
+        (fun p x -> p.pp_sum_turnaround <- x; p);
+      field "hist" (int_array n_buckets) (fun p -> p.pp_hist)
+        (fun p x -> { p with pp_hist = x }) ]
+    (fun () -> new_pc_profile "" 0 Dataflow.Classify.Deterministic)
 
-let class_of_json v =
-  let cp = empty_class_profile () in
-  cp.cp_issues <- Json.int_field "issues" v;
-  cp.cp_returns <- Json.int_field "returns" v;
-  cp.cp_sum_turnaround <- Json.int_field "sum_turnaround" v;
-  cp.cp_max_turnaround <- Json.int_field "max_turnaround" v;
-  Array.blit (int_arr_of (Json.member "hist" v)) 0 cp.cp_hist 0 n_buckets;
-  cp.cp_l1_hit <- Json.int_field "l1_hit" v;
-  cp.cp_l1_merge <- Json.int_field "l1_merge" v;
-  cp.cp_l1_miss <- Json.int_field "l1_miss" v;
-  Array.blit (int_arr_of (Json.member "l1_fail" v)) 0 cp.cp_l1_fail 0 n_fail;
-  cp.cp_l2_access <- Json.int_field "l2_access" v;
-  cp.cp_l2_miss <- Json.int_field "l2_miss" v;
-  Array.blit (int_arr_of (Json.member "l2_fail" v)) 0 cp.cp_l2_fail 0 n_fail;
-  cp
-
-let cls_of_name = function
-  | "D" -> Dataflow.Classify.Deterministic
-  | _ -> Dataflow.Classify.Nondeterministic
-
-let pc_to_json pp =
-  Json.Obj
-    [ ("kernel", Json.Str pp.pp_kernel);
-      ("pc", Json.Int pp.pp_pc);
-      ("cls", Json.Str (Trace.cls_name pp.pp_cls));
-      ("issues", Json.Int pp.pp_issues);
-      ("returns", Json.Int pp.pp_returns);
-      ("sum_turnaround", Json.Int pp.pp_sum_turnaround);
-      ("hist", int_arr pp.pp_hist) ]
-
-let pc_of_json v =
-  let pp =
-    { pp_kernel = Json.str_field "kernel" v;
-      pp_pc = Json.int_field "pc" v;
-      pp_cls = cls_of_name (Json.str_field "cls" v);
-      pp_issues = Json.int_field "issues" v;
-      pp_returns = Json.int_field "returns" v;
-      pp_sum_turnaround = Json.int_field "sum_turnaround" v;
-      pp_hist = Array.make n_buckets 0 }
+(* A sample is the array [cycle, sm, mshr, ldst].  Samples go out in
+   (cycle, sm) order and [t.occ] holds them newest first, so the decoder
+   reverses as it reads. *)
+let occupancy =
+  let sample s =
+    Json.Arr
+      [ Json.Int s.oc_cycle; Json.Int s.oc_sm; Json.Int s.oc_mshr;
+        Json.Int s.oc_ldst ]
   in
-  Array.blit (int_arr_of (Json.member "hist" v)) 0 pp.pp_hist 0 n_buckets;
-  pp
-
-let to_json t =
-  let pcs =
-    Hashtbl.fold (fun _ pp acc -> pp :: acc) t.per_pc []
-    |> List.sort (fun a b ->
-           match compare a.pp_kernel b.pp_kernel with
-           | 0 -> compare a.pp_pc b.pp_pc
-           | c -> c)
+  let of_sample v =
+    match Json.get_list v with
+    | [ c; sm; m; l ] ->
+        { oc_cycle = Json.get_int c; oc_sm = Json.get_int sm;
+          oc_mshr = Json.get_int m; oc_ldst = Json.get_int l }
+    | l ->
+        raise
+          (Json.Parse_error
+             (Printf.sprintf "expected 4 entries, got %d" (List.length l)))
   in
-  let occ =
-    occ_sorted t
-    |> List.map (fun s ->
-           Json.Arr
-             [ Json.Int s.oc_cycle; Json.Int s.oc_sm; Json.Int s.oc_mshr;
-               Json.Int s.oc_ldst ])
-  in
-  Json.Obj
-    [ ("schema", Json.Str "critload-profile-v1");
-      ("class_d", class_to_json t.per_class.(0));
-      ("class_n", class_to_json t.per_class.(1));
-      ("per_pc", Json.Arr (List.map pc_to_json pcs));
-      ("store_ok", Json.Int t.store_ok);
-      ("st_fail", int_arr t.st_fail);
-      ("l2_store_fail", Json.Int t.l2_store_fail);
-      ("prefetch_probes", Json.Int t.prefetch_probes);
-      ("prefetch_misses", Json.Int t.prefetch_misses);
-      ("l1_merge_intra", Json.Int t.l1_merge_intra);
-      ("l1_merge_inter", Json.Int t.l1_merge_inter);
-      ("l2_merge_intra", Json.Int t.l2_merge_intra);
-      ("l2_merge_inter", Json.Int t.l2_merge_inter);
-      ("dram_reads", Json.Int t.dram_reads);
-      ("dram_writes", Json.Int t.dram_writes);
-      ("icnt_req_enq", Json.Int t.icnt_req_enq);
-      ("icnt_req_deq", Json.Int t.icnt_req_deq);
-      ("icnt_resp_enq", Json.Int t.icnt_resp_enq);
-      ("icnt_resp_deq", Json.Int t.icnt_resp_deq);
-      ("occupancy", Json.Arr occ) ]
+  {
+    enc = (fun samples -> Json.Arr (List.map sample samples));
+    dec = (fun v -> List.rev_map of_sample (Json.get_list v));
+  }
 
-let of_json v =
-  let t = create () in
-  merge_class ~dst:t.per_class.(0)
-    ~src:(class_of_json (Json.member "class_d" v));
-  merge_class ~dst:t.per_class.(1)
-    ~src:(class_of_json (Json.member "class_n" v));
-  List.iter
-    (fun pv ->
-      let pp = pc_of_json pv in
-      Hashtbl.replace t.per_pc (pp.pp_kernel, pp.pp_pc) pp)
-    (Json.get_list (Json.member "per_pc" v));
-  t.store_ok <- Json.int_field "store_ok" v;
-  Array.blit (int_arr_of (Json.member "st_fail" v)) 0 t.st_fail 0 n_fail;
-  t.l2_store_fail <- Json.int_field "l2_store_fail" v;
-  t.prefetch_probes <- Json.int_field "prefetch_probes" v;
-  t.prefetch_misses <- Json.int_field "prefetch_misses" v;
-  t.l1_merge_intra <- Json.int_field "l1_merge_intra" v;
-  t.l1_merge_inter <- Json.int_field "l1_merge_inter" v;
-  t.l2_merge_intra <- Json.int_field "l2_merge_intra" v;
-  t.l2_merge_inter <- Json.int_field "l2_merge_inter" v;
-  t.dram_reads <- Json.int_field "dram_reads" v;
-  t.dram_writes <- Json.int_field "dram_writes" v;
-  t.icnt_req_enq <- Json.int_field "icnt_req_enq" v;
-  t.icnt_req_deq <- Json.int_field "icnt_req_deq" v;
-  t.icnt_resp_enq <- Json.int_field "icnt_resp_enq" v;
-  t.icnt_resp_deq <- Json.int_field "icnt_resp_deq" v;
-  t.occ <-
-    List.rev_map
-      (fun s ->
-        match Json.get_list s with
-        | [ c; sm; m; l ] ->
-            { oc_cycle = Json.get_int c; oc_sm = Json.get_int sm;
-              oc_mshr = Json.get_int m; oc_ldst = Json.get_int l }
-        | _ -> raise (Json.Parse_error "occupancy sample shape"))
-      (Json.get_list (Json.member "occupancy" v));
-  t
+let codec =
+  obj
+    [ tag "schema" "critload-profile-v1";
+      field "class_d" class_codec (fun t -> t.per_class.(0))
+        (fun t x -> t.per_class.(0) <- x; t);
+      field "class_n" class_codec (fun t -> t.per_class.(1))
+        (fun t x -> t.per_class.(1) <- x; t);
+      field "per_pc"
+        (table ~size:64
+           (map snd (fun p -> ((p.pp_kernel, p.pp_pc), p)) pc_codec))
+        (fun t -> t.per_pc)
+        (fun t x -> { t with per_pc = x });
+      field "store_ok" int (fun t -> t.store_ok)
+        (fun t x -> t.store_ok <- x; t);
+      field "st_fail" (int_array n_fail) (fun t -> t.st_fail)
+        (fun t x -> { t with st_fail = x });
+      field "l2_store_fail" int (fun t -> t.l2_store_fail)
+        (fun t x -> t.l2_store_fail <- x; t);
+      field "prefetch_probes" int (fun t -> t.prefetch_probes)
+        (fun t x -> t.prefetch_probes <- x; t);
+      field "prefetch_misses" int (fun t -> t.prefetch_misses)
+        (fun t x -> t.prefetch_misses <- x; t);
+      field "l1_merge_intra" int (fun t -> t.l1_merge_intra)
+        (fun t x -> t.l1_merge_intra <- x; t);
+      field "l1_merge_inter" int (fun t -> t.l1_merge_inter)
+        (fun t x -> t.l1_merge_inter <- x; t);
+      field "l2_merge_intra" int (fun t -> t.l2_merge_intra)
+        (fun t x -> t.l2_merge_intra <- x; t);
+      field "l2_merge_inter" int (fun t -> t.l2_merge_inter)
+        (fun t x -> t.l2_merge_inter <- x; t);
+      field "dram_reads" int (fun t -> t.dram_reads)
+        (fun t x -> t.dram_reads <- x; t);
+      field "dram_writes" int (fun t -> t.dram_writes)
+        (fun t x -> t.dram_writes <- x; t);
+      field "icnt_req_enq" int (fun t -> t.icnt_req_enq)
+        (fun t x -> t.icnt_req_enq <- x; t);
+      field "icnt_req_deq" int (fun t -> t.icnt_req_deq)
+        (fun t x -> t.icnt_req_deq <- x; t);
+      field "icnt_resp_enq" int (fun t -> t.icnt_resp_enq)
+        (fun t x -> t.icnt_resp_enq <- x; t);
+      field "icnt_resp_deq" int (fun t -> t.icnt_resp_deq)
+        (fun t x -> t.icnt_resp_deq <- x; t);
+      field "occupancy" occupancy occ_sorted (fun t x -> t.occ <- x; t) ]
+    create
+
+let to_json = codec.enc
+let of_json = codec.dec
 
 (* ---- human-readable summary (`critload trace APP --format summary`) ---- *)
 
@@ -514,7 +497,7 @@ let pp_summary ppf t =
       (fun pp ->
         pr "  %-16s pc %3d %s  %8d returns, avg turnaround %8.1f@."
           pp.pp_kernel pp.pp_pc
-          (Trace.cls_name pp.pp_cls)
+          (Dataflow.Classify.short_class pp.pp_cls)
           pp.pp_returns
           (if pp.pp_returns = 0 then 0.0
            else

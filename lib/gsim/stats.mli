@@ -27,6 +27,8 @@ type class_stats = {
   mutable cs_l2_miss : int;
 }
 
+val empty_class_stats : unit -> class_stats
+
 (** Fig 6/7 bucket: warp loads of one pc that generated [n] requests. *)
 type nreq_bucket = {
   mutable nb_count : int;

@@ -1,8 +1,8 @@
 (* Machine-readable stats layer.  A deliberately small JSON
    implementation lives here (emitter + recursive-descent parser) so
    sweep results can cross process boundaries without an external
-   dependency; converters turn Stats.t, Config.t and classification
-   results into deterministic JSON and back. *)
+   dependency; field tables turn Stats.t and Config.t into
+   deterministic JSON and back. *)
 
 module Json = struct
   type t =
@@ -285,6 +285,150 @@ module Json = struct
   let str_field key v = get_str (member key v)
 end
 
+(* ---- field-table codecs ----
+
+   The decoder expects members in table order, the order the encoder
+   emits, so a cache hit on serve's hot path decodes without a key
+   search; any other order still decodes, one lookup per stray key. *)
+
+module Codec = struct
+  type 'a t = { enc : 'a -> Json.t; dec : Json.t -> 'a }
+
+  type 'r field =
+    | Field : {
+        key : string;
+        codec : 'a t;
+        get : 'r -> 'a;
+        set : 'r -> 'a -> 'r;
+      }
+        -> 'r field
+
+  let field key codec get set = Field { key; codec; get; set }
+
+  let at key c v =
+    try c.dec v
+    with Json.Parse_error e -> raise (Json.Parse_error (key ^ ": " ^ e))
+
+  let rec lookup key = function
+    | [] -> Json.Null
+    | (k, v) :: rest -> if String.equal k key then v else lookup key rest
+
+  let obj fields init =
+    let enc r =
+      Json.Obj
+        (List.fold_right
+           (fun (Field f) acc ->
+             match f.codec.enc (f.get r) with
+             | Json.Null -> acc (* an absent option *)
+             | v -> (f.key, v) :: acc)
+           fields [])
+    in
+    let dec = function
+      | Json.Obj members ->
+          let rec walk r fields next =
+            match (fields, next) with
+            | [], _ -> r
+            | Field f :: fields, (k, v) :: rest when String.equal k f.key ->
+                walk (f.set r (at f.key f.codec v)) fields rest
+            | Field f :: fields, _ ->
+                walk (f.set r (at f.key f.codec (lookup f.key members))) fields
+                  next
+          in
+          walk (init ()) fields members
+      | v -> Json.schema_fail "object" v
+    in
+    { enc; dec }
+
+  let embed get set fields =
+    List.map
+      (fun (Field f) ->
+        Field
+          {
+            key = f.key;
+            codec = f.codec;
+            get = (fun r -> f.get (get r));
+            set = (fun r x -> set r (f.set (get r) x));
+          })
+      fields
+
+  let tag key value =
+    let codec =
+      {
+        enc = (fun () -> Json.Str value);
+        dec =
+          (function
+          | Json.Str s when String.equal s value -> ()
+          | v -> Json.schema_fail (Printf.sprintf "%S" value) v);
+      }
+    in
+    field key codec (fun _ -> ()) (fun r () -> r)
+
+  let int = { enc = (fun i -> Json.Int i); dec = Json.get_int }
+  let bool = { enc = (fun b -> Json.Bool b); dec = Json.get_bool }
+  let string = { enc = (fun s -> Json.Str s); dec = Json.get_str }
+
+  let load_class =
+    {
+      enc = (fun c -> Json.Str (Dataflow.Classify.short_class c));
+      dec =
+        (function
+        | Json.Str "D" -> Dataflow.Classify.Deterministic
+        | Json.Str "N" -> Dataflow.Classify.Nondeterministic
+        | Json.Str s -> raise (Json.Parse_error ("unknown load class " ^ s))
+        | v -> Json.schema_fail "load class" v);
+    }
+
+  let map to_a of_a c =
+    { enc = (fun b -> c.enc (to_a b)); dec = (fun v -> of_a (c.dec v)) }
+
+  let list c =
+    {
+      enc = (fun l -> Json.Arr (List.map c.enc l));
+      dec = (fun v -> List.map c.dec (Json.get_list v));
+    }
+
+  let option c =
+    {
+      enc = (function None -> Json.Null | Some x -> c.enc x);
+      dec = (function Json.Null -> None | v -> Some (c.dec v));
+    }
+
+  let array len c =
+    {
+      enc =
+        (fun a -> Json.Arr (Array.fold_right (fun x l -> c.enc x :: l) a []));
+      dec =
+        (fun v ->
+          let l = Json.get_list v in
+          let n = List.length l in
+          if n <> len then
+            raise
+              (Json.Parse_error
+                 (Printf.sprintf "expected %d entries, got %d" len n));
+          Array.of_list (List.map c.dec l));
+    }
+
+  let int_array len = array len int
+
+  let table ~size c =
+    {
+      enc =
+        (fun h ->
+          let bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] in
+          let by_key (a, _) (b, _) = compare a b in
+          Json.Arr (List.map c.enc (List.sort by_key bindings)));
+      dec =
+        (fun v ->
+          let h = Hashtbl.create size in
+          List.iter
+            (fun x ->
+              let k, e = c.dec x in
+              Hashtbl.replace h k e)
+            (Json.get_list v);
+          h);
+    }
+end
+
 (* ---- JSONL framing ----
 
    One compact JSON value per '\n'-terminated line: the framing shared
@@ -341,431 +485,307 @@ module Framing = struct
   end
 end
 
-open Json
-
-(* ---- load class ---- *)
-
-let class_to_json c = Str (Dataflow.Classify.short_class c)
-
-let class_of_json v =
-  match get_str v with
-  | "D" -> Dataflow.Classify.Deterministic
-  | "N" -> Dataflow.Classify.Nondeterministic
-  | s -> raise (Parse_error ("unknown load class " ^ s))
+open Codec
 
 (* ---- Stats.t ---- *)
 
-let class_stats_to_json (c : Stats.class_stats) =
-  Obj
-    [ ("warps", Int c.Stats.cs_warps);
-      ("requests", Int c.Stats.cs_requests);
-      ("active_threads", Int c.Stats.cs_active_threads);
-      ("turnaround", Int c.Stats.cs_turnaround);
-      ("unloaded", Int c.Stats.cs_unloaded);
-      ("rsrv_prev", Int c.Stats.cs_rsrv_prev);
-      ("rsrv_cur", Int c.Stats.cs_rsrv_cur);
-      ("wasted_mem", Int c.Stats.cs_wasted_mem);
-      ("l1_access", Int c.Stats.cs_l1_access);
-      ("l1_miss", Int c.Stats.cs_l1_miss);
-      ("l2_access", Int c.Stats.cs_l2_access);
-      ("l2_miss", Int c.Stats.cs_l2_miss) ]
+let class_stats =
+  let open Stats in
+  obj
+    [ field "warps" int (fun c -> c.cs_warps) (fun c x -> c.cs_warps <- x; c);
+      field "requests" int (fun c -> c.cs_requests)
+        (fun c x -> c.cs_requests <- x; c);
+      field "active_threads" int (fun c -> c.cs_active_threads)
+        (fun c x -> c.cs_active_threads <- x; c);
+      field "turnaround" int (fun c -> c.cs_turnaround)
+        (fun c x -> c.cs_turnaround <- x; c);
+      field "unloaded" int (fun c -> c.cs_unloaded)
+        (fun c x -> c.cs_unloaded <- x; c);
+      field "rsrv_prev" int (fun c -> c.cs_rsrv_prev)
+        (fun c x -> c.cs_rsrv_prev <- x; c);
+      field "rsrv_cur" int (fun c -> c.cs_rsrv_cur)
+        (fun c x -> c.cs_rsrv_cur <- x; c);
+      field "wasted_mem" int (fun c -> c.cs_wasted_mem)
+        (fun c x -> c.cs_wasted_mem <- x; c);
+      field "l1_access" int (fun c -> c.cs_l1_access)
+        (fun c x -> c.cs_l1_access <- x; c);
+      field "l1_miss" int (fun c -> c.cs_l1_miss)
+        (fun c x -> c.cs_l1_miss <- x; c);
+      field "l2_access" int (fun c -> c.cs_l2_access)
+        (fun c x -> c.cs_l2_access <- x; c);
+      field "l2_miss" int (fun c -> c.cs_l2_miss)
+        (fun c x -> c.cs_l2_miss <- x; c) ]
+    empty_class_stats
 
-let class_stats_of_json v : Stats.class_stats =
-  {
-    Stats.cs_warps = int_field "warps" v;
-    cs_requests = int_field "requests" v;
-    cs_active_threads = int_field "active_threads" v;
-    cs_turnaround = int_field "turnaround" v;
-    cs_unloaded = int_field "unloaded" v;
-    cs_rsrv_prev = int_field "rsrv_prev" v;
-    cs_rsrv_cur = int_field "rsrv_cur" v;
-    cs_wasted_mem = int_field "wasted_mem" v;
-    cs_l1_access = int_field "l1_access" v;
-    cs_l1_miss = int_field "l1_miss" v;
-    cs_l2_access = int_field "l2_access" v;
-    cs_l2_miss = int_field "l2_miss" v;
-  }
+(* One [by_nreq] row: the request count keys the bucket. *)
+let nreq_row =
+  let open Stats in
+  obj
+    [ field "nreq" int fst (fun (_, b) n -> (n, b));
+      field "count" int (fun (_, b) -> b.nb_count)
+        (fun ((_, b) as r) x -> b.nb_count <- x; r);
+      field "turnaround" int (fun (_, b) -> b.nb_turnaround)
+        (fun ((_, b) as r) x -> b.nb_turnaround <- x; r);
+      field "common" int (fun (_, b) -> b.nb_common)
+        (fun ((_, b) as r) x -> b.nb_common <- x; r);
+      field "gap_l1d" int (fun (_, b) -> b.nb_gap_l1d)
+        (fun ((_, b) as r) x -> b.nb_gap_l1d <- x; r);
+      field "gap_icnt_l2" int (fun (_, b) -> b.nb_gap_icnt_l2)
+        (fun ((_, b) as r) x -> b.nb_gap_icnt_l2 <- x; r);
+      field "gap_l2_icnt" int (fun (_, b) -> b.nb_gap_l2_icnt)
+        (fun ((_, b) as r) x -> b.nb_gap_l2_icnt <- x; r) ]
+    (fun () ->
+      ( 0,
+        { nb_count = 0; nb_turnaround = 0; nb_common = 0; nb_gap_l1d = 0;
+          nb_gap_icnt_l2 = 0; nb_gap_l2_icnt = 0 } ))
 
-let bucket_to_json nreq (b : Stats.nreq_bucket) =
-  Obj
-    [ ("nreq", Int nreq);
-      ("count", Int b.Stats.nb_count);
-      ("turnaround", Int b.Stats.nb_turnaround);
-      ("common", Int b.Stats.nb_common);
-      ("gap_l1d", Int b.Stats.nb_gap_l1d);
-      ("gap_icnt_l2", Int b.Stats.nb_gap_icnt_l2);
-      ("gap_l2_icnt", Int b.Stats.nb_gap_l2_icnt) ]
+let pc_row =
+  let open Stats in
+  obj
+    [ field "kernel" string (fun p -> p.ps_kernel)
+        (fun p x -> { p with ps_kernel = x });
+      field "pc" int (fun p -> p.ps_pc) (fun p x -> { p with ps_pc = x });
+      field "class" load_class (fun p -> p.ps_cls)
+        (fun p x -> { p with ps_cls = x });
+      field "warps" int (fun p -> p.ps_warps) (fun p x -> p.ps_warps <- x; p);
+      field "requests" int (fun p -> p.ps_requests)
+        (fun p x -> p.ps_requests <- x; p);
+      field "by_nreq" (table ~size:8 nreq_row) (fun p -> p.ps_by_nreq)
+        (fun p x -> { p with ps_by_nreq = x }) ]
+    (fun () ->
+      { ps_kernel = ""; ps_pc = 0; ps_cls = Dataflow.Classify.Deterministic;
+        ps_warps = 0; ps_requests = 0; ps_by_nreq = Hashtbl.create 0 })
 
-let bucket_of_json v : int * Stats.nreq_bucket =
-  ( int_field "nreq" v,
-    {
-      Stats.nb_count = int_field "count" v;
-      nb_turnaround = int_field "turnaround" v;
-      nb_common = int_field "common" v;
-      nb_gap_l1d = int_field "gap_l1d" v;
-      nb_gap_icnt_l2 = int_field "gap_icnt_l2" v;
-      nb_gap_l2_icnt = int_field "gap_l2_icnt" v;
-    } )
+let stats =
+  let open Stats in
+  obj
+    [ field "cycles" int (fun s -> s.cycles) (fun s x -> s.cycles <- x; s);
+      field "warp_insts" int (fun s -> s.warp_insts)
+        (fun s x -> s.warp_insts <- x; s);
+      field "thread_insts" int (fun s -> s.thread_insts)
+        (fun s x -> s.thread_insts <- x; s);
+      field "l1_events" (int_array n_l1_events) (fun s -> s.l1_events)
+        (fun s x -> { s with l1_events = x });
+      field "l1_probe_cycles" int (fun s -> s.l1_probe_cycles)
+        (fun s x -> s.l1_probe_cycles <- x; s);
+      field "unit_busy" (int_array 3) (fun s -> s.unit_busy)
+        (fun s x -> { s with unit_busy = x });
+      field "shared_loads" int (fun s -> s.shared_loads)
+        (fun s x -> s.shared_loads <- x; s);
+      field "global_stores" int (fun s -> s.global_stores)
+        (fun s x -> s.global_stores <- x; s);
+      field "per_class" (array 2 class_stats) (fun s -> s.per_class)
+        (fun s x -> { s with per_class = x });
+      field "per_pc"
+        (table ~size:64
+           (map snd (fun p -> ((p.ps_kernel, p.ps_pc), p)) pc_row))
+        (fun s -> s.per_pc)
+        (fun s x -> { s with per_pc = x });
+      field "completed_ctas" int (fun s -> s.completed_ctas)
+        (fun s x -> s.completed_ctas <- x; s);
+      field "l2_rsrv_fails" int (fun s -> s.l2_rsrv_fails)
+        (fun s x -> s.l2_rsrv_fails <- x; s);
+      field "prefetches_issued" int (fun s -> s.prefetches_issued)
+        (fun s x -> s.prefetches_issued <- x; s);
+      field "truncated" bool (fun s -> s.truncated)
+        (fun s x -> s.truncated <- x; s) ]
+    create
 
-let pc_stats_to_json (ps : Stats.pc_stats) =
-  let buckets =
-    Hashtbl.fold (fun n b acc -> (n, b) :: acc) ps.Stats.ps_by_nreq []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map (fun (n, b) -> bucket_to_json n b)
-  in
-  Obj
-    [ ("kernel", Str ps.Stats.ps_kernel);
-      ("pc", Int ps.Stats.ps_pc);
-      ("class", class_to_json ps.Stats.ps_cls);
-      ("warps", Int ps.Stats.ps_warps);
-      ("requests", Int ps.Stats.ps_requests);
-      ("by_nreq", Arr buckets) ]
-
-let pc_stats_of_json v : Stats.pc_stats =
-  let by_nreq = Hashtbl.create 8 in
-  List.iter
-    (fun bv ->
-      let n, b = bucket_of_json bv in
-      Hashtbl.replace by_nreq n b)
-    (get_list (member "by_nreq" v));
-  {
-    Stats.ps_kernel = str_field "kernel" v;
-    ps_pc = int_field "pc" v;
-    ps_cls = class_of_json (member "class" v);
-    ps_warps = int_field "warps" v;
-    ps_requests = int_field "requests" v;
-    ps_by_nreq = by_nreq;
-  }
-
-let int_array_to_json a = Arr (Array.to_list (Array.map (fun i -> Int i) a))
-
-let int_array_of_json ~len name v =
-  let l = List.map get_int (get_list v) in
-  if List.length l <> len then
-    raise
-      (Parse_error
-         (Printf.sprintf "field %s: expected %d entries, got %d" name len
-            (List.length l)));
-  Array.of_list l
-
-let stats_to_json (s : Stats.t) =
-  let per_pc =
-    Hashtbl.fold (fun _ ps acc -> ps :: acc) s.Stats.per_pc []
-    |> List.sort (fun (a : Stats.pc_stats) b ->
-           compare (a.Stats.ps_kernel, a.Stats.ps_pc)
-             (b.Stats.ps_kernel, b.Stats.ps_pc))
-    |> List.map pc_stats_to_json
-  in
-  Obj
-    [ ("cycles", Int s.Stats.cycles);
-      ("warp_insts", Int s.Stats.warp_insts);
-      ("thread_insts", Int s.Stats.thread_insts);
-      ("l1_events", int_array_to_json s.Stats.l1_events);
-      ("l1_probe_cycles", Int s.Stats.l1_probe_cycles);
-      ("unit_busy", int_array_to_json s.Stats.unit_busy);
-      ("shared_loads", Int s.Stats.shared_loads);
-      ("global_stores", Int s.Stats.global_stores);
-      ( "per_class",
-        Arr (Array.to_list (Array.map class_stats_to_json s.Stats.per_class))
-      );
-      ("per_pc", Arr per_pc);
-      ("completed_ctas", Int s.Stats.completed_ctas);
-      ("l2_rsrv_fails", Int s.Stats.l2_rsrv_fails);
-      ("prefetches_issued", Int s.Stats.prefetches_issued);
-      ("truncated", Bool s.Stats.truncated) ]
-
-let stats_of_json v : Stats.t =
-  let per_class =
-    match get_list (member "per_class" v) with
-    | [ d; n ] -> [| class_stats_of_json d; class_stats_of_json n |]
-    | l ->
-        raise
-          (Parse_error
-             (Printf.sprintf "per_class: expected 2 entries, got %d"
-                (List.length l)))
-  in
-  let per_pc = Hashtbl.create 64 in
-  List.iter
-    (fun pv ->
-      let ps = pc_stats_of_json pv in
-      Hashtbl.replace per_pc (ps.Stats.ps_kernel, ps.Stats.ps_pc) ps)
-    (get_list (member "per_pc" v));
-  {
-    Stats.cycles = int_field "cycles" v;
-    warp_insts = int_field "warp_insts" v;
-    thread_insts = int_field "thread_insts" v;
-    l1_events =
-      int_array_of_json ~len:Stats.n_l1_events "l1_events"
-        (member "l1_events" v);
-    l1_probe_cycles = int_field "l1_probe_cycles" v;
-    unit_busy = int_array_of_json ~len:3 "unit_busy" (member "unit_busy" v);
-    shared_loads = int_field "shared_loads" v;
-    global_stores = int_field "global_stores" v;
-    per_class;
-    per_pc;
-    completed_ctas = int_field "completed_ctas" v;
-    l2_rsrv_fails = int_field "l2_rsrv_fails" v;
-    prefetches_issued = int_field "prefetches_issued" v;
-    (* absent in pre-truncation documents: default to a clean finish *)
-    truncated =
-      (match member "truncated" v with Null -> false | b -> get_bool b);
-  }
+let stats_to_json = stats.enc
+let stats_of_json = stats.dec
 
 (* ---- Config.t ---- *)
 
-(* Memory-system policy tree.  Serialized recursively: a bare string
-   for the parameterless baseline, a one-member object keyed by the
-   variant otherwise, so adding a policy never disturbs old readers of
-   other variants. *)
+let load_policy_fields =
+  let open Config in
+  [ field "split" int (fun p -> p.lp_split)
+      (fun p x -> { p with lp_split = x });
+    field "prefetch" bool (fun p -> p.lp_prefetch)
+      (fun p x -> { p with lp_prefetch = x });
+    field "bypass" bool (fun p -> p.lp_bypass)
+      (fun p x -> { p with lp_bypass = x }) ]
 
-let load_policy_to_json (p : Config.load_policy) =
-  Obj
-    [ ("split", Int p.Config.lp_split);
-      ("prefetch", Bool p.Config.lp_prefetch);
-      ("bypass", Bool p.Config.lp_bypass) ]
+let load_policy = obj load_policy_fields (fun () -> Config.no_policy)
 
-let load_policy_of_json pv =
+(* A per-pc override: the load's (kernel, pc), then its flags. *)
+let pc_policy =
+  obj
+    (field "kernel" string
+       (fun ((k, _), _) -> k)
+       (fun ((_, pc), p) k -> ((k, pc), p))
+    :: field "pc" int
+         (fun ((_, pc), _) -> pc)
+         (fun ((k, _), p) pc -> ((k, pc), p))
+    :: embed snd (fun (load, _) p -> (load, p)) load_policy_fields)
+    (fun () -> (("", 0), Config.no_policy))
+
+let iar_params =
+  let open Config in
+  obj
+    [ field "entries" int (fun p -> p.iar_entries)
+        (fun p x -> { p with iar_entries = x });
+      field "max_wait" int (fun p -> p.iar_max_wait)
+        (fun p x -> { p with iar_max_wait = x }) ]
+    (fun () -> default_iar)
+
+let holistic_params =
+  let open Config in
+  obj
+    [ field "bypass_sample" int (fun p -> p.hp_bypass_sample)
+        (fun p x -> { p with hp_bypass_sample = x });
+      field "bypass_hit_pct" int (fun p -> p.hp_bypass_hit_pct)
+        (fun p x -> { p with hp_bypass_hit_pct = x });
+      field "protect_ndet" bool (fun p -> p.hp_protect_ndet)
+        (fun p x -> { p with hp_protect_ndet = x });
+      field "throttle_window" int (fun p -> p.hp_throttle_window)
+        (fun p x -> { p with hp_throttle_window = x });
+      field "throttle_high_pct" int (fun p -> p.hp_throttle_high_pct)
+        (fun p x -> { p with hp_throttle_high_pct = x });
+      field "throttle_low_pct" int (fun p -> p.hp_throttle_low_pct)
+        (fun p x -> { p with hp_throttle_low_pct = x }) ]
+    (fun () -> default_holistic)
+
+(* Memory-system policy tree: a bare string for the parameterless
+   baseline, an object keyed by the variant otherwise, so adding a
+   policy never disturbs readers of the other variants.  A decoder
+   dispatches on the first member that names a variant. *)
+let rec mem_policy =
   {
-    Config.lp_split = int_field "split" pv;
-    lp_prefetch = get_bool (member "prefetch" pv);
-    lp_bypass = get_bool (member "bypass" pv);
+    enc =
+      (function
+      | Config.Baseline -> Json.Str "baseline"
+      | Config.Ndet_flags p -> Json.Obj [ ("ndet_flags", load_policy.enc p) ]
+      | Config.Iar p -> Json.Obj [ ("iar", iar_params.enc p) ]
+      | Config.Holistic p -> Json.Obj [ ("holistic", holistic_params.enc p) ]
+      | Config.Per_pc (ps, inner) ->
+          Json.Obj
+            [ ("per_pc", (list pc_policy).enc ps);
+              ("inner", mem_policy.enc inner) ]);
+    dec =
+      (function
+      | Json.Str "baseline" -> Config.Baseline
+      | Json.Str s -> raise (Json.Parse_error ("unknown policy " ^ s))
+      | Json.Obj members as v ->
+          let rec variant = function
+            | ("ndet_flags", p) :: _ ->
+                Config.Ndet_flags (at "ndet_flags" load_policy p)
+            | ("iar", p) :: _ -> Config.Iar (at "iar" iar_params p)
+            | ("holistic", p) :: _ ->
+                Config.Holistic (at "holistic" holistic_params p)
+            | ("per_pc", ps) :: _ ->
+                Config.Per_pc
+                  ( at "per_pc" (list pc_policy) ps,
+                    at "inner" mem_policy (Json.member "inner" v) )
+            | _ :: rest -> variant rest
+            | [] ->
+                raise
+                  (Json.Parse_error
+                     "policy object names no variant (ndet_flags, iar, \
+                      holistic or per_pc)")
+          in
+          variant members
+      | v -> Json.schema_fail "policy" v);
   }
 
-let pc_policy_to_json ((kernel, pc), (p : Config.load_policy)) =
-  Obj
-    [ ("kernel", Str kernel);
-      ("pc", Int pc);
-      ("split", Int p.Config.lp_split);
-      ("prefetch", Bool p.Config.lp_prefetch);
-      ("bypass", Bool p.Config.lp_bypass) ]
-
-let pc_policy_of_json pv =
-  ((str_field "kernel" pv, int_field "pc" pv), load_policy_of_json pv)
-
-let rec mem_policy_to_json (p : Config.policy) =
-  match p with
-  | Config.Baseline -> Str "baseline"
-  | Config.Ndet_flags lp -> Obj [ ("ndet_flags", load_policy_to_json lp) ]
-  | Config.Iar ip ->
-      Obj
-        [ ( "iar",
-            Obj
-              [ ("entries", Int ip.Config.iar_entries);
-                ("max_wait", Int ip.Config.iar_max_wait) ] ) ]
-  | Config.Holistic hp ->
-      Obj
-        [ ( "holistic",
-            Obj
-              [ ("bypass_sample", Int hp.Config.hp_bypass_sample);
-                ("bypass_hit_pct", Int hp.Config.hp_bypass_hit_pct);
-                ("protect_ndet", Bool hp.Config.hp_protect_ndet);
-                ("throttle_window", Int hp.Config.hp_throttle_window);
-                ("throttle_high_pct", Int hp.Config.hp_throttle_high_pct);
-                ("throttle_low_pct", Int hp.Config.hp_throttle_low_pct) ] ) ]
-  | Config.Per_pc (ps, inner) ->
-      Obj
-        [ ("per_pc", Arr (List.map pc_policy_to_json ps));
-          ("inner", mem_policy_to_json inner) ]
-
-let rec mem_policy_of_json v : Config.policy =
-  match v with
-  | Str "baseline" -> Config.Baseline
-  | Str s -> raise (Parse_error ("unknown policy " ^ s))
-  | Obj _ -> (
-      match member "ndet_flags" v with
-      | Null -> (
-          match member "iar" v with
-          | Null -> (
-              match member "holistic" v with
-              | Null -> (
-                  match member "per_pc" v with
-                  | Null ->
-                      raise (Parse_error "policy object with no known variant")
-                  | ps ->
-                      Config.Per_pc
-                        ( List.map pc_policy_of_json (get_list ps),
-                          mem_policy_of_json (member "inner" v) ))
-              | h ->
-                  Config.Holistic
-                    {
-                      Config.hp_bypass_sample = int_field "bypass_sample" h;
-                      hp_bypass_hit_pct = int_field "bypass_hit_pct" h;
-                      hp_protect_ndet = get_bool (member "protect_ndet" h);
-                      hp_throttle_window = int_field "throttle_window" h;
-                      hp_throttle_high_pct = int_field "throttle_high_pct" h;
-                      hp_throttle_low_pct = int_field "throttle_low_pct" h;
-                    })
-          | ip ->
-              Config.Iar
-                {
-                  Config.iar_entries = int_field "entries" ip;
-                  iar_max_wait = int_field "max_wait" ip;
-                })
-      | lp -> Config.Ndet_flags (load_policy_of_json lp))
-  | w -> raise (Parse_error ("bad policy: " ^ type_name w))
-
-let config_to_json (c : Config.t) =
-  let cta_sched =
-    match c.Config.cta_sched with
-    | Config.Round_robin -> Str "round_robin"
-    | Config.Clustered k -> Obj [ ("clustered", Int k) ]
-  in
-  let warp_sched =
-    match c.Config.warp_sched with
-    | Config.Lrr -> Str "lrr"
-    | Config.Gto -> Str "gto"
-  in
-  Obj
-    [ ("n_sms", Int c.Config.n_sms);
-      ("warp_size", Int c.Config.warp_size);
-      ("max_threads_per_sm", Int c.Config.max_threads_per_sm);
-      ("max_ctas_per_sm", Int c.Config.max_ctas_per_sm);
-      ("shared_mem_per_sm", Int c.Config.shared_mem_per_sm);
-      ("l1_sets", Int c.Config.l1_sets);
-      ("l1_ways", Int c.Config.l1_ways);
-      ("line_size", Int c.Config.line_size);
-      ("l1_mshr_entries", Int c.Config.l1_mshr_entries);
-      ("l1_mshr_max_merge", Int c.Config.l1_mshr_max_merge);
-      ("l1_hit_latency", Int c.Config.l1_hit_latency);
-      ("n_mem_partitions", Int c.Config.n_mem_partitions);
-      ("l2_sets", Int c.Config.l2_sets);
-      ("l2_ways", Int c.Config.l2_ways);
-      ("l2_mshr_entries", Int c.Config.l2_mshr_entries);
-      ("l2_latency", Int c.Config.l2_latency);
-      ("icnt_latency", Int c.Config.icnt_latency);
-      ("icnt_buffer_size", Int c.Config.icnt_buffer_size);
-      ("l2_input_queue_size", Int c.Config.l2_input_queue_size);
-      ("dram_latency", Int c.Config.dram_latency);
-      ("dram_interval", Int c.Config.dram_interval);
-      ("dram_queue_size", Int c.Config.dram_queue_size);
-      ("sp_latency", Int c.Config.sp_latency);
-      ("sfu_latency", Int c.Config.sfu_latency);
-      ("sfu_initiation", Int c.Config.sfu_initiation);
-      ("shared_latency", Int c.Config.shared_latency);
-      ("shared_banks", Int c.Config.shared_banks);
-      ("max_warp_insts", Int c.Config.max_warp_insts);
-      ("max_cycles", Int c.Config.max_cycles);
-      ("cta_sched", cta_sched);
-      ("warp_sched", warp_sched);
-      ("l2_cluster", Int c.Config.l2_cluster);
-      ("policy", mem_policy_to_json c.Config.policy) ]
-
-let config_of_json v : Config.t =
-  let cta_sched =
-    match member "cta_sched" v with
-    | Str "round_robin" -> Config.Round_robin
-    | Obj _ as o -> Config.Clustered (int_field "clustered" o)
-    | w -> raise (Parse_error ("bad cta_sched: " ^ type_name w))
-  in
-  let warp_sched =
-    match member "warp_sched" v with
-    | Str "lrr" -> Config.Lrr
-    | Str "gto" -> Config.Gto
-    | Str s -> raise (Parse_error ("unknown warp_sched " ^ s))
-    | w -> raise (Parse_error ("bad warp_sched: " ^ type_name w))
-  in
+let cta_sched =
   {
-    Config.n_sms = int_field "n_sms" v;
-    warp_size = int_field "warp_size" v;
-    max_threads_per_sm = int_field "max_threads_per_sm" v;
-    max_ctas_per_sm = int_field "max_ctas_per_sm" v;
-    shared_mem_per_sm = int_field "shared_mem_per_sm" v;
-    l1_sets = int_field "l1_sets" v;
-    l1_ways = int_field "l1_ways" v;
-    line_size = int_field "line_size" v;
-    l1_mshr_entries = int_field "l1_mshr_entries" v;
-    l1_mshr_max_merge = int_field "l1_mshr_max_merge" v;
-    l1_hit_latency = int_field "l1_hit_latency" v;
-    n_mem_partitions = int_field "n_mem_partitions" v;
-    l2_sets = int_field "l2_sets" v;
-    l2_ways = int_field "l2_ways" v;
-    l2_mshr_entries = int_field "l2_mshr_entries" v;
-    l2_latency = int_field "l2_latency" v;
-    icnt_latency = int_field "icnt_latency" v;
-    icnt_buffer_size = int_field "icnt_buffer_size" v;
-    l2_input_queue_size = int_field "l2_input_queue_size" v;
-    dram_latency = int_field "dram_latency" v;
-    dram_interval = int_field "dram_interval" v;
-    dram_queue_size = int_field "dram_queue_size" v;
-    sp_latency = int_field "sp_latency" v;
-    sfu_latency = int_field "sfu_latency" v;
-    sfu_initiation = int_field "sfu_initiation" v;
-    shared_latency = int_field "shared_latency" v;
-    shared_banks = int_field "shared_banks" v;
-    max_warp_insts = int_field "max_warp_insts" v;
-    max_cycles = int_field "max_cycles" v;
-    cta_sched;
-    warp_sched;
-    l2_cluster = int_field "l2_cluster" v;
-    policy = mem_policy_of_json (member "policy" v);
+    enc =
+      (function
+      | Config.Round_robin -> Json.Str "round_robin"
+      | Config.Clustered k -> Json.Obj [ ("clustered", Json.Int k) ]);
+    dec =
+      (function
+      | Json.Str "round_robin" -> Config.Round_robin
+      | Json.Obj _ as v ->
+          Config.Clustered (at "clustered" int (Json.member "clustered" v))
+      | v -> Json.schema_fail "cta_sched" v);
   }
 
-(* ---- classification summaries ---- *)
-
-type load_summary = {
-  lo_pc : int;
-  lo_space : Ptx.Types.space;
-  lo_class : Dataflow.Classify.load_class;
-  lo_leaves : string list;
-  lo_slice_size : int;
-}
-
-type classify_summary = {
-  cy_kernel : string;
-  cy_static_d : int;
-  cy_static_n : int;
-  cy_loads : load_summary list;
-}
-
-let classify_summary (r : Dataflow.Classify.result) =
-  let d, n = Dataflow.Classify.count_global r in
+let warp_sched =
   {
-    cy_kernel = r.Dataflow.Classify.res_kernel.Ptx.Kernel.kname;
-    cy_static_d = d;
-    cy_static_n = n;
-    cy_loads =
-      List.map
-        (fun (li : Dataflow.Classify.load_info) ->
-          {
-            lo_pc = li.Dataflow.Classify.li_pc;
-            lo_space = li.Dataflow.Classify.li_space;
-            lo_class = li.Dataflow.Classify.li_class;
-            lo_leaves =
-              List.map Dataflow.Classify.string_of_leaf
-                li.Dataflow.Classify.li_leaves;
-            lo_slice_size = li.Dataflow.Classify.li_slice_size;
-          })
-        r.Dataflow.Classify.res_loads;
+    enc =
+      (function Config.Lrr -> Json.Str "lrr" | Config.Gto -> Json.Str "gto");
+    dec =
+      (function
+      | Json.Str "lrr" -> Config.Lrr
+      | Json.Str "gto" -> Config.Gto
+      | v -> Json.schema_fail "warp_sched" v);
   }
 
-let load_summary_to_json l =
-  Obj
-    [ ("pc", Int l.lo_pc);
-      ("space", Str (Ptx.Types.string_of_space l.lo_space));
-      ("class", class_to_json l.lo_class);
-      ("leaves", Arr (List.map (fun s -> Str s) l.lo_leaves));
-      ("slice_size", Int l.lo_slice_size) ]
+let config =
+  let open Config in
+  obj
+    [ field "n_sms" int (fun c -> c.n_sms) (fun c x -> { c with n_sms = x });
+      field "warp_size" int (fun c -> c.warp_size)
+        (fun c x -> { c with warp_size = x });
+      field "max_threads_per_sm" int (fun c -> c.max_threads_per_sm)
+        (fun c x -> { c with max_threads_per_sm = x });
+      field "max_ctas_per_sm" int (fun c -> c.max_ctas_per_sm)
+        (fun c x -> { c with max_ctas_per_sm = x });
+      field "shared_mem_per_sm" int (fun c -> c.shared_mem_per_sm)
+        (fun c x -> { c with shared_mem_per_sm = x });
+      field "l1_sets" int (fun c -> c.l1_sets)
+        (fun c x -> { c with l1_sets = x });
+      field "l1_ways" int (fun c -> c.l1_ways)
+        (fun c x -> { c with l1_ways = x });
+      field "line_size" int (fun c -> c.line_size)
+        (fun c x -> { c with line_size = x });
+      field "l1_mshr_entries" int (fun c -> c.l1_mshr_entries)
+        (fun c x -> { c with l1_mshr_entries = x });
+      field "l1_mshr_max_merge" int (fun c -> c.l1_mshr_max_merge)
+        (fun c x -> { c with l1_mshr_max_merge = x });
+      field "l1_hit_latency" int (fun c -> c.l1_hit_latency)
+        (fun c x -> { c with l1_hit_latency = x });
+      field "n_mem_partitions" int (fun c -> c.n_mem_partitions)
+        (fun c x -> { c with n_mem_partitions = x });
+      field "l2_sets" int (fun c -> c.l2_sets)
+        (fun c x -> { c with l2_sets = x });
+      field "l2_ways" int (fun c -> c.l2_ways)
+        (fun c x -> { c with l2_ways = x });
+      field "l2_mshr_entries" int (fun c -> c.l2_mshr_entries)
+        (fun c x -> { c with l2_mshr_entries = x });
+      field "l2_latency" int (fun c -> c.l2_latency)
+        (fun c x -> { c with l2_latency = x });
+      field "icnt_latency" int (fun c -> c.icnt_latency)
+        (fun c x -> { c with icnt_latency = x });
+      field "icnt_buffer_size" int (fun c -> c.icnt_buffer_size)
+        (fun c x -> { c with icnt_buffer_size = x });
+      field "l2_input_queue_size" int (fun c -> c.l2_input_queue_size)
+        (fun c x -> { c with l2_input_queue_size = x });
+      field "dram_latency" int (fun c -> c.dram_latency)
+        (fun c x -> { c with dram_latency = x });
+      field "dram_interval" int (fun c -> c.dram_interval)
+        (fun c x -> { c with dram_interval = x });
+      field "dram_queue_size" int (fun c -> c.dram_queue_size)
+        (fun c x -> { c with dram_queue_size = x });
+      field "sp_latency" int (fun c -> c.sp_latency)
+        (fun c x -> { c with sp_latency = x });
+      field "sfu_latency" int (fun c -> c.sfu_latency)
+        (fun c x -> { c with sfu_latency = x });
+      field "sfu_initiation" int (fun c -> c.sfu_initiation)
+        (fun c x -> { c with sfu_initiation = x });
+      field "shared_latency" int (fun c -> c.shared_latency)
+        (fun c x -> { c with shared_latency = x });
+      field "shared_banks" int (fun c -> c.shared_banks)
+        (fun c x -> { c with shared_banks = x });
+      field "max_warp_insts" int (fun c -> c.max_warp_insts)
+        (fun c x -> { c with max_warp_insts = x });
+      field "max_cycles" int (fun c -> c.max_cycles)
+        (fun c x -> { c with max_cycles = x });
+      field "cta_sched" cta_sched (fun c -> c.cta_sched)
+        (fun c x -> { c with cta_sched = x });
+      field "warp_sched" warp_sched (fun c -> c.warp_sched)
+        (fun c x -> { c with warp_sched = x });
+      field "l2_cluster" int (fun c -> c.l2_cluster)
+        (fun c x -> { c with l2_cluster = x });
+      field "policy" mem_policy (fun c -> c.policy)
+        (fun c x -> { c with policy = x }) ]
+    (fun () -> default)
 
-let load_summary_of_json v =
-  {
-    lo_pc = int_field "pc" v;
-    lo_space = Ptx.Types.space_of_string (str_field "space" v);
-    lo_class = class_of_json (member "class" v);
-    lo_leaves = List.map get_str (get_list (member "leaves" v));
-    lo_slice_size = int_field "slice_size" v;
-  }
+let config_to_json = config.enc
+let config_of_json = config.dec
 
-let classify_summary_to_json c =
-  Obj
-    [ ("kernel", Str c.cy_kernel);
-      ("static_d", Int c.cy_static_d);
-      ("static_n", Int c.cy_static_n);
-      ("loads", Arr (List.map load_summary_to_json c.cy_loads)) ]
-
-let classify_summary_of_json v =
-  {
-    cy_kernel = str_field "kernel" v;
-    cy_static_d = int_field "static_d" v;
-    cy_static_n = int_field "static_n" v;
-    cy_loads = List.map load_summary_of_json (get_list (member "loads" v));
-  }
+(* The canonical content digest: MD5 of the compact config JSON, which
+   names every field, so configs share a digest iff they are equal. *)
+let config_digest c =
+  Digest.to_hex (Digest.string (Json.to_string (config.enc c)))

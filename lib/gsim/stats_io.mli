@@ -1,7 +1,6 @@
 (** Machine-readable stats layer: a small in-tree JSON value type with
-    an emitter and parser (no external dependency), plus lossless
-    converters for {!Stats.t} and summaries of
-    {!Dataflow.Classify.result} and {!Config.t}.
+    an emitter and parser (no external dependency), field-table codecs,
+    and lossless converters for {!Stats.t} and {!Config.t}.
 
     Emission is deterministic: object fields appear in a fixed order
     and hashtable-backed collections are sorted before printing, so two
@@ -46,6 +45,67 @@ module Json : sig
   val get_list : t -> t list
   val int_field : string -> t -> int
   val str_field : string -> t -> string
+end
+
+(** {1 Field-table codecs}
+
+    A record's wire format, written once: a table whose entries each
+    name a JSON key with its leaf codec, a getter and a setter.  The
+    encoder folds the table in order.  The decoder walks the object's
+    members in table order and looks a key up only when the next
+    member is not the expected one, so a document this encoder wrote
+    decodes without a search.  An absent member decodes as [Null].
+    Every decoder raises only {!Json.Parse_error}, and a member's error
+    comes back prefixed with ["<key>: "], naming the path to it. *)
+
+module Codec : sig
+  type 'a t = { enc : 'a -> Json.t; dec : Json.t -> 'a }
+
+  type 'r field
+  (** One member of a record of type ['r]. *)
+
+  val field : string -> 'a t -> ('r -> 'a) -> ('r -> 'a -> 'r) -> 'r field
+  (** [field key codec get set].  [set] returns the updated record; a
+      record with mutable fields may update it in place. *)
+
+  val obj : 'r field list -> (unit -> 'r) -> 'r t
+  (** The record codec of a table.  Decoding starts from a fresh
+      [init ()] and applies each member's setter in table order.  A
+      member whose value encodes to [Null] (an absent {!option}) is
+      left out of the object. *)
+
+  val embed : ('r -> 's) -> ('r -> 's -> 'r) -> 's field list -> 'r field list
+  (** A component's table, inlined into the enclosing object through
+      the component's getter and setter. *)
+
+  val tag : string -> string -> 'r field
+  (** [tag key value]: a member that always carries the string [value]
+      (a schema name); decoding anything else is an error. *)
+
+  val int : int t
+  val bool : bool t
+  val string : string t
+
+  val load_class : Dataflow.Classify.load_class t
+  (** ["D"] or ["N"], and nothing else. *)
+
+  val map : ('b -> 'a) -> ('a -> 'b) -> 'a t -> 'b t
+  (** [map to_a of_a c]: a ['b] carried in its ['a] form. *)
+
+  val list : 'a t -> 'a list t
+
+  val option : 'a t -> 'a option t
+  (** [None] is [Null], so inside {!obj} it is an absent member. *)
+
+  val array : int -> 'a t -> 'a array t
+  (** [array len c]: exactly [len] entries. *)
+
+  val int_array : int -> int array t
+
+  val table : size:int -> ('k * 'v) t -> ('k, 'v) Hashtbl.t t
+  (** A hashtable as an array of its bindings in key order, each
+      encoded by the binding codec; decoding builds a table of initial
+      [size]. *)
 end
 
 (** {1 JSONL framing}
@@ -100,28 +160,10 @@ val config_to_json : Config.t -> Json.t
     outputs and cache entries. *)
 
 val config_of_json : Json.t -> Config.t
-(** Inverse of {!config_to_json}; together with {!Config.to_digest}
-    this gives configs both a round-trippable JSON form and a canonical
-    content digest.
+(** Inverse of {!config_to_json}.
     @raise Json.Parse_error on schema mismatch. *)
 
-(** {1 Static classification summaries} *)
-
-type load_summary = {
-  lo_pc : int;
-  lo_space : Ptx.Types.space;
-  lo_class : Dataflow.Classify.load_class;
-  lo_leaves : string list;
-  lo_slice_size : int;
-}
-
-type classify_summary = {
-  cy_kernel : string;
-  cy_static_d : int;  (** deterministic global loads *)
-  cy_static_n : int;
-  cy_loads : load_summary list;  (** every load, in program order *)
-}
-
-val classify_summary : Dataflow.Classify.result -> classify_summary
-val classify_summary_to_json : classify_summary -> Json.t
-val classify_summary_of_json : Json.t -> classify_summary
+val config_digest : Config.t -> string
+(** Hex MD5 of the compact {!config_to_json} rendering.  Every field is
+    a member, so two configs share a digest iff they are equal: the
+    token the sweep cache keys and provenance records embed. *)

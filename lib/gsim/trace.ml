@@ -133,14 +133,7 @@ let with_muted t f =
 
 module Json = Stats_io.Json
 
-let cls_name = function
-  | Dataflow.Classify.Deterministic -> "D"
-  | Dataflow.Classify.Nondeterministic -> "N"
-
-let cls_of_name = function
-  | "D" -> Dataflow.Classify.Deterministic
-  | "N" -> Dataflow.Classify.Nondeterministic
-  | s -> raise (Json.Parse_error ("unknown load class " ^ s))
+let load_class = Stats_io.Codec.load_class
 
 let outcome_name (o : Cache.outcome) =
   match o with
@@ -172,14 +165,15 @@ let level_of_name = function
   | s -> raise (Json.Parse_error ("unknown memory level " ^ s))
 
 let src_name = function
-  | A_load c -> cls_name c
+  | A_load c -> Dataflow.Classify.short_class c
   | A_store -> "store"
   | A_prefetch -> "prefetch"
 
-let src_of_name = function
+let src_of_json v =
+  match Json.get_str v with
   | "store" -> A_store
   | "prefetch" -> A_prefetch
-  | s -> A_load (cls_of_name s)
+  | _ -> A_load (load_class.dec v)
 
 let side_fields = function
   | S_l1 sm -> [ ("at", Json.Str "l1"); ("unit", Json.Int sm) ]
@@ -206,14 +200,14 @@ let event_to_json = function
           ("sm", Json.Int e.sm); ("cta", Json.Int e.cta);
           ("warp_slot", Json.Int e.warp_slot);
           ("kernel", Json.Str e.kernel); ("pc", Json.Int e.pc);
-          ("cls", Json.Str (cls_name e.cls)); ("active", Json.Int e.active);
+          ("cls", load_class.enc e.cls); ("active", Json.Int e.active);
           ("nreq", Json.Int e.nreq) ]
   | Ev_load_return e ->
       Json.Obj
         [ ("ev", Json.Str "load_return"); ("cycle", Json.Int e.cycle);
           ("sm", Json.Int e.sm); ("cta", Json.Int e.cta);
           ("kernel", Json.Str e.kernel); ("pc", Json.Int e.pc);
-          ("cls", Json.Str (cls_name e.cls)); ("nreq", Json.Int e.nreq);
+          ("cls", load_class.enc e.cls); ("nreq", Json.Int e.nreq);
           ("turnaround", Json.Int e.turnaround);
           ("level", Json.Str (level_name e.level)) ]
   | Ev_access e ->
@@ -271,21 +265,21 @@ let event_of_json v =
         { cycle; sm = Json.int_field "sm" v; cta = Json.int_field "cta" v;
           warp_slot = Json.int_field "warp_slot" v;
           kernel = Json.str_field "kernel" v; pc = Json.int_field "pc" v;
-          cls = cls_of_name (Json.str_field "cls" v);
+          cls = load_class.dec (Json.member "cls" v);
           active = Json.int_field "active" v;
           nreq = Json.int_field "nreq" v }
   | "load_return" ->
       Ev_load_return
         { cycle; sm = Json.int_field "sm" v; cta = Json.int_field "cta" v;
           kernel = Json.str_field "kernel" v; pc = Json.int_field "pc" v;
-          cls = cls_of_name (Json.str_field "cls" v);
+          cls = load_class.dec (Json.member "cls" v);
           nreq = Json.int_field "nreq" v;
           turnaround = Json.int_field "turnaround" v;
           level = level_of_name (Json.str_field "level" v) }
   | "access" ->
       Ev_access
         { cycle; where = side_of_json v; line = Json.int_field "line" v;
-          src = src_of_name (Json.str_field "src" v);
+          src = src_of_json (Json.member "src" v);
           outcome = outcome_of_name (Json.str_field "outcome" v) }
   | "mshr_alloc" ->
       Ev_mshr_alloc
@@ -352,7 +346,9 @@ let chrome_json ev =
   match ev with
   | Ev_load_return e ->
       common
-        ~name:(Printf.sprintf "ld %s+%d %s" e.kernel e.pc (cls_name e.cls))
+        ~name:
+          (Printf.sprintf "ld %s+%d %s" e.kernel e.pc
+             (Dataflow.Classify.short_class e.cls))
         ~cat:"load" ~ph:"X" ~ts:(max 0 (e.cycle - e.turnaround)) ~pid:e.sm
         ~tid:e.cta
         [ ("dur", Json.Int (max 1 e.turnaround));
@@ -368,7 +364,7 @@ let chrome_json ev =
              [ ("mshr", Json.Int e.mshr); ("ldst_q", Json.Int e.ldst_q) ]) ]
   | Ev_load_issue e ->
       instant ~name:"load_issue" ~cat:"load" ~ts:e.cycle ~pid:e.sm ~tid:e.cta
-        [ ("pc", Json.Int e.pc); ("cls", Json.Str (cls_name e.cls)) ]
+        [ ("pc", Json.Int e.pc); ("cls", load_class.enc e.cls) ]
   | Ev_access e ->
       let pid, tid = match e.where with S_l1 sm -> (sm, 1) | S_l2 p -> (p, 2) in
       instant

@@ -98,9 +98,6 @@ val with_muted : t -> (unit -> 'a) -> 'a
 
 (** {1 JSON encoding} *)
 
-val cls_name : cls -> string
-(** ["D"] / ["N"]. *)
-
 val event_to_json : event -> Stats_io.Json.t
 
 val event_of_json : Stats_io.Json.t -> event

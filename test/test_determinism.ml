@@ -55,8 +55,9 @@ let test_truncated_flag () =
   Alcotest.(check bool) "flag round-trips through JSON" true
     back.Gsim.Stats.truncated
 
-(* documents written before the flag existed parse as a clean finish *)
-let test_truncated_absent_defaults_false () =
+(* every stats document since the sim tag was introduced carries the
+   flag, so one without it is damaged, not a clean finish *)
+let test_truncated_absent_rejected () =
   let module Json = Gsim.Stats_io.Json in
   let stripped =
     match Gsim.Stats_io.stats_to_json (Gsim.Stats.create ()) with
@@ -64,8 +65,11 @@ let test_truncated_absent_defaults_false () =
         Json.Obj (List.filter (fun (k, _) -> k <> "truncated") fields)
     | _ -> Alcotest.fail "stats document is not an object"
   in
-  Alcotest.(check bool) "missing field reads as not truncated" false
-    (Gsim.Stats_io.stats_of_json stripped).Gsim.Stats.truncated
+  match Gsim.Stats_io.stats_of_json stripped with
+  | _ -> Alcotest.fail "a stats document without truncated decoded"
+  | exception Json.Parse_error e ->
+      Alcotest.(check bool) ("error names the member: " ^ e) true
+        (String.starts_with ~prefix:"truncated: " e)
 
 let () =
   Alcotest.run "determinism"
@@ -80,5 +84,5 @@ let () =
             (test_json_roundtrip_lossless "srad");
           Alcotest.test_case "cap sets + round-trips truncated" `Quick
             test_truncated_flag;
-          Alcotest.test_case "absent truncated field defaults false" `Quick
-            test_truncated_absent_defaults_false ] ) ]
+          Alcotest.test_case "absent truncated field is rejected" `Quick
+            test_truncated_absent_rejected ] ) ]

@@ -50,10 +50,9 @@ let test_counts () =
         (r.Critload.Runner.fr_static_d, r.Critload.Runner.fr_static_n))
     golden
 
-(* the JSON classification summary agrees with the golden counts and
-   survives a serialization round-trip *)
-let test_summary_json_roundtrip () =
-  let module Io = Gsim.Stats_io in
+(* summing each distinct kernel's own D/N count over the launches
+   reproduces the golden per-app totals *)
+let test_per_kernel_counts () =
   List.iter
     (fun (name, want_d, want_n) ->
       let app = Workloads.Suite.find name in
@@ -72,21 +71,15 @@ let test_summary_json_roundtrip () =
             let k = launch.Gsim.Launch.kernel in
             if not (Hashtbl.mem seen k.Ptx.Kernel.kname) then begin
               Hashtbl.add seen k.Ptx.Kernel.kname ();
-              let summary =
-                Io.classify_summary launch.Gsim.Launch.classes
+              let kd, kn =
+                Dataflow.Classify.count_global launch.Gsim.Launch.classes
               in
-              let json = Io.classify_summary_to_json summary in
-              let back = Io.classify_summary_of_json json in
-              Alcotest.(check string)
-                (name ^ "/" ^ k.Ptx.Kernel.kname ^ " summary round-trip")
-                (Io.Json.to_string json)
-                (Io.Json.to_string (Io.classify_summary_to_json back));
-              d := !d + summary.Io.cy_static_d;
-              n := !n + summary.Io.cy_static_n
+              d := !d + kd;
+              n := !n + kn
             end
       done;
       Alcotest.(check (pair int int))
-        (name ^ " summary counts match golden")
+        (name ^ " per-kernel counts match golden")
         (want_d, want_n) (!d, !n))
     golden
 
@@ -95,5 +88,5 @@ let () =
     [ ( "golden",
         [ Alcotest.test_case "static D/N counts (all 15 apps)" `Quick
             test_counts;
-          Alcotest.test_case "classify summary JSON round-trip" `Quick
-            test_summary_json_roundtrip ] ) ]
+          Alcotest.test_case "per-kernel counts sum to golden" `Quick
+            test_per_kernel_counts ] ) ]

@@ -207,16 +207,14 @@ let test_policy_names () =
     (fun p ->
       match C.policy_of_string (C.policy_name p) with
       | Ok q ->
-          Alcotest.(check string)
-            (C.policy_name p ^ " round-trips")
-            (C.string_of_mem_policy p) (C.string_of_mem_policy q)
+          Alcotest.(check bool) (C.policy_name p ^ " round-trips") true (p = q)
       | Error e -> Alcotest.fail e)
     [ C.Baseline; C.Iar C.default_iar; C.Holistic C.default_holistic ];
   (match C.policy_of_string "no-such-policy" with
   | Ok _ -> Alcotest.fail "junk parsed as a policy"
   | Error _ -> ())
 
-(* every builder must reach to_key/to_digest: a knob the digest misses
+(* every builder must reach the config digest: a knob the digest misses
    is a sweep-cache collision between semantically different runs *)
 let test_digest_sensitivity () =
   let variants =
@@ -262,12 +260,12 @@ let test_digest_sensitivity () =
             Alcotest.(check bool)
               (Printf.sprintf "digest(%s) <> digest(%s)" na nb)
               false
-              (C.to_digest ca = C.to_digest cb))
+              (Gsim.Stats_io.config_digest ca
+              = Gsim.Stats_io.config_digest cb))
         all)
     all
 
-(* digest agrees with the JSON round-trip: parse-back of the config
-   document reproduces the same canonical key *)
+(* parse-back of the config document reproduces the config *)
 let test_digest_json_agreement () =
   List.iter
     (fun p ->
@@ -275,9 +273,9 @@ let test_digest_json_agreement () =
       let back =
         Gsim.Stats_io.config_of_json (Gsim.Stats_io.config_to_json cfg)
       in
-      Alcotest.(check string)
+      Alcotest.(check bool)
         (C.policy_name p ^ " config survives JSON")
-        (C.to_key cfg) (C.to_key back))
+        true (cfg = back))
     [
       C.Baseline;
       C.Ndet_flags { C.lp_split = 4; lp_prefetch = true; lp_bypass = false };

@@ -425,6 +425,189 @@ let prop_json_roundtrip =
       let module J = Gsim.Stats_io.Json in
       J.of_string (J.to_string v) = v)
 
+(* ---------------- field-table codecs ---------------- *)
+
+module Io = Gsim.Stats_io
+module C = Gsim.Config
+module Ps = Critload.Parsweep
+
+(* Every scalar field distinct and non-default.  The record literal
+   names every field, so a new one must be given a value here, and a
+   field missing from the codec's table then fails the round trip
+   instead of colliding in the sweep cache. *)
+let distinct_config base policy =
+  let v i = 10_000_000 + (base * 100) + i in
+  { C.n_sms = v 0; warp_size = v 1; max_threads_per_sm = v 2;
+    max_ctas_per_sm = v 3; shared_mem_per_sm = v 4; l1_sets = v 5;
+    l1_ways = v 6; line_size = v 7; l1_mshr_entries = v 8;
+    l1_mshr_max_merge = v 9; l1_hit_latency = v 10; n_mem_partitions = v 11;
+    l2_sets = v 12; l2_ways = v 13; l2_mshr_entries = v 14; l2_latency = v 15;
+    icnt_latency = v 16; icnt_buffer_size = v 17; l2_input_queue_size = v 18;
+    dram_latency = v 19; dram_interval = v 20; dram_queue_size = v 21;
+    sp_latency = v 22; sfu_latency = v 23; sfu_initiation = v 24;
+    shared_latency = v 25; shared_banks = v 26; max_warp_insts = v 27;
+    max_cycles = v 28; cta_sched = C.Clustered (v 29); warp_sched = C.Gto;
+    l2_cluster = v 30; policy }
+
+(* one value of each policy variant, parameters likewise distinct *)
+let distinct_policies base =
+  let v i = 20_000_000 + (base * 100) + i in
+  let flags = { C.lp_split = v 0; lp_prefetch = true; lp_bypass = true } in
+  let iar = { C.iar_entries = v 1; iar_max_wait = v 2 } in
+  [ C.Baseline;
+    C.Ndet_flags flags;
+    C.Iar iar;
+    C.Holistic
+      { C.hp_bypass_sample = v 3; hp_bypass_hit_pct = v 4;
+        hp_protect_ndet = false; hp_throttle_window = v 5;
+        hp_throttle_high_pct = v 6; hp_throttle_low_pct = v 7 };
+    C.Per_pc ([ ((Printf.sprintf "k%d" base, v 8), flags) ], C.Iar iar) ]
+
+let prop_config_table_complete =
+  QCheck.Test.make ~count:50
+    ~name:"codec: every config field round-trips; variant digests differ"
+    (QCheck.int_bound 1000)
+    (fun base ->
+      let cfgs = List.map (distinct_config base) (distinct_policies base) in
+      let back c =
+        Io.Json.to_string (Io.config_to_json c)
+        |> Io.Json.of_string |> Io.config_of_json
+      in
+      let digests = List.map Io.config_digest (C.default :: cfgs) in
+      List.for_all (fun c -> back c = c) cfgs
+      && List.length (List.sort_uniq compare digests) = List.length digests)
+
+(* Real documents for every table-driven decoder, from one short
+   profiled timing run and one functional run. *)
+let codec_docs =
+  lazy
+    (let cfg = C.default |> C.with_caps ~max_warp_insts:3_000 () in
+     let timing = Ps.exec_job (Ps.job ~cfg ~warmup:false ~profile:true "bfs") in
+     let func = Ps.exec_job (Ps.job ~cfg ~mode:Ps.Func "2mm") in
+     let health =
+       { Critload.Protocol.empty_health with
+         Critload.Protocol.h_queued = 1; h_accepted = 2; h_completed = 3;
+         h_cache_hits = 4; h_disconnects = 5 }
+     in
+     let decoder f v = ignore (f v) in
+     [ ("stats", Io.Json.member "stats" timing, decoder Io.stats_of_json);
+       ( "profile",
+         Io.Json.member "profile" timing,
+         decoder Gsim.Profile.of_json );
+       ("timing summary", timing, decoder Ps.timing_summary_of_json);
+       ("func summary", func, decoder Ps.func_summary_of_json);
+       ( "health",
+         Critload.Protocol.health_to_json health,
+         decoder Critload.Protocol.health_of_json ) ]
+     @ List.map
+         (fun p ->
+           ( "config " ^ C.policy_name p,
+             Io.config_to_json (distinct_config 1 p),
+             decoder Io.config_of_json ))
+         (distinct_policies 1))
+
+type step = K of string | I of int
+type mutation = Drop | Retype | Grow | Shrink
+
+(* every node below the root, with its path *)
+let rec nodes path v acc =
+  let acc = if path = [] then acc else (List.rev path, v) :: acc in
+  match v with
+  | Io.Json.Obj ms ->
+      List.fold_left (fun acc (k, x) -> nodes (K k :: path) x acc) acc ms
+  | Io.Json.Arr xs ->
+      snd
+        (List.fold_left
+           (fun (i, acc) x -> (i + 1, nodes (I i :: path) x acc))
+           (0, acc) xs)
+  | _ -> acc
+
+(* [v] with the node at [path] replaced by [g node]; [None] removes it *)
+let rec modify path g v =
+  let child rest x = if rest = [] then g x else Some (modify rest g x) in
+  match (path, v) with
+  | K k :: rest, Io.Json.Obj ms ->
+      Io.Json.Obj
+        (List.filter_map
+           (fun (k', x) ->
+             if k' <> k then Some (k', x)
+             else Option.map (fun y -> (k', y)) (child rest x))
+           ms)
+  | I i :: rest, Io.Json.Arr xs ->
+      Io.Json.Arr
+        (List.concat
+           (List.mapi
+              (fun j x ->
+                if j <> i then [ x ] else Option.to_list (child rest x))
+              xs))
+  | _ -> v
+
+let retype = function
+  | Io.Json.Str _ -> Io.Json.Int 1
+  | Io.Json.Obj _ -> Io.Json.Arr []
+  | Io.Json.Arr _ -> Io.Json.Obj []
+  | _ -> Io.Json.Str "x"
+
+let mutate m path doc =
+  let g x =
+    match (m, x) with
+    | Drop, _ -> None
+    | Grow, Io.Json.Arr xs ->
+        let last = match List.rev xs with y :: _ -> y | [] -> Io.Json.Int 0 in
+        Some (Io.Json.Arr (xs @ [ last ]))
+    | Shrink, Io.Json.Arr (_ :: _ as xs) ->
+        Some (Io.Json.Arr (List.rev (List.tl (List.rev xs))))
+    | _ -> Some (retype x)
+  in
+  modify path g doc
+
+(* the deepest member key on the path: the name an error must carry *)
+let member_name path =
+  List.fold_left (fun acc s -> match s with K k -> k | I _ -> acc) "" path
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let gen_mutation =
+  let open QCheck.Gen in
+  let docs = Lazy.force codec_docs in
+  int_bound (List.length docs - 1) >>= fun d ->
+  let name, doc, decode = List.nth docs d in
+  let all = Array.of_list (nodes [] doc []) in
+  map2
+    (fun n m ->
+      let path, _ = all.(n) in
+      let m =
+        match (m, List.rev path) with Drop, I _ :: _ -> Retype | _ -> m
+      in
+      (name, path, m, decode, doc))
+    (int_bound (Array.length all - 1))
+    (oneofl [ Drop; Retype; Grow; Shrink ])
+
+let print_mutation (name, path, m, _, _) =
+  Printf.sprintf "%s: %s at %s" name
+    (match m with
+    | Drop -> "drop"
+    | Retype -> "retype"
+    | Grow -> "grow"
+    | Shrink -> "shrink")
+    (String.concat "."
+       (List.map (function K k -> k | I i -> string_of_int i) path))
+
+let prop_codec_mutations =
+  QCheck.Test.make ~count:1000
+    ~name:"codec: a damaged document decodes or names the member"
+    (QCheck.make ~print:print_mutation gen_mutation)
+    (fun (_, path, m, decode, doc) ->
+      match decode (mutate m path doc) with
+      | () -> true
+      | exception Io.Json.Parse_error e -> contains e (member_name path)
+      | exception _ -> false)
+
 let tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_cover_each_sector_once;
@@ -437,6 +620,8 @@ let tests =
       prop_ringbuf_roundtrip;
       prop_ringbuf_wraparound;
       prop_ringbuf_grow_preserves_order;
-      prop_json_roundtrip ]
+      prop_json_roundtrip;
+      prop_config_table_complete;
+      prop_codec_mutations ]
 
 let () = Alcotest.run "props" [ ("props", tests) ]

@@ -127,6 +127,13 @@ let test_store_lookup_roundtrip () =
 
 (* ---- probe verdicts: hit vs stale-miss vs damaged ---- *)
 
+(* [v] with its [key] member replaced by [f] of its value *)
+let update key f = function
+  | Json.Obj fields ->
+      Json.Obj
+        (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields)
+  | v -> v
+
 let test_probe_verdicts () =
   let dir = fresh_dir () in
   let j = P.job ~cfg ~warmup:false "2mm" in
@@ -136,8 +143,8 @@ let test_probe_verdicts () =
     output_string oc s;
     close_out oc
   in
-  let damaged what =
-    match P.cache_probe ~dir j with
+  let damaged ?(job = j) what =
+    match P.cache_probe ~dir job with
     | P.Cache_damaged _ -> ()
     | P.Cache_hit _ -> Alcotest.failf "%s served as a hit" what
     | P.Cache_miss -> Alcotest.failf "%s counted as a plain miss" what
@@ -194,6 +201,27 @@ let test_probe_verdicts () =
   P.cache_store ~dir j payload;
   Alcotest.(check bool) "re-stored entry hits again" true
     (match P.cache_probe ~dir j with P.Cache_hit _ -> true | _ -> false);
+  (* payloads that parse but misstate a fixed shape: a profile
+     histogram one bucket too long, a load class other than D/N, and
+     func-summary per-class arrays of the wrong length *)
+  let store_edited job edit = P.cache_store ~dir job (edit (P.exec_job job)) in
+  let pj = P.job ~cfg ~warmup:false ~profile:true "2mm" in
+  let long_hist _ =
+    Json.Arr (List.init (Gsim.Profile.n_buckets + 1) (fun _ -> Json.Int 0))
+  in
+  store_edited pj
+    (update "profile" (update "class_d" (update "hist" long_hist)));
+  damaged ~job:pj "over-long profile histogram";
+  store_edited pj
+    (update "profile"
+       (update "per_pc" (function
+         | Json.Arr (first :: rest) ->
+             Json.Arr (update "cls" (fun _ -> Json.Str "X") first :: rest)
+         | v -> v)));
+  damaged ~job:pj "profile load class X";
+  let fj = P.job ~cfg ~mode:P.Func "2mm" in
+  store_edited fj (update "gld_warps" (fun _ -> Json.Arr []));
+  damaged ~job:fj "empty func-summary class array";
   rm_rf dir
 
 (* ---- cold vs warm sweep ---- *)

@@ -1,8 +1,9 @@
 (* Smoke-test validator for `critload sweep` output: parses the JSON
    document back through Stats_io/Parsweep of_json and exits non-zero
-   if anything is malformed, failed, or empty.  Driven by the
-   runtest-smoke rule in test/dune against a real `sweep --jobs 2`
-   invocation of the CLI. *)
+   if anything is malformed, failed, or empty, or if a decoded payload
+   does not re-encode to its own bytes.  Driven by the runtest smoke
+   rule in test/dune against real `sweep --jobs 2` invocations of the
+   CLI. *)
 
 module P = Critload.Parsweep
 module Json = Gsim.Stats_io.Json
@@ -31,22 +32,31 @@ let () =
           Printf.eprintf "validate_sweep: %s has status %s\n" app status;
           exit 1);
       let result = Json.member "result" env in
-      match Json.str_field "mode" env with
-      | "timing" ->
-          let t = P.timing_summary_of_json result in
-          if t.P.tm_stats.Gsim.Stats.cycles <= 0 then begin
-            Printf.eprintf "validate_sweep: %s has no cycles\n" app;
+      let reencoded =
+        match Json.str_field "mode" env with
+        | "timing" ->
+            let t = P.timing_summary_of_json result in
+            if t.P.tm_stats.Gsim.Stats.cycles <= 0 then begin
+              Printf.eprintf "validate_sweep: %s has no cycles\n" app;
+              exit 1
+            end;
+            P.timing_summary_to_json t
+        | "func" ->
+            let f = P.func_summary_of_json result in
+            if not f.P.fu_check then begin
+              Printf.eprintf "validate_sweep: %s failed its host check\n" app;
+              exit 1
+            end;
+            P.func_summary_to_json f
+        | mode ->
+            Printf.eprintf "validate_sweep: %s has unknown mode %s\n" app mode;
             exit 1
-          end
-      | "func" ->
-          let f = P.func_summary_of_json result in
-          if not f.P.fu_check then begin
-            Printf.eprintf "validate_sweep: %s failed its host check\n" app;
-            exit 1
-          end
-      | mode ->
-          Printf.eprintf "validate_sweep: %s has unknown mode %s\n" app mode;
-          exit 1)
+      in
+      if Json.to_string reencoded <> Json.to_string result then begin
+        Printf.eprintf "validate_sweep: %s does not re-encode to its bytes\n"
+          app;
+        exit 1
+      end)
     results;
   Printf.printf "validate_sweep: %s ok (%d results)\n" file
     (List.length results)
