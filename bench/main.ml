@@ -7,8 +7,6 @@
      main.exe --cap 250000 fig5
      main.exe --out results/  additionally write each experiment to
                               results/<id>.txt
-     main.exe micro           Bechamel microbenchmarks of the core
-                              primitives (classifier, cache, coalescer)
 
    main.exe --jobs 8 sweep   parallel timing sweep of all 15 apps
                              (forked workers; writes sweep.json under
@@ -21,7 +19,7 @@
 
    Experiment ids: table1 table2 table3 fig1..fig12 ablate-split
    ablate-cta ablate-l2 ablate-prefetch ablate-bypass ablate-warpsched
-   ablate-advisor sensitivity micro sweep policies all *)
+   ablate-advisor sensitivity sweep policies all *)
 
 module E = Critload.Experiments
 
@@ -185,89 +183,6 @@ let policy_bench ~jobs ~scale ~out_dir ~policies () =
       close_out oc);
   E.render_policy_rows rows
 
-(* ---- Bechamel microbenchmarks of core primitives ---- *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let bfs_app = Workloads.Suite.find "bfs" in
-  let run = bfs_app.Workloads.App.make Workloads.App.Small in
-  let launch =
-    match run.Workloads.App.next_launch () with
-    | Some l -> l
-    | None -> assert false
-  in
-  let kernel = launch.Gsim.Launch.kernel in
-  let classify =
-    Test.make ~name:"classify-bfs-kernel"
-      (Staged.stage (fun () -> ignore (Dataflow.Classify.classify kernel)))
-  in
-  let cfg_analyses =
-    Test.make ~name:"cfg+dominators"
-      (Staged.stage (fun () ->
-           let cfg = Ptx.Cfg.build kernel in
-           ignore (Ptx.Dom.post_dominators cfg)))
-  in
-  let rng = Workloads.Prng.create 7 in
-  let addrs = Array.init 32 (fun _ -> Workloads.Prng.int rng (1 lsl 20)) in
-  let coalesce =
-    Test.make ~name:"coalesce-32-lanes"
-      (Staged.stage (fun () ->
-           ignore (Gsim.Coalesce.lines ~line_size:128 ~mask:0xFFFFFFFF ~addrs)))
-  in
-  let cache =
-    Gsim.Cache.create ~sets:32 ~ways:4 ~line_size:128 ~mshr_entries:64
-      ~mshr_max_merge:8
-  in
-  let next = ref 0 in
-  let cache_access =
-    Test.make ~name:"l1-access-load"
-      (Staged.stage (fun () ->
-           next := (!next + 4099) land 0xFFFFF;
-           let req =
-             Gsim.Request.make ~cta:(-1) ~line_addr:(!next / 128 * 128)
-               ~sm_id:0
-               ~kind:Gsim.Request.Load ~cls:Dataflow.Classify.Deterministic
-               ~wl:None ~now:0
-           in
-           match Gsim.Cache.access_load cache ~req ~icnt_ok:true with
-           | Gsim.Cache.Miss ->
-               ignore
-                 (Gsim.Cache.fill cache ~line_addr:req.Gsim.Request.line_addr)
-           | _ -> ()))
-  in
-  let funcsim_run =
-    Test.make ~name:"funcsim-bfs-small-incl-datagen"
-      (Staged.stage (fun () ->
-           let app = Workloads.Suite.find "bfs" in
-           let r = app.Workloads.App.make Workloads.App.Small in
-           match r.Workloads.App.next_launch () with
-           | Some l -> ignore (Gsim.Funcsim.run ~max_warp_insts:2000 l)
-           | None -> ()))
-  in
-  let tests =
-    Test.make_grouped ~name:"critload"
-      [ classify; cfg_analyses; coalesce; cache_access; funcsim_run ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  List.iter
-    (fun instance ->
-      let tbl = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name res ->
-          match Analyze.OLS.estimates res with
-          | Some [ est ] -> Printf.printf "%-40s %12.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-        tbl)
-    instances
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let scale = ref Workloads.App.Default in
@@ -317,8 +232,7 @@ let () =
     else
       List.map
         (fun name ->
-          if name = "micro" then (name, fun () -> "")
-          else if name = "sweep" then
+          if name = "sweep" then
             ( name,
               sweep ~jobs:!jobs ~scale:!scale ~out_dir:!out_dir
                 ~policies:!policies )
@@ -332,8 +246,7 @@ let () =
             | None ->
                 failwith
                   (Printf.sprintf
-                     "unknown experiment %s (have: %s, micro, sweep, \
-                      policies)"
+                     "unknown experiment %s (have: %s, sweep, policies)"
                      name
                      (String.concat ", " (List.map fst exps)))
         )
@@ -341,19 +254,16 @@ let () =
   in
   List.iter
     (fun (name, f) ->
-      if name = "micro" then micro ()
-      else begin
-        let t0 = Unix.gettimeofday () in
-        let out = f () in
-        Printf.printf "=== %s (%.1fs) ===\n%s\n%!" name
-          (Unix.gettimeofday () -. t0)
-          out;
-        match !out_dir with
-        | None -> ()
-        | Some dir ->
-            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-            let oc = open_out (Filename.concat dir (name ^ ".txt")) in
-            output_string oc out;
-            close_out oc
-      end)
+      let t0 = Unix.gettimeofday () in
+      let out = f () in
+      Printf.printf "=== %s (%.1fs) ===\n%s\n%!" name
+        (Unix.gettimeofday () -. t0)
+        out;
+      match !out_dir with
+      | None -> ()
+      | Some dir ->
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          let oc = open_out (Filename.concat dir (name ^ ".txt")) in
+          output_string oc out;
+          close_out oc)
     to_run

@@ -11,4 +11,4 @@
    byte-identical by construction and test). *)
 
 let version = "0.5.0"
-let sim_tag = "critload-sim-1"
+let sim_tag = "critload-sim-2"

@@ -19,14 +19,6 @@ type fail_reason = Fail_tags | Fail_mshr | Fail_icnt
 
 type outcome = Hit | Hit_reserved | Miss | Rsrv_fail of fail_reason
 
-let outcome_index = function
-  | Hit -> 0
-  | Hit_reserved -> 1
-  | Miss -> 2
-  | Rsrv_fail Fail_tags -> 3
-  | Rsrv_fail Fail_mshr -> 4
-  | Rsrv_fail Fail_icnt -> 5
-
 type line_state = Invalid | Valid | Reserved
 
 type line = {
@@ -52,14 +44,6 @@ type t = {
   mshr_entries : int;
   mshr_max_merge : int;
   mutable time : int; (* LRU clock *)
-  (* Load-probe outcome counters, indexed by [outcome_index].  These
-     count exactly what [access_load] returned: one increment per probe
-     cycle, so a reservation failure that retries later counts once per
-     attempt (slots 3-5) plus once when it finally completes (slots
-     0-2).  Completed accesses (slots 0+1+2) therefore match the
-     retry-free accounting [Simplecache] uses, the convention the
-     trace/stats reconciliation tests rely on. *)
-  outcomes : int array;
 }
 
 let create ~sets ~ways ~line_size ~mshr_entries ~mshr_max_merge =
@@ -75,10 +59,7 @@ let create ~sets ~ways ~line_size ~mshr_entries ~mshr_max_merge =
     mshr_entries;
     mshr_max_merge;
     time = 0;
-    outcomes = Array.make 6 0;
   }
-
-let line_addr t addr = addr / t.line_size * t.line_size
 
 let set_index t line_addr = line_addr / t.line_size mod t.sets
 
@@ -134,12 +115,6 @@ let mshr_full t = Hashtbl.length t.mshr >= t.mshr_entries
 let access_load_protect t ~protect ~(req : Request.t) ~icnt_ok =
   t.time <- t.time + 1;
   let la = req.Request.line_addr in
-  let count o =
-    t.outcomes.(outcome_index o) <- t.outcomes.(outcome_index o) + 1;
-    o
-  in
-  count
-  @@
   match find_line t la with
   | Some l when l.state = Valid ->
       l.last_use <- t.time;
@@ -236,10 +211,6 @@ let write_allocate t ~line_addr =
           victim.last_use <- t.time;
           true)
 
-let outcome_counts t = Array.copy t.outcomes
-
-let completed_accesses t = t.outcomes.(0) + t.outcomes.(1) + t.outcomes.(2)
-
 let mshr_in_use t = Hashtbl.length t.mshr
 
 (* CTA that allocated the in-flight MSHR entry for [line_addr]: waiters
@@ -250,14 +221,3 @@ let mshr_owner_cta t ~line_addr =
   | Some { waiters = _ :: _ as ws; _ } ->
       (List.nth ws (List.length ws - 1)).Request.cta
   | Some { waiters = []; _ } | None -> -1
-
-let occupancy t =
-  let valid = ref 0 and reserved = ref 0 in
-  Array.iter
-    (Array.iter (fun l ->
-         match l.state with
-         | Valid -> incr valid
-         | Reserved -> incr reserved
-         | Invalid -> ()))
-    t.lines;
-  (!valid, !reserved)

@@ -4,14 +4,12 @@
 
     A load access has one of six outcomes; the three reservation
     failures (tags / MSHRs / interconnect) are the wasted cycles the
-    paper's Fig 3 plots. *)
+    paper's Fig 3 plots.  The cache counts none of them: its callers
+    record each probe ({!Stats} for Fig 3, {!Trace.probe} for the event
+    stream). *)
 
 type fail_reason = Fail_tags | Fail_mshr | Fail_icnt
 type outcome = Hit | Hit_reserved | Miss | Rsrv_fail of fail_reason
-
-val outcome_index : outcome -> int
-(** Hit 0, Hit_reserved 1, Miss 2, then tags / mshr / icnt fails 3-5
-    (the {!Stats} Fig 3 slot order). *)
 
 type t
 
@@ -22,9 +20,6 @@ val create :
   mshr_entries:int ->
   mshr_max_merge:int ->
   t
-
-val line_addr : t -> int -> int
-(** Align a byte address down to its cache line. *)
 
 val access_load : t -> req:Request.t -> icnt_ok:bool -> outcome
 (** Probe for a load request.  On [Miss] the line is reserved, an MSHR
@@ -61,23 +56,11 @@ val write_allocate : t -> line_addr:int -> bool
 (** Write-allocate update for L2 stores; false when every way of the
     set is reserved this cycle. *)
 
-val occupancy : t -> int * int
-(** (valid lines, reserved lines). *)
-
-val outcome_counts : t -> int array
-(** Load-probe outcomes counted by the cache itself, indexed by
-    {!outcome_index}: one increment per [access_load] call, so an
-    access that fails reservation and retries counts once per attempt
-    in the fail slots plus once on completion. *)
-
-val completed_accesses : t -> int
-(** Hit + hit-reserved + miss — each logical load access exactly once,
-    retries excluded: the same accounting {!Simplecache} uses, which is
-    what lets trace-derived counts reconcile across the two models. *)
-
 val mshr_in_use : t -> int
 (** In-flight MSHR entries (occupancy timelines). *)
 
 val mshr_owner_cta : t -> line_addr:int -> int
 (** CTA that allocated the in-flight MSHR entry for the line; [-1]
-    when the line has no entry (MSHR-merge locality attribution). *)
+    when the line has no entry (MSHR-merge locality attribution).
+    Merges and attaches prepend their waiter, so the answer is the
+    same before and after a probe merges into the entry. *)

@@ -24,9 +24,6 @@ type t = {
   hits : pending_hit Queue.t;
   resp : Request.t Queue.t;
   mutable dram_next_free : int;
-  mutable rsrv_fails : int;
-  mutable dram_reads : int;
-  mutable dram_writes : int;
 }
 
 let create ?(trace = Trace.null ()) (cfg : Config.t) ~id ~stats =
@@ -45,9 +42,6 @@ let create ?(trace = Trace.null ()) (cfg : Config.t) ~id ~stats =
     hits = Queue.create ();
     resp = Queue.create ();
     dram_next_free = 0;
-    rsrv_fails = 0;
-    dram_reads = 0;
-    dram_writes = 0;
   }
 
 let respond t ~now ~(level : Request.level) (req : Request.t) =
@@ -60,8 +54,6 @@ let respond t ~now ~(level : Request.level) (req : Request.t) =
 let schedule_dram t ~start ~line ~write =
   let begin_at = max start t.dram_next_free in
   t.dram_next_free <- begin_at + t.cfg.Config.dram_interval;
-  if write then t.dram_writes <- t.dram_writes + 1
-  else t.dram_reads <- t.dram_reads + 1;
   if Trace.enabled t.trace then
     Trace.emit t.trace
       (Trace.Ev_dram_enq { cycle = begin_at; part = t.id; line; write });
@@ -130,7 +122,6 @@ let cycle t ~now ~icnt =
                  ~line:req.Request.line_addr ~write:true)
           end
           else begin
-            t.rsrv_fails <- t.rsrv_fails + 1;
             t.stats.Stats.l2_rsrv_fails <- t.stats.Stats.l2_rsrv_fails + 1;
             if Trace.enabled t.trace then
               Trace.emit t.trace
@@ -140,39 +131,18 @@ let cycle t ~now ~icnt =
                      outcome = Cache.Rsrv_fail Cache.Fail_tags })
           end
       | Request.Load | Request.Atomic -> (
-          let owner_cta =
-            if Trace.enabled t.trace then
-              Cache.mshr_owner_cta t.cache ~line_addr:req.Request.line_addr
-            else -1
-          in
           let outcome =
             Cache.access_load t.cache ~req ~icnt_ok:(dram_has_space t)
           in
-          (if Trace.enabled t.trace then begin
-             let src =
-               if req.Request.wl = None && req.Request.cta < 0 then
-                 Trace.A_prefetch
-               else Trace.A_load req.Request.cls
-             in
-             Trace.emit t.trace
-               (Trace.Ev_access
-                  { cycle = now; where = Trace.S_l2 t.id;
-                    line = req.Request.line_addr; src; outcome });
-             match outcome with
-             | Cache.Miss ->
-                 Trace.emit t.trace
-                   (Trace.Ev_mshr_alloc
-                      { cycle = now; where = Trace.S_l2 t.id;
-                        line = req.Request.line_addr;
-                        cta = req.Request.cta })
-             | Cache.Hit_reserved ->
-                 Trace.emit t.trace
-                   (Trace.Ev_mshr_merge
-                      { cycle = now; where = Trace.S_l2 t.id;
-                        line = req.Request.line_addr;
-                        cta = req.Request.cta; owner_cta })
-             | Cache.Hit | Cache.Rsrv_fail _ -> ()
-           end);
+          if Trace.enabled t.trace then begin
+            let src =
+              if req.Request.wl = None && req.Request.cta < 0 then
+                Trace.A_prefetch
+              else Trace.A_load req.Request.cls
+            in
+            Trace.probe t.trace t.cache ~cycle:now ~where:(Trace.S_l2 t.id)
+              ~line:req.Request.line_addr ~src ~cta:req.Request.cta outcome
+          end;
           match outcome with
           | Cache.Hit ->
               ignore (Queue.pop t.input);
@@ -190,7 +160,6 @@ let cycle t ~now ~icnt =
                 (schedule_dram t ~start:(now + cfg.Config.l2_latency)
                    ~line:req.Request.line_addr ~write:false)
           | Cache.Rsrv_fail _ ->
-              t.rsrv_fails <- t.rsrv_fails + 1;
               t.stats.Stats.l2_rsrv_fails <- t.stats.Stats.l2_rsrv_fails + 1)
    end);
   (* (e) inject one response back towards its SM *)

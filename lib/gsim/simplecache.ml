@@ -1,14 +1,7 @@
 (* Minimal serial set-associative LRU cache: every access resolves
    immediately (hit, or miss + fill).  Used by the functional simulator
    to emulate the CUDA-profiler hit/miss counters (Table III), where no
-   timing or in-flight state is involved.
-
-   Counting convention, shared with [Cache]: each logical access counts
-   exactly once (hit or miss).  [Cache] additionally sees
-   reservation-fail retry probes, which it counts in separate fail
-   slots; its completed accesses (hit + hit-reserved + miss) therefore
-   line up with [accesses] here — the invariant the trace/stats
-   reconciliation regression test pins down. *)
+   timing or in-flight state is involved. *)
 
 type t = {
   sets : int;
@@ -33,8 +26,6 @@ let create ~sets ~ways ~line_size =
     misses = 0;
   }
 
-let line_addr t addr = addr / t.line_size * t.line_size
-
 (* Access one line address; returns true on hit.  Misses allocate. *)
 let access t la =
   t.time <- t.time + 1;
@@ -58,10 +49,3 @@ let access t la =
     lru.(!victim) <- t.time;
     false
   end
-
-(* Completed accesses — same meaning as [Cache.completed_accesses]. *)
-let accesses t = t.hits + t.misses
-
-let miss_ratio t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.misses /. float_of_int total

@@ -1,7 +1,10 @@
 (** Minimal serial set-associative LRU cache: every access resolves
     immediately (hit, or miss + fill).  Used by the functional
     simulator to emulate the CUDA-profiler hit/miss counters
-    (Table III), where no in-flight state is involved. *)
+    (Table III), where no in-flight state is involved.  [hits] and
+    [misses] count each access once; nothing here is shared with the
+    timing model's {!Cache}, whose probes can fail reservation and
+    retry. *)
 
 type t = {
   sets : int;
@@ -15,14 +18,6 @@ type t = {
 }
 
 val create : sets:int -> ways:int -> line_size:int -> t
-val line_addr : t -> int -> int
 
 val access : t -> int -> bool
 (** Access one line address; true on hit.  Misses allocate (LRU). *)
-
-val accesses : t -> int
-(** Completed accesses (hits + misses) — each logical access exactly
-    once, the convention {!Cache.completed_accesses} mirrors so
-    trace-derived counts reconcile across both cache models. *)
-
-val miss_ratio : t -> float

@@ -102,7 +102,6 @@ type t = {
   mutable sfu_busy_until : int;
   mutable ldst_busy_until : int; (* shared/const ops occupy LD/ST too *)
   mutable last_issued : int;
-  mutable completed_ctas : int;
 }
 
 let create ?(trace = Trace.null ()) (cfg : Config.t) ~id ~stats ~warp_slots =
@@ -134,7 +133,6 @@ let create ?(trace = Trace.null ()) (cfg : Config.t) ~id ~stats ~warp_slots =
     sfu_busy_until = 0;
     ldst_busy_until = 0;
     last_issued = 0;
-    completed_ctas = 0;
   }
 
 (* Resize the warp-slot table for a new launch; caches persist across
@@ -310,7 +308,6 @@ let check_cta_done t rc =
       t.slot_rc.(i) <- None
     done;
     t.residents <- List.filter (fun r -> r != rc) t.residents;
-    t.completed_ctas <- t.completed_ctas + 1;
     t.stats.Stats.completed_ctas <- t.stats.Stats.completed_ctas + 1
   end
 
@@ -392,13 +389,36 @@ let process_returns t ~now ~icnt =
 
 (* ---- LD/ST unit: one L1 access attempt per cycle ---- *)
 
-let accept_times (wl : Request.warp_load option) now =
-  match wl with
+(* A line request of a warp-level memory instruction, stamped with the
+   warp load's issue cycle. *)
+let line_request t ~now ~cta ~line ~kind ~cls wl =
+  let req = Request.make ~cta ~line_addr:line ~sm_id:t.id ~kind ~cls ~wl ~now in
+  (match wl with
+  | Some wl -> req.Request.t_issue <- wl.Request.wl_t_issue
+  | None -> ());
+  req
+
+(* The L1 took [req] this cycle. *)
+let accept ~now (req : Request.t) =
+  req.Request.t_accept <- now;
+  match req.Request.wl with
   | None -> ()
   | Some wl ->
       if wl.Request.wl_t_first_accept < 0 then
         wl.Request.wl_t_first_accept <- now;
       wl.Request.wl_t_last_accept <- now
+
+(* Act on a completed probe: a hit completes locally after the hit
+   latency, a merge waits on its MSHR entry, a miss goes downstream. *)
+let dispatch t ~now ~icnt (req : Request.t) (outcome : Cache.outcome) =
+  accept ~now req;
+  match outcome with
+  | Cache.Hit ->
+      Ringbuf.push
+        { hc_ready = now + t.cfg.Config.l1_hit_latency; hc_req = req }
+        t.hit_pending
+  | Cache.Miss -> Icnt.inject_request icnt ~now req
+  | Cache.Hit_reserved | Cache.Rsrv_fail _ -> ()
 
 (* Feed a demand-load probe outcome back to the policy (streaming
    detection, reservation-fail throttle window).  Constant-time no-op
@@ -409,6 +429,40 @@ let policy_outcome t (wl : Request.warp_load option) cls outcome =
       Mempolicy.on_outcome t.pol ~kernel:wl.Request.wl_kernel
         ~pc:wl.Request.wl_pc cls outcome
   | None -> ()
+
+(* The one recorder of an L1 load probe.  A demand load (of warp load
+   [wl]) counts in the Fig 3 statistics and feeds the policy; a
+   next-line prefetch ([wl = None]) is traced only. *)
+let record_l1 t ~now ~line ~cta ~cls wl outcome =
+  (match wl with
+  | Some _ ->
+      Stats.record_l1_event t.stats outcome cls;
+      policy_outcome t wl cls outcome
+  | None -> ());
+  if Trace.enabled t.trace then
+    Trace.probe t.trace t.l1 ~cycle:now ~where:(Trace.S_l1 t.id) ~line ~cta
+      ~src:(match wl with Some _ -> Trace.A_load cls | None -> Trace.A_prefetch)
+      outcome
+
+(* Section X.A: next-line prefetch after an N-load miss, only when
+   every resource is free (never displaces demand traffic at
+   reservation time). *)
+let prefetch_next_line t ~now ~icnt ~line ~cls =
+  let pline = line + t.cfg.Config.line_size in
+  if Icnt.can_inject icnt ~sm:t.id && Cache.probe t.l1 ~line_addr:pline = `Absent
+  then begin
+    let preq =
+      Request.make ~cta:(-1) ~line_addr:pline ~sm_id:t.id ~kind:Request.Load
+        ~cls ~wl:None ~now
+    in
+    let outcome = Cache.access_load t.l1 ~req:preq ~icnt_ok:true in
+    record_l1 t ~now ~line:pline ~cta:(-1) ~cls None outcome;
+    match outcome with
+    | Cache.Miss ->
+        Icnt.inject_request icnt ~now preq;
+        t.stats.Stats.prefetches_issued <- t.stats.Stats.prefetches_issued + 1
+    | Cache.Hit | Cache.Hit_reserved | Cache.Rsrv_fail _ -> ()
+  end
 
 (* Drain the in-order LD/ST queue: one L1 access attempt per cycle. *)
 let fifo_cycle t ~now ~icnt =
@@ -428,150 +482,68 @@ let fifo_cycle t ~now ~icnt =
       | line :: rest -> (
           match pm.pm_kind with
           | Request.Store ->
-              if Icnt.can_inject icnt ~sm:t.id then begin
-                Cache.invalidate t.l1 ~line_addr:line;
-                let req =
-                  Request.make ~cta:pm.pm_cta ~line_addr:line ~sm_id:t.id
-                    ~kind:Request.Store ~cls:pm.pm_cls ~wl:None ~now
-                in
-                req.Request.t_accept <- now;
-                Icnt.inject_request icnt ~now req;
-                Stats.record_l1_store_event t.stats Cache.Miss;
-                if Trace.enabled t.trace then
-                  Trace.emit t.trace
-                    (Trace.Ev_access
-                       { cycle = now; where = Trace.S_l1 t.id; line;
-                         src = Trace.A_store; outcome = Cache.Miss });
-                t.stats.Stats.global_stores <- t.stats.Stats.global_stores + 1;
-                pm.pm_lines <- rest
-              end
-              else begin
-                Stats.record_l1_store_event t.stats
-                  (Cache.Rsrv_fail Cache.Fail_icnt);
-                if Trace.enabled t.trace then
-                  Trace.emit t.trace
-                    (Trace.Ev_access
-                       { cycle = now; where = Trace.S_l1 t.id; line;
-                         src = Trace.A_store;
-                         outcome = Cache.Rsrv_fail Cache.Fail_icnt })
-              end
+              let outcome =
+                if Icnt.can_inject icnt ~sm:t.id then begin
+                  Cache.invalidate t.l1 ~line_addr:line;
+                  let req =
+                    line_request t ~now ~cta:pm.pm_cta ~line
+                      ~kind:Request.Store ~cls:pm.pm_cls None
+                  in
+                  accept ~now req;
+                  Icnt.inject_request icnt ~now req;
+                  t.stats.Stats.global_stores <- t.stats.Stats.global_stores + 1;
+                  pm.pm_lines <- rest;
+                  Cache.Miss
+                end
+                else Cache.Rsrv_fail Cache.Fail_icnt
+              in
+              (* a store reserves no MSHR: a bare access event *)
+              Stats.record_l1_store_event t.stats outcome;
+              if Trace.enabled t.trace then
+                Trace.emit t.trace
+                  (Trace.Ev_access
+                     { cycle = now; where = Trace.S_l1 t.id; line;
+                       src = Trace.A_store; outcome })
           | Request.Load | Request.Atomic when pm.pm_bypass ->
               (* instruction-aware L1 bypass: the request goes straight
                  to the L2, no tag or MSHR is reserved and the response
                  will not fill the L1 *)
               if Icnt.can_inject icnt ~sm:t.id then begin
                 let req =
-                  Request.make ~cta:pm.pm_cta ~line_addr:line ~sm_id:t.id
-                    ~kind:pm.pm_kind ~cls:pm.pm_cls ~wl:pm.pm_wl ~now
+                  line_request t ~now ~cta:pm.pm_cta ~line ~kind:pm.pm_kind
+                    ~cls:pm.pm_cls pm.pm_wl
                 in
-                (match pm.pm_wl with
-                | Some wl -> req.Request.t_issue <- wl.Request.wl_t_issue
-                | None -> ());
                 req.Request.no_fill <- true;
-                req.Request.t_accept <- now;
-                accept_times pm.pm_wl now;
+                accept ~now req;
                 Icnt.inject_request icnt ~now req;
                 (* a bypass injection is a successful attempt of the
                    L1 pipe: feed the throttle window as a miss *)
                 policy_outcome t pm.pm_wl pm.pm_cls Cache.Miss;
                 pm.pm_lines <- rest
               end
-              else begin
-                (* a stalled bypass load is still a load-side icnt
-                   reservation failure: record it with its D/N class
-                   (the store recorder used here previously dropped the
-                   class, splitting trace and stats accounting) *)
-                Stats.record_l1_event t.stats
-                  (Cache.Rsrv_fail Cache.Fail_icnt) pm.pm_cls;
-                policy_outcome t pm.pm_wl pm.pm_cls
-                  (Cache.Rsrv_fail Cache.Fail_icnt);
-                if Trace.enabled t.trace then
-                  Trace.emit t.trace
-                    (Trace.Ev_access
-                       { cycle = now; where = Trace.S_l1 t.id; line;
-                         src = Trace.A_load pm.pm_cls;
-                         outcome = Cache.Rsrv_fail Cache.Fail_icnt })
-              end
+              else
+                (* a stalled bypass load is a load-side icnt
+                   reservation failure, recorded with its D/N class *)
+                record_l1 t ~now ~line ~cta:pm.pm_cta ~cls:pm.pm_cls pm.pm_wl
+                  (Cache.Rsrv_fail Cache.Fail_icnt)
           | Request.Load | Request.Atomic -> (
               let req =
-                Request.make ~cta:pm.pm_cta ~line_addr:line ~sm_id:t.id
-                  ~kind:pm.pm_kind ~cls:pm.pm_cls ~wl:pm.pm_wl ~now
-              in
-              (match pm.pm_wl with
-              | Some wl -> req.Request.t_issue <- wl.Request.wl_t_issue
-              | None -> ());
-              let icnt_ok = Icnt.can_inject icnt ~sm:t.id in
-              (* MSHR merges need the allocating CTA before the probe
-                 prepends this request to the waiter list *)
-              let owner_cta =
-                if Trace.enabled t.trace then
-                  Cache.mshr_owner_cta t.l1 ~line_addr:line
-                else -1
+                line_request t ~now ~cta:pm.pm_cta ~line ~kind:pm.pm_kind
+                  ~cls:pm.pm_cls pm.pm_wl
               in
               let outcome =
                 Cache.access_load_protect t.l1 ~protect:pm.pm_protect ~req
-                  ~icnt_ok
+                  ~icnt_ok:(Icnt.can_inject icnt ~sm:t.id)
               in
-              Stats.record_l1_event t.stats outcome pm.pm_cls;
-              policy_outcome t pm.pm_wl pm.pm_cls outcome;
-              if Trace.enabled t.trace then begin
-                Trace.emit t.trace
-                  (Trace.Ev_access
-                     { cycle = now; where = Trace.S_l1 t.id; line;
-                       src = Trace.A_load pm.pm_cls; outcome });
-                match outcome with
-                | Cache.Miss ->
-                    Trace.emit t.trace
-                      (Trace.Ev_mshr_alloc
-                         { cycle = now; where = Trace.S_l1 t.id; line;
-                           cta = pm.pm_cta })
-                | Cache.Hit_reserved ->
-                    Trace.emit t.trace
-                      (Trace.Ev_mshr_merge
-                         { cycle = now; where = Trace.S_l1 t.id; line;
-                           cta = pm.pm_cta; owner_cta })
-                | Cache.Hit | Cache.Rsrv_fail _ -> ()
-              end;
+              record_l1 t ~now ~line ~cta:pm.pm_cta ~cls:pm.pm_cls pm.pm_wl
+                outcome;
               match outcome with
-              | Cache.Hit ->
-                  req.Request.t_accept <- now;
-                  accept_times pm.pm_wl now;
-                  Ringbuf.push
-                    { hc_ready = now + t.cfg.Config.l1_hit_latency;
-                      hc_req = req }
-                    t.hit_pending;
-                  pm.pm_lines <- rest
-              | Cache.Hit_reserved ->
-                  req.Request.t_accept <- now;
-                  accept_times pm.pm_wl now;
-                  pm.pm_lines <- rest
-              | Cache.Miss ->
-                  req.Request.t_accept <- now;
-                  accept_times pm.pm_wl now;
-                  Icnt.inject_request icnt ~now req;
+              | Cache.Rsrv_fail _ -> ()
+              | Cache.Hit | Cache.Hit_reserved | Cache.Miss ->
+                  dispatch t ~now ~icnt req outcome;
                   pm.pm_lines <- rest;
-                  (* Section X.A: next-line prefetch for N loads, only
-                     when every resource is free (never displaces demand
-                     traffic at reservation time) *)
-                  if pm.pm_prefetch && Icnt.can_inject icnt ~sm:t.id then begin
-                    let pline = line + t.cfg.Config.line_size in
-                    if Cache.probe t.l1 ~line_addr:pline = `Absent then begin
-                      let preq =
-                        Request.make ~cta:(-1) ~line_addr:pline ~sm_id:t.id
-                          ~kind:Request.Load ~cls:pm.pm_cls ~wl:None ~now
-                      in
-                      match
-                        Cache.access_load t.l1 ~req:preq ~icnt_ok:true
-                      with
-                      | Cache.Miss ->
-                          Icnt.inject_request icnt ~now preq;
-                          t.stats.Stats.prefetches_issued <-
-                            t.stats.Stats.prefetches_issued + 1
-                      | Cache.Hit | Cache.Hit_reserved | Cache.Rsrv_fail _ ->
-                          ()
-                    end
-                  end
-              | Cache.Rsrv_fail _ -> ()))
+                  if pm.pm_prefetch && outcome = Cache.Miss then
+                    prefetch_next_line t ~now ~icnt ~line ~cls:pm.pm_cls))
   end
 
 (* Issue one IAR line batch: every buffered entry for [line] shares a
@@ -586,71 +558,28 @@ let iar_issue t ~now ~icnt ~line =
   match Mempolicy.iar_batch t.pol ~line with
   | [] -> () (* unreachable: select only returns buffered lines *)
   | prim :: secs -> (
-      let mk (e : Mempolicy.iar_entry) =
-        let req =
-          Request.make ~cta:e.Mempolicy.ie_cta ~line_addr:line ~sm_id:t.id
-            ~kind:e.Mempolicy.ie_kind ~cls:e.Mempolicy.ie_cls
-            ~wl:e.Mempolicy.ie_wl ~now
-        in
-        (match e.Mempolicy.ie_wl with
-        | Some wl -> req.Request.t_issue <- wl.Request.wl_t_issue
-        | None -> ());
-        req
+      let request (e : Mempolicy.iar_entry) =
+        line_request t ~now ~cta:e.Mempolicy.ie_cta ~line
+          ~kind:e.Mempolicy.ie_kind ~cls:e.Mempolicy.ie_cls e.Mempolicy.ie_wl
       in
-      let accept (req : Request.t) (e : Mempolicy.iar_entry) =
-        req.Request.t_accept <- now;
-        accept_times e.Mempolicy.ie_wl now
+      let req = request prim in
+      let outcome =
+        Cache.access_load t.l1 ~req ~icnt_ok:(Icnt.can_inject icnt ~sm:t.id)
       in
-      let req = mk prim in
-      let icnt_ok = Icnt.can_inject icnt ~sm:t.id in
-      let owner_cta =
-        if Trace.enabled t.trace then Cache.mshr_owner_cta t.l1 ~line_addr:line
-        else -1
-      in
-      let outcome = Cache.access_load t.l1 ~req ~icnt_ok in
-      Stats.record_l1_event t.stats outcome prim.Mempolicy.ie_cls;
-      if Trace.enabled t.trace then begin
-        Trace.emit t.trace
-          (Trace.Ev_access
-             { cycle = now; where = Trace.S_l1 t.id; line;
-               src = Trace.A_load prim.Mempolicy.ie_cls; outcome });
-        match outcome with
-        | Cache.Miss ->
-            Trace.emit t.trace
-              (Trace.Ev_mshr_alloc
-                 { cycle = now; where = Trace.S_l1 t.id; line;
-                   cta = prim.Mempolicy.ie_cta })
-        | Cache.Hit_reserved ->
-            Trace.emit t.trace
-              (Trace.Ev_mshr_merge
-                 { cycle = now; where = Trace.S_l1 t.id; line;
-                   cta = prim.Mempolicy.ie_cta; owner_cta })
-        | Cache.Hit | Cache.Rsrv_fail _ -> ()
-      end;
+      record_l1 t ~now ~line ~cta:prim.Mempolicy.ie_cta
+        ~cls:prim.Mempolicy.ie_cls prim.Mempolicy.ie_wl outcome;
       match outcome with
       | Cache.Rsrv_fail _ -> Mempolicy.iar_defer t.pol ~now
-      | Cache.Hit ->
-          accept req prim;
-          Ringbuf.push
-            { hc_ready = now + t.cfg.Config.l1_hit_latency; hc_req = req }
-            t.hit_pending;
+      | Cache.Hit | Cache.Hit_reserved | Cache.Miss ->
+          dispatch t ~now ~icnt req outcome;
           List.iter
             (fun e ->
-              let r = mk e in
-              accept r e;
-              Ringbuf.push
-                { hc_ready = now + t.cfg.Config.l1_hit_latency; hc_req = r }
-                t.hit_pending)
-            secs;
-          Mempolicy.iar_remove_line t.pol ~line
-      | Cache.Hit_reserved | Cache.Miss ->
-          accept req prim;
-          if outcome = Cache.Miss then Icnt.inject_request icnt ~now req;
-          List.iter
-            (fun e ->
-              let r = mk e in
-              accept r e;
-              ignore (Cache.mshr_attach t.l1 ~line_addr:line ~req:r))
+              let r = request e in
+              if outcome = Cache.Hit then dispatch t ~now ~icnt r outcome
+              else begin
+                accept ~now r;
+                ignore (Cache.mshr_attach t.l1 ~line_addr:line ~req:r)
+              end)
             secs;
           Mempolicy.iar_remove_line t.pol ~line)
 

@@ -6,14 +6,14 @@
    outcomes including the three reservation-fail kinds (Fig 3), MSHR
    allocate/merge/free with the requesting CTA (Figs 8-9), and
    interconnect/DRAM queue enqueue/dequeue.  Components hold one shared
-   [t] and call [emit] at each transition; the active [sink] decides
-   what happens to the event:
+   [t] and call [emit] at each transition (every cache load probe goes
+   through [probe]); the active [sink] decides what happens to the
+   event:
 
      Null     dropped — the production default.  Call sites guard event
               construction behind [enabled], so a run without tracing
               allocates nothing and [Stats.t] is byte-identical to a
               pre-trace build (the invariant test_trace checks).
-     Ring     last-N events kept in memory (tests, post-mortem).
      Stream   callback per event: the JSONL writer, the Chrome
               trace_event writer, and the [Profile] reducer are all
               stream sinks.
@@ -30,8 +30,9 @@ type dir = Dir_req | Dir_resp
 
 (* What kind of access probed the cache: a classified load, a store
    (write-evict / write-allocate probe), or a next-line prefetch.
-   Prefetch probes are not recorded in [Stats], so they are tagged
-   distinctly to keep trace-derived counts reconcilable. *)
+   Prefetch probes are not Fig 3 probes and are not recorded in
+   [Stats], so they are tagged distinctly to keep trace-derived counts
+   reconcilable. *)
 type acc_src = A_load of cls | A_store | A_prefetch
 
 type event =
@@ -79,49 +80,32 @@ type event =
   | Ev_dram_deq of { cycle : int; part : int; line : int }
   | Ev_occupancy of { cycle : int; sm : int; mshr : int; ldst_q : int }
 
-type ring = {
-  buf : event option array;
-  mutable head : int; (* next write position *)
-  mutable total : int; (* events ever emitted *)
-}
-
-type sink = Null | Ring of ring | Stream of (event -> unit)
+type sink = Null | Stream of (event -> unit)
 
 type t = { mutable sink : sink }
 
 let null () = { sink = Null }
 
-let ring_sink ~capacity =
-  { sink = Ring { buf = Array.make (max 1 capacity) None; head = 0; total = 0 } }
-
 let stream f = { sink = Stream f }
 
-let enabled t = match t.sink with Null -> false | Ring _ | Stream _ -> true
+let enabled t = match t.sink with Null -> false | Stream _ -> true
 
-let emit t ev =
-  match t.sink with
-  | Null -> ()
-  | Ring r ->
-      r.buf.(r.head) <- Some ev;
-      r.head <- (r.head + 1) mod Array.length r.buf;
-      r.total <- r.total + 1
-  | Stream f -> f ev
+let emit t ev = match t.sink with Null -> () | Stream f -> f ev
 
-(* Oldest-to-newest contents of a ring sink ([] for other sinks). *)
-let ring_contents t =
-  match t.sink with
-  | Ring r ->
-      let n = Array.length r.buf in
-      let acc = ref [] in
-      for i = n - 1 downto 0 do
-        match r.buf.((r.head + i) mod n) with
-        | Some ev -> acc := ev :: !acc
-        | None -> ()
-      done;
-      !acc
-  | Null | Stream _ -> []
-
-let ring_total t = match t.sink with Ring r -> r.total | _ -> 0
+(* One load probe of [cache]: its access, then the MSHR allocation of a
+   miss or the merge of a hit-reserved.  Called after the probe: a
+   merge prepends its waiter, so the in-flight entry's allocator is
+   still its last waiter and the owner lookup sees the allocating CTA. *)
+let probe t cache ~cycle ~where ~line ~src ~cta (outcome : Cache.outcome) =
+  emit t (Ev_access { cycle; where; line; src; outcome });
+  match outcome with
+  | Cache.Miss -> emit t (Ev_mshr_alloc { cycle; where; line; cta })
+  | Cache.Hit_reserved ->
+      emit t
+        (Ev_mshr_merge
+           { cycle; where; line; cta;
+             owner_cta = Cache.mshr_owner_cta cache ~line_addr:line })
+  | Cache.Hit | Cache.Rsrv_fail _ -> ()
 
 (* Swap the sink to Null for the duration of [f] (kernel filtering). *)
 let with_muted t f =

@@ -2,12 +2,13 @@
     memory-system transitions the paper's figures are built from.
 
     Components of the timing simulator share one {!t} and [emit] typed
-    events at each transition; the active sink decides what happens —
-    nothing (null), kept in a bounded ring (tests / post-mortem), or
-    streamed to a callback (JSONL writer, Chrome [trace_event] writer,
-    {!Profile} reducer).  Emission sites guard event construction
-    behind {!enabled}, so untraced runs allocate nothing and produce a
-    {!Stats.t} byte-identical to a build without tracing. *)
+    events at each transition, every cache load probe through
+    {!probe}.  One of two sinks decides what happens: nothing (null),
+    or a callback per event (JSONL writer, Chrome [trace_event]
+    writer, {!Profile} reducer, a test collecting a list).  Emission
+    sites guard event construction behind {!enabled}, so untraced runs
+    allocate nothing and produce a {!Stats.t} byte-identical to a
+    build without tracing. *)
 
 type cls = Dataflow.Classify.load_class
 
@@ -17,8 +18,9 @@ type side = S_l1 of int | S_l2 of int
 type dir = Dir_req | Dir_resp
 
 (** What probed the cache: a classified load, a store, or a next-line
-    prefetch (prefetch probes are not recorded in {!Stats}, so they are
-    tagged distinctly to keep trace-derived counts reconcilable). *)
+    prefetch (prefetch probes are not Fig 3 probes and are not recorded
+    in {!Stats}, so they are tagged distinctly to keep trace-derived
+    counts reconcilable). *)
 type acc_src = A_load of cls | A_store | A_prefetch
 
 type event =
@@ -67,17 +69,12 @@ type event =
   | Ev_occupancy of { cycle : int; sm : int; mshr : int; ldst_q : int }
       (** Periodic per-SM MSHR / LD-ST queue occupancy sample. *)
 
-type ring
-
-type sink = Null | Ring of ring | Stream of (event -> unit)
+type sink = Null | Stream of (event -> unit)
 
 type t = { mutable sink : sink }
 
 val null : unit -> t
 (** The production default: every emission is dropped. *)
-
-val ring_sink : capacity:int -> t
-(** Keep the last [capacity] events in memory. *)
 
 val stream : (event -> unit) -> t
 
@@ -87,11 +84,21 @@ val enabled : t -> bool
 
 val emit : t -> event -> unit
 
-val ring_contents : t -> event list
-(** Oldest-to-newest contents of a ring sink; [[]] for other sinks. *)
-
-val ring_total : t -> int
-(** Events ever emitted into a ring sink (may exceed its capacity). *)
+val probe :
+  t ->
+  Cache.t ->
+  cycle:int ->
+  where:side ->
+  line:int ->
+  src:acc_src ->
+  cta:int ->
+  Cache.outcome ->
+  unit
+(** Record one load probe of the cache: the [Ev_access], then a miss's
+    [Ev_mshr_alloc] (for [cta]) or a hit-reserved's [Ev_mshr_merge],
+    whose owner is the in-flight entry's allocating CTA.  Call it right
+    after {!Cache.access_load}; stores reserve no MSHR and emit a bare
+    [Ev_access] instead. *)
 
 val with_muted : t -> (unit -> 'a) -> 'a
 (** Run [f] with the sink swapped to [Null] (kernel filtering). *)

@@ -1,8 +1,10 @@
 (* Unit tests for the Profile reducer: log-2 histogram bucket edges,
    merge associativity/commutativity, JSON round-trip, golden
-   per-category turnaround digests for two apps, and — for all 15 apps
-   — reconciliation of trace-derived counts against the Stats.t
-   counters of the same run (which the trace layer must not perturb). *)
+   per-category turnaround digests for two apps, reconciliation of
+   trace-derived counts against the Stats.t counters of the same run
+   for all 15 apps (the trace layer must not perturb the run), and MSHR
+   conservation in the trace of drained runs under every policy
+   family. *)
 
 module P = Gsim.Profile
 module Json = Gsim.Stats_io.Json
@@ -243,6 +245,84 @@ let reconcile_app name () =
   Alcotest.(check int) "accepted stores" s.Gsim.Stats.global_stores
     p.P.store_ok
 
+(* ---------------- MSHR conservation ---------------- *)
+
+(* Every MSHR entry a probe allocates is freed by exactly one fill, so
+   over a drained run each cache's Ev_mshr_alloc and Ev_mshr_free
+   counts match.  Next-line prefetch probes allocate too: the L1's
+   prefetch misses are the prefetches Stats counts as issued. *)
+let test_mshr_conservation () =
+  let np = Gsim.Config.no_policy in
+  let policies =
+    [ ("baseline", Gsim.Config.Baseline);
+      ("iar", Gsim.Config.Iar Gsim.Config.default_iar);
+      ("holistic", Gsim.Config.Holistic Gsim.Config.default_holistic);
+      ("prefetch", Gsim.Config.Ndet_flags { np with lp_prefetch = true });
+      ("bypass", Gsim.Config.Ndet_flags { np with lp_bypass = true });
+      ("split-4", Gsim.Config.Ndet_flags { np with lp_split = 4 }) ]
+  in
+  let side_name = function
+    | Gsim.Trace.S_l1 sm -> Printf.sprintf "L1 of SM %d" sm
+    | Gsim.Trace.S_l2 part -> Printf.sprintf "L2 partition %d" part
+  in
+  List.iter
+    (fun (app_name, (pname, policy)) ->
+      let label = Printf.sprintf "%s %s" app_name pname in
+      let cfg =
+        Gsim.Config.default
+        |> Gsim.Config.with_caps ~max_warp_insts:0 ()
+        |> Gsim.Config.with_policy policy
+      in
+      (* side -> (allocs, frees) *)
+      let mshr = Hashtbl.create 32 in
+      let count where f =
+        let a, fr = Option.value ~default:(0, 0) (Hashtbl.find_opt mshr where) in
+        Hashtbl.replace mshr where (f (a, fr))
+      in
+      let pf_misses = ref 0 in
+      let p = P.create () in
+      let trace =
+        Gsim.Trace.stream (fun ev ->
+            P.add p ev;
+            match ev with
+            | Gsim.Trace.Ev_mshr_alloc { where; _ } ->
+                count where (fun (a, f) -> (a + 1, f))
+            | Gsim.Trace.Ev_mshr_free { where; _ } ->
+                count where (fun (a, f) -> (a, f + 1))
+            | Gsim.Trace.Ev_access
+                { where = Gsim.Trace.S_l1 _; src = Gsim.Trace.A_prefetch;
+                  outcome = Gsim.Cache.Miss; _ } ->
+                incr pf_misses
+            | _ -> ())
+      in
+      let r =
+        ok
+          (Critload.Runner.run ~cfg ~scale:Workloads.App.Small ~trace
+             (Workloads.Suite.find app_name))
+      in
+      Alcotest.(check bool) (label ^ ": drained") false
+        r.Critload.Runner.Report.truncated;
+      Alcotest.(check bool) (label ^ ": MSHRs allocated") true
+        (Hashtbl.length mshr > 0);
+      Hashtbl.iter
+        (fun where (allocs, frees) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s allocs = frees" label (side_name where))
+            allocs frees)
+        mshr;
+      let issued =
+        (Critload.Runner.Report.stats_exn r).Gsim.Stats.prefetches_issued
+      in
+      Alcotest.(check bool) (label ^ ": prefetches iff prefetch policy")
+        (pname = "prefetch") (issued > 0);
+      Alcotest.(check int) (label ^ ": L1 prefetch misses = issued") issued
+        !pf_misses;
+      Alcotest.(check int) (label ^ ": profile prefetch misses = issued")
+        issued p.P.prefetch_misses)
+    (List.concat_map
+       (fun app -> List.map (fun pol -> (app, pol)) policies)
+       [ "bfs"; "spmv"; "sssp"; "mis" ])
+
 let reconcile_tests =
   List.map
     (fun name ->
@@ -258,6 +338,8 @@ let tests =
     Alcotest.test_case "profile JSON round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "golden digest: 2mm" `Quick test_golden_2mm;
     Alcotest.test_case "golden digest: bfs" `Quick test_golden_bfs;
+    Alcotest.test_case "MSHR allocs = frees, prefetch probes traced" `Slow
+      test_mshr_conservation;
   ]
 
 let () =

@@ -1,7 +1,7 @@
-(* Unit tests for the trace event layer: ring-sink semantics, JSON
+(* Unit tests for the trace event layer: sink semantics, JSON
    round-trips of every event constructor, the JSONL / Chrome stream
-   sinks, the Cache/Simplecache access-counting convention, and an
-   end-to-end 2-CTA kernel whose ring-captured event stream must show
+   sinks, the cache's reservation-fail retry sequence, and an
+   end-to-end 2-CTA kernel whose collected event stream must show
    issue -> probe -> return ordering, correct D/N tags, and an MSHR
    merge between distinct CTAs. *)
 
@@ -12,45 +12,36 @@ module Json = Gsim.Stats_io.Json
 let d = Dataflow.Classify.Deterministic
 let n = Dataflow.Classify.Nondeterministic
 
-(* A cheap distinguishable event for ring bookkeeping tests. *)
+(* A cheap distinguishable event for sink bookkeeping tests. *)
 let occ c = Gsim.Trace.Ev_occupancy { cycle = c; sm = 0; mshr = 0; ldst_q = 0 }
+
+(* A stream sink that collects every event; the getter returns them in
+   emission order. *)
+let collector () =
+  let got = ref [] in
+  (Gsim.Trace.stream (fun e -> got := e :: !got), fun () -> List.rev !got)
 
 (* ---------------- sink plumbing ---------------- *)
 
 let test_enabled () =
   Alcotest.(check bool) "null sink disabled" false
     (Gsim.Trace.enabled (Gsim.Trace.null ()));
-  Alcotest.(check bool) "ring sink enabled" true
-    (Gsim.Trace.enabled (Gsim.Trace.ring_sink ~capacity:4));
   Alcotest.(check bool) "stream sink enabled" true
-    (Gsim.Trace.enabled (Gsim.Trace.stream (fun _ -> ())));
-  Alcotest.(check bool) "null sink keeps nothing" true
-    (let t = Gsim.Trace.null () in
-     Gsim.Trace.emit t (occ 1);
-     Gsim.Trace.ring_contents t = [] && Gsim.Trace.ring_total t = 0)
-
-let test_ring_wrap () =
-  let t = Gsim.Trace.ring_sink ~capacity:2 in
-  List.iter (Gsim.Trace.emit t) [ occ 1; occ 2; occ 3 ];
-  Alcotest.(check int) "total counts evicted events" 3
-    (Gsim.Trace.ring_total t);
-  Alcotest.(check bool) "oldest event evicted, order kept" true
-    (Gsim.Trace.ring_contents t = [ occ 2; occ 3 ])
+    (Gsim.Trace.enabled (Gsim.Trace.stream (fun _ -> ())))
 
 let test_stream_sink () =
-  let got = ref [] in
-  let t = Gsim.Trace.stream (fun e -> got := e :: !got) in
+  let t, events = collector () in
   List.iter (Gsim.Trace.emit t) [ occ 1; occ 2 ];
   Alcotest.(check bool) "stream callback sees every event" true
-    (List.rev !got = [ occ 1; occ 2 ])
+    (events () = [ occ 1; occ 2 ])
 
 let test_with_muted () =
-  let t = Gsim.Trace.ring_sink ~capacity:8 in
+  let t, events = collector () in
   Gsim.Trace.emit t (occ 1);
   Gsim.Trace.with_muted t (fun () -> Gsim.Trace.emit t (occ 2));
   Gsim.Trace.emit t (occ 3);
   Alcotest.(check bool) "muted emission dropped" true
-    (Gsim.Trace.ring_contents t = [ occ 1; occ 3 ]);
+    (events () = [ occ 1; occ 3 ]);
   (* the sink must be restored even when the muted section raises *)
   (try
      Gsim.Trace.with_muted t (fun () -> failwith "boom")
@@ -58,8 +49,8 @@ let test_with_muted () =
   Alcotest.(check bool) "sink restored after exception" true
     (Gsim.Trace.enabled t);
   Gsim.Trace.emit t (occ 4);
-  Alcotest.(check int) "post-exception emission recorded" 3
-    (Gsim.Trace.ring_total t)
+  Alcotest.(check bool) "post-exception emission recorded" true
+    (events () = [ occ 1; occ 3; occ 4 ])
 
 (* ---------------- JSON round-trips ---------------- *)
 
@@ -174,11 +165,11 @@ let test_chrome_sink () =
 
 (* ---------------- access-counting convention ---------------- *)
 
-(* Cache.completed_accesses and Simplecache.accesses must agree on what
-   an "access" is: each logical access once — reservation failures are
-   retried probe cycles, not extra accesses.  Regression for the
-   MSHR-full-then-retry path, where the in-flight cache used to count
-   the failed probe too. *)
+(* A reservation failure is a retried probe cycle, not an extra access:
+   the MSHR-full-then-retry path leaves no state behind, and the retry
+   completes as a plain miss once the MSHR frees.  (The 15-app
+   reconcile cases in test_profile check that completed L1 load probes
+   in the trace equal Stats' per-class accesses.) *)
 let test_completed_accesses_convention () =
   let c =
     Gsim.Cache.create ~sets:2 ~ways:2 ~line_size:128 ~mshr_entries:1
@@ -189,7 +180,7 @@ let test_completed_accesses_convention () =
       ~kind:Gsim.Request.Load ~cls:d ~wl:None ~now:0
   in
   (* miss A; merge A; B fails twice on the single busy MSHR; after the
-     fill B's retry misses; A hits: 4 completed accesses, 6 probes *)
+     fill B's retry misses; A hits *)
   assert (Gsim.Cache.access_load c ~req:(req 0) ~icnt_ok:true = Gsim.Cache.Miss);
   assert (
     Gsim.Cache.access_load c ~req:(req 0) ~icnt_ok:true
@@ -203,15 +194,7 @@ let test_completed_accesses_convention () =
   ignore (Gsim.Cache.fill c ~line_addr:0);
   assert (
     Gsim.Cache.access_load c ~req:(req 128) ~icnt_ok:true = Gsim.Cache.Miss);
-  assert (Gsim.Cache.access_load c ~req:(req 0) ~icnt_ok:true = Gsim.Cache.Hit);
-  Alcotest.(check int) "retried probes are not extra accesses" 4
-    (Gsim.Cache.completed_accesses c);
-  (* the serial cache sees the same logical access sequence (a merge
-     resolves immediately there, as a hit) *)
-  let sc = Gsim.Simplecache.create ~sets:2 ~ways:2 ~line_size:128 in
-  List.iter (fun l -> ignore (Gsim.Simplecache.access sc l)) [ 0; 0; 128; 0 ];
-  Alcotest.(check int) "simplecache counts each access once" 4
-    (Gsim.Simplecache.accesses sc)
+  assert (Gsim.Cache.access_load c ~req:(req 0) ~icnt_ok:true = Gsim.Cache.Hit)
 
 (* ---------------- end-to-end: 2 CTAs, one D and one N load ---------------- *)
 
@@ -250,11 +233,9 @@ let mk_launch () =
 let e2e_cfg = Gsim.Config.default |> Gsim.Config.with_n_sms 1
 
 let test_e2e_event_stream () =
-  let trace = Gsim.Trace.ring_sink ~capacity:65536 in
+  let trace, events = collector () in
   let machine = Gsim.Gpu.run ~cfg:e2e_cfg ~trace (mk_launch ()) in
-  let evs = Gsim.Trace.ring_contents trace in
-  Alcotest.(check int) "nothing wrapped" (Gsim.Trace.ring_total trace)
-    (List.length evs);
+  let evs = events () in
   let indexed = List.mapi (fun i e -> (i, e)) evs in
   let issues =
     List.filter_map
@@ -357,14 +338,13 @@ let test_e2e_event_stream () =
   (* tracing must not perturb the simulation: identical run, null sink *)
   let m0 = Gsim.Gpu.run ~cfg:e2e_cfg (mk_launch ()) in
   let bytes s = Json.to_string (Gsim.Stats_io.stats_to_json s) in
-  Alcotest.(check string) "ring-sink stats byte-identical to untraced"
+  Alcotest.(check string) "traced stats byte-identical to untraced"
     (bytes m0.Gsim.Gpu.stats)
     (bytes machine.Gsim.Gpu.stats)
 
 let tests =
   [
     Alcotest.test_case "sinks: enabled / null" `Quick test_enabled;
-    Alcotest.test_case "sinks: ring wrap + total" `Quick test_ring_wrap;
     Alcotest.test_case "sinks: stream callback" `Quick test_stream_sink;
     Alcotest.test_case "sinks: with_muted" `Quick test_with_muted;
     Alcotest.test_case "json: every constructor round-trips" `Quick
