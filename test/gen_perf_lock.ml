@@ -1,9 +1,10 @@
 (* Golden-digest generator for the perf-lock differential suite.
 
-   Runs every app of the suite through the timing simulator at the
-   pinned configuration below and prints one line per app:
+   Runs every row of Perf_lock.rows — each app of the suite, then the
+   "iar/<app>" rows — through the timing simulator at its pinned
+   configuration and prints one line per row:
 
-     <app> <stats_md5> <profile_md5> <trace_md5>
+     <key> <stats_md5> <profile_md5> <trace_md5>
 
    The digests cover the full Stats.t JSON document, the Profile.t JSON
    document, and the complete JSONL trace event stream.  The output is
@@ -17,9 +18,8 @@
 
 let () =
   List.iter
-    (fun (a : Workloads.App.t) ->
-      let name = a.Workloads.App.name in
-      let d = Perf_lock.digest_app (Workloads.Suite.find name) in
-      Printf.printf "%s %s %s %s\n" name d.Perf_lock.dg_stats
+    (fun (key, app, cfg) ->
+      let d = Perf_lock.digest_app ~cfg (Workloads.Suite.find app) in
+      Printf.printf "%s %s %s %s\n" key d.Perf_lock.dg_stats
         d.Perf_lock.dg_profile d.Perf_lock.dg_trace)
-    Workloads.Suite.all
+    Perf_lock.rows
