@@ -65,7 +65,13 @@ val throttle_steps : t -> int
     Holds individual line requests of buffered loads; [Sm] issues at
     most one line batch per cycle, probing the L1 once for the whole
     batch and attaching the secondaries to the primary's MSHR entry.
-    All hooks are no-ops / empty under non-IAR policies. *)
+    All hooks are no-ops / empty under non-IAR policies.
+
+    Costs, for a buffer of [n] entries on [l] distinct lines:
+    {!iar_room}, {!iar_pending} and {!iar_defer} are O(1); {!iar_add}
+    is O(l); {!iar_select} is O(1), plus one O(l) recount on the first
+    call after an add or a remove; {!iar_batch} and {!iar_remove_line}
+    are O(n).  Only {!iar_batch} allocates (its result list). *)
 
 type iar_entry = {
   ie_line : int;  (** cache-line address *)
@@ -81,7 +87,12 @@ val iar_room : t -> n:int -> bool
     policies (callers then use the in-order queue). *)
 
 val iar_add : t -> iar_entry -> unit
-(** Buffer one line entry.  Call only after {!iar_room}. *)
+(** Buffer one line entry.  Call only after {!iar_room}: an add to a
+    full buffer raises {!Sim_error.Error} with kind [Internal].
+    Precondition: [e.ie_born] is no smaller than that of any entry
+    already buffered ([Sm] stamps entries with its current cycle), so
+    the oldest entry is the first to age — {!iar_select} reads only
+    that one. *)
 
 val iar_pending : t -> int
 (** Buffered line entries (0 under non-IAR policies). *)
