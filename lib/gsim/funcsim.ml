@@ -205,7 +205,10 @@ let run_cta t ~launch ~max_warp_insts cta_lin =
   t.warp_insts <- t.warp_insts + wi;
   t.thread_insts <- t.thread_insts + ti;
   t.ctas_run <- t.ctas_run + 1;
-  if not (budget_left ()) then t.capped <- true
+  (* [t.warp_insts] now holds this CTA's instructions: [budget_left]
+     would count them twice *)
+  if max_warp_insts <> 0 && t.warp_insts >= max_warp_insts then
+    t.capped <- true
 
 (* Run one launch, accumulating into [t] (multi-kernel applications
    share one stats object across their launches). *)

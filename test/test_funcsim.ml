@@ -160,6 +160,34 @@ let test_parse_comments_and_offsets () =
   | Ptx.Instr.Ld (Global, U32, 1, { abase = Reg 0; aoffset = 64 }) -> ()
   | i -> Alcotest.failf "unexpected instruction %s" (Ptx.Instr.to_string i)
 
+(* ---------------- instruction cap ---------------- *)
+
+(* A capped run executes exactly min(cap, total) warp instructions,
+   wherever the cap falls: 2mm's Small first launch is 16 CTAs of
+   equal length, and caps inside the second CTA, on a CTA boundary
+   and past the end must all be honoured to the instruction. *)
+let test_func_cap_exact () =
+  let run cap =
+    let r = (Workloads.Suite.find "2mm").App.make App.Small in
+    match r.App.next_launch () with
+    | Some launch -> Gsim.Funcsim.run ~max_warp_insts:cap launch
+    | None -> Alcotest.fail "2mm has no launch"
+  in
+  let full = run 0 in
+  let total = full.Gsim.Funcsim.warp_insts in
+  let per_cta = total / full.Gsim.Funcsim.ctas_run in
+  List.iter
+    (fun cap ->
+      let fs = run cap in
+      Alcotest.(check int)
+        (Printf.sprintf "cap %d: warp insts" cap)
+        (min cap total) fs.Gsim.Funcsim.warp_insts;
+      Alcotest.(check bool)
+        (Printf.sprintf "cap %d: capped" cap)
+        (cap < total) fs.Gsim.Funcsim.capped)
+    [ 1; per_cta - 1; per_cta; per_cta * 3 / 2; 5 * per_cta; total - 1;
+      total + 1 ]
+
 (* ---------------- warp utility properties ---------------- *)
 
 let prop_popcount =
@@ -210,6 +238,7 @@ let tests =
     Alcotest.test_case "parser error reporting" `Quick test_parse_errors;
     Alcotest.test_case "parser comments and offsets" `Quick
       test_parse_comments_and_offsets;
+    Alcotest.test_case "instruction cap is exact" `Quick test_func_cap_exact;
     QCheck_alcotest.to_alcotest prop_popcount;
     Alcotest.test_case "full_mask" `Quick test_full_mask;
   ]
