@@ -8,18 +8,16 @@
      main.exe --out results/  additionally write each experiment to
                               results/<id>.txt
 
-   main.exe --jobs 8 sweep   parallel timing sweep of all 15 apps
-                             (forked workers; writes sweep.json under
-                             --out, table rendered from the JSON)
-   main.exe --policies baseline,iar,holistic sweep
-                             same sweep under each memory-system
-                             policy (policy column in the table)
-   main.exe policies         policy comparison table: speedup and
+   main.exe --jobs 8 policies
+                             policy comparison table: speedup and
                              reservation-fail deltas vs baseline
 
    Experiment ids: table1 table2 table3 fig1..fig12 ablate-split
    ablate-cta ablate-l2 ablate-prefetch ablate-bypass ablate-warpsched
-   ablate-advisor sensitivity sweep policies all *)
+   ablate-advisor sensitivity policies all
+
+   A parallel sweep of the suite is `critload sweep` (--policy P,
+   --jobs N, --out FILE). *)
 
 module E = Critload.Experiments
 
@@ -49,91 +47,6 @@ let experiments scale : (string * (unit -> string)) list =
     ("ablate-advisor", fun () -> E.render_ablate_advisor scale);
     ("sensitivity", fun () -> E.render_sensitivity ());
   ]
-
-(* ---- parallel timing sweep over the whole suite ---- *)
-
-(* Runs every app through the cycle simulator across forked workers and
-   renders the summary table from the JSON that crossed the process
-   boundary — the same schema `critload sweep` writes to disk. *)
-let sweep ~jobs ~scale ~out_dir ~policies () =
-  let module P = Critload.Parsweep in
-  let apps =
-    List.map (fun (a : Workloads.App.t) -> a.Workloads.App.name)
-      Workloads.Suite.all
-  in
-  let cfg = E.timing_cfg () in
-  let policies =
-    match policies with [] -> [ Gsim.Config.Baseline ] | ps -> ps
-  in
-  let cfgs =
-    List.map
-      (fun p ->
-        (Gsim.Config.policy_name p, cfg |> Gsim.Config.with_policy p))
-      policies
-  in
-  let job_list = P.jobs ~apps ~scales:[ scale ] ~cfgs () in
-  let on_event = function
-    | P.Finished (j, dt) ->
-        Printf.eprintf "sweep: %s done in %.1fs\n%!" j.P.sj_app dt
-    | P.Retried (j, reason) ->
-        Printf.eprintf "sweep: %s crashed (%s), retrying\n%!" j.P.sj_app
-          reason
-    | P.Gave_up (j, reason) ->
-        Printf.eprintf "sweep: %s FAILED: %s\n%!" j.P.sj_app reason
-    | P.Cached j -> Printf.eprintf "sweep: %s cached\n%!" j.P.sj_app
-    | P.Cache_damage (j, reason) ->
-        Printf.eprintf "sweep: %s damaged cache entry (%s); recomputing\n%!"
-          j.P.sj_app reason
-    | P.Started _ | P.Skipped _ -> ()
-  in
-  let outcomes = P.run ~workers:jobs ~timeout:1800. ~on_event job_list in
-  let buf = Buffer.create 1024 in
-  let truncated = ref 0 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-6s %-9s %10s %10s %8s %8s %8s %8s %8s %8s\n" "app"
-       "policy" "cycles" "warpinsts" "req/w N" "req/w D" "L1m% N" "L1m% D"
-       "turn N" "turn D");
-  List.iteri
-    (fun i (j : P.job) ->
-      match outcomes.(i) with
-      | P.Failed msg ->
-          Buffer.add_string buf
-            (Printf.sprintf "%-6s %-9s FAILED: %s\n" j.P.sj_app j.P.sj_label
-               msg)
-      | P.Completed payload ->
-          let t = P.timing_summary_of_json payload in
-          let s = t.P.tm_stats in
-          if s.Gsim.Stats.truncated then incr truncated;
-          let open Dataflow.Classify in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "%-6s %-9s %10d %10d %8.2f %8.2f %8.1f %8.1f %8.0f %8.0f%s\n"
-               j.P.sj_app j.P.sj_label s.Gsim.Stats.cycles
-               s.Gsim.Stats.warp_insts
-               (Gsim.Stats.requests_per_warp s Nondeterministic)
-               (Gsim.Stats.requests_per_warp s Deterministic)
-               (100. *. Gsim.Stats.l1_miss_ratio s Nondeterministic)
-               (100. *. Gsim.Stats.l1_miss_ratio s Deterministic)
-               (Gsim.Stats.avg_turnaround s Nondeterministic)
-               (Gsim.Stats.avg_turnaround s Deterministic)
-               (if s.Gsim.Stats.truncated then "  [truncated]" else "")))
-    job_list;
-  if !truncated > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "note: %d run(s) hit an instruction/cycle cap; their counters \
-          cover only the simulated prefix\n"
-         !truncated);
-  (match out_dir with
-  | None -> ()
-  | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let oc = open_out (Filename.concat dir "sweep.json") in
-      Gsim.Stats_io.Json.to_channel oc
-        (P.sweep_to_json ~jobs:job_list ~outcomes);
-      output_char oc '\n';
-      close_out oc);
-  Buffer.contents buf
 
 (* ---- memory-system policy comparison ----
 
@@ -232,11 +145,7 @@ let () =
     else
       List.map
         (fun name ->
-          if name = "sweep" then
-            ( name,
-              sweep ~jobs:!jobs ~scale:!scale ~out_dir:!out_dir
-                ~policies:!policies )
-          else if name = "policies" then
+          if name = "policies" then
             ( name,
               policy_bench ~jobs:!jobs ~scale:!scale ~out_dir:!out_dir
                 ~policies:!policies )
@@ -246,7 +155,7 @@ let () =
             | None ->
                 failwith
                   (Printf.sprintf
-                     "unknown experiment %s (have: %s, sweep, policies)"
+                     "unknown experiment %s (have: %s, policies)"
                      name
                      (String.concat ", " (List.map fst exps)))
         )

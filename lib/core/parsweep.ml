@@ -91,8 +91,9 @@ let normalize_kernel k =
    deterministic — a driver's host logic sees the untouched initial
    memory image — so it names the app's content reproducibly even
    though the enumerated sequence can be shorter than a real run's.
-   Deliberately not memoized by app name: two [App.t] values may share
-   a name yet differ in seed or kernels, and must digest apart. *)
+   Not memoized here: two [App.t] values may share a name yet differ in
+   seed or kernels, and must digest apart.  The memo lives in
+   [suite_fingerprint], where the name alone picks the app. *)
 let app_fingerprint (app : Workloads.App.t) scale =
   let b = Buffer.create 4096 in
   Printf.ksprintf (Buffer.add_string b) "%s|seed=%#x|scale=%s"
@@ -119,13 +120,32 @@ let app_fingerprint (app : Workloads.App.t) scale =
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* A fingerprint runs the app's [make], which costs what generating its
+   dataset does (sssp about 0.2 s at Default), and a daemon digests in
+   its select loop.  [Suite.all] is an immutable list with one value per
+   name, so the registry name [Suite.find] resolves, with the scale,
+   names one fingerprint for the life of the process: the table fills
+   on the first digest of each pair and holds at most 15 x 3 entries.
+   An unknown name raises in [Suite.find] before the table is touched,
+   so a failure is never memoized. *)
+let suite_fingerprint =
+  let memo = Hashtbl.create 16 in
+  fun name scale ->
+    let app = Workloads.Suite.find name in
+    let key = (app.Workloads.App.name, scale) in
+    match Hashtbl.find_opt memo key with
+    | Some fp -> fp
+    | None ->
+        let fp = app_fingerprint app scale in
+        Hashtbl.add memo key fp;
+        fp
+
 let job_digest j =
-  let app = Workloads.Suite.find j.sj_app in
   let payload =
     String.concat "\n"
       [ cache_schema;
         Version.sim_tag;
-        app_fingerprint app j.sj_scale;
+        suite_fingerprint j.sj_app j.sj_scale;
         Gsim.Stats_io.config_digest j.sj_cfg;
         string_of_mode j.sj_mode;
         (if j.sj_warmup then "warmup" else "nowarmup");

@@ -80,11 +80,17 @@ val job_key : job -> string
 val app_fingerprint : Workloads.App.t -> Workloads.App.scale -> string
 (** Hex digest naming the app's content at a scale (kernels, launch
     geometry, dataset seed).  Launches are enumerated without
-    simulating between them, which is deterministic. *)
+    simulating between them, which is deterministic.  Every call runs
+    the app's [make], so it costs what generating the dataset does. *)
 
 val job_digest : job -> string
-(** Hex digest addressing a job's cache entry.
-    @raise Not_found when [sj_app] names no known application. *)
+(** Hex digest addressing a job's cache entry.  The first digest of an
+    (app, scale) in a process computes its {!app_fingerprint}, one
+    [make] (up to about 0.2 s at Default); later digests of that pair
+    reuse it and cost about 10 µs.  The memo is keyed by registry name
+    and scale, so it holds at most one entry per suite app and scale.
+    @raise Invalid_argument when [sj_app] names no known application
+    (nothing is memoized then). *)
 
 (** Verdict of probing the store for one job: a {!Cache_hit} passed
     every structural check (entry parses, names the job's digest,

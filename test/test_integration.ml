@@ -1,8 +1,8 @@
 (* Cross-cutting integration tests: printer/parser stability over every
    kernel in the suite, classification stability across the
    parse round-trip, the prefetcher ablation's effect, barrier-heavy
-   kernels under the cycle simulator, and timing/functional agreement
-   on final memory contents. *)
+   kernels under the cycle simulator, timing/functional agreement on
+   final memory contents, and the warmup pre-pass's answers. *)
 
 module App = Workloads.App
 
@@ -224,6 +224,21 @@ let test_prefetch_preserves_results () =
   done;
   Alcotest.(check bool) "spmv verifies under prefetch" true (run.App.check ())
 
+(* The warmup pre-pass's answers, in [Suite.all] order: the index of
+   the first launch each app's timing run cycle-simulates.  Pinned so
+   a rework of the pre-pass must keep them. *)
+let test_warmup_launches scale expected () =
+  let answers =
+    List.map
+      (fun (app : App.t) ->
+        (app.App.name, Critload.Runner.warmup_launches app scale))
+      Workloads.Suite.all
+  in
+  Alcotest.(check (list (pair string int)))
+    (App.string_of_scale scale ^ " warmup launches")
+    (List.combine Workloads.Suite.names expected)
+    answers
+
 let tests =
   [
     Alcotest.test_case "round-trip: all suite kernels" `Quick
@@ -244,6 +259,12 @@ let tests =
       test_bypass_preserves_results;
     Alcotest.test_case "prefetch preserves results (spmv)" `Slow
       test_prefetch_preserves_results;
+    Alcotest.test_case "warmup launches (small)" `Quick
+      (test_warmup_launches App.Small
+         [ 0; 1; 0; 1; 0; 0; 1; 0; 0; 1; 6; 0; 0; 1; 0 ]);
+    Alcotest.test_case "warmup launches (default)" `Slow
+      (test_warmup_launches App.Default
+         [ 0; 1; 2; 1; 0; 0; 1; 0; 0; 1; 10; 0; 0; 1; 0 ]);
   ]
 
 let () = Alcotest.run "integration" [ ("integration", tests) ]

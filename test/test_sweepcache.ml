@@ -53,6 +53,49 @@ let test_digest_invariants () =
   differs "profile" (P.job ~cfg ~warmup:false ~profile:true "2mm");
   differs "app" (P.job ~cfg ~warmup:false "gaus")
 
+(* [job_digest] memoizes fingerprints by (registry name, scale); that is
+   sound only if a fingerprint is a function of the app and scale.  Two
+   fresh [app_fingerprint] calls of each suite app must agree, with
+   every other app's fingerprint and the digests that fill the memo
+   run in between. *)
+let test_fingerprint_deterministic () =
+  List.iter
+    (fun scale ->
+      let fingerprints () =
+        List.map
+          (fun (app : Workloads.App.t) ->
+            (app.Workloads.App.name, P.app_fingerprint app scale))
+          Workloads.Suite.all
+      in
+      let first = fingerprints () in
+      List.iter
+        (fun name -> ignore (P.job_digest (P.job ~cfg ~scale name)))
+        Workloads.Suite.names;
+      List.iter2
+        (fun (name, a) (_, b) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s at %s: fresh fingerprints agree" name
+               (Workloads.App.string_of_scale scale))
+            a b)
+        first (fingerprints ()))
+    [ Workloads.App.Small; Workloads.App.Default ]
+
+(* An unknown app raises from every digest and probes as a plain miss
+   every time: a failed lookup leaves nothing in the memo. *)
+let test_unknown_app_not_memoized () =
+  let dir = fresh_dir () in
+  let j = P.job ~cfg "no-such-app" in
+  for call = 1 to 2 do
+    (match P.job_digest j with
+    | exception Invalid_argument _ -> ()
+    | d -> Alcotest.failf "call %d: unknown app digested to %s" call d);
+    Alcotest.(check bool)
+      (Printf.sprintf "call %d: unknown app probes as a miss" call)
+      true
+      (P.cache_probe ~dir j = P.Cache_miss)
+  done;
+  rm_rf dir
+
 let test_seed_changes_fingerprint () =
   let app = Workloads.Suite.find "2mm" in
   let app' = { app with Workloads.App.seed = app.Workloads.App.seed + 1 } in
@@ -306,6 +349,10 @@ let () =
       ( "digest",
         [
           Alcotest.test_case "invariants" `Quick test_digest_invariants;
+          Alcotest.test_case "fingerprint deterministic" `Slow
+            test_fingerprint_deterministic;
+          Alcotest.test_case "unknown app not memoized" `Quick
+            test_unknown_app_not_memoized;
           Alcotest.test_case "seed" `Quick test_seed_changes_fingerprint;
           Alcotest.test_case "kernel-text" `Quick test_kernel_text_sensitivity;
         ] );
