@@ -9,11 +9,12 @@
      sweep                       parallel multi-app sweep, JSON export
      serve                       long-running sweep daemon (Unix socket)
      submit                      client of a running serve daemon
+     experiment [ID...]          regenerate the paper's tables and figures
      list                        list the applications
 
    Exit codes follow the Critload.Exit_code table: 0 ok, 1 check
    failure, 2 bad usage, 3 simulator error, 4 timeout, 5 server
-   unavailable, 130 interrupted. *)
+   unavailable, 124 bad argument, 130 interrupted. *)
 
 open Cmdliner
 module EC = Critload.Exit_code
@@ -30,11 +31,9 @@ let find_app ~cmd name =
       Printf.eprintf "%s: %s\n" cmd msg;
       exit EC.usage
 
-let check_app_names ~cmd names =
-  try List.iter (fun a -> ignore (Workloads.Suite.find a)) names
-  with Invalid_argument msg ->
-    Printf.eprintf "%s: %s\n" cmd msg;
-    exit EC.usage
+let suite_names =
+  List.map (fun (a : Workloads.App.t) -> a.Workloads.App.name)
+    Workloads.Suite.all
 
 let scale_arg =
   let scale_conv =
@@ -47,9 +46,9 @@ let scale_arg =
     & opt scale_conv Workloads.App.Default
     & info [ "scale" ] ~docv:"SCALE" ~doc:"Dataset scale: small|default|large.")
 
-let cap_arg =
+let cap_arg ?(default = 150_000) () =
   Arg.(
-    value & opt int 150_000
+    value & opt int default
     & info [ "cap" ] ~docv:"N"
         ~doc:"Warp-instruction cap for cycle simulation (0 = none).")
 
@@ -63,8 +62,18 @@ let app_arg =
    workers, selects an output encoding or filters by kernel uses the
    same flag names. *)
 
+(* An output file in a directory that does not exist is an argument
+   error (exit 124), reported before any work runs. *)
+let out_file =
+  let parse s =
+    let dir = Filename.dirname s in
+    if s = "-" || (Sys.file_exists dir && Sys.is_directory dir) then Ok s
+    else Error (`Msg (Printf.sprintf "directory %s does not exist" dir))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let out_arg ?(doc = "Output file ('-' for stdout).") () =
-  Arg.(value & opt string "-" & info [ "out"; "o" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt out_file "-" & info [ "out"; "o" ] ~docv:"FILE" ~doc)
 
 let jobs_arg ?(default = 4) () =
   Arg.(
@@ -100,11 +109,11 @@ let policy_arg =
 
 (* Sweeping subcommands accept the flag repeatedly: one config per
    policy, labelled by the policy name. *)
-let policies_arg =
+let policies_arg ?(default_doc = "baseline only") () =
   Arg.(
     value & opt_all policy_conv []
     & info [ "policy" ] ~docv:"POLICY"
-        ~doc:(policy_doc ^ "  Repeatable; default baseline only."))
+        ~doc:(policy_doc ^ "  Repeatable; default " ^ default_doc ^ "."))
 
 let policy_cfgs ~cfg policies =
   let policies =
@@ -124,6 +133,39 @@ let no_fast_forward_arg =
            identical either way (see DESIGN.md); this exists for \
            cross-checking and timing-sensitive debugging.")
 
+let sweep_format_arg =
+  format_arg
+    ~alts:[ ("json", `Json); ("jsonl", `Jsonl) ]
+    ~default:`Json
+    ~doc:
+      "Output encoding: $(b,json) (one whole-sweep document) or \
+       $(b,jsonl) (one result envelope per line)."
+
+(* A sweep document: [sweep], [submit] and [verify --out] write the same
+   shapes, byte for byte. *)
+let write_sweep_doc ~cmd ~format ~out job_list outcomes =
+  let module P = Critload.Parsweep in
+  let module Json = Gsim.Stats_io.Json in
+  let write oc =
+    match format with
+    | `Json ->
+        Json.to_channel oc (P.sweep_to_json ~jobs:job_list ~outcomes);
+        output_char oc '\n'
+    | `Jsonl ->
+        List.iteri
+          (fun i j ->
+            Json.to_channel oc (P.job_envelope j outcomes.(i));
+            output_char oc '\n')
+          job_list
+  in
+  match out with
+  | "-" -> write stdout
+  | file ->
+      let oc = open_out file in
+      write oc;
+      close_out oc;
+      Printf.eprintf "%s: wrote %s\n%!" cmd file
+
 (* ---- list ---- *)
 
 let list_cmd =
@@ -139,25 +181,6 @@ let list_cmd =
     Term.(const run $ const ())
 
 (* ---- verify ---- *)
-
-(* Distinct kernels of an app, in first-launch order. *)
-let app_kernels name =
-  let app = Workloads.Suite.find name in
-  let run = app.Workloads.App.make Workloads.App.Small in
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.Workloads.App.next_launch () with
-    | None -> continue_ := false
-    | Some launch ->
-        let k = launch.Gsim.Launch.kernel in
-        if not (Hashtbl.mem seen k.Ptx.Kernel.kname) then begin
-          Hashtbl.add seen k.Ptx.Kernel.kname ();
-          acc := k :: !acc
-        end
-  done;
-  List.rev !acc
 
 (* Static verification of one kernel; returns the number of errors. *)
 let verify_kernel_report k =
@@ -176,7 +199,6 @@ let verify_kernel_report k =
 
 let verify_cmd =
   let module P = Critload.Parsweep in
-  let module Json = Gsim.Stats_io.Json in
   let run target scale jobs out =
     match target with
     | Some t ->
@@ -196,8 +218,11 @@ let verify_cmd =
                 exit EC.failure
           end
           else
-            match app_kernels t with
-            | ks -> ks
+            match Workloads.Suite.find t with
+            | app ->
+                List.map
+                  (fun (l : Gsim.Launch.t) -> l.kernel)
+                  Workloads.App.(kernel_launches (app.make Small))
             | exception Invalid_argument msg ->
                 Printf.eprintf "verify: %s\n" msg;
                 exit EC.usage
@@ -209,13 +234,8 @@ let verify_cmd =
     | None ->
         (* whole-suite functional verification, over the same worker
            pool the sweep uses *)
-        let apps =
-          List.map
-            (fun (a : Workloads.App.t) -> a.Workloads.App.name)
-            Workloads.Suite.all
-        in
         let job_list =
-          P.jobs ~apps ~scales:[ scale ]
+          P.jobs ~apps:suite_names ~scales:[ scale ]
             ~cfgs:[ ("base", Gsim.Config.default) ]
             ~mode:P.Func ()
         in
@@ -235,13 +255,8 @@ let verify_cmd =
                   (if ok then "OK" else "FAIL")
                   f.P.fu_warp_insts)
           job_list;
-        (if out <> "-" then begin
-           let oc = open_out out in
-           Json.to_channel oc (P.sweep_to_json ~jobs:job_list ~outcomes);
-           output_char oc '\n';
-           close_out oc;
-           Printf.eprintf "verify: wrote %s\n%!" out
-         end);
+        if out <> "-" then
+          write_sweep_doc ~cmd:"verify" ~format:`Json ~out job_list outcomes;
         if !failures > 0 then exit EC.failure
   in
   let target =
@@ -283,34 +298,24 @@ let classify_cmd =
         (Dataflow.Stride.pp_predictions ?block:None) kernel
     end
     else begin
-      let app = find_app ~cmd:"classify" target in
-      let run = app.Workloads.App.make Workloads.App.Small in
-      let seen = Hashtbl.create 8 in
-      let continue_ = ref true in
-      while !continue_ do
-        match run.Workloads.App.next_launch () with
-        | None -> continue_ := false
-        | Some launch ->
-            let k = launch.Gsim.Launch.kernel in
-            if not (Hashtbl.mem seen k.Ptx.Kernel.kname) then begin
-              Hashtbl.add seen k.Ptx.Kernel.kname ();
-              Format.printf "%a" Dataflow.Classify.pp_result
-                launch.Gsim.Launch.classes;
-              Format.printf "  coalescing prediction:@.%a"
-                (Dataflow.Stride.pp_predictions
-                   ~block:launch.Gsim.Launch.block)
-                k;
-              (* spare registers bound the prefetch slots of the
-                 paper's [16]-style optimization *)
-              let cfg = Ptx.Cfg.build k in
-              let lv = Dataflow.Liveness.compute k cfg in
-              let pressure = Dataflow.Liveness.max_pressure lv in
-              Format.printf
-                "  registers: %d used, peak pressure %d, %d spare@.@."
-                k.Ptx.Kernel.nregs pressure
-                (max 0 (k.Ptx.Kernel.nregs - pressure))
-            end
-      done
+      List.iter
+        (fun (launch : Gsim.Launch.t) ->
+          let k = launch.Gsim.Launch.kernel in
+          Format.printf "%a" Dataflow.Classify.pp_result
+            launch.Gsim.Launch.classes;
+          Format.printf "  coalescing prediction:@.%a"
+            (Dataflow.Stride.pp_predictions ~block:launch.Gsim.Launch.block)
+            k;
+          (* spare registers bound the prefetch slots of the paper's
+             [16]-style optimization *)
+          let cfg = Ptx.Cfg.build k in
+          let lv = Dataflow.Liveness.compute k cfg in
+          let pressure = Dataflow.Liveness.max_pressure lv in
+          Format.printf "  registers: %d used, peak pressure %d, %d spare@.@."
+            k.Ptx.Kernel.nregs pressure
+            (max 0 (k.Ptx.Kernel.nregs - pressure)))
+        (let app = find_app ~cmd:"classify" target in
+         Workloads.App.(kernel_launches (app.make Small)))
     end
   in
   let target =
@@ -494,7 +499,7 @@ let simulate_cmd =
       Cmd.v
       (cmd_info "simulate" ~doc:"Cycle-level simulation of one application.")
     Term.(
-      const run $ app_arg $ scale_arg $ cap_arg $ policy_arg
+      const run $ app_arg $ scale_arg $ cap_arg () $ policy_arg
       $ no_fast_forward_arg)
 
 (* ---- trace (cycle-level observability) ---- *)
@@ -568,39 +573,73 @@ let trace_cmd =
           per-load-category latency histograms and fail attribution \
           (summary), or the raw event stream (jsonl / chrome).")
     Term.(
-      const run $ app_arg $ scale_arg $ cap_arg $ policy_arg $ kernel
+      const run $ app_arg $ scale_arg $ cap_arg () $ policy_arg $ kernel
       $ format $ out $ no_fast_forward_arg)
 
 (* ---- sweep (parallel, JSON export) ---- *)
 
-let sweep_cmd =
-  let module P = Critload.Parsweep in
-  let module Json = Gsim.Stats_io.Json in
-  let run apps scale cap policies jobs timeout func no_warmup profile out
-      resume format no_cache cache_dir no_ff =
-    let apps =
-      match apps with
-      | [] -> List.map (fun (a : Workloads.App.t) -> a.Workloads.App.name)
-                Workloads.Suite.all
-      | l -> l
-    in
+(* The job grid [sweep] and [submit] share: apps x policies at one scale
+   and cap, in one mode, with the warmup and profile flags.  The term
+   yields a thunk, so [submit --health] never validates app names it
+   does not use. *)
+let grid_term ~cmd =
+  let build apps scale cap policies func no_warmup profile () =
+    let apps = if apps = [] then suite_names else apps in
     (* validate names up front for a clean error instead of spawning a
        pool that fails one job per bad name *)
-    check_app_names ~cmd:"sweep" apps;
+    List.iter (fun a -> ignore (find_app ~cmd a)) apps;
+    let cfg =
+      Gsim.Config.default |> Gsim.Config.with_caps ~max_warp_insts:cap ()
+    in
+    let module P = Critload.Parsweep in
+    P.jobs ~apps ~scales:[ scale ] ~cfgs:(policy_cfgs ~cfg policies)
+      ~mode:(if func then P.Func else P.Timing)
+      ~warmup:(not no_warmup) ~profile ()
+  in
+  let apps =
+    Arg.(
+      value
+      & opt (list string) []
+      & info [ "apps" ] ~docv:"APPS"
+          ~doc:"Comma-separated application names (default: all 15).")
+  in
+  let func =
+    Arg.(
+      value & flag
+      & info [ "func" ]
+          ~doc:"Run the functional simulator instead of the cycle \
+                simulator.")
+  in
+  let no_warmup =
+    Arg.(
+      value & flag
+      & info [ "no-warmup" ]
+          ~doc:"Skip the functional fast-forward to the first heavy \
+                launch (timing mode).")
+  in
+  let profile =
+    Arg.(
+      value & flag
+      & info [ "profile" ]
+          ~doc:
+            "Attach the event-trace Profile reducer to every timing job \
+             and embed its per-category metrics (turnaround histograms, \
+             fail attribution, MSHR locality) in each result.")
+  in
+  Term.(
+    const build $ apps $ scale_arg $ cap_arg () $ policies_arg () $ func
+    $ no_warmup $ profile)
+
+let sweep_cmd =
+  let module P = Critload.Parsweep in
+  let run grid jobs timeout out resume format no_cache cache_dir =
+    let job_list = grid () in
     if resume && out = "-" then begin
       Printf.eprintf
         "sweep: --resume needs --out FILE (the checkpoint lives next to \
          it)\n";
       exit EC.usage
     end;
-    let cfg =
-      Gsim.Config.default |> Gsim.Config.with_caps ~max_warp_insts:cap ()
-    in
-    let mode = if func then P.Func else P.Timing in
-    let job_list =
-      P.jobs ~apps ~scales:[ scale ] ~cfgs:(policy_cfgs ~cfg policies) ~mode
-        ~warmup:(not no_warmup) ~profile ~fast_forward:(not no_ff) ()
-    in
     let total = List.length job_list in
     let finished = ref 0 in
     let tag (j : P.job) =
@@ -708,36 +747,11 @@ let sweep_cmd =
     in
     Option.iter (fun h -> Sys.set_signal Sys.sigterm h) old_term;
     Option.iter close_out ckpt_oc;
-    let write_doc oc =
-      match format with
-      | `Json ->
-          Json.to_channel oc (P.sweep_to_json ~jobs:job_list ~outcomes);
-          output_char oc '\n'
-      | `Jsonl ->
-          List.iteri
-            (fun i j ->
-              Json.to_channel oc (P.job_envelope j outcomes.(i));
-              output_char oc '\n')
-            job_list
-    in
-    (match out with
-    | "-" -> write_doc stdout
-    | file ->
-        let oc = open_out file in
-        write_doc oc;
-        close_out oc;
-        (* the full document supersedes the checkpoint *)
-        (try Sys.remove ckpt_path with Sys_error _ -> ());
-        Printf.eprintf "sweep: wrote %s\n%!" file);
+    write_sweep_doc ~cmd:"sweep" ~format ~out job_list outcomes;
+    (* the full document supersedes the checkpoint *)
+    if out <> "-" then (try Sys.remove ckpt_path with Sys_error _ -> ());
     if Array.exists (function P.Failed _ -> true | _ -> false) outcomes
     then exit EC.failure
-  in
-  let apps =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "apps" ] ~docv:"APPS"
-          ~doc:"Comma-separated application names (default: all 15).")
   in
   let jobs = jobs_arg () in
   let timeout =
@@ -747,39 +761,8 @@ let sweep_cmd =
           ~doc:"Per-job wall-clock timeout; an overdue worker is killed \
                 and retried once.")
   in
-  let func =
-    Arg.(
-      value & flag
-      & info [ "func" ]
-          ~doc:"Run the functional simulator instead of the cycle \
-                simulator.")
-  in
-  let no_warmup =
-    Arg.(
-      value & flag
-      & info [ "no-warmup" ]
-          ~doc:"Skip the functional fast-forward to the first heavy \
-                launch (timing mode).")
-  in
-  let profile =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "Attach the event-trace Profile reducer to every timing job \
-             and embed its per-category metrics (turnaround histograms, \
-             fail attribution, MSHR locality) in each result.")
-  in
   let out =
     out_arg ~doc:"Output file for the JSON document ('-' for stdout)." ()
-  in
-  let format =
-    format_arg
-      ~alts:[ ("json", `Json); ("jsonl", `Jsonl) ]
-      ~default:`Json
-      ~doc:
-        "Output encoding: $(b,json) (one whole-sweep document) or \
-         $(b,jsonl) (one result envelope per line)."
   in
   let no_cache =
     Arg.(
@@ -818,9 +801,8 @@ let sweep_cmd =
          "Run many applications through the simulator in parallel worker \
           processes and export every per-app statistic as JSON.")
     Term.(
-      const run $ apps $ scale_arg $ cap_arg $ policies_arg $ jobs $ timeout
-      $ func $ no_warmup $ profile $ out $ resume $ format $ no_cache
-      $ cache_dir $ no_fast_forward_arg)
+      const run $ grid_term ~cmd:"sweep" $ jobs $ timeout $ out $ resume
+      $ sweep_format_arg $ no_cache $ cache_dir)
 
 (* ---- serve (long-running sweep daemon) ---- *)
 
@@ -927,9 +909,7 @@ let submit_cmd =
   let module Pr = Critload.Protocol in
   let module Json = Gsim.Stats_io.Json in
   let module F = Gsim.Stats_io.Framing in
-  let run socket apps scale cap policies func no_warmup profile no_ff out
-      format
-      retries wait health_only =
+  let run socket grid out format retries wait health_only =
     let fd =
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       match Unix.connect fd (Unix.ADDR_UNIX socket) with
@@ -994,24 +974,7 @@ let submit_cmd =
           exit EC.failure
     end
     else begin
-      let apps =
-        match apps with
-        | [] ->
-            List.map
-              (fun (a : Workloads.App.t) -> a.Workloads.App.name)
-              Workloads.Suite.all
-        | l -> l
-      in
-      check_app_names ~cmd:"submit" apps;
-      let cfg =
-        Gsim.Config.default |> Gsim.Config.with_caps ~max_warp_insts:cap ()
-      in
-      let mode = if func then P.Func else P.Timing in
-      let job_list =
-        P.jobs ~apps ~scales:[ scale ] ~cfgs:(policy_cfgs ~cfg policies)
-          ~mode ~warmup:(not no_warmup) ~profile
-          ~fast_forward:(not no_ff) ()
-      in
+      let job_list = grid () in
       let jobs_a = Array.of_list job_list in
       let n = Array.length jobs_a in
       let outcomes = Array.make n None in
@@ -1077,66 +1040,13 @@ let submit_cmd =
           (function Some o -> o | None -> P.Failed "no response")
           outcomes
       in
-      (* same document shapes as `critload sweep`, byte for byte *)
-      let write_doc oc =
-        match format with
-        | `Json ->
-            Json.to_channel oc (P.sweep_to_json ~jobs:job_list ~outcomes);
-            output_char oc '\n'
-        | `Jsonl ->
-            List.iteri
-              (fun i j ->
-                Json.to_channel oc (P.job_envelope j outcomes.(i));
-                output_char oc '\n')
-              job_list
-      in
-      (match out with
-      | "-" -> write_doc stdout
-      | file ->
-          let oc = open_out file in
-          write_doc oc;
-          close_out oc;
-          Printf.eprintf "submit: wrote %s\n%!" file);
+      write_sweep_doc ~cmd:"submit" ~format ~out job_list outcomes;
       if !any_timeout then exit EC.timeout
       else if !any_failed then exit EC.failure
     end
   in
-  let apps =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "apps" ] ~docv:"APPS"
-          ~doc:"Comma-separated application names (default: all 15).")
-  in
-  let func =
-    Arg.(
-      value & flag
-      & info [ "func" ]
-          ~doc:"Submit functional-simulation jobs instead of timing.")
-  in
-  let no_warmup =
-    Arg.(
-      value & flag
-      & info [ "no-warmup" ]
-          ~doc:"Skip the functional fast-forward (timing mode).")
-  in
-  let profile =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:"Attach the event-trace Profile reducer to timing jobs.")
-  in
   let out =
     out_arg ~doc:"Output file for the JSON document ('-' for stdout)." ()
-  in
-  let format =
-    format_arg
-      ~alts:[ ("json", `Json); ("jsonl", `Jsonl) ]
-      ~default:`Json
-      ~doc:
-        "Output encoding: $(b,json) (one whole-sweep document, \
-         identical to `critload sweep`'s) or $(b,jsonl) (one result \
-         envelope per line)."
   in
   let retries =
     Arg.(
@@ -1169,9 +1079,97 @@ let submit_cmd =
          "Submit sweep jobs to a running `critload serve` daemon and \
           write the same JSON document `critload sweep` would.")
     Term.(
-      const run $ socket_arg $ apps $ scale_arg $ cap_arg $ policies_arg
-      $ func $ no_warmup $ profile $ no_fast_forward_arg $ out $ format
-      $ retries $ wait $ health_only)
+      const run $ socket_arg $ grid_term ~cmd:"submit" $ out
+      $ sweep_format_arg $ retries $ wait $ health_only)
+
+(* ---- experiment (the paper's tables and figures) ---- *)
+
+let experiment_cmd =
+  let module E = Critload.Experiments in
+  let run ids scale cap jobs policies out_dir =
+    let write file emit =
+      Option.iter
+        (fun dir ->
+          let oc = open_out (Filename.concat dir file) in
+          emit oc;
+          close_out oc)
+        out_dir
+    in
+    (* one policy sweep feeds both the table and its JSON record *)
+    let policies () =
+      let policies =
+        match policies with [] -> E.default_policies | ps -> ps
+      in
+      let rows = E.policy_sweep ~policies ~workers:jobs scale in
+      write "policies.json" (fun oc ->
+          Gsim.Stats_io.Json.to_channel oc (E.policy_rows_to_json scale rows);
+          output_char oc '\n');
+      E.render_policy_rows rows
+    in
+    let table =
+      List.map (fun (id, render) -> (id, fun () -> render scale)) E.all
+    in
+    let ids = match ids with [] | [ "all" ] -> List.map fst table | l -> l in
+    (* every id is checked before any experiment runs *)
+    let runs =
+      List.map
+        (fun id ->
+          match List.assoc_opt id (("policies", policies) :: table) with
+          | Some f -> (id, f)
+          | None ->
+              Printf.eprintf
+                "experiment: unknown experiment %s (have: %s, policies)\n" id
+                (String.concat ", " (List.map fst table));
+              exit EC.usage)
+        ids
+    in
+    Option.iter
+      (fun dir ->
+        if not (Sys.file_exists dir) then
+          try Sys.mkdir dir 0o755
+          with Sys_error msg ->
+            Printf.eprintf "experiment: cannot create --out-dir: %s\n" msg;
+            exit EC.usage)
+      out_dir;
+    E.set_timing_cap cap;
+    List.iter
+      (fun (id, f) ->
+        let t0 = Unix.gettimeofday () in
+        let text = f () in
+        Printf.printf "=== %s (%.1fs) ===\n%s\n%!" id
+          (Unix.gettimeofday () -. t0)
+          text;
+        write (id ^ ".txt") (fun oc -> output_string oc text))
+      runs
+  in
+  let ids =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"ID"
+          ~doc:
+            "Experiments to run: table1..table3, fig1..fig12, the \
+             ablate-* ablations, sensitivity, or $(b,policies) (every \
+             app under each $(b,--policy)).  None, or $(b,all), runs \
+             every id except $(b,policies).")
+  in
+  let out_dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "out-dir" ] ~docv:"DIR"
+          ~doc:
+            "Also write each experiment to $(docv)/ID.txt, and the \
+             policy rows to $(docv)/policies.json.")
+  in
+  Cmd.v
+    (cmd_info "experiment"
+       ~doc:"Regenerate the paper's tables, figures and ablations.")
+    Term.(
+      const run $ ids $ scale_arg
+      $ cap_arg ~default:120_000 ()
+      $ jobs_arg ()
+      $ policies_arg ~default_doc:"baseline, iar and holistic" ()
+      $ out_dir)
 
 let () =
   let doc =
@@ -1182,4 +1180,4 @@ let () =
        (Cmd.group (cmd_info "critload" ~doc)
           [ list_cmd; verify_cmd; classify_cmd; characterize_cmd;
             advise_cmd; dot_cmd; simulate_cmd; trace_cmd; sweep_cmd;
-            serve_cmd; submit_cmd ]))
+            serve_cmd; submit_cmd; experiment_cmd ]))

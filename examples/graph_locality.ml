@@ -18,20 +18,11 @@ let () =
     app.Workloads.App.description;
 
   (* static classification of every kernel the app launches *)
-  let run = app.Workloads.App.make scale in
-  let seen = Hashtbl.create 8 in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.Workloads.App.next_launch () with
-    | None -> continue_ := false
-    | Some launch ->
-        let k = launch.Gsim.Launch.kernel in
-        if not (Hashtbl.mem seen k.Ptx.Kernel.kname) then begin
-          Hashtbl.add seen k.Ptx.Kernel.kname ();
-          Format.printf "%a@." Dataflow.Classify.pp_result
-            launch.Gsim.Launch.classes
-        end
-  done;
+  List.iter
+    (fun (launch : Gsim.Launch.t) ->
+      Format.printf "%a@." Dataflow.Classify.pp_result
+        launch.Gsim.Launch.classes)
+    (Workloads.App.kernel_launches (app.Workloads.App.make scale));
 
   (* dynamic behaviour: functional run with locality analysis *)
   let fr =

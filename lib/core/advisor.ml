@@ -83,21 +83,10 @@ let advise_kernel ?block (k : Ptx.Kernel.t) =
 
 (* Advice for every distinct kernel an application launches. *)
 let advise_app (app : Workloads.App.t) scale =
-  let run = app.Workloads.App.make scale in
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.Workloads.App.next_launch () with
-    | None -> continue_ := false
-    | Some launch ->
-        let k = launch.Gsim.Launch.kernel in
-        if not (Hashtbl.mem seen k.Ptx.Kernel.kname) then begin
-          Hashtbl.add seen k.Ptx.Kernel.kname ();
-          acc := !acc @ advise_kernel ~block:launch.Gsim.Launch.block k
-        end
-  done;
-  !acc
+  List.concat_map
+    (fun (l : Gsim.Launch.t) ->
+      advise_kernel ~block:l.Gsim.Launch.block l.Gsim.Launch.kernel)
+    (Workloads.App.kernel_launches (app.Workloads.App.make scale))
 
 (* Per-pc simulator policies implementing the advice. *)
 let policies advice_list =

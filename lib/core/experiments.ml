@@ -1,7 +1,7 @@
 (* One function per paper table/figure.  Each returns structured rows
-   (used by the tests) and can render itself as text (used by the bench
-   harness).  The shapes to compare against the paper are noted in
-   EXPERIMENTS.md. *)
+   (used by the tests) and can render itself as text (used by
+   `critload experiment`).  The shapes to compare against the paper are
+   noted in EXPERIMENTS.md. *)
 
 module App = Workloads.App
 module Suite = Workloads.Suite
@@ -17,8 +17,8 @@ let func_cap = 3_000_000
 
 let timing_cap = ref 120_000
 
-(* Override the per-app warp-instruction cap of the timing runs (the
-   bench harness exposes this as --cap). *)
+(* Override the per-app warp-instruction cap of the timing runs
+   (`critload experiment --cap`). *)
 let set_timing_cap n = timing_cap := n
 
 let timing_cfg ?(cfg = Config.default) ?max_warp_insts () =
@@ -29,8 +29,9 @@ let timing_cfg ?(cfg = Config.default) ?max_warp_insts () =
 
 let all_apps = Suite.all
 
-(* Experiments are exploratory drivers for the tests and the bench
-   harness, which want a simulator failure as the exception it was. *)
+(* Experiments are exploratory drivers for the tests and
+   `critload experiment`, which want a simulator failure as the
+   exception it was. *)
 let ok = function Ok r -> r | Error e -> raise (Gsim.Sim_error.Error e)
 
 (* Cache of functional runs (several figures share them). *)
@@ -726,6 +727,33 @@ let render_ablate_l2 scale =
          [ app; v; Tables.int cycles; Tables.pct miss; Tables.f1 turn ])
        (ablate_l2 scale))
 
+(* ---------------- the experiment table ---------------- *)
+
+let all =
+  [ ("table1", render_table1);
+    ("table2", fun _ -> render_table2 ());
+    ("table3", render_table3);
+    ("fig1", render_fig1);
+    ("fig2", render_fig2);
+    ("fig3", render_fig3);
+    ("fig4", render_fig4);
+    ("fig5", render_fig5);
+    ("fig6", render_fig6);
+    ("fig7", render_fig7);
+    ("fig8", render_fig8);
+    ("fig9", render_fig9);
+    ("fig10", render_fig10);
+    ("fig11", render_fig11);
+    ("fig12", render_fig12);
+    ("ablate-split", render_ablate_split);
+    ("ablate-cta", render_ablate_cta);
+    ("ablate-l2", render_ablate_l2);
+    ("ablate-prefetch", render_ablate_prefetch);
+    ("ablate-bypass", render_ablate_bypass);
+    ("ablate-warpsched", render_ablate_warpsched);
+    ("ablate-advisor", render_ablate_advisor);
+    ("sensitivity", fun _ -> render_sensitivity ()) ]
+
 (* ---------------- memory-system policy sweep ---------------- *)
 
 (* The tentpole comparison: every app under every first-class policy,
@@ -824,5 +852,22 @@ let render_policy_rows rows =
            Tables.int r.po_fail_n; Tables.pct r.po_fail_n_delta ])
        rows)
 
-let render_policy_sweep ?policies ?workers ?cache_dir scale =
-  render_policy_rows (policy_sweep ?policies ?workers ?cache_dir scale)
+let policy_rows_to_json scale rows =
+  let module J = Gsim.Stats_io.Json in
+  J.Obj
+    [ ("schema", J.Str "critload-bench-policies-v1");
+      ("scale", J.Str (App.string_of_scale scale));
+      ( "rows",
+        J.Arr
+          (List.map
+             (fun r ->
+               J.Obj
+                 [ ("app", J.Str r.po_app);
+                   ("category", J.Str r.po_category);
+                   ("policy", J.Str r.po_policy);
+                   ("cycles", J.Int r.po_cycles);
+                   ("speedup", J.Float r.po_speedup);
+                   ("l1_fail_cycles_d", J.Int r.po_fail_d);
+                   ("l1_fail_cycles_n", J.Int r.po_fail_n);
+                   ("n_fail_delta", J.Float r.po_fail_n_delta) ])
+             rows) ) ]

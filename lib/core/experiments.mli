@@ -1,6 +1,6 @@
 (** One function per paper table/figure: structured rows for tests plus
-    a text renderer for the bench harness.  EXPERIMENTS.md records the
-    shapes to compare against the paper. *)
+    a text renderer for [critload experiment].  EXPERIMENTS.md records
+    the shapes to compare against the paper. *)
 
 open Dataflow.Classify
 
@@ -8,8 +8,8 @@ val func_cap : int
 (** Warp-instruction cap of the functional runs. *)
 
 val set_timing_cap : int -> unit
-(** Override the per-app warp-instruction cap of the timing runs (the
-    bench harness exposes this as [--cap]; default 120k). *)
+(** Override the per-app warp-instruction cap of the timing runs
+    ([critload experiment --cap]; default 120k, 0 = none). *)
 
 val timing_cfg :
   ?cfg:Gsim.Config.t -> ?max_warp_insts:int -> unit -> Gsim.Config.t
@@ -190,6 +190,15 @@ val ablate_l2 :
 
 val render_ablate_l2 : Workloads.App.scale -> string
 
+(** {1 The experiment table} *)
+
+val all : (string * (Workloads.App.scale -> string)) list
+(** Every renderer above by id, in the order [critload experiment]
+    runs them: [table1]..[table3], [fig1]..[fig12], the Section X
+    ablations and [sensitivity] ([table2] and [sensitivity] ignore the
+    scale).  The policy comparison below is not listed: it takes a
+    worker count and a policy list. *)
+
 (** {1 Memory-system policy sweep}
 
     Every app under every first-class {!Gsim.Config.policy}, run
@@ -225,12 +234,11 @@ val policy_sweep :
     is missing). *)
 
 val render_policy_rows : policy_row list -> string
-(** Table rendering of already-computed rows (the bench harness runs
-    the sweep once and feeds both the table and its JSON export). *)
+(** Table rendering of already-computed rows ([critload experiment
+    policies] runs the sweep once and feeds both the table and its
+    JSON export). *)
 
-val render_policy_sweep :
-  ?policies:Gsim.Config.policy list ->
-  ?workers:int ->
-  ?cache_dir:string ->
-  Workloads.App.scale ->
-  string
+val policy_rows_to_json :
+  Workloads.App.scale -> policy_row list -> Gsim.Stats_io.Json.t
+(** The [critload-bench-policies-v1] document: the scale and one
+    object per row. *)

@@ -11,7 +11,7 @@
 
 module Json = Gsim.Stats_io.Json
 
-type mode = Func | Timing
+type mode = Runner.mode = Func | Timing
 
 type job = {
   sj_app : string;
@@ -21,12 +21,10 @@ type job = {
   sj_mode : mode;
   sj_warmup : bool;
   sj_profile : bool; (* attach a Profile reducer to a timing run *)
-  sj_fast_forward : bool; (* timing runs: skip quiescent cycle windows *)
 }
 
 let job ?(label = "base") ?(cfg = Gsim.Config.default) ?(mode = Timing)
-    ?(warmup = true) ?(profile = false) ?(fast_forward = true)
-    ?(scale = Workloads.App.Small) app =
+    ?(warmup = true) ?(profile = false) ?(scale = Workloads.App.Small) app =
   {
     sj_app = app;
     sj_scale = scale;
@@ -35,23 +33,20 @@ let job ?(label = "base") ?(cfg = Gsim.Config.default) ?(mode = Timing)
     sj_mode = mode;
     sj_warmup = warmup;
     sj_profile = profile;
-    sj_fast_forward = fast_forward;
   }
 
 let jobs ~apps ~scales ~cfgs ?(mode = Timing) ?(warmup = true)
-    ?(profile = false) ?(fast_forward = true) () =
+    ?(profile = false) () =
   List.concat_map
     (fun app ->
       List.concat_map
         (fun scale ->
           List.map
             (fun (label, cfg) ->
-              job ~label ~cfg ~mode ~warmup ~profile ~fast_forward ~scale app)
+              job ~label ~cfg ~mode ~warmup ~profile ~scale app)
             cfgs)
         scales)
     apps
-
-let string_of_mode = function Func -> "func" | Timing -> "timing"
 
 (* Stable identity of a job across processes: the sweep cross product
    never repeats an (app, scale, label, mode) combination, so this is
@@ -64,7 +59,7 @@ let job_key j =
     [ j.sj_app;
       Workloads.App.string_of_scale j.sj_scale;
       j.sj_label;
-      string_of_mode j.sj_mode ]
+      Runner.mode_name j.sj_mode ]
   ^ if j.sj_profile then "|profile" else ""
 
 (* ---- content digests ----
@@ -73,11 +68,12 @@ let job_key j =
    everything its result depends on — the application's kernels (as
    text, after a parse → print round trip so formatting-only edits
    don't invalidate), its launch geometry and dataset seed, the full
-   machine configuration, the simulation mode, and the simulator
-   semantics tag.  Presentation knobs (the config label) and
-   observably-equivalent execution knobs (fast-forward, which is
-   byte-identical by construction) are deliberately excluded: two jobs
-   that must produce the same bytes share one cache entry. *)
+   machine configuration, the simulation mode, the warmup and profile
+   settings, and the simulator semantics tag.  The config label is a
+   presentation knob and deliberately excluded: two jobs that must
+   produce the same bytes share one cache entry.  A job has no
+   fast-forward setting: it always runs fast-forwarded, which is
+   byte-identical to the naive cycle loop by construction. *)
 
 let cache_schema = "critload-cache-v1"
 
@@ -100,24 +96,19 @@ let app_fingerprint (app : Workloads.App.t) scale =
     app.Workloads.App.name app.Workloads.App.seed
     (Workloads.App.string_of_scale scale);
   let seen = Hashtbl.create 4 in
-  let run = app.Workloads.App.make scale in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.Workloads.App.next_launch () with
-    | None -> continue_ := false
-    | Some l ->
-        let k = l.Gsim.Launch.kernel in
-        let kname = k.Ptx.Kernel.kname in
-        let gx, gy, gz = l.Gsim.Launch.grid in
-        let bx, by, bz = l.Gsim.Launch.block in
-        Printf.ksprintf (Buffer.add_string b) "|launch=%s:%dx%dx%d:%dx%dx%d"
-          kname gx gy gz bx by bz;
-        if not (Hashtbl.mem seen kname) then begin
-          Hashtbl.add seen kname ();
-          Buffer.add_string b "|kernel=";
-          Buffer.add_string b (normalize_kernel k)
-        end
-  done;
+  Workloads.App.iter_launches (app.Workloads.App.make scale) (fun l ->
+      let k = l.Gsim.Launch.kernel in
+      let kname = k.Ptx.Kernel.kname in
+      let gx, gy, gz = l.Gsim.Launch.grid in
+      let bx, by, bz = l.Gsim.Launch.block in
+      Printf.ksprintf (Buffer.add_string b) "|launch=%s:%dx%dx%d:%dx%dx%d"
+        kname gx gy gz bx by bz;
+      if not (Hashtbl.mem seen kname) then begin
+        Hashtbl.add seen kname ();
+        Buffer.add_string b "|kernel=";
+        Buffer.add_string b (normalize_kernel k)
+      end;
+      true);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* A fingerprint runs the app's [make], which costs what generating its
@@ -147,7 +138,7 @@ let job_digest j =
         Version.sim_tag;
         suite_fingerprint j.sj_app j.sj_scale;
         Gsim.Stats_io.config_digest j.sj_cfg;
-        string_of_mode j.sj_mode;
+        Runner.mode_name j.sj_mode;
         (if j.sj_warmup then "warmup" else "nowarmup");
         (if j.sj_profile then "profile" else "noprofile") ]
   in
@@ -180,7 +171,7 @@ let cache_store ~dir j payload =
           ("sim_tag", Json.Str Version.sim_tag);
           ("app", Json.Str j.sj_app);
           ("scale", Json.Str (Workloads.App.string_of_scale j.sj_scale));
-          ("mode", Json.Str (string_of_mode j.sj_mode));
+          ("mode", Json.Str (Runner.mode_name j.sj_mode));
           ("warmup", Json.Bool j.sj_warmup);
           ("profile", Json.Bool j.sj_profile);
           ("config", Gsim.Stats_io.config_to_json j.sj_cfg);
@@ -354,7 +345,7 @@ let cache_probe ~dir j =
                         if decodes then Cache_hit r
                         else
                           damaged "%s: result does not decode as a %s summary"
-                            path (string_of_mode j.sj_mode))
+                            path (Runner.mode_name j.sj_mode))
                 | _ -> damaged "%s: missing digest field" path)
             | _ -> damaged "%s: missing schema or sim_tag field" path))
 
@@ -362,11 +353,10 @@ let cache_probe ~dir j =
 
 let exec_job j =
   let app = Workloads.Suite.find j.sj_app in
-  let mode = match j.sj_mode with Func -> Runner.Func | Timing -> Runner.Timing in
   let report =
     match
-      Runner.run ~cfg:j.sj_cfg ~mode ~scale:j.sj_scale ~warmup:j.sj_warmup
-        ~check:true ~profile:j.sj_profile ~fast_forward:j.sj_fast_forward app
+      Runner.run ~cfg:j.sj_cfg ~mode:j.sj_mode ~scale:j.sj_scale
+        ~warmup:j.sj_warmup ~check:true ~profile:j.sj_profile app
     with
     | Ok r -> r
     | Error e -> raise (Gsim.Sim_error.Error e)
@@ -523,7 +513,7 @@ let job_envelope j outcome =
     [ ("app", Json.Str j.sj_app);
       ("scale", Json.Str (Workloads.App.string_of_scale j.sj_scale));
       ("label", Json.Str j.sj_label);
-      ("mode", Json.Str (string_of_mode j.sj_mode)) ]
+      ("mode", Json.Str (Runner.mode_name j.sj_mode)) ]
   in
   match outcome with
   | Completed payload ->

@@ -17,10 +17,13 @@
     - at most [min workers pending] workers are forked, so a sweep
       settled entirely from checkpoints or the cache forks none. *)
 
-type mode =
-  | Func  (** functional simulation ({!Runner.run} with [Runner.Func]) *)
-  | Timing  (** cycle simulation ({!Runner.run} with [Runner.Timing]) *)
+(** The simulator a job runs, spelled in documents and digests by
+    {!Runner.mode_name}. *)
+type mode = Runner.mode = Func | Timing
 
+(** One unit of sweep work.  A timing job always runs with
+    fast-forward on: its statistics and traces are byte-identical to the
+    naive cycle loop by construction. *)
 type job = {
   sj_app : string;  (** application name, resolved via {!Workloads.Suite} *)
   sj_scale : Workloads.App.scale;
@@ -29,9 +32,6 @@ type job = {
   sj_mode : mode;
   sj_warmup : bool;  (** timing runs: fast-forward past cold launches *)
   sj_profile : bool;  (** timing runs: attach a {!Gsim.Profile} reducer *)
-  sj_fast_forward : bool;
-      (** timing runs: let the cycle loop jump quiescent windows
-          (statistics and traces are unchanged by construction) *)
 }
 
 val job :
@@ -40,12 +40,11 @@ val job :
   ?mode:mode ->
   ?warmup:bool ->
   ?profile:bool ->
-  ?fast_forward:bool ->
   ?scale:Workloads.App.scale ->
   string ->
   job
 (** [job app] with defaults: label ["base"], default config, [Timing]
-    mode, warmup on, profiling off, fast-forward on, [Small] scale. *)
+    mode, warmup on, profiling off, [Small] scale. *)
 
 val jobs :
   apps:string list ->
@@ -54,7 +53,6 @@ val jobs :
   ?mode:mode ->
   ?warmup:bool ->
   ?profile:bool ->
-  ?fast_forward:bool ->
   unit ->
   job list
 (** Cross product, ordered app-major (app, then scale, then config). *)
@@ -73,9 +71,9 @@ val job_key : job -> string
     print → parse → print, so formatting-only edits don't invalidate),
     launch geometry, dataset seed, the full {!Gsim.Config.t} (via
     {!Gsim.Stats_io.config_digest}), the simulation mode, warmup and
-    profile settings, and {!Version.sim_tag}.  The config {e label} and the
-    fast-forward flag are deliberately excluded: they cannot change the
-    result bytes, so jobs differing only there share an entry. *)
+    profile settings, and {!Version.sim_tag}.  The config {e label} is
+    deliberately excluded: it cannot change the result bytes, so jobs
+    differing only there share an entry. *)
 
 val app_fingerprint : Workloads.App.t -> Workloads.App.scale -> string
 (** Hex digest naming the app's content at a scale (kernels, launch

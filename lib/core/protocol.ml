@@ -14,14 +14,9 @@ let job_to_json (j : Parsweep.job) =
     [ ("app", Json.Str j.Parsweep.sj_app);
       ("scale", Json.Str (Workloads.App.string_of_scale j.Parsweep.sj_scale));
       ("label", Json.Str j.Parsweep.sj_label);
-      ( "mode",
-        Json.Str
-          (match j.Parsweep.sj_mode with
-          | Parsweep.Func -> "func"
-          | Parsweep.Timing -> "timing") );
+      ("mode", Json.Str (Runner.mode_name j.Parsweep.sj_mode));
       ("warmup", Json.Bool j.Parsweep.sj_warmup);
       ("profile", Json.Bool j.Parsweep.sj_profile);
-      ("fast_forward", Json.Bool j.Parsweep.sj_fast_forward);
       ("config", Gsim.Stats_io.config_to_json j.Parsweep.sj_cfg) ]
 
 let job_of_json v =
@@ -57,13 +52,10 @@ let job_of_json v =
       in
       let* warmup = field "warmup" Json.get_bool ~default:true in
       let* profile = field "profile" Json.get_bool ~default:false in
-      let* fast_forward = field "fast_forward" Json.get_bool ~default:true in
       let* cfg =
         field "config" Gsim.Stats_io.config_of_json ~default:Gsim.Config.default
       in
-      Ok
-        (Parsweep.job ~label ~cfg ~mode ~warmup ~profile ~fast_forward ~scale
-           app)
+      Ok (Parsweep.job ~label ~cfg ~mode ~warmup ~profile ~scale app)
   | Json.Null -> Error "job is missing the \"app\" field"
   | _ -> Error "job \"app\" field is not a string"
 

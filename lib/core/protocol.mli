@@ -23,15 +23,17 @@ val schema : string
 
 val job_to_json : Parsweep.job -> Json.t
 (** Full job specification, config included (via
-    {!Gsim.Stats_io.config_to_json}). *)
+    {!Gsim.Stats_io.config_to_json}), with the mode spelled by
+    {!Runner.mode_name}. *)
 
 val job_of_json : Json.t -> (Parsweep.job, string) result
 (** Decode a job specification.  An absent ["config"] field means
     {!Gsim.Config.default}; unknown scales, modes, or malformed configs
     are reported as [Error] — never an exception, since the bytes come
-    from an untrusted socket.  The application name is {e not} resolved
-    here: an unknown app travels to execution and fails there, exactly
-    as in a sweep. *)
+    from an untrusted socket.  Members it does not name are ignored,
+    such as the ["fast_forward"] flag older clients send.  The
+    application name is {e not} resolved here: an unknown app travels
+    to execution and fails there, exactly as in a sweep. *)
 
 (** {1 Requests} *)
 

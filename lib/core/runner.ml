@@ -47,21 +47,16 @@ let run_func ?(cfg = Gsim.Config.default) ?(max_warp_insts = 0)
   let ctas = ref 0 in
   let threads_per_cta = ref 0 in
   let d = ref 0 and n = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.Workloads.App.next_launch () with
-    | None -> continue_ := false
-    | Some launch ->
-        incr launches;
-        ctas := !ctas + Gsim.Launch.n_ctas launch;
-        if !threads_per_cta = 0 then
-          threads_per_cta := Gsim.Launch.threads_per_cta launch;
-        let sd, sn = static_counts seen launch in
-        d := !d + sd;
-        n := !n + sn;
-        Gsim.Funcsim.run_into fs ~max_warp_insts launch;
-        if fs.Gsim.Funcsim.capped then continue_ := false
-  done;
+  Workloads.App.iter_launches run (fun launch ->
+      incr launches;
+      ctas := !ctas + Gsim.Launch.n_ctas launch;
+      if !threads_per_cta = 0 then
+        threads_per_cta := Gsim.Launch.threads_per_cta launch;
+      let sd, sn = static_counts seen launch in
+      d := !d + sd;
+      n := !n + sn;
+      Gsim.Funcsim.run_into fs ~max_warp_insts launch;
+      not fs.Gsim.Funcsim.capped);
   {
     fr_app = app;
     fr_fs = fs;
@@ -87,19 +82,15 @@ let warmup_launches ?(cfg = Gsim.Config.default) (app : Workloads.App.t) scale
   let run = app.Workloads.App.make scale in
   let fs = Gsim.Funcsim.create cfg in
   let per_launch = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.Workloads.App.next_launch () with
-    | None -> continue_ := false
-    | Some launch ->
-        let d0 = fs.Gsim.Funcsim.gld_requests.(0) in
-        let n0 = fs.Gsim.Funcsim.gld_requests.(1) in
-        Gsim.Funcsim.run_into fs launch;
-        per_launch :=
-          ( fs.Gsim.Funcsim.gld_requests.(0) - d0,
-            fs.Gsim.Funcsim.gld_requests.(1) - n0 )
-          :: !per_launch
-  done;
+  Workloads.App.iter_launches run (fun launch ->
+      let d0 = fs.Gsim.Funcsim.gld_requests.(0) in
+      let n0 = fs.Gsim.Funcsim.gld_requests.(1) in
+      Gsim.Funcsim.run_into fs launch;
+      per_launch :=
+        ( fs.Gsim.Funcsim.gld_requests.(0) - d0,
+          fs.Gsim.Funcsim.gld_requests.(1) - n0 )
+        :: !per_launch;
+      true);
   (* traffic metric: non-deterministic requests when the app has any
      (the bursty side the paper characterizes), else all requests *)
   let deltas = Array.of_list (List.rev !per_launch) in
@@ -124,31 +115,25 @@ let run_timing ?(cfg = Gsim.Config.default) ?(warmup = true) ?trace
   let trace = machine.Gsim.Gpu.trace in
   let ff = Gsim.Funcsim.create cfg in
   let launches = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.Workloads.App.next_launch () with
-    | None -> continue_ := false
-    | Some launch ->
-        if !launches < skip then Gsim.Funcsim.run_into ff launch
-        else begin
-          (* --kernel filtering: mute the shared trace for launches of
-             other kernels instead of rebuilding the machine, so cache
-             state still flows across kernel boundaries *)
-          let muted =
-            match trace_kernel with
-            | Some k -> k <> launch.Gsim.Launch.kernel.Ptx.Kernel.kname
-            | None -> false
-          in
-          let ran =
-            if muted then
-              Gsim.Trace.with_muted trace (fun () ->
-                  Gsim.Gpu.run_launch machine ~fast_forward launch)
-            else Gsim.Gpu.run_launch machine ~fast_forward launch
-          in
-          if not ran then continue_ := false
-        end;
-        incr launches
-  done;
+  Workloads.App.iter_launches run (fun launch ->
+      incr launches;
+      if !launches <= skip then begin
+        Gsim.Funcsim.run_into ff launch;
+        true
+      end
+      else
+        (* --kernel filtering: mute the shared trace for launches of
+           other kernels instead of rebuilding the machine, so cache
+           state still flows across kernel boundaries *)
+        let muted =
+          match trace_kernel with
+          | Some k -> k <> launch.Gsim.Launch.kernel.Ptx.Kernel.kname
+          | None -> false
+        in
+        if muted then
+          Gsim.Trace.with_muted trace (fun () ->
+              Gsim.Gpu.run_launch machine ~fast_forward launch)
+        else Gsim.Gpu.run_launch machine ~fast_forward launch);
   { tr_app = app; tr_stats = stats; tr_launches = !launches; tr_cfg = cfg }
 
 (* Result-returning wrappers: every failure mode a malformed kernel or

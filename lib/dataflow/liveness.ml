@@ -70,8 +70,6 @@ let compute (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) =
   { kernel = k; live_in_at; nregs }
 
 let live_in_reg t ~pc ~reg = Bitset.mem t.live_in_at.(pc) reg
-let live_in_pred t ~pc ~pred = Bitset.mem t.live_in_at.(pc) (t.nregs + pred)
-let live_nodes_at t pc = Bitset.elements t.live_in_at.(pc)
 
 (* Maximum number of simultaneously live general registers — a proxy
    for register pressure. *)

@@ -8,10 +8,6 @@ type t
 
 val compute : Ptx.Kernel.t -> Ptx.Cfg.t -> t
 val live_in_reg : t -> pc:int -> reg:int -> bool
-val live_in_pred : t -> pc:int -> pred:int -> bool
-
-val live_nodes_at : t -> int -> int list
-(** Live register nodes (general [r], predicate [nregs+p]) entering pc. *)
 
 val max_pressure : t -> int
 (** Maximum number of simultaneously live general registers. *)

@@ -242,5 +242,3 @@ let verify_kernel (k : Ptx.Kernel.t) : V.diag list =
       |> List.rev
     in
     dedup (structural @ dataflow)
-
-let verify_clean k = V.errors (verify_kernel k) = []

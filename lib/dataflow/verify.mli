@@ -7,6 +7,3 @@ val verify_kernel : Ptx.Kernel.t -> Ptx.Verify.diag list
 (** All diagnostics for the kernel; empty when it is clean.  When the
     structural pass reports errors, the dataflow checks are skipped
     (they assume in-bounds registers and resolvable labels). *)
-
-val verify_clean : Ptx.Kernel.t -> bool
-(** No error-severity diagnostics (warnings allowed). *)

@@ -259,9 +259,6 @@ let unloaded_dram_latency c =
 
 let unloaded_l2_latency c = c.icnt_latency + c.l2_latency + c.icnt_latency
 
-let max_warps_per_cta c threads_per_cta =
-  (threads_per_cta + c.warp_size - 1) / c.warp_size
-
 (* How many CTAs of [threads_per_cta] threads and [smem] bytes of static
    shared memory fit on one SM. *)
 let ctas_per_sm c ~threads_per_cta ~smem_bytes =

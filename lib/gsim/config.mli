@@ -171,8 +171,6 @@ val unloaded_dram_latency : t -> int
 val unloaded_l2_latency : t -> int
 (** Contention-free latency of a load serviced by the L2. *)
 
-val max_warps_per_cta : t -> int -> int
-
 val ctas_per_sm : t -> threads_per_cta:int -> smem_bytes:int -> int
 (** Concurrent CTAs per SM given the thread and shared-memory limits. *)
 

@@ -66,9 +66,8 @@ type dist = {
   cta_queues : int Queue.t array;
 }
 
-let make_dist t ?(max_ctas = 0) launch =
-  let n_ctas = Launch.n_ctas launch in
-  let n_ctas_target = if max_ctas = 0 then n_ctas else min max_ctas n_ctas in
+let make_dist t launch =
+  let n_ctas_target = Launch.n_ctas launch in
   let cta_queues = Array.init t.cfg.Config.n_sms (fun _ -> Queue.create ()) in
   (match t.cfg.Config.cta_sched with
   | Config.Round_robin -> ()
@@ -240,7 +239,7 @@ let quiescent_horizon t d =
    @raise Sim_error.Error on barrier deadlock or livelock — a guard
    against malformed kernels and simulator bugs, not an expected
    outcome. *)
-let run_launch t ?max_ctas ?(fast_forward = false) (launch : Launch.t) =
+let run_launch t ?(fast_forward = false) (launch : Launch.t) =
   let threads_per_cta = Launch.threads_per_cta launch in
   let ctas_per_sm =
     Config.ctas_per_sm t.cfg ~threads_per_cta
@@ -254,7 +253,7 @@ let run_launch t ?max_ctas ?(fast_forward = false) (launch : Launch.t) =
       Sm.reconfigure sm ~warp_slots:(ctas_per_sm * warps_per_cta)
         ~warps_per_cta)
     t.sms;
-  let d = make_dist t ?max_ctas launch in
+  let d = make_dist t launch in
   let last_activity = ref t.cycle in
   let last_fingerprint = ref (-1) in
   let fingerprint () =
@@ -310,7 +309,7 @@ let run_launch t ?max_ctas ?(fast_forward = false) (launch : Launch.t) =
   else true
 
 (* Convenience: one launch on a fresh machine. *)
-let run ?cfg ?max_ctas ?stats ?trace ?fast_forward (launch : Launch.t) =
+let run ?cfg ?stats ?trace ?fast_forward (launch : Launch.t) =
   let t = create_machine ?cfg ?stats ?trace () in
-  ignore (run_launch t ?max_ctas ?fast_forward launch);
+  ignore (run_launch t ?fast_forward launch);
   t

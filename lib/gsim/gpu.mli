@@ -22,7 +22,7 @@ val create_machine :
     MSHR / LD-ST queue occupancy is additionally sampled every 256th
     cycle. *)
 
-val run_launch : t -> ?max_ctas:int -> ?fast_forward:bool -> Launch.t -> bool
+val run_launch : t -> ?fast_forward:bool -> Launch.t -> bool
 (** Run one kernel launch to completion (or to the instruction/cycle
     caps), keeping cache state from prior launches.  Returns false when
     a cap stopped the launch early — also recorded as
@@ -41,7 +41,7 @@ val run_launch : t -> ?max_ctas:int -> ?fast_forward:bool -> Launch.t -> bool
     watchdog), with kernel / warp / cycle context. *)
 
 val run :
-  ?cfg:Config.t -> ?max_ctas:int -> ?stats:Stats.t -> ?trace:Trace.t ->
+  ?cfg:Config.t -> ?stats:Stats.t -> ?trace:Trace.t ->
   ?fast_forward:bool -> Launch.t -> t
 (** One launch on a fresh machine. *)
 

@@ -100,8 +100,6 @@ let pop_response t ~now ~sm =
     else None
   end
 
-let pending_responses t ~sm = Queue.length t.to_sm.(sm)
-
 (* Allocation-free per-cycle probe: has the head response for [sm]
    arrived?  Lets the SM skip its return-processing phase entirely on
    the (common) cycles with nothing to drain. *)

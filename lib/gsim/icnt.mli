@@ -29,7 +29,6 @@ val pop_request : t -> now:int -> part:int -> Request.t option
 
 val inject_response : t -> now:int -> Request.t -> unit
 val pop_response : t -> now:int -> sm:int -> Request.t option
-val pending_responses : t -> sm:int -> int
 
 val response_arrived : t -> now:int -> sm:int -> bool
 (** Allocation-free probe: true iff the head response for [sm] has

@@ -90,6 +90,27 @@ let driven ~global ~check ~max_iters driver =
     check;
   }
 
+(* Pull launches until the driver runs dry or [f] answers false. *)
+let rec iter_launches run f =
+  match run.next_launch () with
+  | Some l when f l -> iter_launches run f
+  | Some _ | None -> ()
+
+(* First launch of each distinct kernel, in launch order.  Nothing is
+   executed between launches, so an iterative driver sees the initial
+   memory image. *)
+let kernel_launches run =
+  let seen = Hashtbl.create 8 in
+  let acc = ref [] in
+  iter_launches run (fun l ->
+      let name = l.Gsim.Launch.kernel.Ptx.Kernel.kname in
+      if not (Hashtbl.mem seen name) then begin
+        Hashtbl.add seen name ();
+        acc := l :: !acc
+      end;
+      true);
+  List.rev !acc
+
 let close_f32 a b =
   let d = Float.abs (a -. b) in
   d <= 1e-3 +. (1e-3 *. Float.abs b)

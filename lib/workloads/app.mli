@@ -57,5 +57,16 @@ val driven :
 (** Host-logic driver: [driver i] returns the i-th launch or [None];
     bounded by [max_iters] as a safety net. *)
 
+val iter_launches : run -> (Gsim.Launch.t -> bool) -> unit
+(** [iter_launches run f] passes each launch [run.next_launch] yields
+    to [f], stopping at the first [None] or when [f] answers false.
+    A driver that picks its next launch from simulated memory (bfs,
+    sssp, ...) needs [f] to execute each launch it is given. *)
+
+val kernel_launches : run -> Gsim.Launch.t list
+(** The first launch of each distinct kernel (by name), in launch
+    order.  No launch is executed, so iterative drivers see the
+    initial memory image throughout. *)
+
 val close_f32 : float -> float -> bool
 (** Approximate equality with f32-appropriate tolerance. *)

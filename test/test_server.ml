@@ -190,6 +190,22 @@ let test_protocol_roundtrip () =
       Alcotest.(check string) "defaults fill an app-only job"
         (P.job_key (P.job "2mm")) (P.job_key j')
   | Error e -> Alcotest.failf "minimal job: %s" e);
+  (* older clients send a fast_forward member; a submit decodes the
+     same job with or without it *)
+  (match Pr.job_to_json j with
+  | Json.Obj members ->
+      let submit job =
+        Pr.request_of_json
+          (Json.Obj
+             [ ("schema", Json.Str Pr.schema); ("op", Json.Str "submit");
+               ("id", Json.Str "ff"); ("job", job) ])
+      in
+      let legacy = members @ [ ("fast_forward", Json.Bool false) ] in
+      Alcotest.(check bool) "a fast_forward member is ignored" true
+        (match (submit (Json.Obj legacy), submit (Json.Obj members)) with
+        | Ok a, Ok b -> a = b
+        | _ -> false)
+  | _ -> Alcotest.fail "job_to_json is not an object");
   (match Pr.job_of_json (Json.Str "nope") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-object job decoded");

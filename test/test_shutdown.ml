@@ -182,8 +182,8 @@ let test_serve_sigterm () =
 (* ---- exit codes for usage errors, through the real binary ---- *)
 
 let test_usage_exit_codes () =
-  let run argv =
-    let pid = spawn (Array.of_list (cli :: argv)) in
+  let run ?log argv =
+    let pid = spawn ?log (Array.of_list (cli :: argv)) in
     wait_exit pid
   in
   Alcotest.(check int) "unknown app is exit 2 (simulate)" 2
@@ -193,7 +193,30 @@ let test_usage_exit_codes () =
   Alcotest.(check int) "resume without --out FILE is exit 2" 2
     (run [ "sweep"; "--resume"; "--out"; "-" ]);
   Alcotest.(check int) "submit with no daemon is exit 5" 5
-    (run [ "submit"; "--socket"; "/nonexistent/nowhere.sock"; "--health" ])
+    (run [ "submit"; "--socket"; "/nonexistent/nowhere.sock"; "--health" ]);
+  Alcotest.(check int) "unknown experiment is exit 2" 2
+    (run [ "experiment"; "nosuch" ]);
+  (* an --out into a missing directory is an argument error, caught
+     before any job runs *)
+  let dir = fresh_dir () in
+  let missing = Filename.concat dir "missing" in
+  let out = Filename.concat missing "x.json" in
+  Alcotest.(check int) "sweep --out into a missing directory is exit 124"
+    124
+    (run [ "sweep"; "--apps"; "2mm"; "--scale"; "small"; "--no-cache";
+           "--out"; out ]);
+  Alcotest.(check bool) "no checkpoint left behind" false
+    (Sys.file_exists (out ^ ".partial"));
+  let log = Filename.concat dir "verify.log" in
+  Alcotest.(check int) "verify --out into a missing directory is exit 124"
+    124
+    (run ~log [ "verify"; "--scale"; "small"; "--out"; out ]);
+  (* each verified app prints "warp insts"; none may have run *)
+  Alcotest.(check bool) "verify ran no job" false
+    (List.exists
+       (String.ends_with ~suffix:"warp insts")
+       (String.split_on_char '\n' (read_file log)));
+  rm_rf dir
 
 let () =
   Alcotest.run "shutdown"

@@ -39,8 +39,6 @@ let test_digest_invariants () =
     (P.job_digest j);
   Alcotest.(check string) "label excluded" (P.job_digest j)
     (P.job_digest (P.job ~label:"other" ~cfg ~warmup:false "2mm"));
-  Alcotest.(check string) "fast-forward excluded" (P.job_digest j)
-    (P.job_digest (P.job ~cfg ~warmup:false ~fast_forward:false "2mm"));
   let differs what j' =
     Alcotest.(check bool) (what ^ " changes the digest") true
       (P.job_digest j <> P.job_digest j')
