@@ -1,8 +1,8 @@
 (* Golden-digest generator for the perf-lock differential suite.
 
    Runs every row of Perf_lock.rows — each app of the suite, then the
-   "iar/<app>" rows — through the timing simulator at its pinned
-   configuration and prints one line per row:
+   "iar/<app>" and "warmup/<app>" rows — through the timing simulator
+   at its pinned configuration and prints one line per row:
 
      <key> <stats_md5> <profile_md5> <trace_md5>
 
@@ -18,8 +18,8 @@
 
 let () =
   List.iter
-    (fun (key, app, cfg) ->
-      let d = Perf_lock.digest_app ~cfg (Workloads.Suite.find app) in
+    (fun { Perf_lock.key; app; cfg; warmup } ->
+      let d = Perf_lock.digest_app ~cfg ~warmup (Workloads.Suite.find app) in
       Printf.printf "%s %s %s %s\n" key d.Perf_lock.dg_stats
         d.Perf_lock.dg_profile d.Perf_lock.dg_trace)
     Perf_lock.rows

@@ -5,7 +5,9 @@
    JSON, and full trace event stream digests are compared against the
    goldens recorded from the pre-optimization core
    (test/goldens/perf_lock.golden); the "iar/<app>" rows do the same
-   for spmv and the graph apps under the IAR reorder buffer.  A
+   for spmv and the graph apps under the IAR reorder buffer, and the
+   "warmup/<app>" rows for the apps whose warmup pre-pass skips a
+   prefix of launches, run with warmup on.  A
    mismatch means a core change perturbed timing — which is either a
    bug or a deliberate model change that must regenerate the goldens
    via gen_perf_lock.exe and justify itself in review. *)
@@ -14,13 +16,13 @@ let golden_path = "goldens/perf_lock.golden"
 
 let goldens = lazy (Perf_lock.read_golden golden_path)
 
-let check_row (name, app, cfg) =
+let check_row { Perf_lock.key = name; app; cfg; warmup } =
   let want =
     match List.assoc_opt name (Lazy.force goldens) with
     | Some d -> d
     | None -> Alcotest.failf "no golden entry for %s" name
   in
-  let got = Perf_lock.digest_app ~cfg (Workloads.Suite.find app) in
+  let got = Perf_lock.digest_app ~cfg ~warmup (Workloads.Suite.find app) in
   Alcotest.(check string)
     (name ^ ": Stats.t JSON digest")
     want.Perf_lock.dg_stats got.Perf_lock.dg_stats;
@@ -33,14 +35,14 @@ let check_row (name, app, cfg) =
 
 let test_covers_suite () =
   Alcotest.(check (list string))
-    "golden file covers the whole suite and the iar rows"
-    (List.map (fun (key, _, _) -> key) Perf_lock.rows)
+    "golden file covers the whole suite and the iar and warmup rows"
+    (List.map (fun r -> r.Perf_lock.key) Perf_lock.rows)
     (List.map fst (Lazy.force goldens))
 
 let app_cases =
   List.map
-    (fun ((name, _, _) as row) ->
-      Alcotest.test_case name `Slow (fun () -> check_row row))
+    (fun row ->
+      Alcotest.test_case row.Perf_lock.key `Slow (fun () -> check_row row))
     Perf_lock.rows
 
 let () =
