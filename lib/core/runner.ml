@@ -72,24 +72,18 @@ let run_func ?(cfg = Gsim.Config.default) ?(max_warp_insts = 0)
 
 (* Iterative applications (bfs, sssp, ...) spend their first launches
    on tiny frontiers; measuring only those would mischaracterize the
-   steady state the paper reports.  A functional pre-pass finds the
-   first launch carrying substantial global-load traffic (>= 25% of the
-   busiest launch); the timing pass fast-forwards to it functionally —
-   the memory image is shared, so simulation can resume exactly there —
-   and cycle-simulates from that point. *)
+   steady state the paper reports.  A functional pre-pass counts each
+   launch's coalesced global-load requests, modelling no cache, and
+   finds the first launch carrying substantial traffic (>= 25% of the
+   busiest launch); the timing pass executes the launches before it
+   functionally — the memory image is shared, so simulation can resume
+   exactly there — and cycle-simulates from that point. *)
 let warmup_launches ?(cfg = Gsim.Config.default) (app : Workloads.App.t) scale
     =
   let run = app.Workloads.App.make scale in
-  let fs = Gsim.Funcsim.create cfg in
   let per_launch = ref [] in
   Workloads.App.iter_launches run (fun launch ->
-      let d0 = fs.Gsim.Funcsim.gld_requests.(0) in
-      let n0 = fs.Gsim.Funcsim.gld_requests.(1) in
-      Gsim.Funcsim.run_into fs launch;
-      per_launch :=
-        ( fs.Gsim.Funcsim.gld_requests.(0) - d0,
-          fs.Gsim.Funcsim.gld_requests.(1) - n0 )
-        :: !per_launch;
+      per_launch := Gsim.Funcsim.count_requests cfg launch :: !per_launch;
       true);
   (* traffic metric: non-deterministic requests when the app has any
      (the bursty side the paper characterizes), else all requests *)
@@ -113,12 +107,11 @@ let run_timing ?(cfg = Gsim.Config.default) ?(warmup = true) ?trace
   let machine = Gsim.Gpu.create_machine ~cfg ?trace () in
   let stats = machine.Gsim.Gpu.stats in
   let trace = machine.Gsim.Gpu.trace in
-  let ff = Gsim.Funcsim.create cfg in
   let launches = ref 0 in
   Workloads.App.iter_launches run (fun launch ->
       incr launches;
       if !launches <= skip then begin
-        Gsim.Funcsim.run_into ff launch;
+        Gsim.Funcsim.execute cfg launch;
         true
       end
       else

@@ -91,7 +91,9 @@ val run :
 val warmup_launches :
   ?cfg:Gsim.Config.t -> Workloads.App.t -> Workloads.App.scale -> int
 (** Index of the first launch carrying substantial global-load traffic
-    (>= 25% of the busiest launch's), found by a functional pre-pass.
-    Iterative apps (bfs, sssp, ...) spend their first launches on tiny
-    frontiers; measuring only those would mischaracterize the steady
-    state the paper reports. *)
+    (>= 25% of the busiest launch's), found by a functional pre-pass
+    that counts each launch's coalesced requests
+    ({!Gsim.Funcsim.count_requests}) and models no cache.  Iterative
+    apps (bfs, sssp, ...) spend their first launches on tiny frontiers;
+    measuring only those would mischaracterize the steady state the
+    paper reports. *)

@@ -1,16 +1,27 @@
 (* Functional (trace-based) simulator.
 
-   Executes a launch without timing, recording the event counts the
-   paper measured on real hardware with the CUDA profiler (Table I,
-   Table III, Figs 1 and 9) and the address-trace locality metrics
-   (Figs 10–12): per-128B-block access counts, the set of CTAs touching
-   each block, and the derived cold-miss / inter-CTA-sharing /
-   CTA-distance statistics.
+   Executes a launch without timing, in one of three roles:
+
+   - the full model ([run_into]) records the event counts the paper
+     measured on real hardware with the CUDA profiler (Table I,
+     Table III, Figs 1 and 9) and the address-trace locality metrics
+     (Figs 10–12): per-128B-block access counts, the set of CTAs
+     touching each block, and the derived cold-miss /
+     inter-CTA-sharing / CTA-distance statistics;
+   - count-only ([count_requests]) returns the launch's coalesced
+     global-load requests by class, which is all the warmup pre-pass
+     reads;
+   - execute-only ([execute]) runs the launch for its memory effects
+     alone, to replay the launches a timing run skips.
 
    CTAs run to completion one at a time (warps round-robin between
    barriers), with CTA -> SM assignment following the configured CTA
    scheduler so the emulated per-SM L1 counters see the same working
-   sets as the timing model. *)
+   sets as the timing model.  All three roles drive the same CTA loop
+   ([exec_cta]) and differ only in what they do with each memory op, so
+   they execute in the same order and leave the same memory image:
+   atomics and racing stores make that image depend on the order, and
+   iterative apps pick their next launch from it. *)
 
 type cls = Dataflow.Classify.load_class
 
@@ -154,17 +165,15 @@ let sm_of_cta cfg cta =
       cta / k mod cfg.Config.n_sms
 
 (* Run one CTA to completion: warps advance round-robin, pausing at
-   barriers until the whole CTA arrives. *)
-let run_cta t ~launch ~max_warp_insts cta_lin =
-  let cfg = t.cfg in
-  let sm = sm_of_cta cfg cta_lin in
-  let cta = Cta.create launch ~warp_size:cfg.Config.warp_size ~cta_lin in
+   barriers until the whole CTA arrives.  Each memory op goes to
+   [on_mem] before its warp steps again; [budget] bounds the warp
+   instructions the CTA may execute. *)
+let exec_cta ~warp_size ~budget (launch : Launch.t) cta_lin on_mem =
+  let cta = Cta.create launch ~warp_size ~cta_lin in
   let n = Cta.n_warps cta in
   let at_barrier = Array.make n false in
   let local_insts = ref 0 in
-  let budget_left () =
-    max_warp_insts = 0 || t.warp_insts + !local_insts < max_warp_insts
-  in
+  let budget_left () = !local_insts < budget in
   let progress = ref true in
   while (not (Cta.all_finished cta)) && !progress && budget_left () do
     progress := false;
@@ -188,7 +197,7 @@ let run_cta t ~launch ~max_warp_insts cta_lin =
             incr local_insts;
             match Warp.step w with
             | Warp.S_alu _ -> ()
-            | Warp.S_mem m -> record_mem t ~launch ~sm ~cta:cta_lin m
+            | Warp.S_mem m -> on_mem m
             | Warp.S_barrier ->
                 at_barrier.(i) <- true;
                 stop := true
@@ -198,6 +207,20 @@ let run_cta t ~launch ~max_warp_insts cta_lin =
         end)
       cta.Cta.warps
   done;
+  cta
+
+(* The full model's CTA: [record_mem] observes every memory op, and
+   the CTA stops where the launch-wide instruction cap falls. *)
+let run_cta t ~launch ~max_warp_insts cta_lin =
+  let cfg = t.cfg in
+  let sm = sm_of_cta cfg cta_lin in
+  let budget =
+    if max_warp_insts = 0 then max_int else max_warp_insts - t.warp_insts
+  in
+  let cta =
+    exec_cta ~warp_size:cfg.Config.warp_size ~budget launch cta_lin
+      (record_mem t ~launch ~sm ~cta:cta_lin)
+  in
   let wi = Array.fold_left (fun a w -> a + w.Warp.warp_insts) 0 cta.Cta.warps in
   let ti =
     Array.fold_left (fun a w -> a + w.Warp.thread_insts) 0 cta.Cta.warps
@@ -205,8 +228,6 @@ let run_cta t ~launch ~max_warp_insts cta_lin =
   t.warp_insts <- t.warp_insts + wi;
   t.thread_insts <- t.thread_insts + ti;
   t.ctas_run <- t.ctas_run + 1;
-  (* [t.warp_insts] now holds this CTA's instructions: [budget_left]
-     would count them twice *)
   if max_warp_insts <> 0 && t.warp_insts >= max_warp_insts then
     t.capped <- true
 
@@ -219,6 +240,31 @@ let run_into t ?(max_warp_insts = 0) (launch : Launch.t) =
     run_cta t ~launch ~max_warp_insts !i;
     incr i
   done
+
+(* The lean roles run every CTA of the launch, uncapped, and keep no
+   state beyond what [on_mem] gathers. *)
+let exec_launch cfg (launch : Launch.t) on_mem =
+  for cta_lin = 0 to Launch.n_ctas launch - 1 do
+    ignore
+      (exec_cta ~warp_size:cfg.Config.warp_size ~budget:max_int launch
+         cta_lin on_mem)
+  done
+
+let count_requests cfg (launch : Launch.t) =
+  let line_size = cfg.Config.line_size in
+  let requests = Array.make 2 0 in
+  exec_launch cfg launch (fun (m : Warp.mem_op) ->
+      match (m.Warp.m_space, m.Warp.m_kind) with
+      | Ptx.Types.Global, (Warp.Load | Warp.Atomic) ->
+          let i = cls_index (Launch.load_class launch m.Warp.m_pc) in
+          requests.(i) <-
+            requests.(i)
+            + Coalesce.count ~line_size ~mask:m.Warp.m_mask
+                ~addrs:m.Warp.m_addrs
+      | _, _ -> ());
+  (requests.(0), requests.(1))
+
+let execute cfg launch = exec_launch cfg launch (fun (_ : Warp.mem_op) -> ())
 
 let run ?(cfg = Config.default) ?(max_warp_insts = 0) (launch : Launch.t) =
   let t = create cfg in

@@ -1,10 +1,23 @@
 (** Functional (trace-based) simulator.
 
-    Executes launches without timing, recording the event counts the
-    paper measured with the CUDA profiler (Tables I/III, Figs 1 and 9)
-    and the address-trace locality metrics (Figs 10-12): per-128B-block
-    access counts, the set of CTAs touching each block, and the derived
-    cold-miss / inter-CTA-sharing / CTA-distance statistics. *)
+    Executes launches without timing, in one of three roles, picked by
+    the function the caller calls:
+
+    - the full model ({!run_into}, {!run}) records the event counts the
+      paper measured with the CUDA profiler (Tables I/III, Figs 1 and
+      9) and the address-trace locality metrics (Figs 10-12):
+      per-128B-block access counts, the set of CTAs touching each
+      block, and the derived cold-miss / inter-CTA-sharing /
+      CTA-distance statistics;
+    - count-only ({!count_requests}) returns a launch's coalesced
+      global-load requests by class, modelling no cache;
+    - execute-only ({!execute}) runs a launch for its memory effects
+      alone.
+
+    All three run the same CTA loop, so they execute a launch in the
+    same order and leave the same memory image.  An iterative
+    application picks its next launch from that image, so walking it
+    with any role yields the same launch sequence. *)
 
 type cls = Dataflow.Classify.load_class
 
@@ -47,6 +60,14 @@ val run_into : t -> ?max_warp_insts:int -> Launch.t -> unit
     share one stats object across launches). *)
 
 val run : ?cfg:Config.t -> ?max_warp_insts:int -> Launch.t -> t
+
+val count_requests : Config.t -> Launch.t -> int * int
+(** [count_requests cfg launch] runs every CTA of [launch] and returns
+    its coalesced requests of global loads and atomics as [(d, n)], by
+    load class: exactly what {!run_into} adds to [gld_requests]. *)
+
+val execute : Config.t -> Launch.t -> unit
+(** Run every CTA of the launch for its memory effects only. *)
 
 (** {1 Derived metrics} *)
 

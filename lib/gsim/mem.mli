@@ -13,10 +13,11 @@ val size : t -> int
 val load : t -> Ptx.Types.dtype -> int -> int64
 (** Typed load; narrow signed types sign-extend, unsigned zero-extend,
     F32 widens to double bits.
-    @raise Invalid_argument on out-of-bounds access. *)
+    @raise Sim_error.Error ([Mem_fault]) on out-of-bounds access. *)
 
 val store : t -> Ptx.Types.dtype -> int -> int64 -> unit
-(** Typed store. @raise Invalid_argument on out-of-bounds access. *)
+(** Typed store.
+    @raise Sim_error.Error ([Mem_fault]) on out-of-bounds access. *)
 
 (** {1 Host-side convenience accessors} *)
 
