@@ -632,14 +632,8 @@ let grid_term ~cmd =
 
 let sweep_cmd =
   let module P = Critload.Parsweep in
-  let run grid jobs timeout out resume format no_cache cache_dir =
+  let run grid jobs timeout out format no_cache cache_dir =
     let job_list = grid () in
-    if resume && out = "-" then begin
-      Printf.eprintf
-        "sweep: --resume needs --out FILE (the checkpoint lives next to \
-         it)\n";
-      exit EC.usage
-    end;
     let total = List.length job_list in
     let finished = ref 0 in
     let tag (j : P.job) =
@@ -661,10 +655,6 @@ let sweep_cmd =
           incr finished;
           Printf.eprintf "sweep: [%d/%d] %s FAILED: %s\n%!" !finished total
             (tag j) reason
-      | P.Skipped j ->
-          incr finished;
-          Printf.eprintf "sweep: [%d/%d] %s skipped (checkpoint)\n%!"
-            !finished total (tag j)
       | P.Cached j ->
           incr finished;
           Printf.eprintf "sweep: [%d/%d] %s cached\n%!" !finished total
@@ -674,82 +664,28 @@ let sweep_cmd =
             "sweep: warning: damaged cache entry for %s (%s); recomputing\n%!"
             (tag j) reason
     in
-    (* Completed jobs restored from the checkpoint are skipped; failed
-       ones get a fresh chance (their failure may have been the crash
-       being resumed from). *)
-    let ckpt_path = out ^ ".partial" in
-    let prefilled =
-      if resume then begin
-        let corrupt = ref 0 in
-        let entries =
-          P.read_checkpoint
-            ~on_corrupt:(fun ~line ~reason ->
-              incr corrupt;
-              Printf.eprintf
-                "sweep: warning: %s:%d: corrupt checkpoint line (%s); \
-                 ignoring\n%!"
-                ckpt_path line reason)
-            ckpt_path
-        in
-        if !corrupt > 0 then
-          Printf.eprintf
-            "sweep: warning: dropped %d corrupt checkpoint line(s); the \
-             affected jobs will rerun\n%!"
-            !corrupt;
-        List.filter
-          (fun (_, o) ->
-            match o with P.Completed _ -> true | P.Failed _ -> false)
-          entries
-      end
-      else []
-    in
-    let ckpt_oc =
-      if out = "-" then None
-      else begin
-        (* a fresh (non-resume) run invalidates any stale checkpoint *)
-        let flags =
-          if resume then [ Open_wronly; Open_append; Open_creat ]
-          else [ Open_wronly; Open_trunc; Open_creat ]
-        in
-        Some (open_out_gen flags 0o644 ckpt_path)
-      end
-    in
-    let on_result _i j o =
-      match ckpt_oc with
-      | None -> ()
-      | Some oc ->
-          output_string oc (P.checkpoint_line j o);
-          output_char oc '\n';
-          flush oc
-    in
     Sys.catch_break true;
-    (* SIGTERM gets the same orderly exit as ^C: close the checkpoint,
-       report how to resume, leave no pool workers behind. *)
+    (* SIGTERM gets the same orderly exit as ^C: leave no pool workers
+       behind and say where the finished jobs are kept. *)
     let old_term =
       try Some (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> raise Sys.Break)))
       with Invalid_argument _ | Sys_error _ -> None
     in
     let cache_dir = if no_cache then None else Some cache_dir in
     let outcomes =
-      try
-        P.run ~workers:jobs ~timeout ~on_event ~prefilled ~on_result
-          ?cache_dir job_list
+      try P.run ~workers:jobs ~timeout ~on_event ?cache_dir job_list
       with Sys.Break ->
-        Option.iter close_out ckpt_oc;
-        (if out = "-" then
-           Printf.eprintf "sweep: interrupted\n%!"
-         else
-           Printf.eprintf
-             "sweep: interrupted; %d/%d result(s) checkpointed in %s — \
-              rerun with --resume to continue\n%!"
-             !finished total ckpt_path);
+        (match cache_dir with
+        | None -> Printf.eprintf "sweep: interrupted\n%!"
+        | Some dir ->
+            Printf.eprintf
+              "sweep: interrupted; finished jobs are stored in %s — run the \
+               same command again to continue\n%!"
+              dir);
         exit EC.interrupted
     in
     Option.iter (fun h -> Sys.set_signal Sys.sigterm h) old_term;
-    Option.iter close_out ckpt_oc;
     write_sweep_doc ~cmd:"sweep" ~format ~out job_list outcomes;
-    (* the full document supersedes the checkpoint *)
-    if out <> "-" then (try Sys.remove ckpt_path with Sys_error _ -> ());
     if Array.exists (function P.Failed _ -> true | _ -> false) outcomes
     then exit EC.failure
   in
@@ -770,7 +706,8 @@ let sweep_cmd =
       & info [ "no-cache" ]
           ~doc:
             "Bypass the content-addressed result cache entirely: \
-             neither read nor write entries.")
+             neither read nor write entries, so an interrupted run \
+             starts over.")
   in
   let cache_dir =
     Arg.(
@@ -782,18 +719,9 @@ let sweep_cmd =
              whose digest — kernels (normalized text), launch geometry, \
              dataset seed, full config, mode and simulator tag — \
              matches a stored entry are served from it without \
-             re-simulating; completed jobs are stored back.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Resume an interrupted sweep: jobs already completed in \
-             FILE.partial (written incrementally alongside --out FILE) \
-             are skipped; everything else, including previously failed \
-             jobs, runs again.  The final document is identical to an \
-             uninterrupted run's.")
+             re-simulating; completed jobs are stored back as they \
+             finish, so an interrupted sweep continues when the same \
+             command is run again.")
   in
       Cmd.v
       (cmd_info "sweep"
@@ -801,7 +729,7 @@ let sweep_cmd =
          "Run many applications through the simulator in parallel worker \
           processes and export every per-app statistic as JSON.")
     Term.(
-      const run $ grid_term ~cmd:"sweep" $ jobs $ timeout $ out $ resume
+      const run $ grid_term ~cmd:"sweep" $ jobs $ timeout $ out
       $ sweep_format_arg $ no_cache $ cache_dir)
 
 (* ---- serve (long-running sweep daemon) ---- *)

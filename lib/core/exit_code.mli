@@ -33,5 +33,6 @@ val unavailable : int
     found its socket already owned by a live server. *)
 
 val interrupted : int
-(** 130 — terminated by SIGINT/SIGTERM after a clean drain
-    (checkpoints consistent, no orphaned workers). *)
+(** 130 — terminated by SIGINT/SIGTERM after a clean drain (no
+    orphaned workers; a sweep's finished jobs are in its cache, so the
+    same command run again continues it). *)

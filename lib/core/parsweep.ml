@@ -5,9 +5,12 @@
    always cross back as JSON text over a pipe, the same representation
    the CLI writes to disk.  {!Pool} supervises the workers and reports
    one verdict per assignment; this driver keeps job order, settles
-   checkpoints and the cache, and retries a crashed, garbled or hung
-   job exactly once — since the simulators are deterministic, a retry
-   reproduces the lost result bit-for-bit. *)
+   jobs from the content cache and stores finished ones back, and
+   retries a crashed, garbled or hung job exactly once — since the
+   simulators are deterministic, a retry reproduces the lost result
+   bit-for-bit.  The cache is also how an interrupted sweep resumes:
+   every job that finished before the interrupt is stored, so the same
+   sweep run again serves it instead of re-simulating. *)
 
 module Json = Gsim.Stats_io.Json
 
@@ -47,20 +50,6 @@ let jobs ~apps ~scales ~cfgs ?(mode = Timing) ?(warmup = true)
             cfgs)
         scales)
     apps
-
-(* Stable identity of a job across processes: the sweep cross product
-   never repeats an (app, scale, label, mode) combination, so this is
-   unique within one sweep and survives a restart with the same CLI
-   arguments — the property resume rests on.  The "|profile" suffix is
-   appended only for profiled jobs so checkpoints written before the
-   flag existed still resolve. *)
-let job_key j =
-  String.concat "|"
-    [ j.sj_app;
-      Workloads.App.string_of_scale j.sj_scale;
-      j.sj_label;
-      Runner.mode_name j.sj_mode ]
-  ^ if j.sj_profile then "|profile" else ""
 
 (* ---- content digests ----
 
@@ -149,7 +138,7 @@ let job_digest j =
    One file per digest.  Entries carry provenance (app, config JSON,
    sim tag) alongside the result payload, written via a temporary file
    and rename so a reader never observes a torn entry.  Lookups treat
-   any unreadable or mismatched file as a miss — a corrupt entry costs
+   an unreadable or mismatched file as a miss — a corrupt entry costs
    one re-simulation, never a crash. *)
 
 let cache_path ~dir digest = Filename.concat dir (digest ^ ".json")
@@ -179,12 +168,21 @@ let cache_store ~dir j payload =
     in
     let path = cache_path ~dir digest in
     let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Json.to_channel oc entry);
-    Unix.rename tmp path
-  with _ -> () (* a full disk or permission error degrades to no cache *)
+    match
+      (* [with_open_bin] would close with [close_out_noerr]; closing
+         here makes a failed final flush raise instead of renaming a
+         short entry into place *)
+      Out_channel.with_open_bin tmp (fun oc ->
+          Json.to_channel oc entry;
+          close_out oc);
+      Unix.rename tmp path
+    with
+    | () -> ()
+    | exception e ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        raise e
+  with Sys_error _ | Unix.Unix_error _ ->
+    () (* a full disk or permission error degrades to no cache *)
 
 (* ---- result summaries ---- *)
 
@@ -304,13 +302,17 @@ let timing_summary_of_json = timing_summary_codec.dec
    simulator tag) is a plain miss; an entry that exists but fails a
    structural check is [Cache_damaged] — still served as a miss, but
    counted and surfaced so torn or bit-rotted stores are visible
-   instead of silently re-simulating forever. *)
+   instead of silently re-simulating forever.  Each handler names the
+   exceptions its step documents, so an interrupt ([Sys.Break]) raised
+   while a probe fingerprints an app or reads an entry reaches the
+   caller instead of turning into a miss. *)
 
 type cache_probe = Cache_hit of Json.t | Cache_miss | Cache_damaged of string
 
 let cache_probe ~dir j =
   match job_digest j with
-  | exception _ -> Cache_miss (* unknown app: let execution report it *)
+  | exception Invalid_argument _ ->
+      Cache_miss (* unknown app: let execution report it *)
   | digest -> (
       let path = cache_path ~dir digest in
       if not (Sys.file_exists path) then Cache_miss
@@ -318,8 +320,8 @@ let cache_probe ~dir j =
         let damaged fmt = Printf.ksprintf (fun m -> Cache_damaged m) fmt in
         match Json.of_string (read_file path) with
         | exception Json.Parse_error e -> damaged "%s: unparseable (%s)" path e
-        | exception _ -> damaged "%s: unreadable" path
-        | v -> (
+        | exception (Sys_error _ | End_of_file) -> damaged "%s: unreadable" path
+        | Json.Obj _ as v -> (
             match (Json.member "schema" v, Json.member "sim_tag" v) with
             | Json.Str s, _ when s <> cache_schema -> Cache_miss
             | _, Json.Str t when t <> Version.sim_tag -> Cache_miss
@@ -336,18 +338,19 @@ let cache_probe ~dir j =
                           | Timing -> (
                               match timing_summary_of_json r with
                               | _ -> true
-                              | exception _ -> false)
+                              | exception Json.Parse_error _ -> false)
                           | Func -> (
                               match func_summary_of_json r with
                               | _ -> true
-                              | exception _ -> false)
+                              | exception Json.Parse_error _ -> false)
                         in
                         if decodes then Cache_hit r
                         else
                           damaged "%s: result does not decode as a %s summary"
                             path (Runner.mode_name j.sj_mode))
                 | _ -> damaged "%s: missing digest field" path)
-            | _ -> damaged "%s: missing schema or sim_tag field" path))
+            | _ -> damaged "%s: missing schema or sim_tag field" path)
+        | _ -> damaged "%s: not a JSON object" path)
 
 (* ---- worker body ---- *)
 
@@ -380,7 +383,6 @@ type event =
   | Finished of job * float
   | Retried of job * string
   | Gave_up of job * string
-  | Skipped of job
   | Cached of job
   | Cache_damage of job * string
 
@@ -389,55 +391,35 @@ exception Garble = Pool.Garble
 let run ?(workers = 1) ?(timeout = 600.)
     ?(on_event = fun (_ : event) -> ())
     ?(chaos = fun ~job_index:_ ~attempt:_ -> ())
-    ?(prefilled = [])
-    ?(on_result = fun (_ : int) (_ : job) (_ : outcome) -> ())
-    ?abort_after ?cache_dir job_list =
+    ?cache_dir job_list =
   let job_arr = Array.of_list job_list in
   let n = Array.length job_arr in
   let results = Array.make n (Failed "never ran") in
-  let settled = ref 0 in
-  (* Terminal outcome for job [i]: record it and tell the caller (the
-     checkpoint writer) right away, so a later crash loses at most the
-     in-flight jobs. *)
-  let record i outcome =
-    results.(i) <- outcome;
-    incr settled;
-    on_result i job_arr.(i) outcome
-  in
   let pending = Queue.create () in
   Array.iteri
     (fun i j ->
-      match List.assoc_opt (job_key j) prefilled with
-      | Some o ->
-          (* restored from a checkpoint; already on disk, so bypass
-             [record] and do not re-emit it to [on_result] *)
-          results.(i) <- o;
-          incr settled;
-          on_event (Skipped j)
-      | None -> (
-          (* checkpoints (exact resume of this sweep) outrank the
-             content cache; a cache hit settles through [record] so it
-             still reaches the checkpoint writer *)
-          match
-            match cache_dir with
-            | Some dir -> (
-                match cache_probe ~dir j with
-                | Cache_hit payload -> Some payload
-                | Cache_miss -> None
-                | Cache_damaged reason ->
-                    (* a torn or corrupt entry costs one re-simulation,
-                       never a crash — but the caller hears about it *)
-                    on_event (Cache_damage (j, reason));
-                    None)
-            | None -> None
-          with
-          | Some payload ->
-              record i (Completed payload);
-              on_event (Cached j)
-          | None -> Queue.add (i, 0) pending))
+      match
+        match cache_dir with
+        | Some dir -> (
+            match cache_probe ~dir j with
+            | Cache_hit payload -> Some payload
+            | Cache_miss -> None
+            | Cache_damaged reason ->
+                (* a torn or corrupt entry costs one re-simulation,
+                   never a crash — but the caller hears about it *)
+                on_event (Cache_damage (j, reason));
+                None)
+        | None -> None
+      with
+      | Some payload ->
+          results.(i) <- Completed payload;
+          on_event (Cached j)
+      | None -> Queue.add (i, 0) pending)
     job_arr;
   (* A worker's verdict on job [i]: a deterministic failure is final,
-     while a crash, garbage or a timeout earns the single retry. *)
+     while a crash, garbage or a timeout earns the single retry.  A
+     completed job is stored before it is reported, so an interrupt
+     raised from [on_event] cannot lose it. *)
   let started = Array.make n 0. in
   let on_verdict (i, attempt) verdict =
     let j = job_arr.(i) in
@@ -447,17 +429,17 @@ let run ?(workers = 1) ?(timeout = 600.)
         Queue.add (i, 1) pending
       end
       else begin
-        record i (Failed reason);
+        results.(i) <- Failed reason;
         on_event (Gave_up (j, reason))
       end
     in
     match verdict with
     | Pool.Done payload ->
-        record i (Completed payload);
+        results.(i) <- Completed payload;
         Option.iter (fun dir -> cache_store ~dir j payload) cache_dir;
         on_event (Finished (j, Unix.gettimeofday () -. started.(i)))
     | Pool.Failed msg ->
-        record i (Failed msg);
+        results.(i) <- Failed msg;
         on_event (Gave_up (j, msg))
     | Pool.Lost reason -> lost reason
     | Pool.Timed_out -> lost (Printf.sprintf "timeout after %.0fs" timeout)
@@ -471,13 +453,10 @@ let run ?(workers = 1) ?(timeout = 600.)
         chaos ~job_index:i ~attempt:(Json.int_field "attempt" task);
         exec_job job_arr.(i))
   in
-  let abort_hit () =
-    match abort_after with Some k -> !settled >= k | None -> false
-  in
   let rec loop () =
     let busy = List.length (Pool.in_flight pool) in
     let work = busy + Queue.length pending in
-    if work > 0 && not (abort_hit ()) then begin
+    if work > 0 then begin
       Pool.spawn_due pool ~want:work;
       while Pool.has_idle pool && not (Queue.is_empty pending) do
         let i, attempt = Queue.peek pending in
@@ -494,13 +473,13 @@ let run ?(workers = 1) ?(timeout = 600.)
       loop ()
     end
   in
-  (* An abort, or any exception (Sys.Break from ctrl-C or a hook),
-     kills in-flight workers without settling their jobs, so the
-     checkpoint keeps only genuinely finished work and a resume
-     re-runs the rest; no orphan keeps simulating either way. *)
+  (* Any exception (Sys.Break from ctrl-C or a hook) kills in-flight
+     workers without settling their jobs: the store keeps only
+     genuinely finished work, a rerun re-simulates the rest, and no
+     orphan keeps simulating. *)
   match loop () with
   | () ->
-      Pool.shutdown pool ~kill:(abort_hit ());
+      Pool.shutdown pool ~kill:false;
       results
   | exception e ->
       Pool.shutdown pool ~kill:true;
@@ -527,59 +506,3 @@ let sweep_to_json ~jobs ~outcomes =
   in
   Json.Obj
     [ ("schema", Json.Str "critload-sweep-v1"); ("results", Json.Arr results) ]
-
-(* ---- checkpoints ----
-
-   One JSON line per settled job, appended as results arrive.  The
-   final document is still assembled from the in-memory outcome array
-   in job order, so a resumed sweep emits bytes identical to an
-   uninterrupted one: the checkpoint only decides which jobs are
-   skipped, never the output layout. *)
-
-let outcome_of_envelope v =
-  match Json.member "status" v with
-  | exception Json.Parse_error _ -> None (* not an object at all *)
-  | Json.Str "ok" -> Some (Completed (Json.member "result" v))
-  | Json.Str "failed" ->
-      let msg =
-        match Json.member "error" v with Json.Str m -> m | _ -> "failed"
-      in
-      Some (Failed msg)
-  | _ -> None
-
-let checkpoint_line j outcome =
-  Json.to_string
-    (Json.Obj
-       [ ("key", Json.Str (job_key j)); ("envelope", job_envelope j outcome) ])
-
-let read_checkpoint ?(on_corrupt = fun ~line:_ ~reason:_ -> ()) path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let acc = ref [] in
-    let lineno = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         incr lineno;
-         if String.trim line <> "" then
-           match Json.of_string line with
-           | v -> (
-               match
-                 ( Json.member "key" v,
-                   outcome_of_envelope (Json.member "envelope" v) )
-               with
-               | Json.Str k, Some o -> acc := (k, o) :: !acc
-               | _ ->
-                   on_corrupt ~line:!lineno
-                     ~reason:"well-formed JSON but not a checkpoint record")
-           (* a line cut short by the crash that made the checkpoint
-              matter: drop it (the job simply re-runs) — but report it,
-              so an unexpectedly mangled checkpoint is visible *)
-           | exception Json.Parse_error e ->
-               on_corrupt ~line:!lineno ~reason:e
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !acc
-  end

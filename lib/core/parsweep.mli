@@ -15,7 +15,10 @@
     - a job that fails twice yields [Failed], never a corrupted or
       missing slot;
     - at most [min workers pending] workers are forked, so a sweep
-      settled entirely from checkpoints or the cache forks none. *)
+      settled entirely from the cache forks none;
+    - with a cache directory, a job is stored as soon as it finishes, so
+      an interrupted sweep run again serves every finished job from the
+      cache and re-simulates only the rest. *)
 
 (** The simulator a job runs, spelled in documents and digests by
     {!Runner.mode_name}. *)
@@ -57,13 +60,6 @@ val jobs :
   job list
 (** Cross product, ordered app-major (app, then scale, then config). *)
 
-val job_key : job -> string
-(** Stable identity ["app|scale|label|mode"] — unique within one sweep
-    cross product and reproducible across restarts with the same CLI
-    arguments; the key checkpoints and resume match on.  Profiled jobs
-    carry a ["|profile"] suffix so pre-existing checkpoints (written
-    before the flag existed) still resolve. *)
-
 (** {1 Content digests and the sweep cache}
 
     The cache is content-addressed: {!job_digest} covers everything a
@@ -104,12 +100,19 @@ type cache_probe =
   | Cache_damaged of string
 
 val cache_probe : dir:string -> job -> cache_probe
-(** Probe [dir] for the job's entry; never raises. *)
+(** Probe [dir] for the job's entry.  An unknown application probes as
+    a {!Cache_miss} (running the job reports it); an entry that cannot
+    be read, is not a JSON object or fails a check is
+    {!Cache_damaged}.  Nothing else is caught: an exception raised
+    while the probe runs, such as [Sys.Break] from Ctrl-C, propagates. *)
 
 val cache_store : dir:string -> job -> Gsim.Stats_io.Json.t -> unit
 (** Write a job's result payload under its digest (creating [dir] if
     needed), via a temporary file and rename so readers never observe a
-    torn entry.  I/O failures degrade to not caching. *)
+    torn entry.  I/O failures ([Sys_error], [Unix.Unix_error]) degrade
+    to not caching; the temporary file is removed whenever the write or
+    the rename fails.
+    @raise Invalid_argument when [sj_app] names no known application. *)
 
 (** {1 Result summaries} *)
 
@@ -163,7 +166,6 @@ type event =
   | Finished of job * float  (** wall-clock seconds *)
   | Retried of job * string  (** first attempt failed: reason *)
   | Gave_up of job * string
-  | Skipped of job  (** restored from a checkpoint, not re-run *)
   | Cached of job  (** served from the content cache, not re-run *)
   | Cache_damage of job * string
       (** the store held a torn or corrupt entry for this job; it was
@@ -185,9 +187,6 @@ val run :
   ?timeout:float ->
   ?on_event:(event -> unit) ->
   ?chaos:(job_index:int -> attempt:int -> unit) ->
-  ?prefilled:(string * outcome) list ->
-  ?on_result:(int -> job -> outcome -> unit) ->
-  ?abort_after:int ->
   ?cache_dir:string ->
   job list ->
   outcome array
@@ -199,30 +198,16 @@ val run :
     for fault injection (self-[SIGKILL], a hang the timeout must catch,
     or raising {!Garble}); the default does nothing.
 
-    [prefilled] maps {!job_key}s to already-known outcomes (typically
-    {!read_checkpoint} output): matching jobs are not re-run, their
-    slot is filled directly and [Skipped] is reported.
-
-    [on_result] fires once per job the moment its outcome is final
-    (prefilled jobs excluded) — the checkpoint-append hook.
-
-    [abort_after k] stops the sweep once [k] outcomes are settled
-    (counting prefilled), killing in-flight workers without settling
-    them; remaining slots read [Failed "never ran"].  A test hook
-    simulating a mid-sweep crash.
-
     [cache_dir] enables the content cache: jobs whose {!job_digest}
     resolves in the directory settle immediately from the stored
-    payload ([Cached] is reported, and the outcome still reaches
-    [on_result] so checkpoints stay complete); completed jobs are
-    stored back.  Checkpoints ([prefilled]) outrank the cache.  Failed
-    jobs are never cached.
+    payload ([Cached] is reported); completed jobs are stored back
+    before their [Finished] event.  Failed jobs are never cached.
 
     Every worker is reaped before [run] returns.  On [Sys.Break] (or
-    any exception, including one raised by [on_event] or [on_result])
-    the pool is killed first (no orphan workers) and the exception
-    propagates; jobs settled before the interrupt have already reached
-    [on_result]. *)
+    any exception, including one raised by [on_event]) the pool is
+    killed first (no orphan workers) and the exception propagates; the
+    jobs that finished before it are already in [cache_dir], so running
+    the same jobs again serves them as [Cached]. *)
 
 val job_envelope : job -> outcome -> Gsim.Stats_io.Json.t
 (** Self-describing per-job record: app, scale, label, mode, status and
@@ -230,31 +215,3 @@ val job_envelope : job -> outcome -> Gsim.Stats_io.Json.t
 
 val sweep_to_json : jobs:job list -> outcomes:outcome array -> Gsim.Stats_io.Json.t
 (** Whole-sweep document: [{"schema": "critload-sweep-v1", "results": [...]}]. *)
-
-(** {1 Checkpoints}
-
-    One JSON line per settled job, appended as results arrive.  The
-    final sweep document is still assembled from the in-memory outcome
-    array in job order, so a resumed sweep emits bytes identical to an
-    uninterrupted one — the checkpoint only decides which jobs are
-    skipped, never the output layout. *)
-
-val checkpoint_line : job -> outcome -> string
-(** One checkpoint record (no trailing newline):
-    [{"key": ..., "envelope": <job_envelope>}]. *)
-
-val outcome_of_envelope : Gsim.Stats_io.Json.t -> outcome option
-(** Recover an outcome from a {!job_envelope}; [None] if the status
-    field is unrecognized. *)
-
-val read_checkpoint :
-  ?on_corrupt:(line:int -> reason:string -> unit) ->
-  string ->
-  (string * outcome) list
-(** Parse a checkpoint file into [(job_key, outcome)] pairs, in file
-    order.  Missing file → [[]]; a line that does not decode as a
-    checkpoint record — typically the final line cut short by the
-    crash that made the checkpoint matter — is dropped (that job
-    simply re-runs) and reported through [on_corrupt] with its
-    1-based line number, so callers can count the damage instead of
-    resuming in silence. *)

@@ -816,8 +816,8 @@ let sample_occupancy t ~now =
     || t.ldst_busy_until > now
   then Stats.record_unit_busy t.stats Exec.LDST
 
-(* Skipped phases are provably no-ops: [process_returns] only acts on
-   an arrived response or a matured local hit, and [ldst_cycle] only on
+(* The phases [cycle] skips are provably no-ops: [process_returns] only
+   acts on an arrived response or a matured local hit, and [ldst_cycle] only on
    a non-empty queue ([issue_cycle] gates itself on the occupancy
    counters).  The gates keep the common all-idle SM-cycle down to a
    handful of reads. *)

@@ -431,25 +431,13 @@ end
 
 (* ---- JSONL framing ----
 
-   One compact JSON value per '\n'-terminated line: the framing shared
-   by sweep checkpoints, the trace JSONL sink, and the serve daemon's
-   socket protocol.  Channel helpers cover blocking endpoints (the
-   submit client, worker loops); [Splitter] covers multiplexed
-   nonblocking endpoints (the server's select loop), which receive
-   arbitrary byte chunks and must recover message boundaries
-   themselves. *)
+   One compact JSON value per '\n'-terminated line: the framing of the
+   worker pool's pipes and of the serve daemon's socket protocol.  Every
+   reader takes byte chunks from a descriptor, and a chunk need not end
+   on a message boundary, so [Splitter] recovers the lines. *)
 
 module Framing = struct
   let frame v = Json.to_string v ^ "\n"
-
-  let output oc v =
-    Json.to_channel oc v;
-    output_char oc '\n'
-
-  let rec input ic =
-    match input_line ic with
-    | exception End_of_file -> None
-    | line -> if String.trim line = "" then input ic else Some (Json.of_string line)
 
   module Splitter = struct
     (* A byte accumulator that yields complete lines as they form.
@@ -480,8 +468,6 @@ module Framing = struct
           let line = String.sub t.buf t.start (nl - t.start) in
           t.start <- nl + 1;
           Some line
-
-    let pending t = String.length t.buf - t.start
   end
 end
 

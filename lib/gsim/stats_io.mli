@@ -111,19 +111,12 @@ end
 (** {1 JSONL framing}
 
     One compact JSON value per newline-terminated line — the framing
-    shared by sweep checkpoints, the trace JSONL sink, and the serve
-    daemon's socket protocol. *)
+    of the worker pool's pipes and of the serve daemon's socket
+    protocol. *)
 
 module Framing : sig
   val frame : Json.t -> string
   (** Compact rendering plus the terminating ['\n']. *)
-
-  val output : out_channel -> Json.t -> unit
-  (** [frame] written to a channel (not flushed). *)
-
-  val input : in_channel -> Json.t option
-  (** Next non-blank line parsed as JSON; [None] at end of input.
-      @raise Json.Parse_error on a malformed line. *)
 
   (** Incremental line splitter for multiplexed nonblocking streams: a
       select loop feeds whatever byte chunks arrive and pops complete
@@ -138,9 +131,6 @@ module Framing : sig
 
     val pop : t -> string option
     (** Next complete line (without its newline), if one has formed. *)
-
-    val pending : t -> int
-    (** Bytes buffered beyond the last complete line. *)
   end
 end
 

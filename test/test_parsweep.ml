@@ -1,8 +1,9 @@
 (* Integration tests of the fork-based sweep runner: parallel results
    equal sequential and in-process results, killed/hung workers are
    retried without corrupting the result set, deterministic failures
-   are reported without a futile retry, and both result flavors
-   round-trip through their JSON summaries. *)
+   are reported without a futile retry, an interrupted sweep resumes
+   from the cache, and both result flavors round-trip through their
+   JSON summaries. *)
 
 module P = Critload.Parsweep
 module Json = Gsim.Stats_io.Json
@@ -117,86 +118,41 @@ let test_garbled_worker_retried () =
         (Json.to_string (payload_exn name chaotic.(i))))
     jobs
 
-(* a sweep aborted mid-run leaves a checkpoint from which a resumed
-   sweep reconstructs the uninterrupted document byte-for-byte — even
-   with a trailing checkpoint line cut short by the "crash" *)
+(* a sweep interrupted mid-run (Sys.Break raised from a progress hook,
+   as ctrl-C raises it) has stored every job that finished; the same
+   sweep run again serves exactly those from the cache, simulates the
+   rest and rebuilds the uninterrupted document byte-for-byte *)
 let test_abort_resume_byte_identical () =
   let jobs = mk_jobs apps4 in
-  let ckpt = Filename.temp_file "critload-ckpt" ".partial" in
-  let oc = open_out ckpt in
-  let on_result _i j o =
-    output_string oc (P.checkpoint_line j o);
-    output_char oc '\n';
-    flush oc
+  let dir = Filename.temp_dir "critload-resume" "" in
+  let finished = ref 0 in
+  let on_event = function
+    | P.Finished _ ->
+        incr finished;
+        if !finished = 2 then raise Sys.Break
+    | _ -> ()
   in
-  let partial =
-    P.run ~workers:2 ~timeout:300. ~on_result ~abort_after:2 jobs
+  (match P.run ~workers:2 ~timeout:300. ~on_event ~cache_dir:dir jobs with
+  | _ -> Alcotest.fail "Sys.Break did not propagate"
+  | exception Sys.Break -> ());
+  Alcotest.(check int) "the store holds exactly the finished jobs" 2
+    (Array.length (Sys.readdir dir));
+  let cached = ref 0 and started = ref 0 in
+  let on_event = function
+    | P.Cached _ -> incr cached
+    | P.Started _ -> incr started
+    | _ -> ()
   in
-  let settled =
-    Array.to_list partial
-    |> List.filter (function P.Completed _ -> true | P.Failed _ -> false)
-    |> List.length
-  in
-  Alcotest.(check bool) "abort stopped the sweep early" true
-    (settled >= 2 && settled < List.length jobs);
-  (* the write the crash interrupted *)
-  output_string oc "{\"key\": \"half-a-rec";
-  close_out oc;
-  let corrupt = ref [] in
-  let prefilled =
-    P.read_checkpoint
-      ~on_corrupt:(fun ~line ~reason -> corrupt := (line, reason) :: !corrupt)
-      ckpt
-    |> List.filter (fun (_, o) ->
-           match o with P.Completed _ -> true | P.Failed _ -> false)
-  in
-  Alcotest.(check int) "checkpoint holds exactly the settled jobs" settled
-    (List.length prefilled);
-  (* exactly the torn trailing line is reported, at its line number *)
-  (match !corrupt with
-  | [ (line, _) ] ->
-      Alcotest.(check int) "torn line reported at the right line number"
-        (settled + 1) line
-  | l -> Alcotest.failf "expected 1 corrupt line, got %d" (List.length l));
-  let skipped = ref 0 in
-  let on_event = function P.Skipped _ -> incr skipped | _ -> () in
-  let resumed = P.run ~workers:2 ~timeout:300. ~prefilled ~on_event jobs in
-  Alcotest.(check int) "every checkpointed job was skipped" settled !skipped;
+  let resumed = P.run ~workers:2 ~timeout:300. ~on_event ~cache_dir:dir jobs in
+  Alcotest.(check int) "both finished jobs served from the cache" 2 !cached;
+  Alcotest.(check int) "only the unfinished jobs simulate" 2 !started;
   let clean = P.run ~workers:1 ~timeout:300. jobs in
   Alcotest.(check string)
     "resumed document byte-identical to an uninterrupted jobs-1 run"
     (Json.to_string (P.sweep_to_json ~jobs ~outcomes:clean))
     (Json.to_string (P.sweep_to_json ~jobs ~outcomes:resumed));
-  Sys.remove ckpt
-
-(* corrupt checkpoint lines are classified and reported line by line:
-   unparseable JSON and well-formed-but-wrong-shape records are both
-   dropped with a callback; blank lines are not corruption *)
-let test_checkpoint_corrupt_lines () =
-  let j = P.job ~cfg "2mm" in
-  let ckpt = Filename.temp_file "critload-ckpt" ".partial" in
-  let oc = open_out ckpt in
-  output_string oc (P.checkpoint_line j (P.Failed "boom"));
-  output_string oc "\n\n";
-  output_string oc "{\"not\": \"a checkpoint record\"}\n";
-  output_string oc "garbage that is not JSON\n";
-  output_string oc (P.checkpoint_line j (P.Failed "boom2"));
-  output_char oc '\n';
-  close_out oc;
-  let corrupt = ref [] in
-  let entries =
-    P.read_checkpoint
-      ~on_corrupt:(fun ~line ~reason -> corrupt := (line, reason) :: !corrupt)
-      ckpt
-  in
-  Alcotest.(check int) "both valid records survive" 2 (List.length entries);
-  Alcotest.(check (list int)) "corrupt lines reported with line numbers"
-    [ 3; 4 ]
-    (List.rev_map fst !corrupt);
-  (* silent by default: omitting the callback still parses *)
-  Alcotest.(check int) "default reader drops them silently" 2
-    (List.length (P.read_checkpoint ckpt));
-  Sys.remove ckpt
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
 
 (* an in-job exception is a deterministic failure: reported, not
    retried *)
@@ -276,8 +232,8 @@ let test_one_worker_runs_every_job () =
   Alcotest.(check bool) "that worker is not this process" true
     (List.hd seen <> string_of_int (Unix.getpid ()))
 
-(* no worker outlives [run]: after a normal return, after an abort, and
-   after Sys.Break raised from a progress hook *)
+(* no worker outlives [run]: after a normal return and after Sys.Break
+   raised from a progress hook *)
 let assert_no_children what =
   match Unix.waitpid [ Unix.WNOHANG ] (-1) with
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
@@ -288,8 +244,6 @@ let test_no_orphan_workers () =
   let jobs = mk_jobs apps4 in
   ignore (P.run ~workers:2 ~timeout:300. jobs);
   assert_no_children "normal return";
-  ignore (P.run ~workers:2 ~timeout:300. ~abort_after:1 jobs);
-  assert_no_children "abort_after";
   let on_event = function P.Finished _ -> raise Sys.Break | _ -> () in
   (match P.run ~workers:2 ~timeout:300. ~on_event jobs with
   | _ -> Alcotest.fail "Sys.Break did not propagate"
@@ -309,8 +263,6 @@ let () =
             test_garbled_worker_retried;
           Alcotest.test_case "abort + resume byte-identical" `Quick
             test_abort_resume_byte_identical;
-          Alcotest.test_case "corrupt checkpoint lines reported" `Quick
-            test_checkpoint_corrupt_lines;
           Alcotest.test_case "deterministic failure not retried" `Quick
             test_deterministic_failure_not_retried;
           Alcotest.test_case "func mode round-trip" `Quick

@@ -182,13 +182,12 @@ let test_protocol_roundtrip () =
   | Ok j' ->
       Alcotest.(check string) "job digest survives the wire"
         (P.job_digest j) (P.job_digest j');
-      Alcotest.(check string) "job key survives the wire" (P.job_key j)
-        (P.job_key j')
+      Alcotest.(check bool) "job survives the wire" true (j = j')
   | Error e -> Alcotest.failf "job round-trip: %s" e);
   (match Pr.job_of_json (Json.Obj [ ("app", Json.Str "2mm") ]) with
   | Ok j' ->
-      Alcotest.(check string) "defaults fill an app-only job"
-        (P.job_key (P.job "2mm")) (P.job_key j')
+      Alcotest.(check bool) "defaults fill an app-only job" true
+        (P.job "2mm" = j')
   | Error e -> Alcotest.failf "minimal job: %s" e);
   (* older clients send a fast_forward member; a submit decodes the
      same job with or without it *)

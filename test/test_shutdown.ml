@@ -1,8 +1,10 @@
 (* Interrupting the real CLI binary: `critload sweep` stopped by
-   SIGTERM or SIGINT must exit 130, leave a resumable checkpoint and
-   no orphaned pool workers; resuming must rebuild the uninterrupted
-   document byte-for-byte.  `critload serve` stopped by SIGTERM must
-   drain, remove its socket, exit 0, and leave no workers behind.
+   SIGTERM or SIGINT must exit 130 with no document and no orphaned
+   pool workers, both mid-run and while it probes a cold cache; the
+   same command run again must serve every finished job from the cache
+   and rebuild the uninterrupted document byte-for-byte.  `critload
+   serve` stopped by SIGTERM must drain, remove its socket, exit 0, and
+   leave no workers behind.
 
    Children run via fork+exec as session leaders, so "no orphans"
    is checked the same way as in test_server: after the child exits,
@@ -76,47 +78,94 @@ let wait_for ?(timeout = 60.) what pred =
     Unix.sleepf 0.01
   done
 
-(* ---- sweep: interrupt, checkpoint, resume ---- *)
+(* ---- sweep: interrupt, then rerun from the cache ---- *)
 
-let sweep_args ~out extra =
+let sweep_args ?(cap = 40_000) ~store ~out () =
   Array.of_list
     ([ cli; "sweep"; "--apps"; "2mm,gaus,lu,grm"; "--scale"; "small";
-       "--cap"; "40000"; "--no-warmup"; "--no-cache"; "--jobs"; "1";
-       "--out"; out ]
-    @ extra)
+       "--cap"; string_of_int cap; "--no-warmup"; "--jobs"; "1"; "--out";
+       out ]
+    @
+    match store with
+    | Some d -> [ "--cache-dir"; d ]
+    | None -> [ "--no-cache" ])
+
+(* the finished entries of a store: an entry is written as
+   [<digest>.json.tmp.<pid>] and renamed to [<digest>.json] once whole *)
+let entries store =
+  List.filter
+    (fun f -> Filename.check_suffix f ".json")
+    (Array.to_list (Sys.readdir store))
+
+let count_lines ~suffix log =
+  List.length
+    (List.filter (String.ends_with ~suffix)
+       (String.split_on_char '\n' (read_file log)))
 
 let test_sweep_interrupt signal () =
   let dir = fresh_dir () in
+  let store = Filename.concat dir "store" in
   let out = Filename.concat dir "doc.json" in
-  let ckpt = out ^ ".partial" in
   let log = Filename.concat dir "sweep.log" in
-  let pid = spawn ~log (sweep_args ~out []) in
-  (* interrupt once the first result is checkpointed, mid-sweep *)
-  wait_for "the first checkpoint line" (fun () ->
-      Sys.file_exists ckpt
-      && (try String.index_opt (read_file ckpt) '\n' <> None
-          with Sys_error _ -> false));
+  let pid = spawn ~log (sweep_args ~store:(Some store) ~out ()) in
+  (* interrupt once the first job is stored, mid-sweep *)
+  wait_for "the first cache entry" (fun () ->
+      Sys.file_exists store && entries store <> []);
   Unix.kill pid signal;
   Alcotest.(check int) "interrupted sweep exits 130" 130 (wait_exit pid);
   assert_no_orphans pid;
   Alcotest.(check bool) "no final document yet" false (Sys.file_exists out);
-  let settled = P.read_checkpoint ckpt in
+  let stored = List.length (entries store) in
   Alcotest.(check bool)
-    (Printf.sprintf "checkpoint is parseable and partial (%d entries)"
-       (List.length settled))
+    (Printf.sprintf "the store is partial (%d entries)" stored)
     true
-    (List.length settled >= 1 && List.length settled < 4);
-  (* resume to completion *)
-  let rpid = spawn ~log:(log ^ ".resume") (sweep_args ~out [ "--resume" ]) in
-  Alcotest.(check int) "resumed sweep exits 0" 0 (wait_exit rpid);
-  Alcotest.(check bool) "checkpoint superseded by the document" false
-    (Sys.file_exists ckpt);
+    (stored >= 1 && stored < 4);
+  Alcotest.(check int) "no temporary file left in the store" stored
+    (Array.length (Sys.readdir store));
+  (* another cap is another digest: nothing may be served *)
+  let olog = log ^ ".other-cap" in
+  let opid =
+    spawn ~log:olog (sweep_args ~cap:20_000 ~store:(Some store) ~out ())
+  in
+  Alcotest.(check int) "other-cap sweep exits 0" 0 (wait_exit opid);
+  Alcotest.(check int) "other-cap sweep serves nothing from the cache" 0
+    (count_lines ~suffix:" cached" olog);
+  (* the same command again: the finished jobs come from the store *)
+  let rlog = log ^ ".rerun" in
+  let rpid = spawn ~log:rlog (sweep_args ~store:(Some store) ~out ()) in
+  Alcotest.(check int) "rerun exits 0" 0 (wait_exit rpid);
+  Alcotest.(check int) "rerun serves every finished job from the cache"
+    stored
+    (count_lines ~suffix:" cached" rlog);
   (* byte-identical to a never-interrupted run *)
   let out2 = Filename.concat dir "clean.json" in
-  let cpid = spawn ~log:(log ^ ".clean") (sweep_args ~out:out2 []) in
+  let cpid =
+    spawn ~log:(log ^ ".clean") (sweep_args ~store:None ~out:out2 ())
+  in
   Alcotest.(check int) "clean sweep exits 0" 0 (wait_exit cpid);
-  Alcotest.(check string) "resumed document byte-identical to clean run"
+  Alcotest.(check string) "rerun document byte-identical to clean run"
     (read_file out2) (read_file out);
+  rm_rf store;
+  rm_rf dir
+
+(* Ctrl-C while a cold store is probed, before any job starts: the
+   probe fingerprints each app at Large scale (seconds in all), and the
+   interrupt must end the sweep rather than turn into a cache miss *)
+let test_sweep_interrupt_probing () =
+  let dir = fresh_dir () in
+  let out = Filename.concat dir "doc.json" in
+  let pid =
+    spawn ~log:(Filename.concat dir "sweep.log")
+      [| cli; "sweep"; "--scale"; "large"; "--cap"; "1"; "--no-warmup";
+         "--cache-dir"; Filename.concat dir "store"; "--jobs"; "1"; "--out";
+         out |]
+  in
+  Unix.sleepf 0.3;
+  Unix.kill pid Sys.sigint;
+  Alcotest.(check int) "interrupted probe exits 130" 130 (wait_exit pid);
+  assert_no_orphans pid;
+  Alcotest.(check bool) "no document" false (Sys.file_exists out);
+  rm_rf (Filename.concat dir "store");
   rm_rf dir
 
 (* ---- serve: SIGTERM drains and leaves nothing behind ---- *)
@@ -190,8 +239,8 @@ let test_usage_exit_codes () =
     (run [ "simulate"; "no-such-app" ]);
   Alcotest.(check int) "unknown app is exit 2 (sweep)" 2
     (run [ "sweep"; "--apps"; "no-such-app"; "--out"; "-" ]);
-  Alcotest.(check int) "resume without --out FILE is exit 2" 2
-    (run [ "sweep"; "--resume"; "--out"; "-" ]);
+  Alcotest.(check int) "sweep --resume is an unknown option: exit 124" 124
+    (run [ "sweep"; "--resume"; "--no-cache"; "--out"; "-" ]);
   Alcotest.(check int) "submit with no daemon is exit 5" 5
     (run [ "submit"; "--socket"; "/nonexistent/nowhere.sock"; "--health" ]);
   Alcotest.(check int) "unknown experiment is exit 2" 2
@@ -205,8 +254,6 @@ let test_usage_exit_codes () =
     124
     (run [ "sweep"; "--apps"; "2mm"; "--scale"; "small"; "--no-cache";
            "--out"; out ]);
-  Alcotest.(check bool) "no checkpoint left behind" false
-    (Sys.file_exists (out ^ ".partial"));
   let log = Filename.concat dir "verify.log" in
   Alcotest.(check int) "verify --out into a missing directory is exit 124"
     124
@@ -223,10 +270,12 @@ let () =
     [
       ( "sweep",
         [
-          Alcotest.test_case "SIGTERM checkpoint + resume" `Slow
+          Alcotest.test_case "SIGTERM + cached rerun" `Slow
             (test_sweep_interrupt Sys.sigterm);
-          Alcotest.test_case "SIGINT checkpoint + resume" `Slow
+          Alcotest.test_case "SIGINT + cached rerun" `Slow
             (test_sweep_interrupt Sys.sigint);
+          Alcotest.test_case "SIGINT while probing" `Slow
+            test_sweep_interrupt_probing;
         ] );
       ("serve", [ Alcotest.test_case "SIGTERM drains" `Slow test_serve_sigterm ]);
       ( "exit-codes",

@@ -164,6 +164,29 @@ let test_store_lookup_roundtrip () =
   close_out oc;
   Alcotest.(check bool) "corrupt entry degrades to a miss" true
     (match P.cache_probe ~dir j with P.Cache_hit _ -> false | _ -> true);
+  Sys.remove entry;
+  (* a store whose final flush fails (its temporary file links to
+     /dev/full, where every write is ENOSPC) leaves nothing behind: a
+     plain miss, not a short entry to report as damage *)
+  if Sys.file_exists "/dev/full" then begin
+    let tmp = Printf.sprintf "%s.tmp.%d" entry (Unix.getpid ()) in
+    Unix.symlink "/dev/full" tmp;
+    P.cache_store ~dir j payload;
+    Alcotest.(check (array string)) "failed flush leaves no file" [||]
+      (Sys.readdir dir);
+    Alcotest.(check bool) "failed flush probes as a miss" true
+      (P.cache_probe ~dir j = P.Cache_miss)
+  end;
+  (* a store whose rename fails (a directory holds the entry's name)
+     removes its temporary file and leaves nothing to serve *)
+  Unix.mkdir entry 0o755;
+  P.cache_store ~dir j payload;
+  Alcotest.(check (list string)) "failed store leaves no temporary file"
+    [ Filename.basename entry ]
+    (Array.to_list (Sys.readdir dir));
+  Alcotest.(check bool) "failed store is not a hit" true
+    (match P.cache_probe ~dir j with P.Cache_hit _ -> false | _ -> true);
+  Unix.rmdir entry;
   rm_rf dir
 
 (* ---- probe verdicts: hit vs stale-miss vs damaged ---- *)
@@ -228,6 +251,9 @@ let test_probe_verdicts () =
             ("digest", Json.Str (P.job_digest j));
             ("result", Json.Obj [ ("x", Json.Int 42) ]) ]));
   damaged "undecodable result";
+  (* valid JSON that is not an object *)
+  write "[1, 2]";
+  damaged "non-object entry";
   (* a different simulator version is staleness, not damage *)
   write
     (Json.to_string
