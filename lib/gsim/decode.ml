@@ -5,7 +5,7 @@ type t = {
   bra_target : int array;
   is_label : bool array;
   load_cls : Dataflow.Classify.load_class array;
-  alu : (Exec.env -> Exec.thread array -> int -> unit) array;
+  alu : (Exec.state -> int -> unit) array;
 }
 
 let of_kernel (kernel : Ptx.Kernel.t) (classes : Dataflow.Classify.result) =

@@ -13,7 +13,8 @@
     - [load_cls]    D/N class per pc ([Deterministic] for pcs that are
                     not global loads), replacing the per-issue
                     classification table lookup;
-    - [alu]         compiled executor per pc ({!Exec.compile_alu}):
+    - [alu]         compiled executor per pc ({!Exec.compile_alu}),
+                    run on a warp's {!Exec.state} and active mask:
                     operand-shape dispatch done once here, so the
                     stepper's ALU path is one indirect call. *)
 
@@ -22,7 +23,7 @@ type t = {
   bra_target : int array;
   is_label : bool array;
   load_cls : Dataflow.Classify.load_class array;
-  alu : (Exec.env -> Exec.thread array -> int -> unit) array;
+  alu : (Exec.state -> int -> unit) array;
 }
 
 val of_kernel : Ptx.Kernel.t -> Dataflow.Classify.result -> t

@@ -19,6 +19,17 @@ val store : t -> Ptx.Types.dtype -> int -> int64 -> unit
 (** Typed store.
     @raise Sim_error.Error ([Mem_fault]) on out-of-bounds access. *)
 
+val load_slot : t -> Ptx.Types.dtype -> int -> Bytes.t -> int -> unit
+(** [load_slot t ty addr dst off] writes [load t ty addr] into the
+    64-bit word at byte offset [off] of [dst] without boxing it; [off]
+    is not checked (a warp register row, see {!Exec.state}).
+    @raise Sim_error.Error ([Mem_fault]) on out-of-bounds access. *)
+
+val store_slot : t -> Ptx.Types.dtype -> int -> Bytes.t -> int -> unit
+(** [store_slot t ty addr src off] is [store t ty addr] of the 64-bit
+    word at byte offset [off] of [src] (unchecked).
+    @raise Sim_error.Error ([Mem_fault]) on out-of-bounds access. *)
+
 (** {1 Host-side convenience accessors} *)
 
 val get_u32 : t -> int -> int

@@ -30,13 +30,9 @@ type step_result =
   | S_exit_partial  (** some lanes finished; the warp continues *)
   | S_exit_warp  (** all lanes finished *)
 
-(** Access to the memories this warp's CTA can see; [atomic] returns
-    the old value. *)
+(** The memories this warp's CTA can see, by space. *)
 type mem_iface = {
-  read : space -> dtype -> int -> int64;
-  write : space -> dtype -> int -> int64 -> unit;
-  atomic : atomop -> dtype -> int -> int64 -> int64;
-  m_global : Mem.t;  (** also serves const/tex/param *)
+  m_global : Mem.t;  (** also serves const/tex/param, and atomics *)
   m_shared : Mem.t;
   m_local : Mem.t;
 }
@@ -46,8 +42,8 @@ type t = {
   cta_lin : int;
   kernel : Ptx.Kernel.t;
   decode : Decode.t;  (** predecoded per-pc tables, shared per launch *)
-  env : Exec.env;
-  threads : Exec.thread array;
+  state : Exec.state;
+      (** the lanes' registers, predicates and thread coordinates *)
   valid_mask : int;
   params : (string, int64) Hashtbl.t;
   reconv_of_pc : int array;
@@ -63,7 +59,10 @@ type t = {
 and entry = { mutable spc : int; smask : int; sreconv : int }
 
 val popcount : int -> int
+(** Number of set bits (active lanes) of a mask. *)
+
 val full_mask : int -> int
+(** [full_mask n] sets lanes [0 .. n-1]. *)
 
 val reconvergence_table : Ptx.Kernel.t -> int array
 (** Per-pc reconvergence points from the post-dominator tree; -1 for
@@ -74,23 +73,40 @@ val create :
   warp_id:int ->
   cta_lin:int ->
   decode:Decode.t ->
-  env:Exec.env ->
-  threads:Exec.thread array ->
+  state:Exec.state ->
   valid_mask:int ->
   params:(string, int64) Hashtbl.t ->
   reconv_of_pc:int array ->
   mem:mem_iface ->
   Ptx.Kernel.t ->
   t
+(** A warp at pc 0 with the lanes of [valid_mask] active.  [state] is
+    its own (its rows are written as it runs) and sets the lane count;
+    [decode] and [reconv_of_pc] must come from the same kernel. *)
 
 val finished : t -> bool
+(** Every lane has exited. *)
+
 val pc : t -> int
+(** The pc of the top reconvergence-stack entry; -1 once finished. *)
+
 val active_mask : t -> int
+(** Lanes executing the next instruction; 0 once finished. *)
+
 val iter_active : int -> (int -> unit) -> unit
+(** [iter_active mask f] applies [f] to each lane of [mask], in
+    ascending order. *)
 
 val peek_unit : t -> Exec.unit_class
 (** Functional unit the next instruction occupies, without executing
     it (the SM issue stage's structural-hazard check). *)
 
 val step : t -> step_result
-(** Execute one warp instruction.  The warp must not be finished. *)
+(** Execute one warp instruction on the active lanes: registers,
+    predicates, memory and the reconvergence stack change at once, and
+    the result says what kind of instruction ran.  The warp must not
+    be finished.  A [S_mem] result's [m_addrs] is the warp's scratch
+    buffer, valid until the next [step].
+    @raise Sim_error.Error with the kernel, pc, CTA and warp attached,
+    on a fault (out-of-bounds memory, an unbound parameter); the pc
+    does not advance. *)
