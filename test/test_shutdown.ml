@@ -15,7 +15,12 @@ module Pr = Critload.Protocol
 module Json = Gsim.Stats_io.Json
 module F = Gsim.Stats_io.Framing
 
-let cli = "../bin/critload_cli.exe"
+(* The CLI sits beside this test's directory in the build tree, so the
+   test runs from any working directory. *)
+let cli =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin/critload_cli.exe")
 
 let fresh_dir =
   let n = ref 0 in
@@ -70,9 +75,21 @@ let read_file path =
   close_in ic;
   s
 
-let wait_for ?(timeout = 60.) what pred =
+let describe_status = function
+  | Unix.WEXITED c -> Printf.sprintf "exited with status %d" c
+  | Unix.WSIGNALED s -> Printf.sprintf "was killed by signal %d" s
+  | Unix.WSTOPPED s -> Printf.sprintf "was stopped by signal %d" s
+
+(* Poll [pred] until it holds; fail at once if child [pid] exits first
+   (it can no longer make [pred] true), or after [timeout] seconds. *)
+let wait_for ?(timeout = 60.) ~pid what pred =
   let deadline = Unix.gettimeofday () +. timeout in
   while not (pred ()) do
+    (match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> ()
+    | _, status ->
+        Alcotest.failf "child %s while waiting for %s" (describe_status status)
+          what);
     if Unix.gettimeofday () > deadline then
       Alcotest.failf "timed out waiting for %s" what;
     Unix.sleepf 0.01
@@ -109,7 +126,7 @@ let test_sweep_interrupt signal () =
   let log = Filename.concat dir "sweep.log" in
   let pid = spawn ~log (sweep_args ~store:(Some store) ~out ()) in
   (* interrupt once the first job is stored, mid-sweep *)
-  wait_for "the first cache entry" (fun () ->
+  wait_for ~pid "the first cache entry" (fun () ->
       Sys.file_exists store && entries store <> []);
   Unix.kill pid signal;
   Alcotest.(check int) "interrupted sweep exits 130" 130 (wait_exit pid);
@@ -179,7 +196,7 @@ let test_serve_sigterm () =
       [| cli; "serve"; "--socket"; socket; "--jobs"; "2"; "--no-cache";
          "--quiet" |]
   in
-  wait_for "the daemon's socket" (fun () -> Sys.file_exists socket);
+  wait_for ~pid "the daemon's socket" (fun () -> Sys.file_exists socket);
   (* one in-flight job when the signal lands *)
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
