@@ -180,6 +180,31 @@ let list_cmd =
   Cmd.v (cmd_info "list" ~doc:"List the 15 applications of the suite.")
     Term.(const run $ const ())
 
+(* ---- APP|FILE targets of verify and classify ---- *)
+
+type target = Ptx_file of Ptx.Kernel.t | Suite_app of Gsim.Launch.t list
+
+(* An existing path is a .ptx file: one that cannot be read or parsed,
+   or whose kernel is invalid, fails the check (exit 1).  Anything else
+   names an application; an unknown one is a usage error (exit 2). *)
+let resolve_target ~cmd target =
+  if Sys.file_exists target then begin
+    let fail what msg =
+      Printf.eprintf "%s: %s %s: %s\n" cmd what target msg;
+      exit EC.failure
+    in
+    match In_channel.with_open_bin target In_channel.input_all with
+    | exception Sys_error msg -> fail "cannot read" msg
+    | text -> (
+        match Ptx.Parse.kernel_of_string text with
+        | k -> Ptx_file k
+        | exception Ptx.Parse.Error msg -> fail "parse error in" msg
+        | exception Ptx.Kernel.Invalid msg -> fail "invalid kernel in" msg)
+  end
+  else
+    let app = find_app ~cmd target in
+    Suite_app Workloads.App.(kernel_launches (app.make Small))
+
 (* ---- verify ---- *)
 
 (* Static verification of one kernel; returns the number of errors. *)
@@ -204,28 +229,10 @@ let verify_cmd =
     | Some t ->
         (* static verification only: fast, no simulation *)
         let kernels =
-          if Sys.file_exists t then begin
-            let ic = open_in t in
-            let text = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            match Ptx.Parse.kernel_of_string text with
-            | k -> [ k ]
-            | exception Ptx.Parse.Error msg ->
-                Printf.eprintf "verify: parse error in %s: %s\n" t msg;
-                exit EC.failure
-            | exception Ptx.Kernel.Invalid msg ->
-                Printf.eprintf "verify: invalid kernel in %s: %s\n" t msg;
-                exit EC.failure
-          end
-          else
-            match Workloads.Suite.find t with
-            | app ->
-                List.map
-                  (fun (l : Gsim.Launch.t) -> l.kernel)
-                  Workloads.App.(kernel_launches (app.make Small))
-            | exception Invalid_argument msg ->
-                Printf.eprintf "verify: %s\n" msg;
-                exit EC.usage
+          match resolve_target ~cmd:"verify" t with
+          | Ptx_file k -> [ k ]
+          | Suite_app launches ->
+              List.map (fun (l : Gsim.Launch.t) -> l.kernel) launches
         in
         let errors =
           List.fold_left (fun n k -> n + verify_kernel_report k) 0 kernels
@@ -287,36 +294,30 @@ let verify_cmd =
 
 let classify_cmd =
   let run target =
-    if Sys.file_exists target then begin
-      let ic = open_in target in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let kernel = Ptx.Parse.kernel_of_string text in
-      Format.printf "%a@." Dataflow.Classify.pp_result
-        (Dataflow.Classify.classify kernel);
-      Format.printf "static coalescing prediction (1-D block assumed):@.%a@."
-        (Dataflow.Stride.pp_predictions ?block:None) kernel
-    end
-    else begin
-      List.iter
-        (fun (launch : Gsim.Launch.t) ->
-          let k = launch.Gsim.Launch.kernel in
-          Format.printf "%a" Dataflow.Classify.pp_result
-            launch.Gsim.Launch.classes;
-          Format.printf "  coalescing prediction:@.%a"
-            (Dataflow.Stride.pp_predictions ~block:launch.Gsim.Launch.block)
-            k;
-          (* spare registers bound the prefetch slots of the paper's
-             [16]-style optimization *)
-          let cfg = Ptx.Cfg.build k in
-          let lv = Dataflow.Liveness.compute k cfg in
-          let pressure = Dataflow.Liveness.max_pressure lv in
-          Format.printf "  registers: %d used, peak pressure %d, %d spare@.@."
-            k.Ptx.Kernel.nregs pressure
-            (max 0 (k.Ptx.Kernel.nregs - pressure)))
-        (let app = find_app ~cmd:"classify" target in
-         Workloads.App.(kernel_launches (app.make Small)))
-    end
+    match resolve_target ~cmd:"classify" target with
+    | Ptx_file kernel ->
+        Format.printf "%a@." Dataflow.Classify.pp_result
+          (Dataflow.Classify.classify kernel);
+        Format.printf "static coalescing prediction (1-D block assumed):@.%a@."
+          (Dataflow.Stride.pp_predictions ?block:None) kernel
+    | Suite_app launches ->
+        List.iter
+          (fun (launch : Gsim.Launch.t) ->
+            let k = launch.Gsim.Launch.kernel in
+            Format.printf "%a" Dataflow.Classify.pp_result
+              launch.Gsim.Launch.classes;
+            Format.printf "  coalescing prediction:@.%a"
+              (Dataflow.Stride.pp_predictions ~block:launch.Gsim.Launch.block)
+              k;
+            (* spare registers bound the prefetch slots of the paper's
+               [16]-style optimization *)
+            let cfg = Ptx.Cfg.build k in
+            let lv = Dataflow.Liveness.compute k cfg in
+            let pressure = Dataflow.Liveness.max_pressure lv in
+            Format.printf "  registers: %d used, peak pressure %d, %d spare@.@."
+              k.Ptx.Kernel.nregs pressure
+              (max 0 (k.Ptx.Kernel.nregs - pressure)))
+          launches
   in
   let target =
     Arg.(

@@ -21,11 +21,8 @@ let timing_cap = ref 120_000
    (`critload experiment --cap`). *)
 let set_timing_cap n = timing_cap := n
 
-let timing_cfg ?(cfg = Config.default) ?max_warp_insts () =
-  let max_warp_insts =
-    match max_warp_insts with Some n -> n | None -> !timing_cap
-  in
-  cfg |> Config.with_caps ~max_warp_insts ()
+let timing_cfg () =
+  Config.default |> Config.with_caps ~max_warp_insts:!timing_cap ()
 
 let all_apps = Suite.all
 
@@ -38,32 +35,32 @@ let ok = function Ok r -> r | Error e -> raise (Gsim.Sim_error.Error e)
 let func_results : (string * App.scale, Runner.func_result) Hashtbl.t =
   Hashtbl.create 16
 
-let func_result ?(check = false) scale app =
+let func_result scale app =
   let key = (app.App.name, scale) in
   match Hashtbl.find_opt func_results key with
   | Some r -> r
   | None ->
       let r =
         Runner.Report.func_exn
-          (ok (Runner.run ~mode:Runner.Func ~scale ~check ~func_cap app))
+          (ok (Runner.run ~mode:Runner.Func ~scale ~check:false ~func_cap app))
       in
       Hashtbl.add func_results key r;
       r
 
-let timing_reports : (string * App.scale, Runner.Report.t) Hashtbl.t =
-  Hashtbl.create 16
+(* Every timing run of the harness, keyed by the full configuration
+   (its digest), so an ablation row at the figures' configuration
+   reuses their run instead of simulating it again. *)
+let timing_reports : (string * App.scale * string, Runner.Report.t) Hashtbl.t =
+  Hashtbl.create 64
 
-let timing_report ?cfg scale app =
-  match cfg with
-  | Some cfg -> ok (Runner.run ~cfg ~scale app)
-  | None -> (
-      let key = (app.App.name, scale) in
-      match Hashtbl.find_opt timing_reports key with
-      | Some r -> r
-      | None ->
-          let r = ok (Runner.run ~cfg:(timing_cfg ()) ~scale app) in
-          Hashtbl.add timing_reports key r;
-          r)
+let timing_report ?(cfg = timing_cfg ()) scale app =
+  let key = (app.App.name, scale, Gsim.Stats_io.config_digest cfg) in
+  match Hashtbl.find_opt timing_reports key with
+  | Some r -> r
+  | None ->
+      let r = ok (Runner.run ~cfg ~scale app) in
+      Hashtbl.add timing_reports key r;
+      r
 
 (* ---------------- Table I ---------------- *)
 
@@ -544,8 +541,7 @@ type ablation_row = {
 }
 
 let ablation_run scale app cfg variant =
-  let r = ok (Runner.run ~cfg ~scale app) in
-  let s = (Runner.Report.stats_exn r) in
+  let s = Runner.Report.stats_exn (timing_report ~cfg scale app) in
   let b = Stats.l1_cycle_breakdown s in
   {
     ab_app = app.App.name;
@@ -566,141 +562,108 @@ let render_ablation ~title rows =
            Tables.pct r.ab_fail_frac ])
        rows)
 
-let graph_apps () = Suite.by_category App.Graph
+let graph_apps = Suite.by_category App.Graph
+let graph_and_spmv = graph_apps @ [ Suite.find "spmv" ]
 
-(* Class-wide N-load flags; an ablation's all-off row is plain
-   [Baseline], so it shares the baseline's digest and stats. *)
-let with_ndet_flags fl cfg =
-  Config.with_policy
-    (if fl = Config.no_policy then Config.Baseline else Config.Ndet_flags fl)
-    cfg
+type ablation = {
+  abl_id : string;
+  abl_title : string;
+  abl_apps : App.t list;
+  abl_variants : (string * (Config.t -> Config.t)) list;
+}
 
-let ablate_split scale =
+(* The same-shaped ablations.  A variant is a named edit of
+   [timing_cfg ()]; "baseline" edits nothing, so it is the figures'
+   run. *)
+let ablations =
+  let baseline = ("baseline", Fun.id) in
+  let ndet fl = Config.with_policy (Config.Ndet_flags fl) in
+  [ {
+      abl_id = "ablate-split";
+      abl_title =
+        "Section X.A ablation: warp splitting for non-deterministic loads \
+         (graph applications)";
+      abl_apps = graph_apps;
+      abl_variants =
+        [ baseline;
+          ("split8", ndet { Config.no_policy with lp_split = 8 });
+          ("split4", ndet { Config.no_policy with lp_split = 4 }) ];
+    };
+    {
+      abl_id = "ablate-cta";
+      abl_title =
+        "Section X.B ablation: CTA scheduling (round-robin vs clustered)";
+      abl_apps = all_apps;
+      abl_variants =
+        [ ("round-robin", Config.with_cta_sched Config.Round_robin);
+          ("cluster2", Config.with_cta_sched (Config.Clustered 2));
+          ("cluster4", Config.with_cta_sched (Config.Clustered 4)) ];
+    };
+    {
+      abl_id = "ablate-prefetch";
+      abl_title =
+        "Section X.A discussion: next-line prefetching applied only to \
+         non-deterministic loads (graph apps + spmv)";
+      abl_apps = graph_and_spmv;
+      abl_variants =
+        [ baseline;
+          ("prefetch-N", ndet { Config.no_policy with lp_prefetch = true }) ];
+    };
+    {
+      abl_id = "ablate-bypass";
+      abl_title =
+        "Instruction-aware L1 bypass: non-deterministic loads skip the L1, \
+         leaving tags/MSHRs to deterministic traffic (graph apps + spmv)";
+      abl_apps = graph_and_spmv;
+      abl_variants =
+        [ baseline;
+          ("bypass-N", ndet { Config.no_policy with lp_bypass = true }) ];
+    };
+    {
+      abl_id = "ablate-warpsched";
+      abl_title =
+        "Warp scheduling: loose round-robin (paper-era default) vs \
+         greedy-then-oldest";
+      abl_apps = all_apps;
+      abl_variants =
+        [ ("lrr", Config.with_warp_sched Config.Lrr);
+          ("gto", Config.with_warp_sched Config.Gto) ];
+    } ]
+
+let ablation_rows scale a =
   List.concat_map
     (fun app ->
       List.map
-        (fun width ->
-          let cfg =
-            timing_cfg ()
-            |> with_ndet_flags { Config.no_policy with lp_split = width }
-          in
-          ablation_run scale app cfg
-            (if width = 0 then "baseline" else Printf.sprintf "split%d" width))
-        [ 0; 8; 4 ])
-    (graph_apps ())
-
-let render_ablate_split scale =
-  render_ablation
-    ~title:
-      "Section X.A ablation: warp splitting for non-deterministic loads \
-       (graph applications)"
-    (ablate_split scale)
-
-let ablate_cta scale =
-  List.concat_map
-    (fun app ->
-      List.map
-        (fun (sched, name) ->
-          let cfg = timing_cfg () |> Config.with_cta_sched sched in
-          ablation_run scale app cfg name)
-        [ (Config.Round_robin, "round-robin"); (Config.Clustered 2, "cluster2");
-          (Config.Clustered 4, "cluster4") ])
-    all_apps
-
-let render_ablate_cta scale =
-  render_ablation
-    ~title:"Section X.B ablation: CTA scheduling (round-robin vs clustered)"
-    (ablate_cta scale)
-
-let ablate_prefetch scale =
-  List.concat_map
-    (fun app ->
-      List.map
-        (fun (on, name) ->
-          let cfg =
-            timing_cfg ()
-            |> with_ndet_flags { Config.no_policy with lp_prefetch = on }
-          in
-          ablation_run scale app cfg name)
-        [ (false, "baseline"); (true, "prefetch-N") ])
-    (graph_apps () @ [ Suite.find "spmv" ])
-
-let render_ablate_prefetch scale =
-  render_ablation
-    ~title:
-      "Section X.A discussion: next-line prefetching applied only to \
-       non-deterministic loads (graph apps + spmv)"
-    (ablate_prefetch scale)
-
-let ablate_bypass scale =
-  List.concat_map
-    (fun app ->
-      List.map
-        (fun (on, name) ->
-          let cfg =
-            timing_cfg ()
-            |> with_ndet_flags { Config.no_policy with lp_bypass = on }
-          in
-          ablation_run scale app cfg name)
-        [ (false, "baseline"); (true, "bypass-N") ])
-    (graph_apps () @ [ Suite.find "spmv" ])
-
-let render_ablate_bypass scale =
-  render_ablation
-    ~title:
-      "Instruction-aware L1 bypass: non-deterministic loads skip the L1, \
-       leaving tags/MSHRs to deterministic traffic (graph apps + spmv)"
-    (ablate_bypass scale)
-
-let ablate_warpsched scale =
-  List.concat_map
-    (fun app ->
-      List.map
-        (fun (sched, name) ->
-          let cfg = timing_cfg () |> Config.with_warp_sched sched in
-          ablation_run scale app cfg name)
-        [ (Config.Lrr, "lrr"); (Config.Gto, "gto") ])
-    all_apps
-
-let render_ablate_warpsched scale =
-  render_ablation
-    ~title:
-      "Warp scheduling: loose round-robin (paper-era default) vs \
-       greedy-then-oldest"
-    (ablate_warpsched scale)
+        (fun (name, edit) -> ablation_run scale app (edit (timing_cfg ())) name)
+        a.abl_variants)
+    a.abl_apps
 
 (* advisor-guided per-pc policies vs the global one-knob variants *)
-let ablate_advisor scale =
-  List.concat_map
-    (fun app ->
-      let advice = Advisor.advise_app app scale in
-      let guided =
-        match Advisor.policies advice with
-        | [] -> timing_cfg ()
-        | ps -> timing_cfg () |> Config.(with_policy (Per_pc (ps, Baseline)))
-      in
-      [ ablation_run scale app (timing_cfg ()) "baseline";
-        ablation_run scale app guided "advisor" ])
-    (graph_apps () @ [ Suite.find "spmv" ])
+let advice scale =
+  List.map (fun app -> (app, Advisor.advise_app app scale)) graph_and_spmv
+
+let advisor_rows scale (app, advice) =
+  let guided =
+    match Advisor.policies advice with
+    | [] -> timing_cfg ()
+    | ps -> timing_cfg () |> Config.(with_policy (Per_pc (ps, Baseline)))
+  in
+  [ ablation_run scale app (timing_cfg ()) "baseline";
+    ablation_run scale app guided "advisor" ]
+
+let ablate_advisor scale = List.concat_map (advisor_rows scale) (advice scale)
 
 let render_ablate_advisor scale =
-  let advice_text =
-    let buf = Buffer.create 1024 in
-    List.iter
-      (fun app ->
-        Buffer.add_string buf
-          (Format.asprintf "%a" Advisor.pp_advice
-             (Advisor.advise_app app scale)))
-      (graph_apps () @ [ Suite.find "spmv" ]);
-    Buffer.contents buf
-  in
+  let advice = advice scale in
   "Per-load advice (classification x stride x walk detection):\n"
-  ^ advice_text ^ "\n"
+  ^ String.concat ""
+      (List.map (fun (_, a) -> Format.asprintf "%a" Advisor.pp_advice a) advice)
+  ^ "\n"
   ^ render_ablation
       ~title:
         "Section X.A realized: advisor-guided per-instruction policies \
          (prefetch walking N loads, split gathering N loads)"
-      (ablate_advisor scale)
+      (List.concat_map (advisor_rows scale) advice)
 
 let ablate_l2 scale =
   List.concat_map
@@ -708,8 +671,7 @@ let ablate_l2 scale =
       List.map
         (fun (k, name) ->
           let cfg = timing_cfg () |> Config.with_l2_cluster k in
-          let r = ok (Runner.run ~cfg ~scale app) in
-          let s = (Runner.Report.stats_exn r) in
+          let s = Runner.Report.stats_exn (timing_report ~cfg scale app) in
           ( app.App.name,
             name,
             s.Stats.cycles,
@@ -730,6 +692,10 @@ let render_ablate_l2 scale =
 (* ---------------- the experiment table ---------------- *)
 
 let all =
+  let ablation id =
+    let a = List.find (fun a -> a.abl_id = id) ablations in
+    (id, fun scale -> render_ablation ~title:a.abl_title (ablation_rows scale a))
+  in
   [ ("table1", render_table1);
     ("table2", fun _ -> render_table2 ());
     ("table3", render_table3);
@@ -745,12 +711,12 @@ let all =
     ("fig10", render_fig10);
     ("fig11", render_fig11);
     ("fig12", render_fig12);
-    ("ablate-split", render_ablate_split);
-    ("ablate-cta", render_ablate_cta);
+    ablation "ablate-split";
+    ablation "ablate-cta";
     ("ablate-l2", render_ablate_l2);
-    ("ablate-prefetch", render_ablate_prefetch);
-    ("ablate-bypass", render_ablate_bypass);
-    ("ablate-warpsched", render_ablate_warpsched);
+    ablation "ablate-prefetch";
+    ablation "ablate-bypass";
+    ablation "ablate-warpsched";
     ("ablate-advisor", render_ablate_advisor);
     ("sensitivity", fun _ -> render_sensitivity ()) ]
 
@@ -777,8 +743,7 @@ let default_policies =
   [ Config.Baseline; Config.Iar Config.default_iar;
     Config.Holistic Config.default_holistic ]
 
-let policy_sweep ?(policies = default_policies) ?(workers = 4) ?cache_dir
-    scale =
+let policy_sweep ?(policies = default_policies) ?(workers = 4) scale =
   let module P = Parsweep in
   let cfg = timing_cfg () in
   let cfgs =
@@ -790,7 +755,7 @@ let policy_sweep ?(policies = default_policies) ?(workers = 4) ?cache_dir
   let job_list =
     P.jobs ~apps ~scales:[ scale ] ~cfgs ~profile:true ()
   in
-  let outcomes = P.run ~workers ?cache_dir job_list in
+  let outcomes = P.run ~workers job_list in
   let class_fails (tm : P.timing_summary) i =
     match tm.P.tm_profile with
     | Some p -> Array.fold_left ( + ) 0 p.Gsim.Profile.per_class.(i).Gsim.Profile.cp_l1_fail

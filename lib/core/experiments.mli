@@ -11,20 +11,20 @@ val set_timing_cap : int -> unit
 (** Override the per-app warp-instruction cap of the timing runs
     ([critload experiment --cap]; default 120k, 0 = none). *)
 
-val timing_cfg :
-  ?cfg:Gsim.Config.t -> ?max_warp_insts:int -> unit -> Gsim.Config.t
+val timing_cfg : unit -> Gsim.Config.t
+(** {!Gsim.Config.default} under the current timing cap. *)
 
 val all_apps : Workloads.App.t list
 
-val func_result :
-  ?check:bool -> Workloads.App.scale -> Workloads.App.t ->
-  Runner.func_result
+val func_result : Workloads.App.scale -> Workloads.App.t -> Runner.func_result
 (** Cached functional run (several figures share them). *)
 
 val timing_report :
   ?cfg:Gsim.Config.t -> Workloads.App.scale -> Workloads.App.t ->
   Runner.Report.t
-(** Cached timing run (cache bypassed when [cfg] is supplied). *)
+(** The harness's one path to a timing run, memoized by app, scale and
+    the full [cfg] (default {!timing_cfg}[ ()]): every figure and
+    ablation row at the same configuration shares one run. *)
 
 (** {1 Table I — application characteristics} *)
 
@@ -168,22 +168,8 @@ val ablation_run :
   Workloads.App.scale -> Workloads.App.t -> Gsim.Config.t -> string ->
   ablation_row
 
-val ablate_split : Workloads.App.scale -> ablation_row list
-val render_ablate_split : Workloads.App.scale -> string
-val ablate_cta : Workloads.App.scale -> ablation_row list
-val render_ablate_cta : Workloads.App.scale -> string
-
-val ablate_prefetch : Workloads.App.scale -> ablation_row list
-val render_ablate_prefetch : Workloads.App.scale -> string
-
 val ablate_advisor : Workloads.App.scale -> ablation_row list
 val render_ablate_advisor : Workloads.App.scale -> string
-
-val ablate_bypass : Workloads.App.scale -> ablation_row list
-val render_ablate_bypass : Workloads.App.scale -> string
-
-val ablate_warpsched : Workloads.App.scale -> ablation_row list
-val render_ablate_warpsched : Workloads.App.scale -> string
 
 val ablate_l2 :
   Workloads.App.scale -> (string * string * int * float * float) list
@@ -193,11 +179,13 @@ val render_ablate_l2 : Workloads.App.scale -> string
 (** {1 The experiment table} *)
 
 val all : (string * (Workloads.App.scale -> string)) list
-(** Every renderer above by id, in the order [critload experiment]
-    runs them: [table1]..[table3], [fig1]..[fig12], the Section X
-    ablations and [sensitivity] ([table2] and [sensitivity] ignore the
-    scale).  The policy comparison below is not listed: it takes a
-    worker count and a policy list. *)
+(** Every renderer by id, in the order [critload experiment] runs
+    them: [table1]..[table3], [fig1]..[fig12], the Section X ablations
+    and [sensitivity] ([table2] and [sensitivity] ignore the scale).
+    Five ablations ([ablate-split], [ablate-cta], [ablate-prefetch],
+    [ablate-bypass], [ablate-warpsched]) render {!ablation_run} rows
+    from one table of named config edits.  The policy comparison
+    below is not listed: it takes a worker count and a policy list. *)
 
 (** {1 Memory-system policy sweep}
 
@@ -226,7 +214,6 @@ val default_policies : Gsim.Config.policy list
 val policy_sweep :
   ?policies:Gsim.Config.policy list ->
   ?workers:int ->
-  ?cache_dir:string ->
   Workloads.App.scale ->
   policy_row list
 (** Rows ordered app-major then policy; jobs that failed in the pool

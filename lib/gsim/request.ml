@@ -39,7 +39,6 @@ type warp_load = {
 }
 
 type t = {
-  req_id : int;
   line_addr : int;
   sm_id : int;
   cta : int; (* requesting CTA, -1 when not attributable (prefetch) *)
@@ -58,12 +57,8 @@ type t = {
   mutable no_fill : bool; (* bypassed loads do not allocate in the L1 *)
 }
 
-let next_id = ref 0
-
 let make ~cta ~line_addr ~sm_id ~kind ~cls ~wl ~now =
-  incr next_id;
   {
-    req_id = !next_id;
     line_addr;
     sm_id;
     cta;

@@ -33,7 +33,6 @@ type warp_load = {
 }
 
 type t = {
-  req_id : int;
   line_addr : int;
   sm_id : int;
   cta : int;  (** requesting CTA, [-1] when not attributable (prefetch) *)

@@ -96,8 +96,8 @@ type t = {
      never correctness. *)
   mutable blocked_min : int;
   mutable residents : resident list;
-  ldst_q : pending_mem Ringbuf.t;
-  hit_pending : hit_completion Ringbuf.t;
+  ldst_q : pending_mem Queue.t;
+  hit_pending : hit_completion Queue.t;
   mutable sp_busy_until : int;
   mutable sfu_busy_until : int;
   mutable ldst_busy_until : int; (* shared/const ops occupy LD/ST too *)
@@ -127,8 +127,8 @@ let create ?(trace = Trace.null ()) (cfg : Config.t) ~id ~stats ~warp_slots =
     n_blocked = 0;
     blocked_min = max_int;
     residents = [];
-    ldst_q = Ringbuf.create ~capacity:64 ();
-    hit_pending = Ringbuf.create ~capacity:64 ();
+    ldst_q = Queue.create ();
+    hit_pending = Queue.create ();
     sp_busy_until = 0;
     sfu_busy_until = 0;
     ldst_busy_until = 0;
@@ -242,7 +242,7 @@ let scan_worthwhile t ~now =
   || (t.n_ready_u.(1) > 0 && t.sp_busy_until <= now)
   || (t.n_ready_u.(2) > 0 && t.sfu_busy_until <= now)
   || t.n_ready_u.(3) > 0
-     && Ringbuf.is_empty t.ldst_q
+     && Queue.is_empty t.ldst_q
      && t.ldst_busy_until <= now
 
 (* Place a CTA in contiguous free slots; false when it does not fit. *)
@@ -369,7 +369,7 @@ let process_returns t ~now ~icnt =
         complete_request t ~now req;
         List.iter
           (fun w ->
-            if w.Request.req_id <> req.Request.req_id then begin
+            if w != req then begin
               w.Request.level <- Request.deeper w.Request.level req.Request.level;
               complete_request t ~now w
             end)
@@ -378,10 +378,10 @@ let process_returns t ~now ~icnt =
   done;
   (* local L1-hit completions *)
   let continue_ = ref true in
-  while !continue_ && not (Ringbuf.is_empty t.hit_pending) do
-    let hc = Ringbuf.peek t.hit_pending in
+  while !continue_ && not (Queue.is_empty t.hit_pending) do
+    let hc = Queue.peek t.hit_pending in
     if hc.hc_ready <= now then begin
-      ignore (Ringbuf.pop t.hit_pending);
+      ignore (Queue.take t.hit_pending);
       complete_request t ~now hc.hc_req
     end
     else continue_ := false
@@ -414,7 +414,7 @@ let dispatch t ~now ~icnt (req : Request.t) (outcome : Cache.outcome) =
   accept ~now req;
   match outcome with
   | Cache.Hit ->
-      Ringbuf.push
+      Queue.push
         { hc_ready = now + t.cfg.Config.l1_hit_latency; hc_req = req }
         t.hit_pending
   | Cache.Miss -> Icnt.inject_request icnt ~now req
@@ -466,18 +466,18 @@ let prefetch_next_line t ~now ~icnt ~line ~cls =
 
 (* Drain the in-order LD/ST queue: one L1 access attempt per cycle. *)
 let fifo_cycle t ~now ~icnt =
-  if not (Ringbuf.is_empty t.ldst_q) then begin
-    let pm = Ringbuf.peek t.ldst_q in
+  if not (Queue.is_empty t.ldst_q) then begin
+    let pm = Queue.peek t.ldst_q in
       match pm.pm_lines with
       | [] -> (
-          ignore (Ringbuf.pop t.ldst_q);
+          ignore (Queue.take t.ldst_q);
           (* next sub-warp group goes to the back of the queue so other
              warps can interleave (Section X.A) *)
           match pm.pm_groups with
           | g :: rest ->
               pm.pm_lines <- g;
               pm.pm_groups <- rest;
-              Ringbuf.push pm t.ldst_q
+              Queue.push pm t.ldst_q
           | [] -> ())
       | line :: rest -> (
           match pm.pm_kind with
@@ -590,7 +590,7 @@ let iar_issue t ~now ~icnt ~line =
 let ldst_cycle t ~now ~icnt =
   match
     Mempolicy.iar_select t.pol ~now
-      ~fifo_nonempty:(not (Ringbuf.is_empty t.ldst_q))
+      ~fifo_nonempty:(not (Queue.is_empty t.ldst_q))
   with
   | Some line -> iar_issue t ~now ~icnt ~line
   | None -> fifo_cycle t ~now ~icnt
@@ -653,7 +653,7 @@ let issue_mem t ~now ~slot_idx (w : Warp.t) (m : Warp.mem_op) =
                     ie_kind = Request.Load; ie_cls = cls; ie_cta = cta })
               (Coalesce.sort_lines g)
           else
-            Ringbuf.push
+            Queue.push
               { pm_wl = Some wl; pm_lines = g; pm_groups = rest;
                 pm_kind =
                   (if m.Warp.m_kind = Warp.Atomic then Request.Atomic
@@ -670,7 +670,7 @@ let issue_mem t ~now ~slot_idx (w : Warp.t) (m : Warp.mem_op) =
         Coalesce.lines ~line_size:cfg.Config.line_size ~mask:m.Warp.m_mask
           ~addrs:m.Warp.m_addrs
       in
-      Ringbuf.push
+      Queue.push
         { pm_wl = None; pm_lines = lines; pm_groups = [];
           pm_kind = Request.Store; pm_cls = Dataflow.Classify.Deterministic;
           pm_cta = w.Warp.cta_lin;
@@ -771,7 +771,7 @@ let issue_cycle t ~now =
             let free =
               if uc = 0 then t.sp_busy_until <= now
               else if uc = 1 then t.sfu_busy_until <= now
-              else Ringbuf.is_empty t.ldst_q && t.ldst_busy_until <= now
+              else Queue.is_empty t.ldst_q && t.ldst_busy_until <= now
             in
             if free then begin
               issued := true;
@@ -811,7 +811,7 @@ let sample_occupancy t ~now =
   if t.sp_busy_until > now then Stats.record_unit_busy t.stats Exec.SP;
   if t.sfu_busy_until > now then Stats.record_unit_busy t.stats Exec.SFU;
   if
-    (not (Ringbuf.is_empty t.ldst_q))
+    (not (Queue.is_empty t.ldst_q))
     || Mempolicy.iar_pending t.pol > 0
     || t.ldst_busy_until > now
   then Stats.record_unit_busy t.stats Exec.LDST
@@ -824,9 +824,9 @@ let sample_occupancy t ~now =
 let cycle t ~now ~icnt =
   if
     Icnt.response_arrived icnt ~now ~sm:t.id
-    || not (Ringbuf.is_empty t.hit_pending)
+    || not (Queue.is_empty t.hit_pending)
   then process_returns t ~now ~icnt;
-  if not (Ringbuf.is_empty t.ldst_q) || Mempolicy.iar_pending t.pol > 0 then
+  if not (Queue.is_empty t.ldst_q) || Mempolicy.iar_pending t.pol > 0 then
     ldst_cycle t ~now ~icnt;
   issue_cycle t ~now;
   sample_occupancy t ~now
@@ -835,8 +835,8 @@ let cycle t ~now ~icnt =
    a constructor match, not a polymorphic [= []]. *)
 let idle t =
   (match t.residents with [] -> true | _ :: _ -> false)
-  && Ringbuf.is_empty t.ldst_q
-  && Ringbuf.is_empty t.hit_pending
+  && Queue.is_empty t.ldst_q
+  && Queue.is_empty t.hit_pending
   && Mempolicy.iar_pending t.pol = 0
 
 (* ---- fast-forward contract (see DESIGN) ----
@@ -860,7 +860,7 @@ let idle t =
    reconstructed in batch by [account_idle]. *)
 let next_wake t ~now =
   if
-    (not (Ringbuf.is_empty t.ldst_q))
+    (not (Queue.is_empty t.ldst_q))
     || Mempolicy.iar_pending t.pol > 0
     || any_issuable t ~now
   then now
@@ -869,8 +869,8 @@ let next_wake t ~now =
        now exact: the earliest pending block expiry (max_int when
        none). *)
     let horizon = ref (if t.n_blocked > 0 then t.blocked_min else max_int) in
-    if not (Ringbuf.is_empty t.hit_pending) then begin
-      let hc = Ringbuf.peek t.hit_pending in
+    if not (Queue.is_empty t.hit_pending) then begin
+      let hc = Queue.peek t.hit_pending in
       if hc.hc_ready < !horizon then horizon := hc.hc_ready
     end;
     !horizon
@@ -892,7 +892,7 @@ let account_idle t ~now ~until =
 (* (in-flight L1 MSHR entries, LD/ST queue depth incl. reorder-buffer
    entries) — the per-SM occupancy timeline the trace layer samples. *)
 let occupancy_sample t =
-  (Cache.mshr_in_use t.l1, Ringbuf.length t.ldst_q + Mempolicy.iar_pending t.pol)
+  (Cache.mshr_in_use t.l1, Queue.length t.ldst_q + Mempolicy.iar_pending t.pol)
 
 (* (cta, warp id, pc) of every warp parked at a barrier — the stall
    watchdog uses this to tell a barrier deadlock from a livelock. *)

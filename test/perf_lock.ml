@@ -222,3 +222,15 @@ let read_golden path =
                 (Printf.sprintf "perf_lock: malformed golden line: %S" line)
   in
   go []
+
+(* The committed golden file, found from test/ (where dune runs the
+   tests) or from the repository root (`dune exec
+   test/test_perf_lock.exe`). *)
+let golden_path () =
+  let tried = [ "goldens/perf_lock.golden"; "test/goldens/perf_lock.golden" ] in
+  match List.find_opt Sys.file_exists tried with
+  | Some path -> path
+  | None ->
+      failwith
+        (Printf.sprintf "perf_lock: no golden file (tried %s)"
+           (String.concat ", " tried))

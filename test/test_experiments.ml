@@ -196,6 +196,44 @@ let test_stats_conservation () =
     s.Gsim.Stats.unit_busy;
   Alcotest.(check bool) "issued instructions" true (s.Gsim.Stats.warp_insts > 0)
 
+(* ---------------- one timing memo ---------------- *)
+
+(* The harness simulates each (app, scale, config) once: an explicit
+   default configuration, or an edit that changes nothing, is the run
+   the figures made; another configuration or cap is another run. *)
+let test_timing_memo () =
+  let app = Workloads.Suite.find "2mm" in
+  let fig = E.timing_report scale app in
+  Alcotest.(check bool) "explicit default config is the figures' run" true
+    (E.timing_report ~cfg:(E.timing_cfg ()) scale app == fig);
+  Alcotest.(check bool) "a no-op edit is the figures' run" true
+    (E.timing_report
+       ~cfg:(E.timing_cfg () |> Gsim.Config.with_warp_sched Gsim.Config.Lrr)
+       scale app
+    == fig);
+  Alcotest.(check bool) "another config is another run" true
+    (E.timing_report
+       ~cfg:(E.timing_cfg () |> Gsim.Config.with_warp_sched Gsim.Config.Gto)
+       scale app
+    != fig);
+  let capped =
+    Fun.protect
+      ~finally:(fun () -> E.set_timing_cap 40_000)
+      (fun () ->
+        E.set_timing_cap 20_000;
+        E.timing_report scale app)
+  in
+  Alcotest.(check int) "a new cap is a new run" 20_000
+    capped.Critload.Runner.Report.cfg.Gsim.Config.max_warp_insts
+
+let test_experiment_ids () =
+  Alcotest.(check (list string)) "ids in run order"
+    ([ "table1"; "table2"; "table3" ]
+    @ List.init 12 (fun i -> Printf.sprintf "fig%d" (i + 1))
+    @ [ "ablate-split"; "ablate-cta"; "ablate-l2"; "ablate-prefetch";
+        "ablate-bypass"; "ablate-warpsched"; "ablate-advisor"; "sensitivity" ])
+    (List.map fst E.all)
+
 (* ---------------- Section X ablations run ---------------- *)
 
 let test_ablation_split_runs () =
@@ -283,6 +321,10 @@ let tests =
     Alcotest.test_case "fig12: CTA distance histogram" `Quick
       test_fig12_shapes;
     Alcotest.test_case "stats conservation" `Slow test_stats_conservation;
+    Alcotest.test_case "timing memo: one run per config" `Slow
+      test_timing_memo;
+    Alcotest.test_case "experiment ids keep their order" `Quick
+      test_experiment_ids;
     Alcotest.test_case "ablation: warp split runs" `Slow
       test_ablation_split_runs;
     Alcotest.test_case "ablation: cta scheduling runs" `Slow

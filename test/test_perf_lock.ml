@@ -1,5 +1,5 @@
 (* Perf-lock differential suite: the core-loop optimizations (decode
-   precompute, flat warp-slot arrays, ring buffers, batched coalescing)
+   precompute, flat warp-slot arrays, batched coalescing)
    must be observably invisible.  Every app of the suite is re-run at
    the pinned perf-lock configuration and its Stats.t JSON, Profile.t
    JSON, and full trace event stream digests are compared against the
@@ -14,14 +14,13 @@
    bug or a deliberate model change that must regenerate the goldens
    via gen_perf_lock.exe and justify itself in review. *)
 
-let golden_path = "goldens/perf_lock.golden"
-
-let goldens = lazy (Perf_lock.read_golden golden_path)
+(* read up front: a missing golden file fails the run once *)
+let goldens = Perf_lock.read_golden (Perf_lock.golden_path ())
 
 let check_row row =
   let name = row.Perf_lock.key in
   let want =
-    match List.assoc_opt name (Lazy.force goldens) with
+    match List.assoc_opt name goldens with
     | Some d -> d
     | None -> Alcotest.failf "no golden entry for %s" name
   in
@@ -41,7 +40,7 @@ let test_covers_suite () =
   Alcotest.(check (list string))
     "golden file covers the whole suite and the iar, warmup and func rows"
     (List.map (fun r -> r.Perf_lock.key) Perf_lock.rows)
-    (List.map fst (Lazy.force goldens))
+    (List.map fst goldens)
 
 let app_cases =
   List.map

@@ -457,7 +457,7 @@ let test_missing_policy_rejected () =
    goldens on a graph app; the real policies complete and diverge ---- *)
 
 let test_baseline_matches_golden () =
-  let golden = Perf_lock.read_golden "goldens/perf_lock.golden" in
+  let golden = Perf_lock.read_golden (Perf_lock.golden_path ()) in
   let want = List.assoc "bfs" golden in
   let got = Perf_lock.digest_app (Workloads.Suite.find "bfs") in
   Alcotest.(check string) "stats digest" want.Perf_lock.dg_stats

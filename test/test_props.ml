@@ -261,123 +261,6 @@ let prop_classification_stable_under_roundtrip =
       in
       digest k = digest k2)
 
-(* ---------------- Ringbuf vs Queue reference ---------------- *)
-
-(* The simulator's preallocated FIFO must be observably identical to
-   Queue.  Random operation sequences are replayed against both; every
-   intermediate observation (pop/peek results, lengths) and the final
-   contents must agree. *)
-
-type rb_op = Rb_push of int | Rb_pop | Rb_peek | Rb_clear
-
-let gen_rb_ops =
-  let open QCheck.Gen in
-  let op =
-    frequency
-      [ (5, map (fun v -> Rb_push v) (int_bound 10_000));
-        (4, return Rb_pop);
-        (2, return Rb_peek);
-        (1, return Rb_clear) ]
-  in
-  QCheck.make
-    ~print:(fun (cap, ops) ->
-      Printf.sprintf "cap=%d ops=[%s]" cap
-        (String.concat "; "
-           (List.map
-              (function
-                | Rb_push v -> Printf.sprintf "push %d" v
-                | Rb_pop -> "pop"
-                | Rb_peek -> "peek"
-                | Rb_clear -> "clear")
-              ops)))
-    (pair (int_range 1 8) (list_size (int_bound 200) op))
-
-let prop_ringbuf_matches_queue =
-  QCheck.Test.make ~count:500
-    ~name:"ringbuf: random op sequences agree with a Queue reference"
-    gen_rb_ops
-    (fun (cap, ops) ->
-      let rb = Gsim.Ringbuf.create ~capacity:cap () in
-      let q = Queue.create () in
-      List.for_all
-        (fun op ->
-          match op with
-          | Rb_push v ->
-              Gsim.Ringbuf.push v rb;
-              Queue.push v q;
-              true
-          | Rb_pop -> Gsim.Ringbuf.pop_opt rb = Queue.take_opt q
-          | Rb_peek -> Gsim.Ringbuf.peek_opt rb = Queue.peek_opt q
-          | Rb_clear ->
-              Gsim.Ringbuf.clear rb;
-              Queue.clear q;
-              true)
-        ops
-      && Gsim.Ringbuf.length rb = Queue.length q
-      && Gsim.Ringbuf.to_list rb = List.of_seq (Queue.to_seq q))
-
-let prop_ringbuf_roundtrip =
-  QCheck.Test.make ~count:500
-    ~name:"ringbuf: push-all / pop-all round-trips any list"
-    QCheck.(list (int_bound 100_000))
-    (fun xs ->
-      let rb = Gsim.Ringbuf.create ~capacity:1 () in
-      List.iter (fun x -> Gsim.Ringbuf.push x rb) xs;
-      let out = ref [] in
-      let rec drain () =
-        match Gsim.Ringbuf.pop_opt rb with
-        | Some x ->
-            out := x :: !out;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      List.rev !out = xs && Gsim.Ringbuf.is_empty rb)
-
-(* Wrap-around: a buffer repeatedly cycled at full capacity must keep
-   strict FIFO order as head/tail pass the array boundary. *)
-let prop_ringbuf_wraparound =
-  QCheck.Test.make ~count:200
-    ~name:"ringbuf: FIFO order survives wrap-around at fixed occupancy"
-    QCheck.(pair (int_range 1 6) (int_range 1 100))
-    (fun (cap, rounds) ->
-      let rb = Gsim.Ringbuf.create ~capacity:cap () in
-      (* fill to exactly capacity so every later push wraps *)
-      for i = 0 to cap - 1 do
-        Gsim.Ringbuf.push i rb
-      done;
-      let ok = ref (Gsim.Ringbuf.capacity rb = cap) in
-      for i = cap to cap + (rounds * cap) - 1 do
-        (match Gsim.Ringbuf.pop_opt rb with
-        | Some v -> if v <> i - cap then ok := false
-        | None -> ok := false);
-        Gsim.Ringbuf.push i rb
-      done;
-      (* staying at <= capacity elements must never have grown it *)
-      !ok && Gsim.Ringbuf.capacity rb = cap)
-
-(* Capacity edge: growing from a wrapped state preserves order, and
-   capacity doubles exactly when the buffer is full. *)
-let prop_ringbuf_grow_preserves_order =
-  QCheck.Test.make ~count:200
-    ~name:"ringbuf: growth from a wrapped full buffer preserves order"
-    QCheck.(pair (int_range 1 8) (int_range 0 8))
-    (fun (cap, churn) ->
-      let rb = Gsim.Ringbuf.create ~capacity:cap () in
-      (* wrap the head: push churn sentinels and pop them again *)
-      for i = 0 to churn - 1 do
-        Gsim.Ringbuf.push (-i) rb;
-        ignore (Gsim.Ringbuf.pop_opt rb)
-      done;
-      for i = 0 to cap - 1 do
-        Gsim.Ringbuf.push i rb
-      done;
-      let cap_before = Gsim.Ringbuf.capacity rb in
-      Gsim.Ringbuf.push cap rb;
-      (* exactly one doubling, contents intact *)
-      Gsim.Ringbuf.capacity rb = 2 * cap_before
-      && Gsim.Ringbuf.to_list rb = List.init (cap + 1) Fun.id)
-
 (* ---------------- JSON emitter/parser ---------------- *)
 
 let gen_json =
@@ -616,10 +499,6 @@ let tests =
       prop_split_subwarp_coverage;
       prop_builder_roundtrip;
       prop_classification_stable_under_roundtrip;
-      prop_ringbuf_matches_queue;
-      prop_ringbuf_roundtrip;
-      prop_ringbuf_wraparound;
-      prop_ringbuf_grow_preserves_order;
       prop_json_roundtrip;
       prop_config_table_complete;
       prop_codec_mutations ]

@@ -321,6 +321,36 @@ let test_bad_request_line () =
   Client.close c2;
   stop_server scfg pid
 
+(* ---- a client that cannot take its answer does not kill the daemon ---- *)
+
+(* The first client shuts its receive side, then asks for health: on
+   Linux every write to a Unix socket whose peer has done that fails
+   with EPIPE, so the daemon (SIGPIPE at its default, see
+   [start_server]) cannot answer it.  It must drop that client and keep
+   serving: a second client sees itself as the only one left. *)
+let test_vanished_reader () =
+  let scfg =
+    { (base_config (Filename.temp_file "critload" ".sock")) with S.workers = 1 }
+  in
+  let pid = start_server scfg in
+  let c = Client.connect scfg.S.socket_path in
+  Unix.shutdown c.Client.fd Unix.SHUTDOWN_RECEIVE;
+  Client.send c Pr.Health;
+  let c2 = Client.connect scfg.S.socket_path in
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec until_dropped () =
+    if (health_of c2).Pr.h_clients > 1 then begin
+      if Unix.gettimeofday () > deadline then
+        Alcotest.fail "daemon kept the client it could not answer";
+      Unix.sleepf 0.02;
+      until_dropped ()
+    end
+  in
+  until_dropped ();
+  Client.close c;
+  Client.close c2;
+  stop_server scfg pid
+
 (* ---- backpressure: the queue is bounded, rejects carry a hint ---- *)
 
 let test_backpressure () =
@@ -706,6 +736,7 @@ let () =
         [
           Alcotest.test_case "byte-identity" `Slow test_submit_byte_identity;
           Alcotest.test_case "bad request line" `Quick test_bad_request_line;
+          Alcotest.test_case "vanished reader" `Quick test_vanished_reader;
           Alcotest.test_case "backpressure" `Slow test_backpressure;
           Alcotest.test_case "job timeout" `Slow test_job_timeout;
           Alcotest.test_case "crash retry (chaos)" `Slow

@@ -8,8 +8,7 @@
 
 let () =
   let golden_path =
-    if Array.length Sys.argv > 1 then Sys.argv.(1)
-    else "goldens/perf_lock.golden"
+    if Array.length Sys.argv > 1 then Sys.argv.(1) else Perf_lock.golden_path ()
   in
   let keys =
     if Array.length Sys.argv > 2 then
