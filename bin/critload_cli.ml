@@ -123,16 +123,6 @@ let policy_cfgs ~cfg policies =
     (fun p -> (Gsim.Config.policy_name p, cfg |> Gsim.Config.with_policy p))
     policies
 
-let no_fast_forward_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fast-forward" ]
-        ~doc:
-          "Advance the cycle simulator one cycle at a time instead of \
-           jumping over quiescent windows.  Statistics and traces are \
-           identical either way (see DESIGN.md); this exists for \
-           cross-checking and timing-sensitive debugging.")
-
 let sweep_format_arg =
   format_arg
     ~alts:[ ("json", `Json); ("jsonl", `Jsonl) ]
@@ -347,10 +337,7 @@ let characterize_cmd =
     let fs = r.Critload.Runner.fr_fs in
     let open Dataflow.Classify in
     Printf.printf "app: %s (%s scale)\n" name
-      (match scale with
-      | Workloads.App.Small -> "small"
-      | Workloads.App.Default -> "default"
-      | Workloads.App.Large -> "large");
+      (Workloads.App.string_of_scale scale);
     Printf.printf "warp instructions: %d (%d launches, %d CTAs)\n"
       fs.Gsim.Funcsim.warp_insts r.Critload.Runner.fr_launches
       r.Critload.Runner.fr_ctas;
@@ -448,7 +435,7 @@ let advise_cmd =
 (* ---- simulate (cycle-level) ---- *)
 
 let simulate_cmd =
-  let run name scale cap policy no_ff =
+  let run name scale cap policy =
     let app = find_app ~cmd:"simulate" name in
     let cfg =
       Gsim.Config.default
@@ -456,9 +443,7 @@ let simulate_cmd =
       |> Gsim.Config.with_policy policy
     in
     let report =
-      match
-        Critload.Runner.run ~cfg ~scale ~fast_forward:(not no_ff) app
-      with
+      match Critload.Runner.run ~cfg ~scale app with
       | Ok r -> r
       | Error e ->
           Printf.eprintf "simulate: %s\n" (Gsim.Sim_error.to_string e);
@@ -499,14 +484,12 @@ let simulate_cmd =
   in
       Cmd.v
       (cmd_info "simulate" ~doc:"Cycle-level simulation of one application.")
-    Term.(
-      const run $ app_arg $ scale_arg $ cap_arg () $ policy_arg
-      $ no_fast_forward_arg)
+    Term.(const run $ app_arg $ scale_arg $ cap_arg () $ policy_arg)
 
 (* ---- trace (cycle-level observability) ---- *)
 
 let trace_cmd =
-  let run name scale cap policy kernel format out no_ff =
+  let run name scale cap policy kernel format out =
     let app = find_app ~cmd:"trace" name in
     let cfg =
       Gsim.Config.default
@@ -522,8 +505,7 @@ let trace_cmd =
     in
     let run_traced ?trace ?profile () =
       match
-        Critload.Runner.run ~cfg ~scale ?trace ?trace_kernel:kernel ?profile
-          ~fast_forward:(not no_ff) app
+        Critload.Runner.run ~cfg ~scale ?trace ?trace_kernel:kernel ?profile app
       with
       | Ok r -> r
       | Error e ->
@@ -575,7 +557,7 @@ let trace_cmd =
           (summary), or the raw event stream (jsonl / chrome).")
     Term.(
       const run $ app_arg $ scale_arg $ cap_arg () $ policy_arg $ kernel
-      $ format $ out $ no_fast_forward_arg)
+      $ format $ out)
 
 (* ---- sweep (parallel, JSON export) ---- *)
 

@@ -73,8 +73,8 @@ let normalize_kernel k =
   Ptx.Kernel.to_string (Ptx.Parse.kernel_of_string (Ptx.Kernel.to_string k))
 
 (* Enumerating an app's launches without simulating between them is
-   deterministic — a driver's host logic sees the untouched initial
-   memory image — so it names the app's content reproducibly even
+   deterministic — its host program sees the untouched initial memory
+   image — so it names the app's content reproducibly even
    though the enumerated sequence can be shorter than a real run's.
    Not memoized here: two [App.t] values may share a name yet differ in
    seed or kernels, and must digest apart.  The memo lives in

@@ -22,13 +22,6 @@ type func_result = {
   fr_check : bool;
 }
 
-type timing_result = {
-  tr_app : Workloads.App.t;
-  tr_stats : Gsim.Stats.t;
-  tr_launches : int;
-  tr_cfg : Gsim.Config.t;
-}
-
 (* Accumulate static per-kernel classification over distinct kernels. *)
 let static_counts seen (launch : Gsim.Launch.t) =
   let name = launch.Gsim.Launch.kernel.Ptx.Kernel.kname in
@@ -100,6 +93,7 @@ let warmup_launches ?(cfg = Gsim.Config.default) (app : Workloads.App.t) scale
   in
   first 0
 
+(* The timing run's statistics and the number of launches it pulled. *)
 let run_timing ?(cfg = Gsim.Config.default) ?(warmup = true) ?trace
     ?trace_kernel ?(fast_forward = false) (app : Workloads.App.t) scale =
   let skip = if warmup then warmup_launches ~cfg app scale else 0 in
@@ -127,7 +121,7 @@ let run_timing ?(cfg = Gsim.Config.default) ?(warmup = true) ?trace
           Gsim.Trace.with_muted trace (fun () ->
               Gsim.Gpu.run_launch machine ~fast_forward launch)
         else Gsim.Gpu.run_launch machine ~fast_forward launch);
-  { tr_app = app; tr_stats = stats; tr_launches = !launches; tr_cfg = cfg }
+  (stats, !launches)
 
 (* Result-returning wrappers: every failure mode a malformed kernel or
    a simulator bug can produce — static verification, unbound
@@ -212,7 +206,7 @@ let run ?(cfg = Gsim.Config.default) ?(mode = Timing)
             | Some p, None -> Some (Gsim.Profile.sink p)
             | Some p, Some user -> Some (tee_trace (Gsim.Profile.sink p) user)
           in
-          let r =
+          let stats, launches =
             run_timing ~cfg ~warmup ?trace ?trace_kernel ~fast_forward app
               scale
           in
@@ -221,9 +215,9 @@ let run ?(cfg = Gsim.Config.default) ?(mode = Timing)
             mode;
             cfg;
             scale;
-            launches = r.tr_launches;
-            stats = Some r.tr_stats;
+            launches;
+            stats = Some stats;
             func = None;
             profile = prof;
-            truncated = r.tr_stats.Gsim.Stats.truncated;
+            truncated = stats.Gsim.Stats.truncated;
           })

@@ -51,8 +51,6 @@ let diff_into ~dst ~src =
 
 let equal a b = a.n = b.n && a.bits = b.bits
 
-let clear t = Array.fill t.bits 0 (Array.length t.bits) 0
-
 let cardinal t =
   let count = ref 0 in
   for i = 0 to t.n - 1 do

@@ -17,7 +17,6 @@ val diff_into : dst:t -> src:t -> unit
 (** [dst <- dst \ src]. *)
 
 val equal : t -> t -> bool
-val clear : t -> unit
 val cardinal : t -> int
 val iter : (int -> unit) -> t -> unit
 val elements : t -> int list

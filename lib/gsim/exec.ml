@@ -146,8 +146,6 @@ let[@inline] funary_f32 op f32 a =
   in
   if f32 then round_f32 r else r
 
-let exec_funary op ty a = funary_f32 op (ty = F32) a
-
 (* What a conversion does, resolved from its two dtypes. *)
 type cvt =
   | Keep

@@ -59,7 +59,6 @@ val mulhi64 : int64 -> int64 -> int64
 val exec_iop : iop -> int64 -> int64 -> int64
 val round_f32 : float -> float
 val exec_fop : fop -> dtype -> float -> float -> float
-val exec_funary : funary -> dtype -> float -> float
 
 val exec_cvt : dst_ty:dtype -> src_ty:dtype -> int64 -> int64
 (** Float to float rounds to F32 or keeps the bits; integer to float

@@ -19,15 +19,6 @@ let l1_event_index (o : Cache.outcome) =
   | Cache.Rsrv_fail Cache.Fail_mshr -> 4
   | Cache.Rsrv_fail Cache.Fail_icnt -> 5
 
-let l1_event_name = function
-  | 0 -> "hit"
-  | 1 -> "hit_reserved"
-  | 2 -> "miss"
-  | 3 -> "rsrv_fail_tags"
-  | 4 -> "rsrv_fail_mshr"
-  | 5 -> "rsrv_fail_icnt"
-  | _ -> invalid_arg "l1_event_name"
-
 type class_stats = {
   mutable cs_warps : int; (* completed warp-level global loads *)
   mutable cs_requests : int;
@@ -258,18 +249,3 @@ let unit_busy_fraction t ~n_sms u =
   else
     float_of_int t.unit_busy.(unit_index u)
     /. float_of_int (t.cycles * n_sms)
-
-(* Merge [src] into [dst] (used to aggregate per-SM stats). *)
-let merge_class ~dst ~src =
-  dst.cs_warps <- dst.cs_warps + src.cs_warps;
-  dst.cs_requests <- dst.cs_requests + src.cs_requests;
-  dst.cs_active_threads <- dst.cs_active_threads + src.cs_active_threads;
-  dst.cs_turnaround <- dst.cs_turnaround + src.cs_turnaround;
-  dst.cs_unloaded <- dst.cs_unloaded + src.cs_unloaded;
-  dst.cs_rsrv_prev <- dst.cs_rsrv_prev + src.cs_rsrv_prev;
-  dst.cs_rsrv_cur <- dst.cs_rsrv_cur + src.cs_rsrv_cur;
-  dst.cs_wasted_mem <- dst.cs_wasted_mem + src.cs_wasted_mem;
-  dst.cs_l1_access <- dst.cs_l1_access + src.cs_l1_access;
-  dst.cs_l1_miss <- dst.cs_l1_miss + src.cs_l1_miss;
-  dst.cs_l2_access <- dst.cs_l2_access + src.cs_l2_access;
-  dst.cs_l2_miss <- dst.cs_l2_miss + src.cs_l2_miss

@@ -9,7 +9,6 @@ val cls_index : cls -> int
 
 val n_l1_events : int
 val l1_event_index : Cache.outcome -> int
-val l1_event_name : int -> string
 
 (** Aggregates for one load class. *)
 type class_stats = {
@@ -104,5 +103,3 @@ val l1_cycle_breakdown : t -> float array
 val unit_busy_fraction : t -> n_sms:int -> Exec.unit_class -> float
 (** Fig 4: busy fraction of a unit's first pipeline stage (busy cycles
     summed across SMs, normalized by [cycles * n_sms]). *)
-
-val merge_class : dst:class_stats -> src:class_stats -> unit

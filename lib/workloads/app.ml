@@ -2,10 +2,10 @@
    the PTX-like ISA over synthetic datasets.
 
    An application builds a [run]: a global-memory image plus a host
-   driver that yields kernel launches one at a time (matching how the
-   CUDA host code loops kernels, e.g. bfs relaunching until the
-   frontier empties).  [check] verifies the computation against a host
-   reference after the run completes. *)
+   program that yields kernel launches one at a time (the CUDA host
+   loop, e.g. bfs relaunching until the frontier empties).  [check]
+   verifies the computation against a host reference after the run
+   completes. *)
 
 type category = Linear | Image | Graph
 
@@ -43,62 +43,100 @@ type t = {
   make : scale -> run;
 }
 
-(* A run consisting of one kernel launch. *)
-let single_launch ~global ~check launch =
-  let fired = ref false in
+type launch =
+  kernel:Ptx.Kernel.t ->
+  grid:int * int * int ->
+  block:int * int * int ->
+  params:(string * int64) list ->
+  unit
+
+(* A host program runs on its own fiber: each [launch] builds the
+   launch against the run's image and performs [Yield], which parks the
+   program until the consumer pulls again.  The consumer executes the
+   launch in between, so the program's flag checks see its effects. *)
+type _ Effect.t += Yield : Gsim.Launch.t -> unit Effect.t
+
+type parked = (unit, Gsim.Launch.t option) Effect.Deep.continuation
+
+exception Closed
+
+(* Set by [iter_launches] for the one extra pull with which it ends a
+   run it stopped early: that pull unwinds the parked program instead of
+   resuming it.  OCaml frees a fiber's stack only when the fiber ends,
+   so a program left parked would keep 1-5 KB for the life of the
+   process, and sweep and serve workers run capped job after job. *)
+let closing = ref false
+
+let host ~global ~check program =
+  let parked : parked option ref = ref None in
+  let handler =
+    {
+      Effect.Deep.retc = (fun () -> None);
+      exnc = (function Closed -> None | e -> raise e);
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Yield l ->
+              Some
+                (fun (k : (a, _) Effect.Deep.continuation) ->
+                  parked := Some k;
+                  Some l)
+          | _ -> None);
+    }
+  in
+  let launch ~kernel ~grid ~block ~params =
+    Effect.perform
+      (Yield (Gsim.Launch.create ~kernel ~grid ~block ~params ~global))
+  in
+  let started = ref false in
+  let next_launch () =
+    match !parked with
+    | Some k ->
+        parked := None;
+        if !closing then Effect.Deep.discontinue k Closed
+        else Effect.Deep.continue k ()
+    | None when not !started ->
+        started := true;
+        Effect.Deep.match_with program launch handler
+    | None -> None
+  in
+  { global; next_launch; check }
+
+(* do { flag = 0; body } while (flag && ++i < max_iters): the
+   relaunch-until-stable loop of the LonestarGPU hosts. *)
+let while_flag ~global ~flag ~max_iters body =
+  let rec pass i =
+    Gsim.Mem.set_u32 global flag 0;
+    body ();
+    if Gsim.Mem.get_u32 global flag <> 0 && i + 1 < max_iters then
+      pass (i + 1)
+  in
+  pass 0
+
+let v ~name ~category ~description ~seed make =
   {
-    global;
-    next_launch =
-      (fun () ->
-        if !fired then None
-        else begin
-          fired := true;
-          Some launch
-        end);
-    check;
+    name;
+    category;
+    description;
+    seed;
+    make = (fun scale -> make (Prng.create seed) scale);
   }
 
-(* A run that plays a fixed list of launches in order (lazily built). *)
-let launch_list ~global ~check launches =
-  let remaining = ref launches in
-  {
-    global;
-    next_launch =
-      (fun () ->
-        match !remaining with
-        | [] -> None
-        | mk :: rest ->
-            remaining := rest;
-            Some (mk ()));
-    check;
-  }
-
-(* A run driven by host logic: [driver i] returns the i-th launch or
-   None to stop; bounded by [max_iters] as a safety net. *)
-let driven ~global ~check ~max_iters driver =
-  let i = ref 0 in
-  {
-    global;
-    next_launch =
-      (fun () ->
-        if !i >= max_iters then None
-        else begin
-          let l = driver !i in
-          incr i;
-          l
-        end);
-    check;
-  }
-
-(* Pull launches until the driver runs dry or [f] answers false. *)
+(* Pull launches until the program runs dry or [f] answers false; in
+   the second case, end the program with one closing pull. *)
 let rec iter_launches run f =
   match run.next_launch () with
   | Some l when f l -> iter_launches run f
-  | Some _ | None -> ()
+  | Some _ ->
+      closing := true;
+      Fun.protect
+        ~finally:(fun () -> closing := false)
+        (fun () -> ignore (run.next_launch ()))
+  | None -> ()
 
 (* First launch of each distinct kernel, in launch order.  Nothing is
-   executed between launches, so an iterative driver sees the initial
-   memory image. *)
+   executed between launches, so an iterative host program sees the
+   initial memory image. *)
 let kernel_launches run =
   let seen = Hashtbl.create 8 in
   let acc = ref [] in

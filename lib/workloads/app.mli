@@ -15,9 +15,9 @@ val scale_of_string : string -> scale
 val string_of_scale : scale -> string
 (** Inverse of [scale_of_string]; used by the sweep JSON export. *)
 
-(** One run of an application: a global-memory image plus a host driver
-    yielding kernel launches one at a time (matching how CUDA host code
-    loops kernels, e.g. bfs relaunching until the frontier empties).
+(** One run of an application: a global-memory image plus a host
+    program yielding kernel launches one at a time (the CUDA host loop,
+    e.g. bfs relaunching until the frontier empties; see {!host}).
     [check] verifies the computation against a host reference after the
     run completes. *)
 type run = {
@@ -38,35 +38,69 @@ type t = {
   make : scale -> run;
 }
 
-val single_launch :
-  global:Gsim.Mem.t -> check:(unit -> bool) -> Gsim.Launch.t -> run
+type launch =
+  kernel:Ptx.Kernel.t ->
+  grid:int * int * int ->
+  block:int * int * int ->
+  params:(string * int64) list ->
+  unit
+(** How a host program launches a kernel: geometry and parameter
+    bindings only; {!host} binds the run's global image. *)
 
-val launch_list :
-  global:Gsim.Mem.t ->
-  check:(unit -> bool) ->
-  (unit -> Gsim.Launch.t) list ->
-  run
-(** Plays a fixed list of (lazily built) launches in order. *)
+val host : global:Gsim.Mem.t -> check:(unit -> bool) -> (launch -> unit) -> run
+(** [host ~global ~check program] is the run whose launches are the
+    ones [program launch] makes, in order: the CUDA host loop written
+    in direct style, e.g. [do { flag = 0; k1; k2 } while (flag && i <
+    64)].  The program runs only inside [next_launch]: each pull
+    resumes it up to its next [launch], which creates the
+    {!Gsim.Launch.t} against [global] and suspends the program there.
+    Once the program returns, every pull answers [None].
 
-val driven :
-  global:Gsim.Mem.t ->
-  check:(unit -> bool) ->
-  max_iters:int ->
-  (int -> Gsim.Launch.t option) ->
-  run
-(** Host-logic driver: [driver i] returns the i-th launch or [None];
-    bounded by [max_iters] as a safety net. *)
+    The contract with the consumer: it executes each launch before it
+    pulls the next, so a program that reads simulated memory (bfs's
+    frontier flag) sees what the earlier launches wrote.  A consumer
+    that pulls without executing ({!kernel_launches}, the sweep
+    fingerprint) sees the initial image throughout, hence one
+    iteration of such a loop.  An exception the program raises
+    surfaces from the [next_launch] that resumed it, and later pulls
+    answer [None].  A consumer may stop pulling at any point.
+    {!iter_launches} then unwinds the parked program (its
+    [Fun.protect] finalisers run); a consumer that just stops calling
+    [next_launch] leaves the program's fiber stack, a few KB, to the
+    end of the process. *)
+
+val while_flag :
+  global:Gsim.Mem.t -> flag:int -> max_iters:int -> (unit -> unit) -> unit
+(** [while_flag ~global ~flag ~max_iters body] is the host loop
+    [do { flag = 0; body } while (flag && ++i < max_iters)]: it clears
+    the u32 at address [flag], runs [body] (whose kernels set the flag
+    when they change anything), and repeats while the flag is set, at
+    most [max_iters] times. *)
+
+val v :
+  name:string ->
+  category:category ->
+  description:string ->
+  seed:int ->
+  (Prng.t -> scale -> run) ->
+  t
+(** [v ~name ~category ~description ~seed make] is the app whose
+    [make scale] runs [make (Prng.create seed) scale]: the dataset
+    PRNG comes from the very [seed] field the sweep cache digests. *)
 
 val iter_launches : run -> (Gsim.Launch.t -> bool) -> unit
 (** [iter_launches run f] passes each launch [run.next_launch] yields
     to [f], stopping at the first [None] or when [f] answers false.
-    A driver that picks its next launch from simulated memory (bfs,
-    sssp, ...) needs [f] to execute each launch it is given. *)
+    A host program that picks its next launch from simulated memory
+    (bfs, sssp, ...) needs [f] to execute each launch it is given.
+    When [f] answers false, [iter_launches] pulls once more to end the
+    run: a {!host} program is unwound at the launch it is parked on,
+    and that pull yields nothing. *)
 
 val kernel_launches : run -> Gsim.Launch.t list
 (** The first launch of each distinct kernel (by name), in launch
-    order.  No launch is executed, so iterative drivers see the
-    initial memory image throughout. *)
+    order.  No launch is executed, so an iterative host program sees
+    the initial memory image throughout (bfs yields one iteration). *)
 
 val close_f32 : float -> float -> bool
 (** Approximate equality with f32-appropriate tolerance. *)

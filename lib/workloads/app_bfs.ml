@@ -77,9 +77,8 @@ let size_of_scale = function
   | App.Default -> (65536, 6)
   | App.Large -> (262144, 6)
 
-let make scale =
+let make rng scale =
   let nv, ef = size_of_scale scale in
-  let rng = Prng.create 0xBF5 in
   let g = Dataset.uniform_graph rng ~n:nv ~edge_factor:ef in
   let n = g.Dataset.n_rows in
   let global = Gsim.Mem.create (64 * 1024 * 1024) in
@@ -101,46 +100,21 @@ let make scale =
   Gsim.Mem.set_u32 global (visited + (4 * source)) 1;
   Gsim.Mem.set_u32 global (cost + (4 * source)) 0;
   let k1 = k1 () and k2 = k2 () in
-  let block = 256 in
-  let grid = (cdiv n block, 1, 1) in
-  let launch_k1 () =
-    Gsim.Launch.create ~kernel:k1 ~grid ~block:(block, 1, 1)
-      ~params:
-        [ Layout.param "starts" starts; Layout.param "degs" degs;
-          Layout.param "edges" edges; Layout.param "mask" mask;
-          Layout.param "umask" umask; Layout.param "visited" visited;
-          Layout.param "cost" cost; Layout.param_int "n" n ]
-      ~global
-  in
-  let launch_k2 () =
-    Gsim.Launch.create ~kernel:k2 ~grid ~block:(block, 1, 1)
-      ~params:
-        [ Layout.param "mask" mask; Layout.param "umask" umask;
-          Layout.param "visited" visited; Layout.param "flag" flag;
-          Layout.param_int "n" n ]
-      ~global
-  in
-  (* host driver: do { flag = 0; k1; k2 } while flag *)
-  let state = ref `Start in
-  let iters = ref 0 in
-  let max_iters = 64 in
-  let next_launch () =
-    match !state with
-    | `Start ->
-        Gsim.Mem.set_u32 global flag 0;
-        state := `After_k1;
-        Some (launch_k1 ())
-    | `After_k1 ->
-        state := `After_k2;
-        Some (launch_k2 ())
-    | `After_k2 ->
-        incr iters;
-        if Gsim.Mem.get_u32 global flag <> 0 && !iters < max_iters then begin
-          Gsim.Mem.set_u32 global flag 0;
-          state := `After_k1;
-          Some (launch_k1 ())
-        end
-        else None
+  let grid = (cdiv n 256, 1, 1) and block = (256, 1, 1) in
+  (* host program: do { flag = 0; k1; k2 } while (flag && i < 64) *)
+  let program (launch : App.launch) =
+    App.while_flag ~global ~flag ~max_iters:64 (fun () ->
+        launch ~kernel:k1 ~grid ~block
+          ~params:
+            [ Layout.param "starts" starts; Layout.param "degs" degs;
+              Layout.param "edges" edges; Layout.param "mask" mask;
+              Layout.param "umask" umask; Layout.param "visited" visited;
+              Layout.param "cost" cost; Layout.param_int "n" n ];
+        launch ~kernel:k2 ~grid ~block
+          ~params:
+            [ Layout.param "mask" mask; Layout.param "umask" umask;
+              Layout.param "visited" visited; Layout.param "flag" flag;
+              Layout.param_int "n" n ])
   in
   let check () =
     (* host BFS depths *)
@@ -166,13 +140,9 @@ let make scale =
     done;
     !ok
   in
-  { App.global; next_launch; check }
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "bfs";
-    category = App.Graph;
-    description = "frontier-based breadth-first search (paper Code 1)";
-    seed = 0xBF5;
-    make;
-  }
+  App.v ~name:"bfs" ~category:App.Graph
+    ~description:"frontier-based breadth-first search (paper Code 1)"
+    ~seed:0xBF5 make

@@ -70,10 +70,9 @@ let size_of_scale = function
   | App.Default -> 16384
   | App.Large -> 65536
 
-let make scale =
+let make rng scale =
   let n_in = size_of_scale scale in
   let hid = height in
-  let rng = Prng.create 0xB6B6 in
   let input = Array.init n_in (fun _ -> Prng.float_range rng 0.0 1.0) in
   let weights =
     Array.init (n_in * hid) (fun _ -> Prng.float_range rng (-0.5) 0.5)
@@ -85,13 +84,12 @@ let make scale =
   let w_base = Dataset.store_f32_array layout weights in
   let p_base = Layout.alloc_f32 layout (n_blocks * hid) in
   let kernel = kernel () in
-  let launch () =
-    Gsim.Launch.create ~kernel ~grid:(1, n_blocks, 1)
+  let program (launch : App.launch) =
+    launch ~kernel ~grid:(1, n_blocks, 1)
       ~block:(height, height, 1)
       ~params:
         [ Layout.param "input" in_base; Layout.param "weights" w_base;
           Layout.param "partial" p_base; Layout.param_int "hid" hid ]
-      ~global
   in
   let check () =
     let input32 = Array.map round_f32 input in
@@ -121,13 +119,9 @@ let make scale =
     done;
     !ok
   in
-  App.launch_list ~global ~check [ launch ]
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "bpr";
-    category = App.Image;
-    description = "back-propagation layer forward (shared-memory reduction)";
-    seed = 0xB6B6;
-    make;
-  }
+  App.v ~name:"bpr" ~category:App.Image
+    ~description:"back-propagation layer forward (shared-memory reduction)"
+    ~seed:0xB6B6 make

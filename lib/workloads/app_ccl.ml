@@ -41,9 +41,8 @@ let size_of_scale = function
   | App.Default -> (8192, 6)
   | App.Large -> (32768, 8)
 
-let make scale =
+let make rng scale =
   let n, ef = size_of_scale scale in
-  let rng = Prng.create 0xCC1 in
   let g = Dataset.symmetrize (Dataset.uniform_graph rng ~n ~edge_factor:ef) in
   let global = Gsim.Mem.create (64 * 1024 * 1024) in
   let layout = Layout.create global in
@@ -53,33 +52,16 @@ let make scale =
   let flag = Layout.alloc_u32 layout 1 in
   Layout.fill_u32 layout l_base n (fun v -> v);
   let kernel = kernel () in
-  let launch () =
-    Gsim.Launch.create ~kernel
-      ~grid:(cdiv n 256, 1, 1)
-      ~block:(256, 1, 1)
-      ~params:
-        [ Layout.param "row_ptr" rp_base; Layout.param "edges" ep_base;
-          Layout.param "label" l_base; Layout.param "flag" flag;
-          Layout.param_int "n" n ]
-      ~global
-  in
-  let iters = ref 0 in
-  let max_iters = 200 in
-  let started = ref false in
-  let next_launch () =
-    if not !started then begin
-      started := true;
-      Gsim.Mem.set_u32 global flag 0;
-      Some (launch ())
-    end
-    else begin
-      incr iters;
-      if Gsim.Mem.get_u32 global flag <> 0 && !iters < max_iters then begin
-        Gsim.Mem.set_u32 global flag 0;
-        Some (launch ())
-      end
-      else None
-    end
+  (* host program: propagate until no label changes *)
+  let program (launch : App.launch) =
+    App.while_flag ~global ~flag ~max_iters:200 (fun () ->
+        launch ~kernel
+          ~grid:(cdiv n 256, 1, 1)
+          ~block:(256, 1, 1)
+          ~params:
+            [ Layout.param "row_ptr" rp_base; Layout.param "edges" ep_base;
+              Layout.param "label" l_base; Layout.param "flag" flag;
+              Layout.param_int "n" n ])
   in
   let check () =
     (* host union-find components; device label must equal the minimum
@@ -108,13 +90,9 @@ let make scale =
     done;
     !ok
   in
-  { App.global; next_launch; check }
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "ccl";
-    category = App.Graph;
-    description = "connected-component labeling (min-label propagation)";
-    seed = 0xCC1;
-    make;
-  }
+  App.v ~name:"ccl" ~category:App.Graph
+    ~description:"connected-component labeling (min-label propagation)"
+    ~seed:0xCC1 make

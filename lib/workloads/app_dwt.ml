@@ -54,9 +54,8 @@ let size_of_scale = function
   | App.Default -> (192, 192)
   | App.Large -> (512, 512)
 
-let make scale =
+let make rng scale =
   let w, h = size_of_scale scale in
-  let rng = Prng.create 0xD3A7 in
   let img = Dataset.image rng w h in
   let global = Gsim.Mem.create (16 * 1024 * 1024) in
   let layout = Layout.create global in
@@ -65,14 +64,17 @@ let make scale =
   let out = Layout.alloc_f32 layout (w * h) in
   let rows = pass_kernel ~name:"dwt_rows" in
   let cols = pass_kernel ~name:"dwt_cols" in
-  let launch kernel ~s ~d () =
-    Gsim.Launch.create ~kernel
-      ~grid:(cdiv (w / 2) 16, cdiv h 16, 1)
-      ~block:(16, 16, 1)
-      ~params:
-        [ Layout.param "src" s; Layout.param "dst" d; Layout.param_int "w" w;
-          Layout.param_int "h" h ]
-      ~global
+  let program (launch : App.launch) =
+    let pass kernel ~s ~d =
+      launch ~kernel
+        ~grid:(cdiv (w / 2) 16, cdiv h 16, 1)
+        ~block:(16, 16, 1)
+        ~params:
+          [ Layout.param "src" s; Layout.param "dst" d;
+            Layout.param_int "w" w; Layout.param_int "h" h ]
+    in
+    pass rows ~s:src ~d:tmp;
+    pass cols ~s:tmp ~d:out
   in
   let check () =
     (* host reference: two row passes with transposed writes *)
@@ -103,14 +105,9 @@ let make scale =
     done;
     !ok
   in
-  App.launch_list ~global ~check
-    [ launch rows ~s:src ~d:tmp; launch cols ~s:tmp ~d:out ]
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "dwt";
-    category = App.Image;
-    description = "2-D Haar wavelet transform (row pass + column pass)";
-    seed = 0xD3A7;
-    make;
-  }
+  App.v ~name:"dwt" ~category:App.Image
+    ~description:"2-D Haar wavelet transform (row pass + column pass)"
+    ~seed:0xD3A7 make

@@ -63,9 +63,8 @@ let size_of_scale = function
   | App.Default -> 96
   | App.Large -> 192
 
-let make scale =
+let make rng scale =
   let n = size_of_scale scale in
-  let rng = Prng.create 0x6A05 in
   (* diagonally dominant so elimination is stable *)
   let a =
     Array.init (n * n) (fun idx ->
@@ -81,29 +80,22 @@ let make scale =
   let m_base = Layout.alloc_f32 layout (n * n) in
   let fan1 = fan1_kernel () in
   let fan2 = fan2_kernel () in
-  let launches =
-    List.concat_map
-      (fun t ->
-        [
-          (fun () ->
-            Gsim.Launch.create ~kernel:fan1
-              ~grid:(cdiv (n - t - 1) 16, 1, 1)
-              ~block:(16, 1, 1)
-              ~params:
-                [ Layout.param "a" a_base; Layout.param "m" m_base;
-                  Layout.param_int "n" n; Layout.param_int "t" t ]
-              ~global);
-          (fun () ->
-            Gsim.Launch.create ~kernel:fan2
-              ~grid:(cdiv (n - t) 16, cdiv (n - t - 1) 16, 1)
-              ~block:(16, 16, 1)
-              ~params:
-                [ Layout.param "a" a_base; Layout.param "bv" b_base;
-                  Layout.param "m" m_base; Layout.param_int "n" n;
-                  Layout.param_int "t" t ]
-              ~global);
-        ])
-      (List.init (n - 1) Fun.id)
+  let program (launch : App.launch) =
+    for t = 0 to n - 2 do
+      launch ~kernel:fan1
+        ~grid:(cdiv (n - t - 1) 16, 1, 1)
+        ~block:(16, 1, 1)
+        ~params:
+          [ Layout.param "a" a_base; Layout.param "m" m_base;
+            Layout.param_int "n" n; Layout.param_int "t" t ];
+      launch ~kernel:fan2
+        ~grid:(cdiv (n - t) 16, cdiv (n - t - 1) 16, 1)
+        ~block:(16, 16, 1)
+        ~params:
+          [ Layout.param "a" a_base; Layout.param "bv" b_base;
+            Layout.param "m" m_base; Layout.param_int "n" n;
+            Layout.param_int "t" t ]
+    done
   in
   let check () =
     (* below-diagonal entries must be (numerically) eliminated *)
@@ -116,13 +108,9 @@ let make scale =
     done;
     !ok
   in
-  App.launch_list ~global ~check launches
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "gaus";
-    category = App.Linear;
-    description = "Gaussian elimination (Fan1/Fan2 per pivot)";
-    seed = 0x6A05;
-    make;
-  }
+  App.v ~name:"gaus" ~category:App.Linear
+    ~description:"Gaussian elimination (Fan1/Fan2 per pivot)" ~seed:0x6A05
+    make

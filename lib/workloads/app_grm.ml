@@ -83,9 +83,8 @@ let size_of_scale = function
   | App.Default -> 80
   | App.Large -> 128
 
-let make scale =
+let make rng scale =
   let n = size_of_scale scale in
-  let rng = Prng.create 0x9A11 in
   let a = Dataset.dense_matrix rng n n in
   let global = Gsim.Mem.create (4 * 1024 * 1024) in
   let layout = Layout.create global in
@@ -99,26 +98,17 @@ let make scale =
     [ Layout.param "a" a_base; Layout.param "r" r_base;
       Layout.param "q" q_base; Layout.param_int "n" n; Layout.param_int "k" k ]
   in
-  let launches =
-    List.concat_map
-      (fun k ->
-        [
-          (fun () ->
-            Gsim.Launch.create ~kernel:norm ~grid:(1, 1, 1) ~block:(32, 1, 1)
-              ~params:
-                [ Layout.param "a" a_base; Layout.param "r" r_base;
-                  Layout.param_int "n" n; Layout.param_int "k" k ]
-              ~global);
-          (fun () ->
-            Gsim.Launch.create ~kernel:qcol
-              ~grid:(cdiv n 32, 1, 1)
-              ~block:(32, 1, 1) ~params:(params k) ~global);
-          (fun () ->
-            Gsim.Launch.create ~kernel:update
-              ~grid:(cdiv n 32, 1, 1)
-              ~block:(32, 1, 1) ~params:(params k) ~global);
-        ])
-      (List.init n Fun.id)
+  let program (launch : App.launch) =
+    for k = 0 to n - 1 do
+      launch ~kernel:norm ~grid:(1, 1, 1) ~block:(32, 1, 1)
+        ~params:
+          [ Layout.param "a" a_base; Layout.param "r" r_base;
+            Layout.param_int "n" n; Layout.param_int "k" k ];
+      launch ~kernel:qcol ~grid:(cdiv n 32, 1, 1) ~block:(32, 1, 1)
+        ~params:(params k);
+      launch ~kernel:update ~grid:(cdiv n 32, 1, 1) ~block:(32, 1, 1)
+        ~params:(params k)
+    done
   in
   let check () =
     (* columns of Q orthonormal within f32 tolerance *)
@@ -137,13 +127,9 @@ let make scale =
     done;
     !ok
   in
-  App.launch_list ~global ~check launches
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "grm";
-    category = App.Linear;
-    description = "Gram-Schmidt QR decomposition (3 kernels per column)";
-    seed = 0x9A11;
-    make;
-  }
+  App.v ~name:"grm" ~category:App.Linear
+    ~description:"Gram-Schmidt QR decomposition (3 kernels per column)"
+    ~seed:0x9A11 make

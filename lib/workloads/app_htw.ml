@@ -70,9 +70,8 @@ let size_of_scale = function
   | App.Default -> (256, 256, 48)
   | App.Large -> (640, 512, 128)
 
-let make scale =
+let make rng scale =
   let fw, fh, npoints = size_of_scale scale in
-  let rng = Prng.create 0x47EA in
   let frame = Dataset.image rng fw fh in
   let tmplv =
     Array.init (npoints * win * win) (fun _ -> Prng.float_range rng 0.0 255.0)
@@ -87,14 +86,13 @@ let make scale =
   let py_b = Dataset.store_u32_array layout py in
   let ssd_b = Layout.alloc_f32 layout npoints in
   let kernel = kernel () in
-  let launch () =
-    Gsim.Launch.create ~kernel ~grid:(npoints, 1, 1) ~block:(win, win, 1)
+  let program (launch : App.launch) =
+    launch ~kernel ~grid:(npoints, 1, 1) ~block:(win, win, 1)
       ~params:
         [ Layout.param "frame" frame_b; Layout.param "tmpl" tmpl_b;
           Layout.param "px" px_b; Layout.param "py" py_b;
           Layout.param "ssd" ssd_b; Layout.param_int "fw" fw;
           Layout.param_int "fh" fh ]
-      ~global
   in
   let check () =
     let ok = ref true in
@@ -122,13 +120,9 @@ let make scale =
     done;
     !ok
   in
-  App.launch_list ~global ~check [ launch ]
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "htw";
-    category = App.Image;
-    description = "heart-wall tracking (windowed SSD around loaded points)";
-    seed = 0x47EA;
-    make;
-  }
+  App.v ~name:"htw" ~category:App.Image
+    ~description:"heart-wall tracking (windowed SSD around loaded points)"
+    ~seed:0x47EA make

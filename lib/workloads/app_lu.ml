@@ -43,9 +43,8 @@ let size_of_scale = function
   | App.Default -> 96
   | App.Large -> 192
 
-let make scale =
+let make rng scale =
   let n = size_of_scale scale in
-  let rng = Prng.create 0x10DE in
   let a =
     Array.init (n * n) (fun idx ->
         let i = idx / n and j = idx mod n in
@@ -58,20 +57,15 @@ let make scale =
   let row = row_kernel () in
   let sub = sub_kernel () in
   let params k = [ Layout.param "a" a_base; Layout.param_int "n" n; Layout.param_int "k" k ] in
-  let launches =
-    List.concat_map
-      (fun k ->
-        [
-          (fun () ->
-            Gsim.Launch.create ~kernel:row
-              ~grid:(cdiv (n - k - 1) 256, 1, 1)
-              ~block:(256, 1, 1) ~params:(params k) ~global);
-          (fun () ->
-            Gsim.Launch.create ~kernel:sub
-              ~grid:(cdiv (n - k - 1) 16, cdiv (n - k - 1) 16, 1)
-              ~block:(16, 16, 1) ~params:(params k) ~global);
-        ])
-      (List.init (n - 1) Fun.id)
+  let program (launch : App.launch) =
+    for k = 0 to n - 2 do
+      launch ~kernel:row
+        ~grid:(cdiv (n - k - 1) 256, 1, 1)
+        ~block:(256, 1, 1) ~params:(params k);
+      launch ~kernel:sub
+        ~grid:(cdiv (n - k - 1) 16, cdiv (n - k - 1) 16, 1)
+        ~block:(16, 16, 1) ~params:(params k)
+    done
   in
   let check () =
     (* Crout factors: L lower (incl. diagonal) = a[i][k] for k <= i,
@@ -96,13 +90,9 @@ let make scale =
     done;
     !ok
   in
-  App.launch_list ~global ~check launches
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "lu";
-    category = App.Linear;
-    description = "in-place LU decomposition (row scale + trailing update)";
-    seed = 0x10DE;
-    make;
-  }
+  App.v ~name:"lu" ~category:App.Linear
+    ~description:"in-place LU decomposition (row scale + trailing update)"
+    ~seed:0x10DE make

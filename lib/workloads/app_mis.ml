@@ -89,9 +89,8 @@ let size_of_scale = function
    bijection mod 2^30 *)
 let priority v = v * 0x9E3779B land 0x3FFFFFFF
 
-let make scale =
+let make rng scale =
   let n, ef = size_of_scale scale in
-  let rng = Prng.create 0x315 in
   let g = Dataset.symmetrize (Dataset.uniform_graph rng ~n ~edge_factor:ef) in
   let global = Gsim.Mem.create (64 * 1024 * 1024) in
   let layout = Layout.create global in
@@ -102,39 +101,18 @@ let make scale =
   let flag = Layout.alloc_u32 layout 1 in
   let select = select_kernel () in
   let exclude = exclude_kernel () in
-  let grid = (cdiv n 512, 1, 1) in
-  let mk kernel params () =
-    Gsim.Launch.create ~kernel ~grid ~block:(512, 1, 1) ~params ~global
-  in
-  let select_params =
-    [ Layout.param "row_ptr" rp_base; Layout.param "edges" ep_base;
-      Layout.param "prio" prio; Layout.param "state" state;
-      Layout.param "flag" flag; Layout.param_int "n" n ]
-  in
-  let exclude_params =
-    [ Layout.param "row_ptr" rp_base; Layout.param "edges" ep_base;
-      Layout.param "state" state; Layout.param_int "n" n ]
-  in
-  let phase = ref `Select in
-  let iters = ref 0 in
-  let max_iters = 64 in
-  let next_launch () =
-    match !phase with
-    | `Select ->
-        Gsim.Mem.set_u32 global flag 0;
-        phase := `Exclude;
-        Some (mk select select_params ())
-    | `Exclude ->
-        phase := `Check;
-        Some (mk exclude exclude_params ())
-    | `Check ->
-        incr iters;
-        if Gsim.Mem.get_u32 global flag <> 0 && !iters < max_iters then begin
-          Gsim.Mem.set_u32 global flag 0;
-          phase := `Exclude;
-          Some (mk select select_params ())
-        end
-        else None
+  let grid = (cdiv n 512, 1, 1) and block = (512, 1, 1) in
+  let program (launch : App.launch) =
+    App.while_flag ~global ~flag ~max_iters:64 (fun () ->
+        launch ~kernel:select ~grid ~block
+          ~params:
+            [ Layout.param "row_ptr" rp_base; Layout.param "edges" ep_base;
+              Layout.param "prio" prio; Layout.param "state" state;
+              Layout.param "flag" flag; Layout.param_int "n" n ];
+        launch ~kernel:exclude ~grid ~block
+          ~params:
+            [ Layout.param "row_ptr" rp_base; Layout.param "edges" ep_base;
+              Layout.param "state" state; Layout.param_int "n" n ])
   in
   let check () =
     let st v = Gsim.Mem.get_u32 global (state + (4 * v)) in
@@ -153,13 +131,9 @@ let make scale =
     done;
     !ok
   in
-  { App.global; next_launch; check }
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "mis";
-    category = App.Graph;
-    description = "maximal independent set (Luby's algorithm)";
-    seed = 0x315;
-    make;
-  }
+  App.v ~name:"mis" ~category:App.Graph
+    ~description:"maximal independent set (Luby's algorithm)" ~seed:0x315
+    make

@@ -41,9 +41,8 @@ let size_of_scale = function
 
 let block = (32, 8, 1)
 
-let make scale =
+let make rng scale =
   let n = size_of_scale scale in
-  let rng = Prng.create 0x2A2A in
   let a = Dataset.dense_matrix rng n n in
   let bm = Dataset.dense_matrix rng n n in
   let c = Dataset.dense_matrix rng n n in
@@ -57,13 +56,16 @@ let make scale =
   let bx, by, _ = block in
   let grid = (cdiv n bx, cdiv n by, 1) in
   let kernel = mm_kernel "mm2" in
-  let launch ~a ~b ~c () =
-    Gsim.Launch.create ~kernel ~grid ~block
-      ~params:
-        [ Layout.param "A" a; Layout.param "Bm" b; Layout.param "Cm" c;
-          Layout.param_int "ni" n; Layout.param_int "nk" n;
-          Layout.param_int "nj" n ]
-      ~global
+  let program (launch : App.launch) =
+    let mm ~a ~b ~c =
+      launch ~kernel ~grid ~block
+        ~params:
+          [ Layout.param "A" a; Layout.param "Bm" b; Layout.param "Cm" c;
+            Layout.param_int "ni" n; Layout.param_int "nk" n;
+            Layout.param_int "nj" n ]
+    in
+    mm ~a:a_base ~b:b_base ~c:tmp_base;
+    mm ~a:tmp_base ~b:c_base ~c:out_base
   in
   (* host reference with the simulator's f32 fma rounding *)
   let reference () =
@@ -96,17 +98,9 @@ let make scale =
     done;
     !ok
   in
-  App.launch_list ~global ~check
-    [
-      launch ~a:a_base ~b:b_base ~c:tmp_base;
-      launch ~a:tmp_base ~b:c_base ~c:out_base;
-    ]
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "2mm";
-    category = App.Linear;
-    description = "two dense matrix multiplications (tmp = A*B; out = tmp*C)";
-    seed = 0x2A2A;
-    make;
-  }
+  App.v ~name:"2mm" ~category:App.Linear
+    ~description:"two dense matrix multiplications (tmp = A*B; out = tmp*C)"
+    ~seed:0x2A2A make

@@ -83,9 +83,8 @@ let size_of_scale = function
   | App.Default -> (4096, 192)
   | App.Large -> (16384, 512)
 
-let make scale =
+let make rng scale =
   let nx, nk = size_of_scale scale in
-  let rng = Prng.create 0x3319 in
   let mk n = Array.init n (fun _ -> Prng.float_range rng (-1.0) 1.0) in
   let xs = mk nx and ys = mk nx and zs = mk nx in
   let kxa = mk nk and kya = mk nk and kza = mk nk in
@@ -111,17 +110,14 @@ let make scale =
   let qi_b = Layout.alloc_f32 layout nx in
   let kernel = kernel () in
   let phimag = phimag_kernel () in
-  let launch_phimag () =
-    Gsim.Launch.create ~kernel:phimag
+  let program (launch : App.launch) =
+    launch ~kernel:phimag
       ~grid:(cdiv nk 256, 1, 1)
       ~block:(256, 1, 1)
       ~params:
         [ Layout.param "phiR" phir_b; Layout.param "phiI" phii_b;
-          Layout.param "phiMag" phi_b; Layout.param_int "nk" nk ]
-      ~global
-  in
-  let launch () =
-    Gsim.Launch.create ~kernel
+          Layout.param "phiMag" phi_b; Layout.param_int "nk" nk ];
+    launch ~kernel
       ~grid:(cdiv nx 256, 1, 1)
       ~block:(256, 1, 1)
       ~params:
@@ -131,7 +127,6 @@ let make scale =
           Layout.param "phi" phi_b; Layout.param "qr" qr_b;
           Layout.param "qi" qi_b; Layout.param_int "nx" nx;
           Layout.param_int "nk" nk ]
-      ~global
   in
   let check () =
     let ok = ref true in
@@ -160,13 +155,9 @@ let make scale =
     done;
     !ok
   in
-  App.launch_list ~global ~check [ launch_phimag; launch ]
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "mriq";
-    category = App.Image;
-    description = "MRI Q-matrix computation (SFU-heavy, const k-space)";
-    seed = 0x3319;
-    make;
-  }
+  App.v ~name:"mriq" ~category:App.Image
+    ~description:"MRI Q-matrix computation (SFU-heavy, const k-space)"
+    ~seed:0x3319 make

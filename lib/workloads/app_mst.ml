@@ -121,9 +121,8 @@ let size_of_scale = function
   | App.Default -> (2048, 4)
   | App.Large -> (4096, 4)
 
-let make scale =
+let make rng scale =
   let n, ef = size_of_scale scale in
-  let rng = Prng.create 0x357 in
   (* undirected multigraph with one unique weight per undirected edge
      (both directed copies share it) — required for Boruvka *)
   let n_base = n * ef in
@@ -155,67 +154,34 @@ let make scale =
   let find = find_kernel () in
   let merge = merge_kernel () in
   let jump = jump_kernel () in
-  let grid = (cdiv n 384, 1, 1) in
-  let block = (384, 1, 1) in
-  let mk kernel params () = Gsim.Launch.create ~kernel ~grid ~block ~params ~global in
-  let reset_l = mk reset [ Layout.param "cand" cand; Layout.param_int "n" n ] in
-  let find_l =
-    mk find
-      [ Layout.param "row_ptr" rp_base; Layout.param "edges" ep_base;
-        Layout.param "w" w_base; Layout.param "comp" comp;
-        Layout.param "cand" cand; Layout.param_int "n" n ]
-  in
-  let merge_l =
-    mk merge
-      [ Layout.param "edges" ep_base; Layout.param "comp" comp;
-        Layout.param "cand" cand; Layout.param "sum" sum;
-        Layout.param "flag" flag; Layout.param_int "n" n ]
-  in
-  let jump_l =
-    mk jump
-      [ Layout.param "comp" comp; Layout.param "flag" flag;
-        Layout.param_int "n" n ]
-  in
-  (* host driver: rounds of reset-find-merge then jump to fixpoint *)
-  let state = ref `Reset in
-  let rounds = ref 0 in
-  let max_rounds = 24 in
-  let next_launch () =
-    match !state with
-    | `Reset ->
-        state := `Find;
-        Some (reset_l ())
-    | `Find ->
-        state := `Merge;
-        Gsim.Mem.set_u32 global flag 0;
-        Some (find_l ())
-    | `Merge ->
-        state := `Jump;
-        Some (merge_l ())
-    | `Jump ->
-        if Gsim.Mem.get_u32 global flag = 0 then begin
-          (* no merges: forest complete *)
-          incr rounds;
-          None
-        end
-        else begin
-          state := `Jump_check;
-          Gsim.Mem.set_u32 global flag 0;
-          Some (jump_l ())
-        end
-    | `Jump_check ->
-        if Gsim.Mem.get_u32 global flag <> 0 then begin
-          Gsim.Mem.set_u32 global flag 0;
-          Some (jump_l ())
-        end
-        else begin
-          incr rounds;
-          if !rounds >= max_rounds then None
-          else begin
-            state := `Find;
-            Some (reset_l ())
-          end
-        end
+  let grid = (cdiv n 384, 1, 1) and block = (384, 1, 1) in
+  (* host program: rounds of reset-find-merge, then pointer-jumping to
+     a fixpoint, until a round merges nothing (at most 24 rounds) *)
+  let program (launch : App.launch) =
+    let rec round r =
+      launch ~kernel:reset ~grid ~block
+        ~params:[ Layout.param "cand" cand; Layout.param_int "n" n ];
+      Gsim.Mem.set_u32 global flag 0;
+      launch ~kernel:find ~grid ~block
+        ~params:
+          [ Layout.param "row_ptr" rp_base; Layout.param "edges" ep_base;
+            Layout.param "w" w_base; Layout.param "comp" comp;
+            Layout.param "cand" cand; Layout.param_int "n" n ];
+      launch ~kernel:merge ~grid ~block
+        ~params:
+          [ Layout.param "edges" ep_base; Layout.param "comp" comp;
+            Layout.param "cand" cand; Layout.param "sum" sum;
+            Layout.param "flag" flag; Layout.param_int "n" n ];
+      if Gsim.Mem.get_u32 global flag <> 0 then begin
+        App.while_flag ~global ~flag ~max_iters:max_int (fun () ->
+            launch ~kernel:jump ~grid ~block
+              ~params:
+                [ Layout.param "comp" comp; Layout.param "flag" flag;
+                  Layout.param_int "n" n ]);
+        if r + 1 < 24 then round (r + 1)
+      end
+    in
+    round 0
   in
   let check () =
     (* host Kruskal over the undirected base edges *)
@@ -242,13 +208,9 @@ let make scale =
       edge_list;
     Gsim.Mem.get_u32 global sum = !total
   in
-  { App.global; next_launch; check }
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "mst";
-    category = App.Graph;
-    description = "Boruvka minimum spanning forest (atomic-min candidates)";
-    seed = 0x357;
-    make;
-  }
+  App.v ~name:"mst" ~category:App.Graph
+    ~description:"Boruvka minimum spanning forest (atomic-min candidates)"
+    ~seed:0x357 make

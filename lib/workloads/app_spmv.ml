@@ -42,9 +42,8 @@ let size_of_scale = function
   | App.Default -> 8192
   | App.Large -> 32768
 
-let make scale =
+let make rng scale =
   let n = size_of_scale scale in
-  let rng = Prng.create 0x59A7 in
   let m = Dataset.sparse_matrix rng ~n ~avg_nnz_per_row:12 in
   let x = Array.init n (fun _ -> Prng.float_range rng (-1.0) 1.0) in
   let global = Gsim.Mem.create (32 * 1024 * 1024) in
@@ -53,15 +52,14 @@ let make scale =
   let x_base = Dataset.store_f32_array layout x in
   let y_base = Layout.alloc_f32 layout n in
   let kernel = kernel () in
-  let launch () =
-    Gsim.Launch.create ~kernel
+  let program (launch : App.launch) =
+    launch ~kernel
       ~grid:(cdiv n 192, 1, 1)
       ~block:(192, 1, 1)
       ~params:
         [ Layout.param "row_ptr" rp_base; Layout.param "col_idx" ci_base;
           Layout.param "vals" vs_base; Layout.param "x" x_base;
           Layout.param "y" y_base; Layout.param_int "n" n ]
-      ~global
   in
   let check () =
     let x32 = Array.map round_f32 x in
@@ -80,13 +78,9 @@ let make scale =
     done;
     !ok
   in
-  App.launch_list ~global ~check [ launch ]
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "spmv";
-    category = App.Linear;
-    description = "CSR sparse matrix * dense vector, one thread per row";
-    seed = 0x59A7;
-    make;
-  }
+  App.v ~name:"spmv" ~category:App.Linear
+    ~description:"CSR sparse matrix * dense vector, one thread per row"
+    ~seed:0x59A7 make

@@ -156,9 +156,8 @@ let size_of_scale = function
   | App.Default -> (128, 128)
   | App.Large -> (384, 384)
 
-let make scale =
+let make rng scale =
   let rows, cols = size_of_scale scale in
-  let rng = Prng.create 0x5AAD in
   let img = Dataset.image rng cols rows in
   let global = Gsim.Mem.create (16 * 1024 * 1024) in
   let layout = Layout.create global in
@@ -182,38 +181,26 @@ let make scale =
   let psum2_base = Layout.alloc_f32 layout n_ctas in
   let lambda = 0.5 in
   let iters = 2 in
-  let stats_launch () =
-    Gsim.Launch.create ~kernel:kstats ~grid ~block
+  let program (launch : App.launch) =
+    launch ~kernel:kstats ~grid ~block
       ~params:
         [ Layout.param "img" img_base; Layout.param "psum" psum_base;
           Layout.param "psum2" psum2_base; Layout.param_int "rows" rows;
-          Layout.param_int "cols" cols ]
-      ~global
-  in
-  let launches =
-    stats_launch
-    ::
-    List.concat_map
-      (fun _ ->
-        [
-          (fun () ->
-            Gsim.Launch.create ~kernel:k1 ~grid ~block
-              ~params:
-                [ Layout.param "img" img_base; Layout.param "c" c_base;
-                  Layout.param "iN" in_b; Layout.param "iS" is_b;
-                  Layout.param "jW" jw_b; Layout.param "jE" je_b;
-                  Layout.param_int "rows" rows; Layout.param_int "cols" cols ]
-              ~global);
-          (fun () ->
-            Gsim.Launch.create ~kernel:k2 ~grid ~block
-              ~params:
-                [ Layout.param "img" img_base; Layout.param "c" c_base;
-                  Layout.param "iS" is_b; Layout.param "jE" je_b;
-                  Layout.param_int "rows" rows; Layout.param_int "cols" cols;
-                  ("lambda", Int64.bits_of_float lambda) ]
-              ~global);
-        ])
-      (List.init iters Fun.id)
+          Layout.param_int "cols" cols ];
+    for _ = 1 to iters do
+      launch ~kernel:k1 ~grid ~block
+        ~params:
+          [ Layout.param "img" img_base; Layout.param "c" c_base;
+            Layout.param "iN" in_b; Layout.param "iS" is_b;
+            Layout.param "jW" jw_b; Layout.param "jE" je_b;
+            Layout.param_int "rows" rows; Layout.param_int "cols" cols ];
+      launch ~kernel:k2 ~grid ~block
+        ~params:
+          [ Layout.param "img" img_base; Layout.param "c" c_base;
+            Layout.param "iS" is_b; Layout.param "jE" je_b;
+            Layout.param_int "rows" rows; Layout.param_int "cols" cols;
+            ("lambda", Int64.bits_of_float lambda) ]
+    done
   in
   let check () =
     (* smoothing sanity: all pixels finite and the total variation of
@@ -259,14 +246,10 @@ let make scale =
     done;
     !finite && after <= before *. 1.05 && !stats_ok
   in
-  App.launch_list ~global ~check launches
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "srad";
-    category = App.Image;
-    description =
-      "speckle-reducing anisotropic diffusion (index-array neighbour gathers)";
-    seed = 0x5AAD;
-    make;
-  }
+  App.v ~name:"srad" ~category:App.Image
+    ~description:
+      "speckle-reducing anisotropic diffusion (index-array neighbour gathers)"
+    ~seed:0x5AAD make

@@ -52,9 +52,8 @@ let size_of_scale = function
   | App.Default -> (14, 8)
   | App.Large -> (16, 8)
 
-let make scale =
+let make rng scale =
   let sc, ef = size_of_scale scale in
-  let rng = Prng.create 0x5559 in
   let g =
     Dataset.relabel rng
       (Dataset.symmetrize (Dataset.rmat rng ~scale:sc ~edge_factor:ef))
@@ -76,33 +75,16 @@ let make scale =
   let source = Dataset.max_degree_vertex g in
   Layout.fill_u32 layout d_base n (fun v -> if v = source then 0 else inf);
   let kernel = kernel () in
-  let launch () =
-    Gsim.Launch.create ~kernel
-      ~grid:(cdiv n 512, 1, 1)
-      ~block:(512, 1, 1)
-      ~params:
-        [ Layout.param "row_ptr" rp_base; Layout.param "edges" ep_base;
-          Layout.param "w" w_base; Layout.param "dist" d_base;
-          Layout.param "flag" flag; Layout.param_int "n" n ]
-      ~global
-  in
-  let iters = ref 0 in
-  let max_iters = 64 in
-  let started = ref false in
-  let next_launch () =
-    if not !started then begin
-      started := true;
-      Gsim.Mem.set_u32 global flag 0;
-      Some (launch ())
-    end
-    else begin
-      incr iters;
-      if Gsim.Mem.get_u32 global flag <> 0 && !iters < max_iters then begin
-        Gsim.Mem.set_u32 global flag 0;
-        Some (launch ())
-      end
-      else None
-    end
+  (* host program: relax until no distance improves *)
+  let program (launch : App.launch) =
+    App.while_flag ~global ~flag ~max_iters:64 (fun () ->
+        launch ~kernel
+          ~grid:(cdiv n 512, 1, 1)
+          ~block:(512, 1, 1)
+          ~params:
+            [ Layout.param "row_ptr" rp_base; Layout.param "edges" ep_base;
+              Layout.param "w" w_base; Layout.param "dist" d_base;
+              Layout.param "flag" flag; Layout.param_int "n" n ])
   in
   let check () =
     (* host Dijkstra via simple Bellman-Ford (small graphs) *)
@@ -129,13 +111,9 @@ let make scale =
     done;
     !ok
   in
-  { App.global; next_launch; check }
+  App.host ~global ~check program
 
 let app =
-  {
-    App.name = "sssp";
-    category = App.Graph;
-    description = "single-source shortest paths (Bellman-Ford, atomic-min)";
-    seed = 0x5559;
-    make;
-  }
+  App.v ~name:"sssp" ~category:App.Graph
+    ~description:"single-source shortest paths (Bellman-Ford, atomic-min)"
+    ~seed:0x5559 make

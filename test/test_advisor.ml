@@ -122,12 +122,9 @@ let test_advisor_preserves_results () =
          (Gsim.Config.Per_pc (A.policies advice, Gsim.Config.Baseline))
   in
   let machine = Gsim.Gpu.create_machine ~cfg () in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.Workloads.App.next_launch () with
-    | None -> continue_ := false
-    | Some l -> ignore (Gsim.Gpu.run_launch machine l)
-  done;
+  Workloads.App.iter_launches run (fun l ->
+      ignore (Gsim.Gpu.run_launch machine l);
+      true);
   Alcotest.(check bool) "spmv verifies under advisor policies" true
     (run.Workloads.App.check ());
   Alcotest.(check bool) "prefetches fired" true

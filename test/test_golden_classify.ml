@@ -60,24 +60,20 @@ let test_per_kernel_counts () =
       let fs = Gsim.Funcsim.create Gsim.Config.default in
       let seen = Hashtbl.create 8 in
       let d = ref 0 and n = ref 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        match run.App.next_launch () with
-        | None -> continue_ := false
-        | Some launch ->
-            (* iterative hosts decide the next launch from simulated
-               memory, so each launch must actually execute *)
-            Gsim.Funcsim.run_into fs launch;
-            let k = launch.Gsim.Launch.kernel in
-            if not (Hashtbl.mem seen k.Ptx.Kernel.kname) then begin
-              Hashtbl.add seen k.Ptx.Kernel.kname ();
-              let kd, kn =
-                Dataflow.Classify.count_global launch.Gsim.Launch.classes
-              in
-              d := !d + kd;
-              n := !n + kn
-            end
-      done;
+      App.iter_launches run (fun launch ->
+          (* iterative hosts decide the next launch from simulated
+             memory, so each launch must actually execute *)
+          Gsim.Funcsim.run_into fs launch;
+          let k = launch.Gsim.Launch.kernel in
+          if not (Hashtbl.mem seen k.Ptx.Kernel.kname) then begin
+            Hashtbl.add seen k.Ptx.Kernel.kname ();
+            let kd, kn =
+              Dataflow.Classify.count_global launch.Gsim.Launch.classes
+            in
+            d := !d + kd;
+            n := !n + kn
+          end;
+          true);
       Alcotest.(check (pair int int))
         (name ^ " per-kernel counts match golden")
         (want_d, want_n) (!d, !n))

@@ -398,12 +398,7 @@ let test_cycle_sim_deterministic () =
     let r = app.Workloads.App.make Workloads.App.Small in
     let cfg = Gsim.Config.default |> Gsim.Config.with_caps ~max_warp_insts:20_000 () in
     let machine = Gsim.Gpu.create_machine ~cfg () in
-    let continue_ = ref true in
-    while !continue_ do
-      match r.Workloads.App.next_launch () with
-      | None -> continue_ := false
-      | Some l -> if not (Gsim.Gpu.run_launch machine l) then continue_ := false
-    done;
+    Workloads.App.iter_launches r (Gsim.Gpu.run_launch machine);
     let s = machine.Gsim.Gpu.stats in
     (s.Gsim.Stats.cycles, s.Gsim.Stats.warp_insts,
      Array.to_list s.Gsim.Stats.l1_events,

@@ -7,21 +7,15 @@
 module App = Workloads.App
 
 let kernels_of_app (app : App.t) =
-  let run = app.App.make App.Small in
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.App.next_launch () with
-    | None -> continue_ := false
-    | Some launch ->
-        let k = launch.Gsim.Launch.kernel in
-        if not (Hashtbl.mem seen k.Ptx.Kernel.kname) then begin
-          Hashtbl.add seen k.Ptx.Kernel.kname ();
-          acc := k :: !acc
-        end
-  done;
-  List.rev !acc
+  List.map
+    (fun l -> l.Gsim.Launch.kernel)
+    (App.kernel_launches (app.App.make App.Small))
+
+(* Execute every launch of [run] with [exec], uncapped. *)
+let run_all run exec =
+  App.iter_launches run (fun l ->
+      exec l;
+      true)
 
 (* Every kernel in the suite survives print -> parse -> print. *)
 let test_roundtrip_all_kernels () =
@@ -88,21 +82,11 @@ let test_barriers_under_cycle_sim () =
   let run1 = app.App.make App.Small in
   let run2 = app.App.make App.Small in
   (* functional *)
-  let continue_ = ref true in
-  while !continue_ do
-    match run1.App.next_launch () with
-    | None -> continue_ := false
-    | Some l -> ignore (Gsim.Funcsim.run l)
-  done;
+  run_all run1 (fun l -> ignore (Gsim.Funcsim.run l));
   (* cycle-level, uncapped *)
   let cfg = Gsim.Config.default |> Gsim.Config.with_caps ~max_warp_insts:0 () in
   let machine = Gsim.Gpu.create_machine ~cfg () in
-  let continue_ = ref true in
-  while !continue_ do
-    match run2.App.next_launch () with
-    | None -> continue_ := false
-    | Some l -> ignore (Gsim.Gpu.run_launch machine l)
-  done;
+  run_all run2 (fun l -> ignore (Gsim.Gpu.run_launch machine l));
   Alcotest.(check bool) "functional result verified" true (run1.App.check ());
   Alcotest.(check bool) "cycle-sim result verified" true (run2.App.check ());
   Alcotest.(check bool) "cycle sim recorded shared loads" true
@@ -114,20 +98,10 @@ let test_timing_functional_memory_agreement () =
   let app = Workloads.Suite.find "dwt" in
   let run_f = app.App.make App.Small in
   let run_t = app.App.make App.Small in
-  let continue_ = ref true in
-  while !continue_ do
-    match run_f.App.next_launch () with
-    | None -> continue_ := false
-    | Some l -> ignore (Gsim.Funcsim.run l)
-  done;
+  run_all run_f (fun l -> ignore (Gsim.Funcsim.run l));
   let cfg = Gsim.Config.default |> Gsim.Config.with_caps ~max_warp_insts:0 () in
   let machine = Gsim.Gpu.create_machine ~cfg () in
-  let continue_ = ref true in
-  while !continue_ do
-    match run_t.App.next_launch () with
-    | None -> continue_ := false
-    | Some l -> ignore (Gsim.Gpu.run_launch machine l)
-  done;
+  run_all run_t (fun l -> ignore (Gsim.Gpu.run_launch machine l));
   let mf = run_f.App.global and mt = run_t.App.global in
   let n = min (Gsim.Mem.size mf) (Gsim.Mem.size mt) in
   let same = ref true in
@@ -152,12 +126,7 @@ let test_warp_split_preserves_results () =
             { Gsim.Config.no_policy with Gsim.Config.lp_split = 8 })
   in
   let machine = Gsim.Gpu.create_machine ~cfg () in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.App.next_launch () with
-    | None -> continue_ := false
-    | Some l -> ignore (Gsim.Gpu.run_launch machine l)
-  done;
+  run_all run (fun l -> ignore (Gsim.Gpu.run_launch machine l));
   Alcotest.(check bool) "mis verifies under warp splitting" true
     (run.App.check ())
 
@@ -171,12 +140,7 @@ let test_gto_preserves_results () =
     |> Gsim.Config.with_warp_sched Gsim.Config.Gto
   in
   let machine = Gsim.Gpu.create_machine ~cfg () in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.App.next_launch () with
-    | None -> continue_ := false
-    | Some l -> ignore (Gsim.Gpu.run_launch machine l)
-  done;
+  run_all run (fun l -> ignore (Gsim.Gpu.run_launch machine l));
   Alcotest.(check bool) "bfs verifies under GTO" true (run.App.check ())
 
 (* L1 bypass for N loads changes timing only, never results. *)
@@ -191,12 +155,7 @@ let test_bypass_preserves_results () =
             { Gsim.Config.no_policy with Gsim.Config.lp_bypass = true })
   in
   let machine = Gsim.Gpu.create_machine ~cfg () in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.App.next_launch () with
-    | None -> continue_ := false
-    | Some l -> ignore (Gsim.Gpu.run_launch machine l)
-  done;
+  run_all run (fun l -> ignore (Gsim.Gpu.run_launch machine l));
   Alcotest.(check bool) "ccl verifies under bypass" true (run.App.check ());
   (* bypassed N loads never probe the L1: per-class N access count is 0 *)
   let s = machine.Gsim.Gpu.stats in
@@ -216,12 +175,7 @@ let test_prefetch_preserves_results () =
             { Gsim.Config.no_policy with Gsim.Config.lp_prefetch = true })
   in
   let machine = Gsim.Gpu.create_machine ~cfg () in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.App.next_launch () with
-    | None -> continue_ := false
-    | Some l -> ignore (Gsim.Gpu.run_launch machine l)
-  done;
+  run_all run (fun l -> ignore (Gsim.Gpu.run_launch machine l));
   Alcotest.(check bool) "spmv verifies under prefetch" true (run.App.check ())
 
 (* The warmup pre-pass's answers, in [Suite.all] order: the index of

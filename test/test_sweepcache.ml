@@ -105,19 +105,13 @@ let test_seed_changes_fingerprint () =
 
 let mini_app text =
   let kernel = Ptx.Parse.kernel_of_string text in
-  {
-    Workloads.App.name = "mini";
-    category = Workloads.App.Linear;
-    description = "synthetic cache-test app";
-    seed = 1;
-    make =
-      (fun _scale ->
-        let global = Gsim.Mem.create 4096 in
-        Workloads.App.single_launch ~global
-          ~check:(fun () -> true)
-          (Gsim.Launch.create ~kernel ~grid:(1, 1, 1) ~block:(32, 1, 1)
-             ~params:[ ("a", 0L) ] ~global));
-  }
+  Workloads.App.v ~name:"mini" ~category:Workloads.App.Linear
+    ~description:"synthetic cache-test app" ~seed:1 (fun _rng _scale ->
+      Workloads.App.host ~global:(Gsim.Mem.create 4096)
+        ~check:(fun () -> true)
+        (fun launch ->
+          launch ~kernel ~grid:(1, 1, 1) ~block:(32, 1, 1)
+            ~params:[ ("a", 0L) ]))
 
 let kernel_a =
   ".kernel k (.param .u64 a)\n.reg 2 .pred 1 .shared 0\n{\n\

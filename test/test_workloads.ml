@@ -19,14 +19,10 @@ let run_func app scale =
 let run_app_check (app : App.t) () =
   let run = app.App.make App.Small in
   let launches = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.App.next_launch () with
-    | None -> continue_ := false
-    | Some launch ->
-        incr launches;
-        ignore (Gsim.Funcsim.run launch)
-  done;
+  App.iter_launches run (fun launch ->
+      incr launches;
+      ignore (Gsim.Funcsim.run launch);
+      true);
   Alcotest.(check bool)
     (app.App.name ^ " verifies against its host reference")
     true (run.App.check ());
@@ -37,6 +33,105 @@ let app_tests =
     (fun (app : App.t) ->
       Alcotest.test_case app.App.name `Quick (run_app_check app))
     Workloads.Suite.all
+
+(* ---------------- host programs ---------------- *)
+
+(* Adapter tests launch an empty kernel and never execute it: the grid
+   width tags each launch. *)
+let empty_kernel = Ptx.Builder.finish (Ptx.Builder.create ~name:"e" ~params:[] ())
+
+let tagged_host program =
+  App.host ~global:(Gsim.Mem.create 128) ~check:(fun () -> true)
+    (fun launch ->
+      program (fun i ->
+          launch ~kernel:empty_kernel ~grid:(i, 1, 1) ~block:(32, 1, 1)
+            ~params:[]))
+
+let tag l =
+  let x, _, _ = l.Gsim.Launch.grid in
+  x
+
+let pull run = Option.map tag (run.App.next_launch ())
+
+(* The program runs only up to its next launch: the host steps and the
+   consumer's pulls interleave one to one, in launch order. *)
+let test_host_order () =
+  let log = ref [] in
+  let run =
+    tagged_host (fun launch ->
+        for i = 1 to 3 do
+          log := Printf.sprintf "host %d" i :: !log;
+          launch i
+        done)
+  in
+  App.iter_launches run (fun l ->
+      log := Printf.sprintf "pull %d" (tag l) :: !log;
+      true);
+  Alcotest.(check (list string))
+    "interleaved"
+    [ "host 1"; "pull 1"; "host 2"; "pull 2"; "host 3"; "pull 3" ]
+    (List.rev !log)
+
+let test_host_none_after_end () =
+  let run = tagged_host (fun launch -> launch 1; launch 2) in
+  let pulls = List.init 5 (fun _ -> pull run) in
+  Alcotest.(check (list (option int)))
+    "two launches, then None" [ Some 1; Some 2; None; None; None ] pulls
+
+exception Host_failed
+
+let test_host_exception () =
+  let run =
+    tagged_host (fun launch ->
+        launch 1;
+        raise Host_failed)
+  in
+  Alcotest.(check (option int)) "first launch" (Some 1) (pull run);
+  Alcotest.check_raises "raised by the pull that resumed the program"
+    Host_failed (fun () -> ignore (run.App.next_launch ()));
+  Alcotest.(check (option int)) "then None" None (pull run)
+
+(* A consumer may stop partway: the program runs no further than the
+   launch it is parked on, and [iter_launches] unwinds it there. *)
+let test_host_stopped_early () =
+  let steps = ref 0 and unwound = ref false in
+  let counting () =
+    tagged_host (fun launch ->
+        Fun.protect
+          ~finally:(fun () -> unwound := true)
+          (fun () ->
+            for i = 1 to 10 do
+              incr steps;
+              launch i
+            done))
+  in
+  let run = counting () in
+  ignore (pull run);
+  ignore (pull run);
+  Alcotest.(check int) "direct pulls: parked at the second launch" 2 !steps;
+  Alcotest.(check bool) "direct pulls: still parked" false !unwound;
+  steps := 0;
+  let run = counting () in
+  App.iter_launches run (fun l -> tag l < 2);
+  Alcotest.(check int) "iter_launches: ran no further" 2 !steps;
+  Alcotest.(check bool) "iter_launches: unwound" true !unwound;
+  Alcotest.(check (option int)) "then None" None (pull run)
+
+(* Pulling without executing leaves bfs's frontier flag clear, so the
+   host loop stops after one iteration: k1, k2. *)
+let test_bfs_unexecuted_walk () =
+  let app = Workloads.Suite.find "bfs" in
+  let names run =
+    List.map (fun l -> l.Gsim.Launch.kernel.Ptx.Kernel.kname) run
+  in
+  let all = ref [] in
+  App.iter_launches (app.App.make App.Small) (fun l ->
+      all := l :: !all;
+      true);
+  Alcotest.(check (list string)) "one iteration" [ "bfs_k1"; "bfs_k2" ]
+    (names (List.rev !all));
+  Alcotest.(check (list string)) "kernel_launches" [ "bfs_k1"; "bfs_k2" ]
+    (names (App.kernel_launches (app.App.make App.Small)))
 
 (* ---------------- classification expectations ---------------- *)
 
@@ -210,6 +305,12 @@ let tests =
       Alcotest.test_case "static classification per app" `Quick
         test_static_classification;
       Alcotest.test_case "suite registry" `Quick test_suite_registry;
+      Alcotest.test_case "host program order" `Quick test_host_order;
+      Alcotest.test_case "host program end" `Quick test_host_none_after_end;
+      Alcotest.test_case "host program exception" `Quick test_host_exception;
+      Alcotest.test_case "host program stopped early" `Quick
+        test_host_stopped_early;
+      Alcotest.test_case "bfs unexecuted walk" `Quick test_bfs_unexecuted_walk;
       Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
       QCheck_alcotest.to_alcotest prop_prng_int_range;
       QCheck_alcotest.to_alcotest prop_prng_float_range;
