@@ -159,8 +159,12 @@ let run ?(on_listening = fun () -> ()) cfg =
           Hashtbl.create 16
         in
         let retries : pending Queue.t = Queue.create () in
-        let queued = ref 0 in
         (* retries are part of the queue bound *)
+        let queued () =
+          Hashtbl.fold
+            (fun _ c n -> n + Queue.length c.c_queue)
+            clients (Queue.length retries)
+        in
         let next_key = ref 0 in
         let tick = ref 0 in
         let chunk = Bytes.create 65536 in
@@ -200,8 +204,7 @@ let run ?(on_listening = fun () -> ()) cfg =
                  is a real failure *)
               if p.p_attempt = 0 then begin
                 log "job %s: %s; retrying" p.p_id reason;
-                Queue.add { p with p_attempt = 1 } retries;
-                incr queued
+                Queue.add { p with p_attempt = 1 } retries
               end
               else
                 settle_failed p
@@ -227,7 +230,7 @@ let run ?(on_listening = fun () -> ()) cfg =
         let inflight () = List.length (Pool.in_flight pool) in
         let health () =
           {
-            P.h_queued = !queued;
+            P.h_queued = queued ();
             h_inflight = inflight ();
             h_clients = Hashtbl.length clients;
             h_workers = workers;
@@ -267,24 +270,21 @@ let run ?(on_listening = fun () -> ()) cfg =
                 Some (Queue.pop c.c_queue)
           end
         in
-        let dispatch () =
-          while !queued > 0 && Pool.has_idle pool do
+        let rec dispatch () =
+          if queued () > 0 && Pool.has_idle pool then
             match pick_pending () with
-            | None -> queued := 0 (* queues and counter out of sync *)
+            | None -> ()
             | Some p ->
-                decr queued;
                 let task =
                   Json.Obj
                     [ ("attempt", Json.Int p.p_attempt);
                       ("job", P.job_to_json p.p_job) ]
                 in
-                if not (Pool.assign pool p task) then begin
+                if not (Pool.assign pool p task) then
                   (* every idle worker died before taking it: the job
                      keeps its attempt count (nothing was lost) *)
                   Queue.add p retries;
-                  incr queued
-                end
-          done
+                dispatch ()
         in
 
         (* -- client lifecycle -- *)
@@ -295,13 +295,11 @@ let run ?(on_listening = fun () -> ()) cfg =
             || List.exists (fun p -> p.p_client = c.c_key) (Pool.in_flight pool)
           in
           if lost && pending_work then incr disconnects;
-          queued := !queued - Queue.length c.c_queue;
-          Queue.clear c.c_queue;
-          (* drop queued retries that belonged to it *)
+          (* its queue leaves with it; drop the retries that belonged
+             to it too *)
           let keep = Queue.create () in
           Queue.iter
-            (fun p ->
-              if p.p_client = c.c_key then decr queued else Queue.add p keep)
+            (fun p -> if p.p_client <> c.c_key then Queue.add p keep)
             retries;
           Queue.clear retries;
           Queue.transfer keep retries;
@@ -338,7 +336,7 @@ let run ?(on_listening = fun () -> ()) cfg =
                 (P.Rejected
                    { id; reason = P.Shutting_down; retry_after = 1.0 })
             end
-            else if !queued >= cfg.queue_limit then begin
+            else if queued () >= cfg.queue_limit then begin
               incr rejected;
               respond c
                 (P.Rejected
@@ -349,8 +347,7 @@ let run ?(on_listening = fun () -> ()) cfg =
             else begin
               Queue.add
                 { p_id = id; p_client = c.c_key; p_job = job; p_attempt = 0 }
-                c.c_queue;
-              incr queued
+                c.c_queue
             end
         in
 
@@ -452,12 +449,12 @@ let run ?(on_listening = fun () -> ()) cfg =
         (try
            while
              (not (forced ()))
-             && ((not (stopping ())) || !queued > 0 || inflight () > 0)
+             && ((not (stopping ())) || queued () > 0 || inflight () > 0)
            do
              if stopping () && not !draining_logged then begin
                draining_logged := true;
                log "shutdown requested: draining %d queued + %d in-flight"
-                 !queued (inflight ())
+                 (queued ()) (inflight ())
              end;
              Pool.spawn_due pool ~want:workers;
              dispatch ();

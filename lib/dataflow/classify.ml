@@ -7,12 +7,12 @@
    value read from memory by a prior load (ld.global/shared/local/tex,
    or an atomic's return value).
 
-   Implementation: backward traversal of the data-dependence graph from
-   the definitions of the load's address registers.  Loads and ld.param
-   are traversal *leaves*: the classifier records what kind of leaf it
-   reached and does not look through them — the paper classifies a load
-   as non-deterministic as soon as its address flows from any prior
-   load, regardless of how that load's own address was formed. *)
+   Implementation: [Depgraph.slice] from the definitions of the load's
+   address register.  Loads and ld.param are traversal *leaves*: the
+   classifier records what kind of leaf it reached and does not look
+   through them — the paper classifies a load as non-deterministic as
+   soon as its address flows from any prior load, regardless of how
+   that load's own address was formed. *)
 
 open Ptx.Types
 
@@ -52,95 +52,51 @@ let string_of_leaf = function
   | Leaf_load sp -> "ld." ^ string_of_space sp
   | Leaf_uninit -> "uninit"
 
-(* Leaf kinds contributed directly by an instruction's non-register
-   operands. *)
-let direct_leaves instr =
-  let of_operand = function
-    | Sreg _ -> [ Leaf_sreg ]
-    | Imm _ | Fimm _ -> [ Leaf_imm ]
-    | Reg _ -> []
-  in
-  let of_addr (a : addr) = of_operand a.abase in
-  match (instr : Ptx.Instr.t) with
-  | Ld_param _ -> [ Leaf_param ]
-  | Ld (_, _, _, a) -> of_addr a
-  | St (_, _, a, v) -> of_addr a @ of_operand v
-  | Mov (_, s) -> of_operand s
-  | Iop (_, _, a, b) | Fop (_, _, _, a, b) | Setp (_, _, _, a, b) ->
-      of_operand a @ of_operand b
-  | Mad (_, a, b, c) | Fma (_, _, a, b, c) ->
-      of_operand a @ of_operand b @ of_operand c
-  | Funary (_, _, _, a) | Cvt (_, _, _, a) -> of_operand a
-  | Selp (_, a, b, _) -> of_operand a @ of_operand b
-  | Atom (_, _, _, a, v) -> of_addr a @ of_operand v
-  | Pnot _ | Pand _ | Por _ | Bra _ | Bar | Exit | Label _ -> []
+let operand_leaf = function
+  | Sreg _ -> Some Leaf_sreg
+  | Imm _ | Fimm _ -> Some Leaf_imm
+  | Reg _ -> None
 
-(* Traverse the dependence graph backwards from [roots]; collect leaf
-   kinds; stop at load leaves.  Returns (leaves, visited instruction
-   count). *)
-let collect_leaves (k : Ptx.Kernel.t) (dg : Depgraph.t) roots =
-  let npc = Array.length k.Ptx.Kernel.body in
-  let visited = Array.make npc false in
-  let leaves = ref [] in
-  let nvisited = ref 0 in
-  let push l = if not (List.mem l !leaves) then leaves := l :: !leaves in
-  let rec go pc =
-    if not visited.(pc) then begin
-      visited.(pc) <- true;
-      incr nvisited;
-      let instr = k.Ptx.Kernel.body.(pc) in
-      if Depgraph.has_uninitialized_use dg pc then push Leaf_uninit;
-      match Ptx.Instr.loads_from_memory instr with
-      | Some sp -> push (Leaf_load sp) (* leaf: do not look through *)
-      | None ->
-          List.iter push (direct_leaves instr);
-          List.iter go (Depgraph.deps dg pc)
-    end
+(* Leaf kinds an instruction of an address slice contributes: a load is
+   a leaf (the slice does not look through it), anything else its
+   non-register operands, plus [Leaf_uninit] when it reads a register
+   some path never writes. *)
+let slice_leaves (k : Ptx.Kernel.t) dg pc =
+  let instr = k.Ptx.Kernel.body.(pc) in
+  let own =
+    match instr with
+    | Ld_param _ -> [ Leaf_param ]
+    | _ -> (
+        match Ptx.Instr.loads_from_memory instr with
+        | Some sp -> [ Leaf_load sp ]
+        | None -> List.filter_map operand_leaf (Ptx.Instr.operands instr))
   in
-  List.iter go roots;
-  (List.sort compare !leaves, !nvisited)
+  if Depgraph.has_uninitialized_use dg pc then Leaf_uninit :: own else own
 
 let class_of_leaves leaves =
   if List.exists (function Leaf_load _ -> true | _ -> false) leaves then
     Nondeterministic
   else Deterministic
 
-(* The registers whose reaching definitions root the address slice of
-   the load at [pc]. *)
-let address_regs instr =
-  match (instr : Ptx.Instr.t) with
-  | Ld (_, _, _, a) | Atom (_, _, _, a, _) -> (
-      match a.abase with Reg r -> [ r ] | Imm _ | Fimm _ | Sreg _ -> [])
-  | _ -> []
-
-let address_leaf_operand instr =
-  match (instr : Ptx.Instr.t) with
-  | Ld (_, _, _, a) | Atom (_, _, _, a, _) -> (
-      match a.abase with
-      | Sreg _ -> [ Leaf_sreg ]
-      | Imm _ | Fimm _ -> [ Leaf_imm ]
-      | Reg _ -> [])
-  | _ -> []
-
+(* The address slice of the load at [pc] starts from the reaching
+   definitions of its base register and stops at loads. *)
 let classify_load k r dg pc =
-  let instr = k.Ptx.Kernel.body.(pc) in
-  let roots =
-    List.concat_map
-      (fun reg -> Reaching.defs_reaching_reg r ~pc ~reg)
-      (address_regs instr)
+  let space, base =
+    match k.Ptx.Kernel.body.(pc) with
+    | Ptx.Instr.Ld (sp, _, _, a) -> (sp, a.abase)
+    | Atom (_, _, _, a, _) -> (Global, a.abase)
+    | _ -> invalid_arg "classify_load: pc is not a load"
   in
-  let uninit_root =
-    List.exists
-      (fun reg -> Reaching.defs_reaching_reg r ~pc ~reg = [])
-      (address_regs instr)
-  in
-  let leaves, slice = collect_leaves k dg roots in
-  let leaves = List.sort_uniq compare (leaves @ address_leaf_operand instr) in
-  let leaves = if uninit_root then Leaf_uninit :: leaves else leaves in
-  let space =
-    match Ptx.Instr.loads_from_memory instr with
-    | Some sp -> sp
-    | None -> invalid_arg "classify_load: pc is not a load"
+  let leaves, slice =
+    match base with
+    | Reg reg -> (
+        match Reaching.defs_reaching_reg r ~pc ~reg with
+        | [] -> ([ Leaf_uninit ], 0)
+        | roots ->
+            let pcs = Depgraph.slice dg ~stop:Ptx.Instr.is_load roots in
+            ( List.sort_uniq compare (List.concat_map (slice_leaves k dg) pcs),
+              List.length pcs ))
+    | Imm _ | Fimm _ | Sreg _ -> (Option.to_list (operand_leaf base), 0)
   in
   {
     li_pc = pc;

@@ -37,11 +37,8 @@ type result = {
   res_class_of_pc : (int, load_class) Hashtbl.t;  (** global loads only *)
 }
 
-val string_of_class : load_class -> string
 val short_class : load_class -> string
 (** ["D"] / ["N"], the paper's figure labels. *)
-
-val string_of_leaf : leaf -> string
 
 val classify : Ptx.Kernel.t -> result
 (** Classify every memory load in the kernel. *)
@@ -55,5 +52,4 @@ val global_loads : result -> load_info list
 val count_global : result -> int * int
 (** (deterministic, non-deterministic) static counts of global loads. *)
 
-val pp_load_info : Format.formatter -> load_info -> unit
 val pp_result : Format.formatter -> result -> unit

@@ -1,35 +1,45 @@
 (* Data-dependence graph at instruction granularity: an edge pc -> d
    means instruction [pc] uses a register (general or predicate) whose
-   reaching definition is instruction [d]. *)
+   reaching definition is instruction [d].  A pc's edges are computed
+   when first asked for, so a slice pays only for the pcs it visits. *)
 
 type t = {
   kernel : Ptx.Kernel.t;
+  reaching : Reaching.t;
+  known : bool array; (* pc's edges computed *)
   deps : int list array; (* pc -> defining pcs *)
   uninit_uses : bool array; (* pc uses a register with no reaching def *)
 }
 
 let build (k : Ptx.Kernel.t) (r : Reaching.t) =
   let npc = Array.length k.Ptx.Kernel.body in
-  let deps = Array.make npc [] in
-  let uninit_uses = Array.make npc false in
-  Array.iteri
-    (fun pc instr ->
-      let add_node node =
-        match Reaching.defs_reaching_node r ~pc ~node with
-        | [] -> uninit_uses.(pc) <- true
-        | ds -> deps.(pc) <- List.rev_append ds deps.(pc)
-      in
-      List.iter (fun reg -> add_node (Reaching.node_of_reg reg))
-        (Ptx.Instr.uses instr);
-      List.iter
-        (fun p -> add_node (Reaching.node_of_pred ~nregs:r.Reaching.nregs p))
-        (Ptx.Instr.puses instr);
-      deps.(pc) <- List.sort_uniq compare deps.(pc))
-    k.Ptx.Kernel.body;
-  { kernel = k; deps; uninit_uses }
+  { kernel = k; reaching = r; known = Array.make npc false;
+    deps = Array.make npc []; uninit_uses = Array.make npc false }
 
-let deps t pc = t.deps.(pc)
-let has_uninitialized_use t pc = t.uninit_uses.(pc)
+let fill t pc =
+  if not t.known.(pc) then begin
+    t.known.(pc) <- true;
+    let r = t.reaching and instr = t.kernel.Ptx.Kernel.body.(pc) in
+    let add_node node =
+      match Reaching.defs_reaching_node r ~pc ~node with
+      | [] -> t.uninit_uses.(pc) <- true
+      | ds -> t.deps.(pc) <- List.rev_append ds t.deps.(pc)
+    in
+    List.iter (fun reg -> add_node (Reaching.node_of_reg reg))
+      (Ptx.Instr.uses instr);
+    List.iter
+      (fun p -> add_node (Reaching.node_of_pred ~nregs:r.Reaching.nregs p))
+      (Ptx.Instr.puses instr);
+    t.deps.(pc) <- List.sort_uniq compare t.deps.(pc)
+  end
+
+let deps t pc =
+  fill t pc;
+  t.deps.(pc)
+
+let has_uninitialized_use t pc =
+  fill t pc;
+  t.uninit_uses.(pc)
 
 (* Graphviz rendering of the dependence graph; loads are highlighted
    since they are the classifier's taint sources. *)
@@ -51,33 +61,32 @@ let to_dot t =
         | Some _ -> ", style=filled, fillcolor=lightcoral"
         | None -> ""
       in
-      if t.deps.(pc) <> [] || Ptx.Instr.defs instr <> [] then
+      if deps t pc <> [] || Ptx.Instr.defs instr <> [] then
         Buffer.add_string buf
           (Printf.sprintf "  I%d [label=\"%d: %s\"%s];\n" pc pc label attrs))
     k.Ptx.Kernel.body;
   Array.iteri
-    (fun pc ds ->
+    (fun pc _ ->
       List.iter
         (fun d -> Buffer.add_string buf (Printf.sprintf "  I%d -> I%d;\n" pc d))
-        ds)
-    t.deps;
+        (deps t pc))
+    k.Ptx.Kernel.body;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-(* Full backward slice (pcs) from the given starting definitions,
-   traversing through loads. *)
-let backward_slice t start_pcs =
-  let npc = Array.length t.deps in
-  let visited = Array.make npc false in
+(* Every pc reachable from [roots] through dependence edges, each
+   once, most recently reached first.  A pc whose instruction satisfies
+   [stop] is in the slice, but the walk does not follow its edges. *)
+let slice t ~stop roots =
+  let body = t.kernel.Ptx.Kernel.body in
+  let visited = Array.make (Array.length body) false in
+  let acc = ref [] in
   let rec go pc =
     if not visited.(pc) then begin
       visited.(pc) <- true;
-      List.iter go t.deps.(pc)
+      acc := pc :: !acc;
+      if not (stop body.(pc)) then List.iter go (deps t pc)
     end
   in
-  List.iter go start_pcs;
-  let acc = ref [] in
-  for pc = npc - 1 downto 0 do
-    if visited.(pc) then acc := pc :: !acc
-  done;
+  List.iter go roots;
   !acc

@@ -17,8 +17,10 @@ val to_dot : t -> string
 (** Graphviz rendering of the dependence graph; load nodes (the
     classifier's taint sources) are highlighted. *)
 
-val backward_slice : t -> int list -> int list
-(** All pcs transitively reachable through dependence edges from the
-    given starting pcs (inclusive), in program order.  Traverses
-    through loads — this is the full slice, unlike the classifier,
-    which stops at load leaves. *)
+val slice : t -> stop:(Ptx.Instr.t -> bool) -> int list -> int list
+(** [slice t ~stop roots] is every pc reachable from [roots] through
+    dependence edges, roots included, each once and in no specified
+    order.  A pc whose instruction satisfies [stop] is in the slice,
+    but the walk does not follow its edges: the paper's classifier
+    stops at loads ({!Ptx.Instr.is_load}), and [fun _ -> false] gives
+    the full slice. *)

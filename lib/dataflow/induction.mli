@@ -5,15 +5,6 @@
     iteration (edge-array walks) — the target of the indirect
     prefetching discussed in the paper's Section X.A. *)
 
-val induction_step :
-  Ptx.Kernel.t -> Reaching.t -> pc:int -> reg:int -> int64 option
-(** Self-increment step of [reg] at [pc] when its reaching definitions
-    are exactly an initialization plus [reg = reg +/- const]. *)
-
-val walk_step : Ptx.Kernel.t -> Reaching.t -> int -> int64 option
-(** Byte step per loop iteration of the load at [pc], for pointer-bump
-    or [base + i*scale] addressing over an induction variable [i]. *)
-
 type walk = { w_pc : int; w_step : int }
 
 val walking_loads : Ptx.Kernel.t -> walk list

@@ -10,13 +10,16 @@ type t = {
   nregs : int;
 }
 
+(* Register nodes, numbered as [Reaching] numbers them. *)
+let nodes ~nregs regs preds =
+  List.map Reaching.node_of_reg regs
+  @ List.map (Reaching.node_of_pred ~nregs) preds
+
 let node_uses ~nregs instr =
-  List.map (fun r -> r) (Ptx.Instr.uses instr)
-  @ List.map (fun p -> nregs + p) (Ptx.Instr.puses instr)
+  nodes ~nregs (Ptx.Instr.uses instr) (Ptx.Instr.puses instr)
 
 let node_defs ~nregs instr =
-  List.map (fun r -> r) (Ptx.Instr.defs instr)
-  @ List.map (fun p -> nregs + p) (Ptx.Instr.pdefs instr)
+  nodes ~nregs (Ptx.Instr.defs instr) (Ptx.Instr.pdefs instr)
 
 let compute (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) =
   let nregs = k.Ptx.Kernel.nregs in
@@ -69,7 +72,8 @@ let compute (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) =
   done;
   { kernel = k; live_in_at; nregs }
 
-let live_in_reg t ~pc ~reg = Bitset.mem t.live_in_at.(pc) reg
+let live_in_reg t ~pc ~reg =
+  Bitset.mem t.live_in_at.(pc) (Reaching.node_of_reg reg)
 
 (* Maximum number of simultaneously live general registers — a proxy
    for register pressure. *)

@@ -121,7 +121,8 @@ let defs_reaching_node t ~pc ~node =
     (fun id -> if Bitset.mem t.in_at.(pc) id then Some t.defs.(id).def_pc else None)
     t.defs_of_node.(node)
 
-let defs_reaching_reg t ~pc ~reg = defs_reaching_node t ~pc ~node:reg
+let defs_reaching_reg t ~pc ~reg =
+  defs_reaching_node t ~pc ~node:(node_of_reg reg)
 
 let defs_reaching_pred t ~pc ~pred =
-  defs_reaching_node t ~pc ~node:(t.nregs + pred)
+  defs_reaching_node t ~pc ~node:(node_of_pred ~nregs:t.nregs pred)

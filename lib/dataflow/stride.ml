@@ -213,76 +213,45 @@ let address_value an r pc =
       add (operand_value an r ~pc a.abase) (Kon (Int64.of_int a.aoffset))
   | _ -> invalid_arg "Stride.address_value: pc is not a load"
 
-(* Distinct lines of a grouped-affine address: per-(y,z) groups have
-   unknown, assumed-disjoint bases; within each group x/lane offsets
-   are known. *)
-let lines_of_gaff ?(warp_size = 32) ?(line_size = 128) ~block g =
+(* Distinct [line_size]-byte lines a fully-active warp touches when
+   each lane's byte offset follows the affine form [a], for the given
+   block shape.  A [grouped] form has unknown, assumed-disjoint bases
+   per (tid.y, tid.z) group, so its lines are counted per group.
+   Offsets below the base round down to the line before it. *)
+let lines ?(warp_size = 32) ?(line_size = 128) ~block ~grouped a =
   let bx, by, _bz = block in
   let bx = max 1 bx and by = max 1 by in
-  let groups = Hashtbl.create 8 in
-  for lane = 0 to warp_size - 1 do
-    let x = lane mod bx in
-    let y = lane / bx mod by in
-    let z = lane / (bx * by) in
-    let off =
-      Int64.add
-        (Int64.mul g.gax (Int64.of_int x))
-        (Int64.mul g.gal (Int64.of_int lane))
-    in
-    let line = Int64.div off (Int64.of_int line_size) in
-    let key = (y, z) in
-    let lines =
-      match Hashtbl.find_opt groups key with
-      | Some s -> s
-      | None ->
-          let s = Hashtbl.create 4 in
-          Hashtbl.add groups key s;
-          s
-    in
-    Hashtbl.replace lines line ()
-  done;
-  Hashtbl.fold (fun _ lines acc -> acc + Hashtbl.length lines) groups 0
-
-(* Distinct 128-byte lines touched by a fully-active warp whose lane
-   offsets follow the affine form, for the given block shape. *)
-let lines_of_aff ?(warp_size = 32) ?(line_size = 128) ~block a =
-  let bx, by, _bz = block in
-  let bx = max 1 bx and by = max 1 by in
+  let ls = Int64.of_int line_size in
   let seen = Hashtbl.create 8 in
   for lane = 0 to warp_size - 1 do
     let x = lane mod bx in
     let y = lane / bx mod by in
     let z = lane / (bx * by) in
+    let term c v = Int64.mul c (Int64.of_int v) in
     let off =
       Int64.add
-        (Int64.add
-           (Int64.mul a.ax (Int64.of_int x))
-           (Int64.mul a.ay (Int64.of_int y)))
-        (Int64.add
-           (Int64.mul a.az (Int64.of_int z))
-           (Int64.mul a.al (Int64.of_int lane)))
+        (Int64.add (term a.ax x) (term a.ay y))
+        (Int64.add (term a.az z) (term a.al lane))
     in
     let line =
-      Int64.div
-        (if Int64.compare off 0L < 0 then
-           Int64.sub off (Int64.of_int (line_size - 1))
-         else off)
-        (Int64.of_int line_size)
+      let q = Int64.div off ls in
+      if Int64.compare (Int64.rem off ls) 0L < 0 then Int64.pred q else q
     in
-    Hashtbl.replace seen line ()
+    Hashtbl.replace seen ((if grouped then (y, z) else (0, 0)), line) ()
   done;
   Hashtbl.length seen
 
-let predict_value ?warp_size ?line_size ~block = function
+let predict_value ?warp_size ?line_size ~block v =
+  let requests ~grouped a =
+    let n = lines ?warp_size ?line_size ~block ~grouped a in
+    if n <= 2 then Coalesced n else Strided n
+  in
+  match v with
   | Unknown -> Irregular
   | Kon _ -> Broadcast
   | Affv a when a = zero_aff -> Broadcast
-  | Affv a ->
-      let n = lines_of_aff ?warp_size ?line_size ~block a in
-      if n <= 2 then Coalesced n else Strided n
-  | Gaff g ->
-      let n = lines_of_gaff ?warp_size ?line_size ~block g in
-      if n <= 2 then Coalesced n else Strided n
+  | Affv a -> requests ~grouped:false a
+  | Gaff g -> requests ~grouped:true { zero_aff with ax = g.gax; al = g.gal }
 
 type load_prediction = { lp_pc : int; lp_prediction : prediction }
 

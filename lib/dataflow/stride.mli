@@ -15,8 +15,6 @@
 (** Coefficients of the lane-varying symbols. *)
 type aff = { ax : int64; ay : int64; az : int64; al : int64 }
 
-val zero_aff : aff
-
 (** Grouped-affine: per-(tid.y, tid.z) groups with unknown-but-distinct
     bases (e.g. [tid.y * width] with unknown width) plus known x/lane
     coefficients within each group. *)
@@ -50,16 +48,6 @@ type prediction =
   | Irregular  (** data-dependent — the uncoalesced-burst candidates *)
 
 val string_of_prediction : prediction -> string
-
-val lines_of_aff :
-  ?warp_size:int -> ?line_size:int -> block:int * int * int -> aff -> int
-(** Distinct lines touched by a fully-active warp with the given
-    per-dimension coefficients and block shape. *)
-
-val lines_of_gaff :
-  ?warp_size:int -> ?line_size:int -> block:int * int * int -> gaff -> int
-(** Distinct lines of a grouped-affine address (groups assumed to touch
-    disjoint lines). *)
 
 type load_prediction = { lp_pc : int; lp_prediction : prediction }
 

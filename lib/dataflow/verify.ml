@@ -106,59 +106,29 @@ let check_address_kinds (k : Ptx.Kernel.t) cfg (rd : Reaching.t) reach acc =
 
 (* ---- barriers under divergent control flow ---- *)
 
-(* Is the guard predicate of the branch at [pc] thread-dependent?
-   Backward slice over reaching definitions: the guard is non-uniform
-   if any value feeding it reads %tid or %laneid.  Loads are slice
-   terminals — their uniformity depends on memory contents, which we
-   cannot see, so we assume uniform to keep false positives out. *)
-let guard_is_thread_dependent (rd : Reaching.t) ~pc ~pred =
-  let nregs = rd.Reaching.nregs in
+(* Is the guard predicate of the branch at [pc] thread-dependent?  It
+   is when an instruction in the slice of the guard's reaching
+   definitions reads %tid or %laneid.  The slice stops at loads, as the
+   classifier's does: a loaded value's uniformity depends on memory
+   contents, which we cannot see, so it counts as uniform to keep
+   false positives out. *)
+let guard_is_thread_dependent (rd : Reaching.t) dg ~pc ~pred =
   let body = rd.Reaching.kernel.Ptx.Kernel.body in
-  let seen = Hashtbl.create 32 in
-  let rec node_dependent ~pc ~node =
-    List.exists
-      (fun dpc ->
-        if Hashtbl.mem seen (dpc, node) then false
-        else begin
-          Hashtbl.add seen (dpc, node) ();
-          def_dependent dpc
-        end)
-      (Reaching.defs_reaching_node rd ~pc ~node)
-  and def_dependent dpc =
-    let instr = body.(dpc) in
-    match instr with
-    | Ptx.Instr.Ld _ | Ptx.Instr.Ld_param _ | Ptx.Instr.Atom _ -> false
-    | _ ->
-        let operand_dependent = function
-          | Ptx.Types.Sreg (Ptx.Types.Tid _) | Ptx.Types.Sreg Ptx.Types.Laneid
-            ->
-              true
-          | Ptx.Types.Sreg _ | Ptx.Types.Imm _ | Ptx.Types.Fimm _ -> false
-          | Ptx.Types.Reg r -> node_dependent ~pc:dpc ~node:r
-        in
-        List.exists operand_dependent (operands_of instr)
-        || List.exists
-             (fun p -> node_dependent ~pc:dpc ~node:(nregs + p))
-             (Ptx.Instr.puses instr)
-  and operands_of instr =
-    (* source operands only; register uses cover addr bases too, but we
-       want the Sreg operands that [Instr.uses] drops *)
-    match instr with
-    | Ptx.Instr.Mov (_, s) -> [ s ]
-    | Ptx.Instr.Iop (_, _, a, b)
-    | Ptx.Instr.Fop (_, _, _, a, b)
-    | Ptx.Instr.Setp (_, _, _, a, b) ->
-        [ a; b ]
-    | Ptx.Instr.Mad (_, a, b, c) | Ptx.Instr.Fma (_, _, a, b, c) ->
-        [ a; b; c ]
-    | Ptx.Instr.Funary (_, _, _, a) | Ptx.Instr.Cvt (_, _, _, a) -> [ a ]
-    | Ptx.Instr.Selp (_, a, b, _) -> [ a; b ]
-    | _ -> []
+  let reads_thread_id = function
+    | Ptx.Types.Sreg (Ptx.Types.Tid _ | Ptx.Types.Laneid) -> true
+    | Ptx.Types.Sreg _ | Ptx.Types.Imm _ | Ptx.Types.Fimm _ | Ptx.Types.Reg _
+      ->
+        false
   in
-  node_dependent ~pc ~node:(nregs + pred)
+  Depgraph.slice dg ~stop:Ptx.Instr.is_load
+    (Reaching.defs_reaching_pred rd ~pc ~pred)
+  |> List.exists (fun d ->
+         let instr = body.(d) in
+         (not (Ptx.Instr.is_load instr))
+         && List.exists reads_thread_id (Ptx.Instr.operands instr))
 
-let check_divergent_barriers (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) rd reach acc
-    =
+let check_divergent_barriers (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) rd dg reach
+    acc =
   let kernel = k.Ptx.Kernel.kname in
   let pdom = Ptx.Dom.post_dominators cfg in
   let block_has_bar b =
@@ -175,7 +145,7 @@ let check_divergent_barriers (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) rd reach acc
       match instr with
       | Ptx.Instr.Bra (Some (_, p), _)
         when reach.(Ptx.Cfg.block_of_pc cfg pc)
-             && guard_is_thread_dependent rd ~pc ~pred:p ->
+             && guard_is_thread_dependent rd dg ~pc ~pred:p ->
           let c = Ptx.Cfg.block_of_pc cfg pc in
           let stop =
             match Ptx.Dom.reconvergence_pc cfg pdom pc with
@@ -234,11 +204,12 @@ let verify_kernel (k : Ptx.Kernel.t) : V.diag list =
     let cfg = Ptx.Cfg.build k in
     let rd = Reaching.compute k cfg in
     let reach = reachable_blocks cfg in
+    let dg = Depgraph.build k rd in
     let dataflow =
       []
       |> check_use_before_def k cfg rd reach
       |> check_address_kinds k cfg rd reach
-      |> check_divergent_barriers k cfg rd reach
+      |> check_divergent_barriers k cfg rd dg reach
       |> List.rev
     in
     dedup (structural @ dataflow)

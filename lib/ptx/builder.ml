@@ -68,11 +68,7 @@ let sub b x y = iop b Sub x y
 let mul b x y = iop b Mul x y
 let div b x y = iop b Div x y
 let rem b x y = iop b Rem x y
-let min_ b x y = iop b Min x y
-let max_ b x y = iop b Max x y
 let band b x y = iop b Band x y
-let bor b x y = iop b Bor x y
-let bxor b x y = iop b Bxor x y
 let shl b x y = iop b Shl x y
 let shr b x y = iop b Shr x y
 let mad b x y z = def1 b (fun d -> Instr.Mad (d, x, y, z))
@@ -116,17 +112,11 @@ let pand b p q =
   emit b (Instr.Pand (d, p, q));
   d
 
-let por b p q =
-  let d = fresh_pred b in
-  emit b (Instr.Por (d, p, q));
-  d
-
 let label b l = emit b (Instr.Label l)
 let bra b l = emit b (Instr.Bra (None, l))
 let bra_if b p l = emit b (Instr.Bra (Some (true, p), l))
 let bra_ifnot b p l = emit b (Instr.Bra (Some (false, p), l))
 let bar b = emit b Instr.Bar
-let exit_ b = emit b Instr.Exit
 
 (* Structured helpers built on labels. *)
 
@@ -160,23 +150,11 @@ let for_loop b ~init ~bound ~step body =
   bra b head;
   label b done_
 
-(* while_ b cond body: [cond] is re-evaluated each iteration and returns
-   a predicate register. *)
-let while_ b cond body =
-  let head = fresh_label b "Lwhile" in
-  let done_ = fresh_label b "Lwdone" in
-  label b head;
-  let p = cond () in
-  bra_ifnot b p done_;
-  body ();
-  bra b head;
-  label b done_
-
 (* Global thread id: ctaid.x * ntid.x + tid.x. *)
 let global_tid b = mad b ctaid_x ntid_x tid_x
 
 let finish b =
   let body = Array.of_list (List.rev (Instr.Exit :: b.instrs)) in
-  Kernel.validate
+  Verify.validate
     (Kernel.create ~name:b.name ~params:b.params ~nregs:(max 1 b.nregs)
        ~npregs:(max 1 b.npregs) ~smem_bytes:b.smem_bytes body)

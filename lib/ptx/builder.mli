@@ -20,7 +20,6 @@ val create :
 
 val emit : t -> Instr.t -> unit
 val fresh_reg : t -> int
-val fresh_pred : t -> int
 val fresh_label : t -> string -> string
 
 (** {1 Operand constructors} *)
@@ -46,11 +45,7 @@ val sub : t -> operand -> operand -> operand
 val mul : t -> operand -> operand -> operand
 val div : t -> operand -> operand -> operand
 val rem : t -> operand -> operand -> operand
-val min_ : t -> operand -> operand -> operand
-val max_ : t -> operand -> operand -> operand
 val band : t -> operand -> operand -> operand
-val bor : t -> operand -> operand -> operand
-val bxor : t -> operand -> operand -> operand
 val shl : t -> operand -> operand -> operand
 val shr : t -> operand -> operand -> operand
 val mad : t -> operand -> operand -> operand -> operand
@@ -84,13 +79,11 @@ val setp : t -> cmp -> ?ty:dtype -> operand -> operand -> int
 val selp : t -> operand -> operand -> int -> operand
 val pnot : t -> int -> int
 val pand : t -> int -> int -> int
-val por : t -> int -> int -> int
 val label : t -> string -> unit
 val bra : t -> string -> unit
 val bra_if : t -> int -> string -> unit
 val bra_ifnot : t -> int -> string -> unit
 val bar : t -> unit
-val exit_ : t -> unit
 
 val if_ : t -> int -> (unit -> unit) -> unit
 (** [if_ b p body] runs [body] only for threads where predicate [p]
@@ -105,13 +98,9 @@ val for_loop :
     the loop counter operand.  The counter register is mutated across
     iterations, as in compiled PTX loops. *)
 
-val while_ : t -> (unit -> int) -> (unit -> unit) -> unit
-(** [while_ b cond body]: [cond] is re-emitted per iteration and returns
-    the predicate register that controls the loop. *)
-
 val global_tid : t -> operand
 (** [ctaid.x * ntid.x + tid.x]. *)
 
 val finish : t -> Kernel.t
 (** Appends a trailing [Exit], validates, and returns the kernel.
-    @raise Kernel.Invalid on malformed code. *)
+    @raise Kernel.Invalid naming every error {!Verify.validate} finds. *)

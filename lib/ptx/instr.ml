@@ -32,11 +32,19 @@ type t =
   | Exit
   | Label of string
 
-let regs_of_operand = function
-  | Reg r -> [ r ]
-  | Imm _ | Fimm _ | Sreg _ -> []
-
-let regs_of_addr a = regs_of_operand a.abase
+(* Source operands; an address contributes its base.  [Ld_param]
+   reads a named parameter, not an operand. *)
+let operands = function
+  | Ld (_, _, _, a) -> [ a.abase ]
+  | St (_, _, a, v) | Atom (_, _, _, a, v) -> [ a.abase; v ]
+  | Mov (_, s) | Funary (_, _, _, s) | Cvt (_, _, _, s) -> [ s ]
+  | Iop (_, _, a, b)
+  | Fop (_, _, _, a, b)
+  | Setp (_, _, _, a, b)
+  | Selp (_, a, b, _) ->
+      [ a; b ]
+  | Mad (_, a, b, c) | Fma (_, _, a, b, c) -> [ a; b; c ]
+  | Ld_param _ | Pnot _ | Pand _ | Por _ | Bra _ | Bar | Exit | Label _ -> []
 
 (* General registers defined by the instruction. *)
 let defs = function
@@ -55,23 +63,11 @@ let defs = function
       []
 
 (* General registers used by the instruction. *)
-let uses = function
-  | Ld_param _ -> []
-  | Ld (_, _, _, a) -> regs_of_addr a
-  | St (_, _, a, v) -> regs_of_addr a @ regs_of_operand v
-  | Mov (_, s) -> regs_of_operand s
-  | Iop (_, _, a, b) -> regs_of_operand a @ regs_of_operand b
-  | Mad (_, a, b, c) ->
-      regs_of_operand a @ regs_of_operand b @ regs_of_operand c
-  | Fop (_, _, _, a, b) -> regs_of_operand a @ regs_of_operand b
-  | Fma (_, _, a, b, c) ->
-      regs_of_operand a @ regs_of_operand b @ regs_of_operand c
-  | Funary (_, _, _, a) -> regs_of_operand a
-  | Cvt (_, _, _, a) -> regs_of_operand a
-  | Setp (_, _, _, a, b) -> regs_of_operand a @ regs_of_operand b
-  | Selp (_, a, b, _) -> regs_of_operand a @ regs_of_operand b
-  | Atom (_, _, _, a, v) -> regs_of_addr a @ regs_of_operand v
-  | Pnot _ | Pand _ | Por _ | Bra _ | Bar | Exit | Label _ -> []
+let uses i =
+  List.fold_right
+    (fun o regs ->
+      match o with Reg r -> r :: regs | Imm _ | Fimm _ | Sreg _ -> regs)
+    (operands i) []
 
 (* Predicate registers defined / used. *)
 let pdefs = function
@@ -103,6 +99,8 @@ let loads_from_memory = function
   | Cvt _ | Setp _ | Selp _ | Pnot _ | Pand _ | Por _ | Bra _ | Bar | Exit
   | Label _ ->
       None
+
+let is_load i = Option.is_some (loads_from_memory i)
 
 let is_global_load = function
   | Ld (Global, _, _, _) | Atom _ -> true

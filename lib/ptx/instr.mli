@@ -31,11 +31,15 @@ type t =
   | Exit
   | Label of string
 
+val operands : t -> operand list
+(** Source operands, in order; an address contributes its base.
+    Predicate sources are {!puses}. *)
+
 val defs : t -> int list
 (** General registers written by the instruction. *)
 
 val uses : t -> int list
-(** General registers read by the instruction. *)
+(** General registers among {!operands}. *)
 
 val pdefs : t -> int list
 (** Predicate registers written. *)
@@ -48,6 +52,9 @@ val loads_from_memory : t -> space option
     value from memory ([Ld] and [Atom]); [ld.param] deliberately returns
     [None] — parameters are the deterministic leaves of the paper's
     classification. *)
+
+val is_load : t -> bool
+(** [loads_from_memory] is [Some _]. *)
 
 val is_global_load : t -> bool
 (** True for loads that access global memory (including atomics). *)

@@ -46,14 +46,6 @@ let create ~name ~params ~nregs ~npregs ~smem_bytes body =
     labels = build_labels body;
   }
 
-let param_index k name =
-  let rec go i = function
-    | [] -> invalid "kernel %s: unknown parameter %s" k.kname name
-    | p :: _ when p.pname = name -> i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 k.params
-
 let label_pc k l =
   match Hashtbl.find_opt k.labels l with
   | Some pc -> pc
@@ -65,39 +57,6 @@ let target k pc =
   | Instr.Bra (_, l) -> label_pc k l
   | i -> invalid "kernel %s: pc %d is not a branch: %s" k.kname pc
            (Instr.to_string i)
-
-let check_operand k = function
-  | Reg r ->
-      if r < 0 || r >= k.nregs then
-        invalid "kernel %s: register %%r%d out of range [0,%d)" k.kname r
-          k.nregs
-  | Imm _ | Fimm _ | Sreg _ -> ()
-
-let check_pred k p =
-  if p < 0 || p >= k.npregs then
-    invalid "kernel %s: predicate %%p%d out of range [0,%d)" k.kname p k.npregs
-
-(* Structural validation: register bounds, label targets, parameter
-   names, and that every path ends in [Exit]. *)
-let validate k =
-  if Array.length k.body = 0 then invalid "kernel %s: empty body" k.kname;
-  Array.iteri
-    (fun pc instr ->
-      List.iter (fun r -> check_operand k (Reg r)) (Instr.defs instr);
-      List.iter (fun r -> check_operand k (Reg r)) (Instr.uses instr);
-      List.iter (check_pred k) (Instr.pdefs instr);
-      List.iter (check_pred k) (Instr.puses instr);
-      match instr with
-      | Instr.Bra (_, l) ->
-          if not (Hashtbl.mem k.labels l) then
-            invalid "kernel %s: pc %d branches to unknown label %s" k.kname pc
-              l
-      | Instr.Ld_param (_, p) -> ignore (param_index k p)
-      | _ -> ())
-    k.body;
-  let exits = Array.exists Instr.is_exit k.body in
-  if not exits then invalid "kernel %s: no exit instruction" k.kname;
-  k
 
 let global_load_pcs k =
   let acc = ref [] in

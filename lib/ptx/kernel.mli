@@ -16,8 +16,8 @@ type t = {
 }
 
 exception Invalid of string
-(** Raised by [validate], [target], [param_index] and [label_pc] on a
-    malformed kernel. *)
+(** Raised by [create], [target] and [label_pc] on a malformed kernel,
+    and by [Verify.validate]. *)
 
 val create :
   name:string ->
@@ -30,20 +30,12 @@ val create :
 (** Builds a kernel and indexes its labels.
     @raise Invalid on duplicate labels. *)
 
-val param_index : t -> string -> int
-(** Position of a named parameter in [params]. @raise Invalid if absent. *)
-
 val label_pc : t -> string -> int
 (** pc of a label. @raise Invalid if absent. *)
 
 val target : t -> int -> int
 (** Branch target pc of the branch instruction at the given pc.
     @raise Invalid if the pc does not hold a branch. *)
-
-val validate : t -> t
-(** Checks register bounds, branch targets, parameter references and the
-    presence of an [Exit]; returns the kernel unchanged.
-    @raise Invalid with a diagnostic otherwise. *)
 
 val global_load_pcs : t -> int list
 (** pcs of all global-memory loads (including atomics), in order. *)

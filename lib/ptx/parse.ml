@@ -344,7 +344,7 @@ let kernel_of_string text =
             go rest
       in
       go rest;
-      Kernel.validate
+      Verify.validate
         (Kernel.create ~name ~params ~nregs ~npregs ~smem_bytes
            (Array.of_list (List.rev !body)))
   | _ -> error "expected '.kernel', declarations and '{'"

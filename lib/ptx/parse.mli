@@ -17,14 +17,7 @@
 
 exception Error of string
 
-val parse_operand : string -> Types.operand
-(** @raise Error on malformed operands. *)
-
-val parse_instr : string -> Instr.t
-(** Parse one instruction line (without the trailing [;]).
-    @raise Error with a diagnostic on malformed input. *)
-
 val kernel_of_string : string -> Kernel.t
 (** Parse and validate a whole kernel.
     @raise Error on syntax errors.
-    @raise Kernel.Invalid on structurally invalid kernels. *)
+    @raise Kernel.Invalid naming every error {!Verify.validate} finds. *)

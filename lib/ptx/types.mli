@@ -59,8 +59,6 @@ val string_of_space : space -> string
 val space_of_string : string -> space
 (** @raise Invalid_argument on an unknown space name. *)
 
-val string_of_dim : dim -> string
-val string_of_sreg : sreg -> string
 val string_of_iop : iop -> string
 val string_of_fop : fop -> string
 val string_of_funary : funary -> string

@@ -1,16 +1,17 @@
 (* Static structural verification of a kernel.
 
-   [Kernel.validate] raises on the first malformed construct it meets;
-   this pass instead walks the whole program and returns every problem
-   as a structured diagnostic, so a caller (CLI, launch path, test
-   harness) can report all of them at once and decide what is fatal.
+   The pass walks the whole program and returns every problem as a
+   structured diagnostic, so a caller (CLI, launch path, test harness)
+   can report all of them at once and decide what is fatal.  [validate]
+   turns the errors into one [Kernel.Invalid]; the builder and the
+   parser call it on every kernel they make.
 
-   The checks here need only the instruction array: register and
-   predicate bounds, branch targets, parameter references, exit
-   reachability and unreachable code.  Dataflow-dependent checks
-   (use-before-def, operand kinds, barriers under divergent control
-   flow) live in [Dataflow.Verify], which layers on top of this
-   module. *)
+   The checks here need only the kernel's declarations and instruction
+   array: declared sizes, register and predicate bounds, branch
+   targets, parameter references, the presence of an exit, and
+   unreachable code.  Dataflow-dependent checks (use-before-def,
+   operand kinds, barriers under divergent control flow) live in
+   [Dataflow.Verify], which layers on top of this module. *)
 
 type severity = Error | Warning
 
@@ -43,134 +44,104 @@ let pp ppf d = Format.pp_print_string ppf (to_string d)
 
 let errors = List.filter (fun d -> d.d_severity = Error)
 
-(* ---- individual checks ---- *)
+(* ---- the structural pass ---- *)
 
-(* Register / predicate indices within the declared files. *)
-let check_bounds (k : Kernel.t) acc =
-  let kernel = k.Kernel.kname in
-  let acc = ref acc in
-  Array.iteri
-    (fun pc instr ->
-      let reg what r =
-        if r < 0 || r >= k.Kernel.nregs then
-          acc :=
-            diag ~kernel ~pc ~code:"register-bounds"
-              "%s register %%r%d outside the declared file [0,%d)" what r
-              k.Kernel.nregs
-            :: !acc
-      in
-      let pred what p =
-        if p < 0 || p >= k.Kernel.npregs then
-          acc :=
-            diag ~kernel ~pc ~code:"predicate-bounds"
-              "%s predicate %%p%d outside the declared file [0,%d)" what p
-              k.Kernel.npregs
-            :: !acc
-      in
-      List.iter (reg "defined") (Instr.defs instr);
-      List.iter (reg "used") (Instr.uses instr);
-      List.iter (pred "defined") (Instr.pdefs instr);
-      List.iter (pred "used") (Instr.puses instr))
-    k.Kernel.body;
-  !acc
-
-(* Every branch target must be a declared label. *)
-let check_branch_targets (k : Kernel.t) acc =
-  let kernel = k.Kernel.kname in
-  let acc = ref acc in
-  Array.iteri
-    (fun pc instr ->
-      match instr with
-      | Instr.Bra (_, l) ->
-          if not (Hashtbl.mem k.Kernel.labels l) then
-            acc :=
-              diag ~kernel ~pc ~code:"unknown-label"
-                "branch to unresolved label %s (known: %s)" l
-                (Hashtbl.fold (fun l' _ a -> l' :: a) k.Kernel.labels []
-                |> List.sort compare |> String.concat ", ")
-              :: !acc
-      | _ -> ())
-    k.Kernel.body;
-  !acc
-
-(* ld.param must name a declared kernel parameter. *)
-let check_params (k : Kernel.t) acc =
-  let kernel = k.Kernel.kname in
-  let declared = List.map (fun p -> p.Kernel.pname) k.Kernel.params in
-  let acc = ref acc in
-  Array.iteri
-    (fun pc instr ->
-      match instr with
-      | Instr.Ld_param (_, p) ->
-          if not (List.mem p declared) then
-            acc :=
-              diag ~kernel ~pc ~code:"unknown-param"
-                "ld.param of undeclared parameter %s (declared: %s)" p
-                (if declared = [] then "none"
-                 else String.concat ", " declared)
-              :: !acc
-      | _ -> ())
-    k.Kernel.body;
-  !acc
-
-(* The program must contain a reachable way to terminate. *)
-let check_exit (k : Kernel.t) acc =
-  if Array.exists Instr.is_exit k.Kernel.body then acc
-  else
-    diag ~kernel:k.Kernel.kname ~pc:(-1) ~code:"no-exit"
-      "no exit instruction anywhere in the body"
-    :: acc
-
-(* Instructions no path from entry can reach (dead stores of the
-   builder, mistyped labels): a warning, not an error. *)
-let check_unreachable (k : Kernel.t) acc =
-  let n = Array.length k.Kernel.body in
-  let reachable = Array.make n false in
+(* Instructions some path from entry reaches. *)
+let reachable (k : Kernel.t) =
+  let body = k.Kernel.body in
+  let seen = Array.make (Array.length body) false in
   let rec visit pc =
-    if pc < n && not reachable.(pc) then begin
-      reachable.(pc) <- true;
-      match k.Kernel.body.(pc) with
+    if pc < Array.length body && not seen.(pc) then begin
+      seen.(pc) <- true;
+      match body.(pc) with
       | Instr.Exit -> ()
-      | Instr.Bra (guard, l) -> (
-          (match Hashtbl.find_opt k.Kernel.labels l with
-          | Some t -> visit t
-          | None -> ());
-          match guard with Some _ -> visit (pc + 1) | None -> ())
+      | Instr.Bra (guard, l) ->
+          Option.iter visit (Hashtbl.find_opt k.Kernel.labels l);
+          if Option.is_some guard then visit (pc + 1)
       | _ -> visit (pc + 1)
     end
   in
-  if n > 0 then visit 0;
-  let acc = ref acc in
-  Array.iteri
-    (fun pc r ->
-      if not r then
-        acc :=
-          diag ~severity:Warning ~kernel:k.Kernel.kname ~pc
-            ~code:"unreachable" "unreachable instruction: %s"
-            (Instr.to_string k.Kernel.body.(pc))
-          :: !acc)
-    reachable;
-  !acc
+  visit 0;
+  seen
 
-(* ---- entry point ---- *)
+(* Declared sizes that are not negative, then per instruction:
+   register and predicate indices within the declared files, branch
+   targets that are declared labels and [ld.param] of declared
+   parameters; then an exit somewhere in the body.  With [warnings],
+   also each instruction no path from entry reaches (dead stores of
+   the builder, mistyped labels).  Instructions in program order. *)
+let check ~warnings (k : Kernel.t) =
+  let kernel = k.Kernel.kname and body = k.Kernel.body in
+  if Array.length body = 0 then
+    [ diag ~kernel ~pc:(-1) ~code:"empty-body" "kernel body is empty" ]
+  else begin
+    let acc = ref [] in
+    let add d = acc := d :: !acc in
+    let declared = List.map (fun p -> p.Kernel.pname) k.Kernel.params in
+    let reached = if warnings then reachable k else [||] in
+    if k.Kernel.nregs < 0 || k.Kernel.npregs < 0 || k.Kernel.smem_bytes < 0
+    then
+      add
+        (diag ~kernel ~pc:(-1) ~code:"negative-size"
+           "declared .reg %d .pred %d .shared %d: no size may be negative"
+           k.Kernel.nregs k.Kernel.npregs k.Kernel.smem_bytes);
+    Array.iteri
+      (fun pc instr ->
+        let reg what r =
+          if r < 0 || r >= k.Kernel.nregs then
+            add
+              (diag ~kernel ~pc ~code:"register-bounds"
+                 "%s register %%r%d outside the declared file [0,%d)" what r
+                 k.Kernel.nregs)
+        in
+        let pred what p =
+          if p < 0 || p >= k.Kernel.npregs then
+            add
+              (diag ~kernel ~pc ~code:"predicate-bounds"
+                 "%s predicate %%p%d outside the declared file [0,%d)" what p
+                 k.Kernel.npregs)
+        in
+        List.iter (reg "defined") (Instr.defs instr);
+        List.iter (reg "used") (Instr.uses instr);
+        List.iter (pred "defined") (Instr.pdefs instr);
+        List.iter (pred "used") (Instr.puses instr);
+        (match instr with
+        | Instr.Bra (_, l) when not (Hashtbl.mem k.Kernel.labels l) ->
+            add
+              (diag ~kernel ~pc ~code:"unknown-label"
+                 "branch to unresolved label %s (known: %s)" l
+                 (match
+                    Hashtbl.fold (fun l' _ a -> l' :: a) k.Kernel.labels []
+                  with
+                 | [] -> "none"
+                 | known -> String.concat ", " (List.sort compare known)))
+        | Instr.Ld_param (_, p) when not (List.mem p declared) ->
+            add
+              (diag ~kernel ~pc ~code:"unknown-param"
+                 "ld.param of undeclared parameter %s (declared: %s)" p
+                 (if declared = [] then "none"
+                  else String.concat ", " declared))
+        | _ -> ());
+        if warnings && not reached.(pc) then
+          add
+            (diag ~severity:Warning ~kernel ~pc ~code:"unreachable"
+               "unreachable instruction: %s" (Instr.to_string instr)))
+      body;
+    if not (Array.exists Instr.is_exit body) then
+      add
+        (diag ~kernel ~pc:(-1) ~code:"no-exit"
+           "no exit instruction anywhere in the body");
+    List.rev !acc
+  end
 
-(* Structural pass.  The result is in program order; [errors] filters
-   the fatal subset.  Dataflow checks require a structurally sound
-   kernel, so callers must run (and act on) this pass first. *)
-let structural (k : Kernel.t) : diag list =
-  let acc = [] in
-  let acc =
-    if Array.length k.Kernel.body = 0 then
-      [ diag ~kernel:k.Kernel.kname ~pc:(-1) ~code:"empty-body"
-          "kernel body is empty" ]
-    else acc
-  in
-  if acc <> [] then acc
-  else
-    []
-    |> check_bounds k
-    |> check_branch_targets k
-    |> check_params k
-    |> check_exit k
-    |> check_unreachable k
-    |> List.rev
+(* ---- entry points ---- *)
+
+(* Dataflow checks require a structurally sound kernel, so callers must
+   run (and act on) this pass first. *)
+let structural k = check ~warnings:true k
+
+let validate k =
+  match check ~warnings:false k with
+  | [] -> k
+  | errs ->
+      raise (Kernel.Invalid (String.concat "; " (List.map to_string errs)))

@@ -1,10 +1,9 @@
 (** Static structural verification of a kernel.
 
-    Unlike {!Kernel.validate}, which raises on the first malformed
-    construct, this pass walks the whole program and returns every
-    problem as a structured diagnostic.  Dataflow-dependent checks
-    (use-before-def, operand kinds, divergent barriers) layer on top in
-    [Dataflow.Verify]. *)
+    The pass walks the whole program and returns every problem as a
+    structured diagnostic; [validate] is the gate every built or parsed
+    kernel passes.  Dataflow-dependent checks (use-before-def, operand
+    kinds, divergent barriers) layer on top in [Dataflow.Verify]. *)
 
 type severity = Error | Warning
 
@@ -24,7 +23,6 @@ val diag :
   ('a, Format.formatter, unit, diag) format4 ->
   'a
 
-val severity_name : severity -> string
 val to_string : diag -> string
 val pp : Format.formatter -> diag -> unit
 
@@ -32,5 +30,10 @@ val errors : diag list -> diag list
 (** The fatal subset. *)
 
 val structural : Kernel.t -> diag list
-(** Register/predicate bounds, branch targets, parameter references,
-    exit reachability, unreachable code.  Program order. *)
+(** Negative declared sizes; then register/predicate bounds, branch
+    targets, parameter references and unreachable code in program
+    order; then a missing exit. *)
+
+val validate : Kernel.t -> Kernel.t
+(** Returns the kernel when [structural] reports no error.
+    @raise Kernel.Invalid naming every error otherwise. *)

@@ -146,7 +146,7 @@ let test_backward_slice () =
   let last_ld =
     List.rev (Ptx.Kernel.global_load_pcs k) |> List.hd
   in
-  let slice = Dataflow.Depgraph.backward_slice dg [ last_ld ] in
+  let slice = Dataflow.Depgraph.slice dg ~stop:(fun _ -> false) [ last_ld ] in
   Alcotest.(check bool) "slice contains the load" true (List.mem last_ld slice);
   Alcotest.(check bool) "slice is non-trivial" true (List.length slice > 4);
   List.iter
@@ -182,7 +182,7 @@ let test_reaching_kill () =
     |]
   in
   let k =
-    Ptx.Kernel.validate
+    Ptx.Verify.validate
       (Ptx.Kernel.create ~name:"kill" ~params:[] ~nregs:2 ~npregs:1
          ~smem_bytes:0 body)
   in
@@ -206,7 +206,7 @@ let test_reaching_join () =
     |]
   in
   let k =
-    Ptx.Kernel.validate
+    Ptx.Verify.validate
       (Ptx.Kernel.create ~name:"join" ~params:[] ~nregs:2 ~npregs:1
          ~smem_bytes:0 body)
   in
@@ -319,7 +319,7 @@ let test_liveness_precision () =
     |]
   in
   let k =
-    Ptx.Kernel.validate
+    Ptx.Verify.validate
       (Ptx.Kernel.create ~name:"lv" ~params:[] ~nregs:4 ~npregs:1
          ~smem_bytes:0 body)
   in
@@ -342,7 +342,7 @@ let test_uninitialized_use () =
     |]
   in
   let k =
-    Ptx.Kernel.validate
+    Ptx.Verify.validate
       (Ptx.Kernel.create ~name:"uninit" ~params:[] ~nregs:2 ~npregs:1
          ~smem_bytes:0 body)
   in

@@ -8,6 +8,12 @@ module B = Ptx.Builder
 let u64 n = { Ptx.Kernel.pname = n; pty = U64 }
 let u32 n = { Ptx.Kernel.pname = n; pty = U32 }
 
+(* Does [msg] contain [sub]? *)
+let mentions msg sub =
+  let n = String.length sub and m = String.length msg in
+  let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
+  go 0
+
 (* ---------- builder and validation ---------- *)
 
 let test_builder_basic () =
@@ -29,8 +35,10 @@ let test_validation_catches_bad_label () =
       body
   in
   Alcotest.check_raises "unknown label"
-    (Ptx.Kernel.Invalid "kernel bad: pc 0 branches to unknown label nowhere")
-    (fun () -> ignore (Ptx.Kernel.validate k))
+    (Ptx.Kernel.Invalid
+       "bad: pc 0: error [unknown-label] branch to unresolved label nowhere \
+        (known: none)")
+    (fun () -> ignore (Ptx.Verify.validate k))
 
 let test_validation_catches_bad_register () =
   let body = [| Ptx.Instr.Mov (5, Imm 0L); Ptx.Instr.Exit |] in
@@ -39,8 +47,10 @@ let test_validation_catches_bad_register () =
       body
   in
   Alcotest.check_raises "register range"
-    (Ptx.Kernel.Invalid "kernel bad: register %r5 out of range [0,2)")
-    (fun () -> ignore (Ptx.Kernel.validate k))
+    (Ptx.Kernel.Invalid
+       "bad: pc 0: error [register-bounds] defined register %r5 outside the \
+        declared file [0,2)")
+    (fun () -> ignore (Ptx.Verify.validate k))
 
 let test_validation_requires_exit () =
   let body = [| Ptx.Instr.Mov (0, Imm 0L) |] in
@@ -49,8 +59,25 @@ let test_validation_requires_exit () =
       ~smem_bytes:0 body
   in
   Alcotest.check_raises "no exit"
-    (Ptx.Kernel.Invalid "kernel noexit: no exit instruction") (fun () ->
-      ignore (Ptx.Kernel.validate k))
+    (Ptx.Kernel.Invalid
+       "noexit: error [no-exit] no exit instruction anywhere in the body")
+    (fun () -> ignore (Ptx.Verify.validate k))
+
+(* Validation names every structural error, not only the first. *)
+let test_validation_names_every_error () =
+  let text =
+    String.concat "\n"
+      [ ".kernel two ()"; ".reg 2 .pred 1 .shared 0"; "{"; "  mov %r5, 0;";
+        "  bra nowhere;"; "  exit;"; "}" ]
+  in
+  match Ptx.Parse.kernel_of_string text with
+  | _ -> Alcotest.fail "expected Kernel.Invalid"
+  | exception Ptx.Kernel.Invalid msg ->
+      List.iter
+        (fun code ->
+          if not (mentions msg ("[" ^ code ^ "]")) then
+            Alcotest.failf "%S does not name %s" msg code)
+        [ "register-bounds"; "unknown-label" ]
 
 let test_duplicate_label_rejected () =
   let body =
@@ -144,7 +171,7 @@ let gen_kernel =
   map
     (fun instrs ->
       let body = Array.of_list (instrs @ [ Ptx.Instr.Exit ]) in
-      Ptx.Kernel.validate
+      Ptx.Verify.validate
         (Ptx.Kernel.create ~name:"rand" ~params:[] ~nregs ~npregs
            ~smem_bytes:0 body))
     (list_size (int_range 1 30) (gen_instr nregs npregs))
@@ -172,7 +199,7 @@ let diamond_kernel () =
        Ptx.Instr.Exit (* 7 *)
     |]
   in
-  Ptx.Kernel.validate
+  Ptx.Verify.validate
     (Ptx.Kernel.create ~name:"diamond" ~params:[] ~nregs:1 ~npregs:1
        ~smem_bytes:0 body)
 
@@ -321,9 +348,7 @@ let test_parse_error_line_numbers () =
   | _ -> Alcotest.fail "expected a parse error"
   | exception Ptx.Parse.Error msg ->
       let contains sub =
-        let n = String.length sub and m = String.length msg in
-        let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
-        if not (go 0) then
+        if not (mentions msg sub) then
           Alcotest.failf "error %S does not mention %S" msg sub
       in
       contains "line 7";
@@ -340,6 +365,8 @@ let tests =
       test_validation_catches_bad_register;
     Alcotest.test_case "validation: missing exit" `Quick
       test_validation_requires_exit;
+    Alcotest.test_case "validation: every error named" `Quick
+      test_validation_names_every_error;
     Alcotest.test_case "validation: duplicate label" `Quick
       test_duplicate_label_rejected;
     Alcotest.test_case "def/use sets" `Quick test_defs_uses;

@@ -83,6 +83,42 @@ let test_cancellation () =
   Alcotest.(check (list prediction)) "cancelled stride" [ S.Broadcast ]
     (predictions (B.finish b))
 
+(* a[tid.y * w + s * sym] is grouped-affine: one unknown base per row.
+   With a negative x- or lane-stride s, lanes below the base fall in the
+   lines before it, so the count must be the number of distinct floor
+   lines of the lane offsets s * lane. *)
+let test_negative_grouped_stride () =
+  let requests sym stride =
+    let b = B.create ~name:"neg" ~params:[ u64 "a"; u64 "w" ] () in
+    let a = B.ld_param b "a" in
+    let row = B.mul b B.tid_y (B.ld_param b "w") in
+    let off = B.add b row (B.mul b sym (B.int stride)) in
+    let v = B.ld b Global F32 (B.addr (B.add b a off)) in
+    B.st b Global F32 (B.addr a) v;
+    match predictions (B.finish b) with
+    | [ (S.Coalesced n | S.Strided n) ] -> n
+    | ps ->
+        Alcotest.failf "expected one affine load, got %s"
+          (String.concat ", " (List.map S.string_of_prediction ps))
+  in
+  let floor_lines stride =
+    List.init 32 (fun lane ->
+        Float.floor (float_of_int (stride * lane) /. 128.))
+    |> List.sort_uniq compare |> List.length
+  in
+  List.iter
+    (fun (stride, lines) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d B: distinct floor lines" stride)
+        lines (floor_lines stride);
+      List.iter
+        (fun (name, sym) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d B %s-stride" stride name)
+            lines (requests sym stride))
+        [ ("x", B.tid_x); ("lane", B.special Laneid) ])
+    [ (-4, 2); (-8, 3) ]
+
 (* loop-carried address: conservatively irregular *)
 let test_loop_carried_conservative () =
   let b = B.create ~name:"loopy" ~params:[ u64 "a"; u32 "n" ] () in
@@ -277,6 +313,8 @@ let tests =
     Alcotest.test_case "gather irregular" `Quick test_gather_irregular;
     Alcotest.test_case "shl scaling" `Quick test_shl_scaling;
     Alcotest.test_case "term cancellation" `Quick test_cancellation;
+    Alcotest.test_case "negative grouped stride" `Quick
+      test_negative_grouped_stride;
     Alcotest.test_case "loop-carried conservative" `Quick
       test_loop_carried_conservative;
     Alcotest.test_case "predictions vs funcsim measurement" `Quick

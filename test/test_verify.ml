@@ -16,23 +16,18 @@ let has_code code k = List.mem code (diag_codes k)
 (* Every distinct kernel launched by every workload, at small scale. *)
 let suite_kernels () =
   let seen = Hashtbl.create 32 in
-  let kernels = ref [] in
-  List.iter
+  List.concat_map
     (fun (app : Workloads.App.t) ->
-      let run = app.Workloads.App.make Workloads.App.Small in
-      let continue_ = ref true in
-      while !continue_ do
-        match run.Workloads.App.next_launch () with
-        | None -> continue_ := false
-        | Some launch ->
-            let k = launch.Gsim.Launch.kernel in
-            if not (Hashtbl.mem seen k.Ptx.Kernel.kname) then begin
-              Hashtbl.add seen k.Ptx.Kernel.kname ();
-              kernels := k :: !kernels
-            end
-      done)
-    Workloads.Suite.all;
-  List.rev !kernels
+      List.filter_map
+        (fun (launch : Gsim.Launch.t) ->
+          let k = launch.Gsim.Launch.kernel in
+          if Hashtbl.mem seen k.Ptx.Kernel.kname then None
+          else begin
+            Hashtbl.add seen k.Ptx.Kernel.kname ();
+            Some k
+          end)
+        (Workloads.App.kernel_launches (app.make Workloads.App.Small)))
+    Workloads.Suite.all
 
 let test_suite_clean () =
   let kernels = suite_kernels () in
@@ -50,8 +45,8 @@ let test_suite_clean () =
 (* ---- hand-built bad kernels ---- *)
 
 let mk ?(params = []) ?(nregs = 8) ?(npregs = 4) body =
-  (* Kernel.create bypasses Kernel.validate's exceptions so broken
-     programs can reach the verifier *)
+  (* Kernel.create skips Ptx.Verify.validate, so broken programs can
+     reach the verifier *)
   Ptx.Kernel.create ~name:"bad" ~params ~nregs ~npregs ~smem_bytes:0
     (Array.of_list body)
 
@@ -81,6 +76,13 @@ let test_register_bounds () =
   let k = mk ~nregs:2 [ Instr.Mov (7, Imm 0L); Instr.Exit ] in
   Alcotest.(check bool) "out-of-range register flagged" true
     (has_code "register-bounds" k)
+
+(* a negative declared size is an error, not a crash of the dataflow
+   analyses that size their arrays by it *)
+let test_negative_size () =
+  let k = mk ~nregs:(-5) [ Instr.Exit ] in
+  Alcotest.(check (list string)) "negative size flagged" [ "negative-size" ]
+    (diag_codes k)
 
 let test_no_exit () =
   let k = mk [ Instr.Mov (0, Imm 0L) ] in
@@ -154,6 +156,61 @@ let test_uniform_barrier_clean () =
   Alcotest.(check bool) "post-reconvergence barrier not flagged" false
     (has_code "divergent-barrier" k2)
 
+(* A barrier skipped by the branch [Bra (Some (false, p), "skip")] at
+   the end of [guard], which sets predicate [p]. *)
+let guarded_barrier ?params guard =
+  mk ?params (guard @ [ Instr.Bar; Instr.Label "skip"; Instr.Exit ])
+
+let test_laneid_barrier () =
+  let k =
+    guarded_barrier
+      [ Instr.Mov (0, Sreg Laneid);
+        Instr.Setp (Eq, U32, 0, Reg 0, Imm 0L);
+        Instr.Bra (Some (false, 0), "skip") ]
+  in
+  Alcotest.(check bool) "%laneid guard flagged" true
+    (has_code "divergent-barrier" k)
+
+(* The guard's value is loaded from a[tid.x]: the slice stops at the
+   load, whose value the verifier cannot see, so the guard counts as
+   uniform although the load's address is thread-dependent. *)
+let test_loaded_guard_clean () =
+  let k =
+    guarded_barrier
+      ~params:[ { Ptx.Kernel.pname = "a"; pty = U64 } ]
+      [ Instr.Ld_param (0, "a");
+        Instr.Mov (1, Sreg (Tid X));
+        Instr.Mad (2, Reg 1, Imm 4L, Reg 0);
+        Instr.Ld (Global, U32, 3, { abase = Reg 2; aoffset = 0 });
+        Instr.Setp (Eq, U32, 0, Reg 3, Imm 0L);
+        Instr.Bra (Some (false, 0), "skip") ]
+  in
+  Alcotest.(check bool) "loaded guard not flagged" false
+    (has_code "divergent-barrier" k)
+
+(* Guards that reach %tid.x only through a predicate source operand. *)
+let tid_pred =
+  [ Instr.Mov (0, Sreg (Tid X)); Instr.Setp (Eq, U32, 0, Reg 0, Imm 0L) ]
+
+let test_selp_predicate_edge () =
+  let k =
+    guarded_barrier
+      (tid_pred
+      @ [ Instr.Selp (1, Imm 1L, Imm 2L, 0);
+          Instr.Setp (Eq, U32, 1, Reg 1, Imm 1L);
+          Instr.Bra (Some (false, 1), "skip") ])
+  in
+  Alcotest.(check bool) "guard through selp's predicate flagged" true
+    (has_code "divergent-barrier" k)
+
+let test_pnot_predicate_edge () =
+  let k =
+    guarded_barrier
+      (tid_pred @ [ Instr.Pnot (1, 0); Instr.Bra (Some (false, 1), "skip") ])
+  in
+  Alcotest.(check bool) "guard through pnot flagged" true
+    (has_code "divergent-barrier" k)
+
 (* structural errors suppress the dataflow pass (whose analyses assume
    in-bounds registers) *)
 let test_structural_gates_dataflow () =
@@ -181,12 +238,22 @@ let () =
           Alcotest.test_case "register out of bounds" `Quick
             test_register_bounds;
           Alcotest.test_case "no exit" `Quick test_no_exit;
+          Alcotest.test_case "negative declared size" `Quick
+            test_negative_size;
           Alcotest.test_case "unreachable code warns" `Quick
             test_unreachable_warns;
           Alcotest.test_case "float address base" `Quick test_float_address;
           Alcotest.test_case "divergent barrier" `Quick test_divergent_barrier;
           Alcotest.test_case "uniform barrier clean" `Quick
             test_uniform_barrier_clean;
+          Alcotest.test_case "%laneid barrier guard" `Quick
+            test_laneid_barrier;
+          Alcotest.test_case "loaded guard is uniform" `Quick
+            test_loaded_guard_clean;
+          Alcotest.test_case "guard through selp's predicate" `Quick
+            test_selp_predicate_edge;
+          Alcotest.test_case "guard through pnot" `Quick
+            test_pnot_predicate_edge;
           Alcotest.test_case "structural gates dataflow" `Quick
             test_structural_gates_dataflow;
         ] );
