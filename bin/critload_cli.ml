@@ -197,9 +197,9 @@ let resolve_target ~cmd target =
 
 (* ---- verify ---- *)
 
-(* Static verification of one kernel; returns the number of errors. *)
-let verify_kernel_report k =
-  let diags = Dataflow.Verify.verify_kernel k in
+(* One kernel's static-verification diagnostics; returns the number of
+   errors. *)
+let verify_report (k : Ptx.Kernel.t) diags =
   let errors = Ptx.Verify.errors diags in
   if diags = [] then
     Printf.printf "%-14s ok\n" k.Ptx.Kernel.kname
@@ -217,15 +217,17 @@ let verify_cmd =
   let run target scale jobs out =
     match target with
     | Some t ->
-        (* static verification only: fast, no simulation *)
-        let kernels =
-          match resolve_target ~cmd:"verify" t with
-          | Ptx_file k -> [ k ]
-          | Suite_app launches ->
-              List.map (fun (l : Gsim.Launch.t) -> l.kernel) launches
-        in
+        (* static verification only: fast, no simulation; a launch
+           carries its kernel's diagnostics *)
         let errors =
-          List.fold_left (fun n k -> n + verify_kernel_report k) 0 kernels
+          match resolve_target ~cmd:"verify" t with
+          | Ptx_file k ->
+              verify_report k (fst (Dataflow.Verify.verify_kernel k))
+          | Suite_app launches ->
+              List.fold_left
+                (fun n (l : Gsim.Launch.t) ->
+                  n + verify_report l.kernel l.diags)
+                0 launches
         in
         if errors > 0 then exit EC.failure
     | None ->
@@ -286,24 +288,28 @@ let classify_cmd =
   let run target =
     match resolve_target ~cmd:"classify" target with
     | Ptx_file kernel ->
+        (* the parser ran the structural pass, so the kernel can be
+           analyzed *)
+        let an = Dataflow.Depgraph.of_kernel kernel in
         Format.printf "%a@." Dataflow.Classify.pp_result
-          (Dataflow.Classify.classify kernel);
+          (Dataflow.Classify.classify an);
         Format.printf "static coalescing prediction (1-D block assumed):@.%a@."
-          (Dataflow.Stride.pp_predictions ?block:None) kernel
+          (Dataflow.Stride.pp_predictions ?block:None) an
     | Suite_app launches ->
         List.iter
           (fun (launch : Gsim.Launch.t) ->
             let k = launch.Gsim.Launch.kernel in
+            let an = launch.Gsim.Launch.analysis in
             Format.printf "%a" Dataflow.Classify.pp_result
               launch.Gsim.Launch.classes;
             Format.printf "  coalescing prediction:@.%a"
               (Dataflow.Stride.pp_predictions ~block:launch.Gsim.Launch.block)
-              k;
+              an;
             (* spare registers bound the prefetch slots of the paper's
                [16]-style optimization *)
-            let cfg = Ptx.Cfg.build k in
-            let lv = Dataflow.Liveness.compute k cfg in
-            let pressure = Dataflow.Liveness.max_pressure lv in
+            let pressure =
+              Dataflow.Liveness.max_pressure (Dataflow.Liveness.compute an)
+            in
             Format.printf "  registers: %d used, peak pressure %d, %d spare@.@."
               k.Ptx.Kernel.nregs pressure
               (max 0 (k.Ptx.Kernel.nregs - pressure)))
@@ -387,13 +393,10 @@ let dot_cmd =
     (match run.Workloads.App.next_launch () with
     | None -> prerr_endline "no launch"
     | Some launch ->
-        let k = launch.Gsim.Launch.kernel in
+        let an = launch.Gsim.Launch.analysis in
         (match which with
-        | "cfg" -> print_string (Ptx.Cfg.to_dot (Ptx.Cfg.build k))
-        | "deps" ->
-            let cfg = Ptx.Cfg.build k in
-            let r = Dataflow.Reaching.compute k cfg in
-            print_string (Dataflow.Depgraph.to_dot (Dataflow.Depgraph.build k r))
+        | "cfg" -> print_string (Ptx.Cfg.to_dot (Dataflow.Depgraph.cfg an))
+        | "deps" -> print_string (Dataflow.Depgraph.to_dot an)
         | other ->
             Printf.eprintf "unknown graph kind %s (cfg|deps)\n" other;
             exit EC.usage));

@@ -54,7 +54,9 @@ let () =
       Printf.printf "parsed kernel %s (%d instructions)\n\n"
         kernel.Ptx.Kernel.kname
         (Array.length kernel.Ptx.Kernel.body);
-      let res = Dataflow.Classify.classify kernel in
+      let res =
+        Dataflow.Classify.classify (Dataflow.Depgraph.of_kernel kernel)
+      in
       Format.printf "%a@." Dataflow.Classify.pp_result res;
       let d, n = Dataflow.Classify.count_global res in
       Printf.printf "global loads: %d deterministic, %d non-deterministic\n"

@@ -32,15 +32,8 @@ let () =
       B.st b Global F32 (B.at b ~base:y_p ~scale:4 i) v);
   let kernel = B.finish b in
 
-  (* 2. Print the kernel and its load classification. *)
-  print_string (Ptx.Kernel.to_string kernel);
-  let classes = Dataflow.Classify.classify kernel in
-  Format.printf "%a@." Dataflow.Classify.pp_result classes;
-  Format.printf "static coalescing prediction:@.%a@."
-    (Dataflow.Stride.pp_predictions ~block:(256, 1, 1))
-    kernel;
-
-  (* 3. Set up data: a scrambled permutation. *)
+  (* 2. Set up data: a scrambled permutation.  Creating the launch
+     verifies the kernel, analyzes it once and classifies its loads. *)
   let n_elems = 4096 in
   let global = Gsim.Mem.create (1 lsl 20) in
   let idx_base = 0 and x_base = 4 * n_elems and y_base = 8 * n_elems in
@@ -57,6 +50,14 @@ let () =
           ("y", Int64.of_int y_base); ("n", Int64.of_int n_elems) ]
       ~global
   in
+
+  (* 3. Print the kernel, its load classification and the coalescing
+     prediction, all read from the launch's analysis. *)
+  print_string (Ptx.Kernel.to_string kernel);
+  Format.printf "%a@." Dataflow.Classify.pp_result launch.Gsim.Launch.classes;
+  Format.printf "static coalescing prediction:@.%a@."
+    (Dataflow.Stride.pp_predictions ~block:(256, 1, 1))
+    launch.Gsim.Launch.analysis;
 
   (* 4. Functional simulation: correct results + coalescing stats. *)
   let fs = Gsim.Funcsim.run launch in

@@ -43,10 +43,11 @@ let string_of_advice = function
 
 let split_width = 8
 
-let advise_kernel ?block (k : Ptx.Kernel.t) =
-  let classes = Classify.classify k in
-  let predictions = Stride.predict ?block k in
-  let walks = Induction.walking_loads k in
+(* Advice for each global load of a launched kernel, from the launch's
+   own analysis and classes; coalescing is predicted for its block. *)
+let advise_launch (l : Gsim.Launch.t) =
+  let an = l.Gsim.Launch.analysis and classes = l.Gsim.Launch.classes in
+  let walks = Induction.walking_loads an in
   List.map
     (fun (lp : Stride.load_prediction) ->
       let pc = lp.Stride.lp_pc in
@@ -72,20 +73,18 @@ let advise_kernel ?block (k : Ptx.Kernel.t) =
                 Leave_alone)
       in
       {
-        la_kernel = k.Ptx.Kernel.kname;
+        la_kernel = l.Gsim.Launch.kernel.Ptx.Kernel.kname;
         la_pc = pc;
         la_class = cls;
         la_prediction = lp.Stride.lp_prediction;
         la_walk = walk;
         la_advice = advice;
       })
-    predictions
+    (Stride.predict ~block:l.Gsim.Launch.block an)
 
 (* Advice for every distinct kernel an application launches. *)
 let advise_app (app : Workloads.App.t) scale =
-  List.concat_map
-    (fun (l : Gsim.Launch.t) ->
-      advise_kernel ~block:l.Gsim.Launch.block l.Gsim.Launch.kernel)
+  List.concat_map advise_launch
     (Workloads.App.kernel_launches (app.Workloads.App.make scale))
 
 (* Per-pc simulator policies implementing the advice. *)

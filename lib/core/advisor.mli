@@ -22,7 +22,9 @@ type load_advice = {
 }
 
 val string_of_advice : advice -> string
-val advise_kernel : ?block:int * int * int -> Ptx.Kernel.t -> load_advice list
+val advise_launch : Gsim.Launch.t -> load_advice list
+(** Advice for the launched kernel's global loads, from the launch's
+    own analysis and classes, for its block shape. *)
 
 val advise_app : Workloads.App.t -> Workloads.App.scale -> load_advice list
 (** Advice for every distinct kernel the application launches. *)

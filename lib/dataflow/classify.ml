@@ -61,8 +61,8 @@ let operand_leaf = function
    a leaf (the slice does not look through it), anything else its
    non-register operands, plus [Leaf_uninit] when it reads a register
    some path never writes. *)
-let slice_leaves (k : Ptx.Kernel.t) dg pc =
-  let instr = k.Ptx.Kernel.body.(pc) in
+let slice_leaves dg pc =
+  let instr = (Depgraph.kernel dg).Ptx.Kernel.body.(pc) in
   let own =
     match instr with
     | Ld_param _ -> [ Leaf_param ]
@@ -80,9 +80,9 @@ let class_of_leaves leaves =
 
 (* The address slice of the load at [pc] starts from the reaching
    definitions of its base register and stops at loads. *)
-let classify_load k r dg pc =
+let classify_load dg pc =
   let space, base =
-    match k.Ptx.Kernel.body.(pc) with
+    match (Depgraph.kernel dg).Ptx.Kernel.body.(pc) with
     | Ptx.Instr.Ld (sp, _, _, a) -> (sp, a.abase)
     | Atom (_, _, _, a, _) -> (Global, a.abase)
     | _ -> invalid_arg "classify_load: pc is not a load"
@@ -90,11 +90,11 @@ let classify_load k r dg pc =
   let leaves, slice =
     match base with
     | Reg reg -> (
-        match Reaching.defs_reaching_reg r ~pc ~reg with
+        match Reaching.defs_reaching_reg (Depgraph.reaching dg) ~pc ~reg with
         | [] -> ([ Leaf_uninit ], 0)
         | roots ->
             let pcs = Depgraph.slice dg ~stop:Ptx.Instr.is_load roots in
-            ( List.sort_uniq compare (List.concat_map (slice_leaves k dg) pcs),
+            ( List.sort_uniq compare (List.concat_map (slice_leaves dg) pcs),
               List.length pcs ))
     | Imm _ | Fimm _ | Sreg _ -> (Option.to_list (operand_leaf base), 0)
   in
@@ -106,15 +106,13 @@ let classify_load k r dg pc =
     li_slice_size = slice;
   }
 
-let classify (k : Ptx.Kernel.t) =
-  let cfg = Ptx.Cfg.build k in
-  let r = Reaching.compute k cfg in
-  let dg = Depgraph.build k r in
+let classify dg =
+  let k = Depgraph.kernel dg in
   let loads = ref [] in
   Array.iteri
     (fun pc instr ->
       match Ptx.Instr.loads_from_memory instr with
-      | Some _ -> loads := classify_load k r dg pc :: !loads
+      | Some _ -> loads := classify_load dg pc :: !loads
       | None -> ())
     k.Ptx.Kernel.body;
   let loads = List.rev !loads in

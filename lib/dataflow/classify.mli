@@ -40,8 +40,8 @@ type result = {
 val short_class : load_class -> string
 (** ["D"] / ["N"], the paper's figure labels. *)
 
-val classify : Ptx.Kernel.t -> result
-(** Classify every memory load in the kernel. *)
+val classify : Depgraph.t -> result
+(** Classify every memory load of the analyzed kernel. *)
 
 val class_of_global_load : result -> int -> load_class option
 (** Class of the global load at [pc], [None] if [pc] is not a global

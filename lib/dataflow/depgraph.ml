@@ -1,20 +1,43 @@
-(* Data-dependence graph at instruction granularity: an edge pc -> d
-   means instruction [pc] uses a register (general or predicate) whose
+(* A kernel's static analysis, built once: the CFG, reaching
+   definitions, the data-dependence graph at instruction granularity
+   and the per-branch reconvergence table.  An edge pc -> d means
+   instruction [pc] uses a register (general or predicate) whose
    reaching definition is instruction [d].  A pc's edges are computed
    when first asked for, so a slice pays only for the pcs it visits. *)
 
 type t = {
   kernel : Ptx.Kernel.t;
   reaching : Reaching.t;
+  reconv : int array; (* per-branch reconvergence pc, -1 = exit *)
   known : bool array; (* pc's edges computed *)
   deps : int list array; (* pc -> defining pcs *)
   uninit_uses : bool array; (* pc uses a register with no reaching def *)
 }
 
-let build (k : Ptx.Kernel.t) (r : Reaching.t) =
-  let npc = Array.length k.Ptx.Kernel.body in
-  { kernel = k; reaching = r; known = Array.make npc false;
-    deps = Array.make npc []; uninit_uses = Array.make npc false }
+(* The one place a kernel's CFG, reaching definitions and
+   post-dominators are computed.  The SIMT reconvergence point of each
+   branch is its block's immediate post-dominator, as in GPGPU-Sim. *)
+let of_kernel (k : Ptx.Kernel.t) =
+  let body = k.Ptx.Kernel.body in
+  let cfg = Ptx.Cfg.build k in
+  let pdom = Ptx.Dom.post_dominators cfg in
+  let reconv =
+    Array.mapi
+      (fun pc instr ->
+        if Ptx.Instr.is_branch instr then
+          Option.value ~default:(-1) (Ptx.Dom.reconvergence_pc cfg pdom pc)
+        else -1)
+      body
+  in
+  let npc = Array.length body in
+  { kernel = k; reaching = Reaching.compute k cfg; reconv;
+    known = Array.make npc false; deps = Array.make npc [];
+    uninit_uses = Array.make npc false }
+
+let kernel t = t.kernel
+let cfg t = t.reaching.Reaching.cfg
+let reaching t = t.reaching
+let reconvergence t = t.reconv
 
 let fill t pc =
   if not t.known.(pc) then begin

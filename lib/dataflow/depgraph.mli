@@ -1,13 +1,25 @@
-(** Data-dependence graph at instruction granularity: an edge [pc -> d]
-    means instruction [pc] uses a register whose reaching definition is
-    instruction [d]. *)
+(** A kernel's static analysis, built once: its CFG, reaching
+    definitions, per-branch reconvergence table and data-dependence
+    graph, whose edge [pc -> d] means instruction [pc] uses a register
+    (general or predicate) whose reaching definition is instruction
+    [d].  The verifier, the classifier, the stride, induction and
+    liveness passes and the SIMT stack all read this one value. *)
 
 type t
 
-val build : Ptx.Kernel.t -> Reaching.t -> t
+val of_kernel : Ptx.Kernel.t -> t
+(** The kernel's analysis.  The kernel must pass
+    {!Ptx.Verify.structural} without error: the analyses assume
+    in-bounds registers and resolvable labels. *)
 
-val deps : t -> int -> int list
-(** Defining pcs of the registers the instruction at [pc] uses. *)
+val kernel : t -> Ptx.Kernel.t
+val cfg : t -> Ptx.Cfg.t
+val reaching : t -> Reaching.t
+
+val reconvergence : t -> int array
+(** Per-pc reconvergence point of each branch: the first pc of its
+    block's immediate post-dominator.  -1 for non-branches and for
+    branches that reconverge only at exit. *)
 
 val has_uninitialized_use : t -> int -> bool
 (** True when the instruction uses a register with no reaching

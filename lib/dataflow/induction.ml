@@ -74,9 +74,8 @@ type walk = { w_pc : int; w_step : int }
 
 (* Every global load that walks sequentially, with its per-iteration
    byte step. *)
-let walking_loads (k : Ptx.Kernel.t) =
-  let cfg = Ptx.Cfg.build k in
-  let r = Reaching.compute k cfg in
+let walking_loads dg =
+  let k = Depgraph.kernel dg and r = Depgraph.reaching dg in
   List.filter_map
     (fun pc ->
       match walk_step k r pc with

@@ -7,5 +7,5 @@
 
 type walk = { w_pc : int; w_step : int }
 
-val walking_loads : Ptx.Kernel.t -> walk list
-(** Every global load that walks sequentially. *)
+val walking_loads : Depgraph.t -> walk list
+(** Every global load of the analyzed kernel that walks sequentially. *)

@@ -1,11 +1,10 @@
 (* Backward liveness of register nodes (general + predicate), at block
    granularity with per-pc lowering.  Complements reaching definitions;
-   used by tests as an independent cross-check of the CFG, and offered
-   as API for register-pressure style analyses (e.g. the spare-register
-   prefetching discussed in the paper's Section X). *)
+   used by tests as an independent cross-check of the CFG, and by
+   [critload classify] for register pressure (the spare registers of
+   the prefetching discussed in the paper's Section X). *)
 
 type t = {
-  kernel : Ptx.Kernel.t;
   live_in_at : Bitset.t array; (* per-pc live-in register nodes *)
   nregs : int;
 }
@@ -21,7 +20,8 @@ let node_uses ~nregs instr =
 let node_defs ~nregs instr =
   nodes ~nregs (Ptx.Instr.defs instr) (Ptx.Instr.pdefs instr)
 
-let compute (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) =
+let compute dg =
+  let k = Depgraph.kernel dg and cfg = Depgraph.cfg dg in
   let nregs = k.Ptx.Kernel.nregs in
   let nnodes = nregs + k.Ptx.Kernel.npregs in
   let nb = Ptx.Cfg.nblocks cfg in
@@ -70,7 +70,7 @@ let compute (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) =
       live_in_at.(pc) <- Bitset.copy cur
     done
   done;
-  { kernel = k; live_in_at; nregs }
+  { live_in_at; nregs }
 
 let live_in_reg t ~pc ~reg =
   Bitset.mem t.live_in_at.(pc) (Reaching.node_of_reg reg)

@@ -6,7 +6,9 @@
 
 type t
 
-val compute : Ptx.Kernel.t -> Ptx.Cfg.t -> t
+val compute : Depgraph.t -> t
+(** Liveness over the analyzed kernel's CFG. *)
+
 val live_in_reg : t -> pc:int -> reg:int -> bool
 
 val max_pressure : t -> int

@@ -115,11 +115,6 @@ let opaque_op operands =
 
 (* ------------- per-kernel analysis ------------- *)
 
-type t = {
-  kernel : Ptx.Kernel.t;
-  values : value array; (* abstract value defined by each pc *)
-}
-
 let sreg_value = function
   | Tid X -> Affv { zero_aff with ax = 1L }
   | Tid Y -> Affv { zero_aff with ay = 1L }
@@ -127,22 +122,22 @@ let sreg_value = function
   | Laneid -> Affv { zero_aff with al = 1L }
   | Ntid _ | Ctaid _ | Nctaid _ | Warpid -> uniform
 
-let operand_value an (r : Reaching.t) ~pc (op : operand) =
+let operand_value dg values ~pc (op : operand) =
   match op with
   | Imm i -> Kon i
   | Fimm _ -> uniform
   | Sreg s -> sreg_value s
   | Reg reg -> (
-      match Reaching.defs_reaching_reg r ~pc ~reg with
+      match Reaching.defs_reaching_reg (Depgraph.reaching dg) ~pc ~reg with
       | [] -> Unknown (* no reaching definition: be conservative *)
       | d :: rest ->
           (* a join is precise only when every definition agrees *)
-          let v0 = an.values.(d) in
-          if List.for_all (fun d' -> an.values.(d') = v0) rest then v0
+          let v0 = values.(d) in
+          if List.for_all (fun d' -> values.(d') = v0) rest then v0
           else Unknown)
 
-let analyze_instr an r pc (i : Ptx.Instr.t) =
-  let ov = operand_value an r ~pc in
+let analyze_instr dg values pc (i : Ptx.Instr.t) =
+  let ov = operand_value dg values ~pc in
   match i with
   | Ld_param _ -> uniform
   | Mov (_, s) -> ov s
@@ -164,17 +159,14 @@ let analyze_instr an r pc (i : Ptx.Instr.t) =
   | St _ | Setp _ | Pnot _ | Pand _ | Por _ | Bra _ | Bar | Exit | Label _ ->
       Unknown
 
-(* Forward passes to a fixpoint: straight-line code stabilizes in one;
+(* [values.(pc)], the abstract value instruction [pc] defines, by
+   forward passes to a fixpoint: straight-line code stabilizes in one;
    anything whose abstract value changes between passes (loop-carried
    definitions) collapses to Unknown. *)
-let analyze (k : Ptx.Kernel.t) =
-  let cfg = Ptx.Cfg.build k in
-  let r = Reaching.compute k cfg in
-  let n = Array.length k.Ptx.Kernel.body in
-  let an = { kernel = k; values = Array.make n Unknown } in
-  Array.iteri
-    (fun pc i -> an.values.(pc) <- analyze_instr an r pc i)
-    k.Ptx.Kernel.body;
+let analyze dg =
+  let body = (Depgraph.kernel dg).Ptx.Kernel.body in
+  let values = Array.make (Array.length body) Unknown in
+  Array.iteri (fun pc i -> values.(pc) <- analyze_instr dg values pc i) body;
   let unstable = ref true in
   let rounds = ref 0 in
   while !unstable && !rounds < 4 do
@@ -182,14 +174,14 @@ let analyze (k : Ptx.Kernel.t) =
     incr rounds;
     Array.iteri
       (fun pc i ->
-        let v = analyze_instr an r pc i in
-        if v <> an.values.(pc) then begin
-          an.values.(pc) <- Unknown;
+        let v = analyze_instr dg values pc i in
+        if v <> values.(pc) then begin
+          values.(pc) <- Unknown;
           unstable := true
         end)
-      k.Ptx.Kernel.body
+      body
   done;
-  (an, r)
+  values
 
 (* ------------- coalescing prediction ------------- *)
 
@@ -207,10 +199,10 @@ let string_of_prediction = function
   | Strided n -> Printf.sprintf "strided(%d req/warp)" n
   | Irregular -> "irregular"
 
-let address_value an r pc =
-  match an.kernel.Ptx.Kernel.body.(pc) with
+let address_value dg values pc =
+  match (Depgraph.kernel dg).Ptx.Kernel.body.(pc) with
   | Ptx.Instr.Ld (_, _, _, a) | Ptx.Instr.Atom (_, _, _, a, _) ->
-      add (operand_value an r ~pc a.abase) (Kon (Int64.of_int a.aoffset))
+      add (operand_value dg values ~pc a.abase) (Kon (Int64.of_int a.aoffset))
   | _ -> invalid_arg "Stride.address_value: pc is not a load"
 
 (* Distinct [line_size]-byte lines a fully-active warp touches when
@@ -257,18 +249,19 @@ type load_prediction = { lp_pc : int; lp_prediction : prediction }
 
 (* Predict the warp-level coalescing of every global load, given the
    launch's block shape (default: a 1-D block, the common layout). *)
-let predict ?warp_size ?line_size ?(block = (256, 1, 1)) (k : Ptx.Kernel.t) =
-  let an, r = analyze k in
+let predict ?warp_size ?line_size ?(block = (256, 1, 1)) dg =
+  let values = analyze dg in
   List.map
     (fun pc ->
       { lp_pc = pc;
         lp_prediction =
-          predict_value ?warp_size ?line_size ~block (address_value an r pc) })
-    (Ptx.Kernel.global_load_pcs k)
+          predict_value ?warp_size ?line_size ~block
+            (address_value dg values pc) })
+    (Ptx.Kernel.global_load_pcs (Depgraph.kernel dg))
 
-let pp_predictions ?block ppf k =
+let pp_predictions ?block ppf dg =
   List.iter
     (fun lp ->
       Format.fprintf ppf "  pc %4d  %s@\n" lp.lp_pc
         (string_of_prediction lp.lp_prediction))
-    (predict ?block k)
+    (predict ?block dg)

@@ -28,8 +28,6 @@ type value =
   | Gaff of gaff
   | Unknown  (** lane-variant, shape unknown *)
 
-val uniform : value
-
 (** {1 Abstract arithmetic} (exposed for tests) *)
 
 val add : value -> value -> value
@@ -55,10 +53,11 @@ val predict :
   ?warp_size:int ->
   ?line_size:int ->
   ?block:int * int * int ->
-  Ptx.Kernel.t ->
+  Depgraph.t ->
   load_prediction list
-(** Predicted coalescing class of every global load, in program order,
-    for the given launch block shape (default [(256,1,1)]). *)
+(** Predicted coalescing class of every global load of the analyzed
+    kernel, in program order, for the given launch block shape
+    (default [(256,1,1)]). *)
 
 val pp_predictions :
-  ?block:int * int * int -> Format.formatter -> Ptx.Kernel.t -> unit
+  ?block:int * int * int -> Format.formatter -> Depgraph.t -> unit

@@ -1,6 +1,7 @@
 (* Full kernel verification: the structural pass from [Ptx.Verify]
-   plus the dataflow-dependent checks that need a CFG, reaching
-   definitions and post-dominators:
+   plus the dataflow-dependent checks, which read the kernel's one
+   analysis ([Depgraph.of_kernel]: CFG, reaching definitions,
+   dependence graph and reconvergence table):
 
    - use of a register or predicate with no reaching definition at all
      (uninitialized on every path; the machine zero-fills registers, so
@@ -11,33 +12,20 @@
      thread-dependent branch and its reconvergence point, where part of
      a warp could wait forever.
 
-   This is the entry point used by the launch path and the CLI. *)
+   This is the entry point used by the launch path and the CLI; the
+   analysis it builds is theirs to keep. *)
 
 module V = Ptx.Verify
 
-(* Blocks reachable from the CFG entry; dataflow facts in unreachable
-   code are vacuous, so checks skip those pcs (the structural pass
-   already warns about them). *)
-let reachable_blocks (cfg : Ptx.Cfg.t) =
-  let n = Ptx.Cfg.nblocks cfg in
-  let seen = Array.make n false in
-  let rec dfs b =
-    if not seen.(b) then begin
-      seen.(b) <- true;
-      List.iter dfs (Ptx.Cfg.block cfg b).Ptx.Cfg.succs
-    end
-  in
-  if n > 0 then dfs 0;
-  seen
-
 (* ---- use before def ---- *)
 
-let check_use_before_def (k : Ptx.Kernel.t) cfg (rd : Reaching.t) reach acc =
+let check_use_before_def dg reached acc =
+  let k = Depgraph.kernel dg and rd = Depgraph.reaching dg in
   let kernel = k.Ptx.Kernel.kname in
   let acc = ref acc in
   Array.iteri
     (fun pc instr ->
-      if reach.(Ptx.Cfg.block_of_pc cfg pc) then begin
+      if reached pc then begin
         List.iter
           (fun r ->
             if Reaching.defs_reaching_reg rd ~pc ~reg:r = [] then
@@ -76,7 +64,8 @@ let def_is_float (k : Ptx.Kernel.t) pc =
   | Ptx.Instr.Ld (_, ty, _, _) -> Ptx.Types.dtype_is_float ty
   | _ -> false
 
-let check_address_kinds (k : Ptx.Kernel.t) cfg (rd : Reaching.t) reach acc =
+let check_address_kinds dg reached acc =
+  let k = Depgraph.kernel dg and rd = Depgraph.reaching dg in
   let kernel = k.Ptx.Kernel.kname in
   let acc = ref acc in
   let check_addr pc (a : Ptx.Types.addr) =
@@ -95,7 +84,7 @@ let check_address_kinds (k : Ptx.Kernel.t) cfg (rd : Reaching.t) reach acc =
   in
   Array.iteri
     (fun pc instr ->
-      if reach.(Ptx.Cfg.block_of_pc cfg pc) then
+      if reached pc then
         match instr with
         | Ptx.Instr.Ld (_, _, _, a) -> check_addr pc a
         | Ptx.Instr.St (_, _, a, _) -> check_addr pc a
@@ -112,8 +101,8 @@ let check_address_kinds (k : Ptx.Kernel.t) cfg (rd : Reaching.t) reach acc =
    classifier's does: a loaded value's uniformity depends on memory
    contents, which we cannot see, so it counts as uniform to keep
    false positives out. *)
-let guard_is_thread_dependent (rd : Reaching.t) dg ~pc ~pred =
-  let body = rd.Reaching.kernel.Ptx.Kernel.body in
+let guard_is_thread_dependent dg ~pc ~pred =
+  let body = (Depgraph.kernel dg).Ptx.Kernel.body in
   let reads_thread_id = function
     | Ptx.Types.Sreg (Ptx.Types.Tid _ | Ptx.Types.Laneid) -> true
     | Ptx.Types.Sreg _ | Ptx.Types.Imm _ | Ptx.Types.Fimm _ | Ptx.Types.Reg _
@@ -121,21 +110,21 @@ let guard_is_thread_dependent (rd : Reaching.t) dg ~pc ~pred =
         false
   in
   Depgraph.slice dg ~stop:Ptx.Instr.is_load
-    (Reaching.defs_reaching_pred rd ~pc ~pred)
+    (Reaching.defs_reaching_pred (Depgraph.reaching dg) ~pc ~pred)
   |> List.exists (fun d ->
          let instr = body.(d) in
          (not (Ptx.Instr.is_load instr))
          && List.exists reads_thread_id (Ptx.Instr.operands instr))
 
-let check_divergent_barriers (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) rd dg reach
-    acc =
+let check_divergent_barriers dg reached acc =
+  let k = Depgraph.kernel dg and cfg = Depgraph.cfg dg in
   let kernel = k.Ptx.Kernel.kname in
-  let pdom = Ptx.Dom.post_dominators cfg in
-  let block_has_bar b =
+  let first_bar b =
     let blk = Ptx.Cfg.block cfg b in
     let rec go pc =
-      pc <= blk.Ptx.Cfg.last
-      && (k.Ptx.Kernel.body.(pc) = Ptx.Instr.Bar || go (pc + 1))
+      if pc > blk.Ptx.Cfg.last then None
+      else if k.Ptx.Kernel.body.(pc) = Ptx.Instr.Bar then Some pc
+      else go (pc + 1)
     in
     go blk.Ptx.Cfg.first
   in
@@ -144,13 +133,12 @@ let check_divergent_barriers (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) rd dg reach
     (fun pc instr ->
       match instr with
       | Ptx.Instr.Bra (Some (_, p), _)
-        when reach.(Ptx.Cfg.block_of_pc cfg pc)
-             && guard_is_thread_dependent rd dg ~pc ~pred:p ->
+        when reached pc && guard_is_thread_dependent dg ~pc ~pred:p ->
           let c = Ptx.Cfg.block_of_pc cfg pc in
           let stop =
-            match Ptx.Dom.reconvergence_pc cfg pdom pc with
-            | Some rpc -> Some (Ptx.Cfg.block_of_pc cfg rpc)
-            | None -> None
+            match (Depgraph.reconvergence dg).(pc) with
+            | -1 -> None
+            | rpc -> Some (Ptx.Cfg.block_of_pc cfg rpc)
           in
           (* every block strictly between the divergent branch and its
              reconvergence point executes with a partial warp *)
@@ -158,20 +146,16 @@ let check_divergent_barriers (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) rd dg reach
           let rec dfs b =
             if (not seen.(b)) && stop <> Some b then begin
               seen.(b) <- true;
-              if block_has_bar b then begin
-                let blk = Ptx.Cfg.block cfg b in
-                let bar_pc = ref blk.Ptx.Cfg.first in
-                while k.Ptx.Kernel.body.(!bar_pc) <> Ptx.Instr.Bar do
-                  incr bar_pc
-                done;
-                acc :=
-                  V.diag ~kernel ~pc:!bar_pc ~code:"divergent-barrier"
-                    "barrier reachable under divergent control flow: the \
-                     branch at pc %d is thread-dependent and part of the \
-                     warp can bypass this bar"
-                    pc
-                  :: !acc
-              end;
+              Option.iter
+                (fun bar_pc ->
+                  acc :=
+                    V.diag ~kernel ~pc:bar_pc ~code:"divergent-barrier"
+                      "barrier reachable under divergent control flow: the \
+                       branch at pc %d is thread-dependent and part of the \
+                       warp can bypass this bar"
+                      pc
+                    :: !acc)
+                (first_bar b);
               List.iter dfs (Ptx.Cfg.block cfg b).Ptx.Cfg.succs
             end
           in
@@ -196,20 +180,22 @@ let dedup diags =
 
 (* Structural pass first; the dataflow checks assume in-bounds register
    indices and resolvable labels, so they only run on a structurally
-   sound kernel. *)
-let verify_kernel (k : Ptx.Kernel.t) : V.diag list =
+   sound kernel.  They skip pcs no path from entry reaches, whose
+   dataflow facts are vacuous (the structural pass warns about them). *)
+let verify_kernel (k : Ptx.Kernel.t) =
   let structural = V.structural k in
-  if V.errors structural <> [] then structural
+  if V.errors structural <> [] then (structural, None)
   else
-    let cfg = Ptx.Cfg.build k in
-    let rd = Reaching.compute k cfg in
-    let reach = reachable_blocks cfg in
-    let dg = Depgraph.build k rd in
+    let dg = Depgraph.of_kernel k in
+    let cfg = Depgraph.cfg dg in
+    let reach = Array.make (Ptx.Cfg.nblocks cfg) false in
+    List.iter (fun b -> reach.(b) <- true) (Ptx.Cfg.reverse_postorder cfg);
+    let reached pc = reach.(Ptx.Cfg.block_of_pc cfg pc) in
     let dataflow =
       []
-      |> check_use_before_def k cfg rd reach
-      |> check_address_kinds k cfg rd reach
-      |> check_divergent_barriers k cfg rd dg reach
+      |> check_use_before_def dg reached
+      |> check_address_kinds dg reached
+      |> check_divergent_barriers dg reached
       |> List.rev
     in
-    dedup (structural @ dataflow)
+    (dedup (structural @ dataflow), Some dg)

@@ -3,7 +3,9 @@
     floating-point address bases, barriers reachable under divergent
     control flow).  Run by the launch path and by [critload verify]. *)
 
-val verify_kernel : Ptx.Kernel.t -> Ptx.Verify.diag list
-(** All diagnostics for the kernel; empty when it is clean.  When the
-    structural pass reports errors, the dataflow checks are skipped
-    (they assume in-bounds registers and resolvable labels). *)
+val verify_kernel : Ptx.Kernel.t -> Ptx.Verify.diag list * Depgraph.t option
+(** All diagnostics for the kernel (empty when it is clean), and the
+    kernel's analysis ({!Depgraph.of_kernel}), on which the dataflow
+    checks ran.  When the structural pass reports errors, there is no
+    analysis and the dataflow checks are skipped (they assume in-bounds
+    registers and resolvable labels). *)

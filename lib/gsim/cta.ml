@@ -48,8 +48,7 @@ let create (launch : Launch.t) ~warp_size ~cta_lin =
         done;
         Warp.create ~warp_id:w ~cta_lin ~decode:launch.Launch.decode ~state
           ~valid_mask:(Warp.full_mask lanes)
-          ~params:launch.Launch.params ~reconv_of_pc:launch.Launch.reconv ~mem
-          kernel)
+          ~params:launch.Launch.params ~mem kernel)
   in
   { cta_lin; warps; shared; launch }
 

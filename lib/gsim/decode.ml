@@ -5,10 +5,12 @@ type t = {
   bra_target : int array;
   is_label : bool array;
   load_cls : Dataflow.Classify.load_class array;
+  reconv : int array;
   alu : (Exec.state -> int -> unit) array;
 }
 
-let of_kernel (kernel : Ptx.Kernel.t) (classes : Dataflow.Classify.result) =
+let of_analysis dg (classes : Dataflow.Classify.result) =
+  let kernel = Dataflow.Depgraph.kernel dg in
   let body = kernel.Ptx.Kernel.body in
   {
     units = Array.map Exec.unit_of_instr body;
@@ -27,5 +29,6 @@ let of_kernel (kernel : Ptx.Kernel.t) (classes : Dataflow.Classify.result) =
           | Some c -> c
           | None -> Dataflow.Classify.Deterministic)
         body;
+    reconv = Dataflow.Depgraph.reconvergence dg;
     alu = Array.map Exec.compile_alu body;
   }

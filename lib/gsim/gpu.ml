@@ -20,10 +20,11 @@ type t = {
   mutable cycle : int;
 }
 
-(* The per-cycle hot path allocates short-lived boxes (Int64 register
-   values, requests, warp-load records); under the default 256k-word
-   minor heap a long simulation spends a measurable fraction of its
-   time in minor collections.  Grow the minor heap once per process —
+(* The per-cycle hot path allocates short-lived records (requests,
+   warp-load records, memory-operation results, coalesced line lists;
+   register values are unboxed); under the default 256k-word minor
+   heap a long simulation spends a measurable fraction of its time in
+   minor collections.  Grow the minor heap once per process —
    GC parameters are pure runtime tuning and cannot affect simulation
    results.  Never shrinks a user-configured larger heap. *)
 let gc_tuned = ref false

@@ -1,6 +1,7 @@
 (* A kernel launch: grid/block geometry, parameter bindings, the global
-   memory image, and the per-pc load classification that both
-   simulators tag memory traffic with. *)
+   memory image, and the kernel's static analysis, verification and
+   per-pc load classification that both simulators tag memory traffic
+   with. *)
 
 type t = {
   kernel : Ptx.Kernel.t;
@@ -8,22 +9,25 @@ type t = {
   block : int * int * int;
   params : (string, int64) Hashtbl.t;
   global : Mem.t;
+  analysis : Dataflow.Depgraph.t;
+  diags : Ptx.Verify.diag list;
   classes : Dataflow.Classify.result;
-  reconv : int array;
   decode : Decode.t;
 }
 
-(* The static analyses — verification, dataflow classification, the
-   post-dominator reconvergence table, and the predecoded dispatch
-   tables — depend only on the kernel, but iterative applications
-   relaunch the same kernel value dozens to hundreds of times.  Memoize
-   them on the kernel's physical identity ([Ptx.Kernel.t] is immutable
-   once built); the move-to-front list keeps the handful of live
-   kernels at the head and the cap bounds growth for callers that
+(* The static facts — the kernel's one analysis (CFG, reaching
+   definitions, dependence graph, reconvergence table), the verifier's
+   diagnostics, the classification and the predecoded dispatch tables
+   — depend only on the kernel, but iterative applications relaunch
+   the same kernel value dozens to hundreds of times.  Memoize them on
+   the kernel's physical identity ([Ptx.Kernel.t] is immutable once
+   built), not its name; the move-to-front list keeps the handful of
+   live kernels at the head and the cap bounds growth for callers that
    rebuild kernels per launch. *)
 type static = {
+  s_analysis : Dataflow.Depgraph.t;
+  s_diags : Ptx.Verify.diag list;
   s_classes : Dataflow.Classify.result;
-  s_reconv : int array;
   s_decode : Decode.t;
 }
 
@@ -32,42 +36,37 @@ let static_cache : (Ptx.Kernel.t * static) list ref = ref []
 let static_cache_cap = 64
 
 let static_of_kernel kernel =
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  let rec find acc = function
-    | [] -> None
-    | ((k, s) as e) :: rest ->
-        if k == kernel then begin
-          static_cache := e :: List.rev_append acc rest;
-          Some s
-        end
-        else find (e :: acc) rest
-  in
-  match find [] !static_cache with
-  | Some s -> s
-  | None ->
+  match List.partition (fun (k, _) -> k == kernel) !static_cache with
+  | ((_, s) as e) :: _, rest ->
+      static_cache := e :: rest;
+      s
+  | [], _ ->
       let kname = kernel.Ptx.Kernel.kname in
       (* Static verification up front: a kernel that fails here would
          otherwise surface as a confusing runtime fault
          mid-simulation. *)
-      (match Dataflow.Verify.verify_kernel kernel |> Ptx.Verify.errors with
-      | [] -> ()
-      | errs ->
-          Sim_error.error ~kernel:kname Sim_error.Invalid_kernel
-            "kernel failed verification: %s"
-            (String.concat "; " (List.map Ptx.Verify.to_string errs)));
-      let classes = Dataflow.Classify.classify kernel in
+      let diags, analysis = Dataflow.Verify.verify_kernel kernel in
+      let analysis =
+        match (Ptx.Verify.errors diags, analysis) with
+        | [], Some analysis -> analysis
+        | errs, _ ->
+            Sim_error.error ~kernel:kname Sim_error.Invalid_kernel
+              "kernel failed verification: %s"
+              (String.concat "; " (List.map Ptx.Verify.to_string errs))
+      in
+      let classes = Dataflow.Classify.classify analysis in
       let s =
         {
+          s_analysis = analysis;
+          s_diags = diags;
           s_classes = classes;
-          s_reconv = Warp.reconvergence_table kernel;
-          s_decode = Decode.of_kernel kernel classes;
+          s_decode = Decode.of_analysis analysis classes;
         }
       in
-      static_cache := take static_cache_cap ((kernel, s) :: !static_cache);
+      static_cache :=
+        List.filteri
+          (fun i _ -> i < static_cache_cap)
+          ((kernel, s) :: !static_cache);
       s
 
 let create ~kernel ~grid ~block ~params ~global =
@@ -92,8 +91,9 @@ let create ~kernel ~grid ~block ~params ~global =
     block;
     params = tbl;
     global;
+    analysis = s.s_analysis;
+    diags = s.s_diags;
     classes = s.s_classes;
-    reconv = s.s_reconv;
     decode = s.s_decode;
   }
 

@@ -1,6 +1,7 @@
 (** A kernel launch: grid/block geometry, parameter bindings, the
-    global-memory image, and the per-pc load classification that both
-    simulators tag memory traffic with. *)
+    global-memory image, and the kernel's static analysis, verification
+    and per-pc load classification that both simulators tag memory
+    traffic with. *)
 
 type t = {
   kernel : Ptx.Kernel.t;
@@ -8,8 +9,14 @@ type t = {
   block : int * int * int;
   params : (string, int64) Hashtbl.t;
   global : Mem.t;
+  analysis : Dataflow.Depgraph.t;
+      (** the kernel's one analysis: CFG, reaching definitions,
+          dependence graph and the reconvergence table the SIMT stack
+          reads *)
+  diags : Ptx.Verify.diag list;
+      (** the static verifier's diagnostics: warnings only, since
+          [create] refuses a kernel with errors *)
   classes : Dataflow.Classify.result;
-  reconv : int array;
   decode : Decode.t;
 }
 
@@ -20,8 +27,10 @@ val create :
   params:(string * int64) list ->
   global:Mem.t ->
   t
-(** Classifies the kernel's loads and precomputes reconvergence points.
-    Runs the static verifier ({!Dataflow.Verify.verify_kernel}) first.
+(** Verifies the kernel ({!Dataflow.Verify.verify_kernel}), then
+    classifies its loads and predecodes it, all on the one analysis the
+    verifier builds.  These depend only on the kernel value, so a
+    relaunch of the same value reuses them.
     @raise Sim_error.Error ([Invalid_kernel]) when verification finds
     errors, or ([Unbound_param]) when a declared parameter is unbound. *)
 

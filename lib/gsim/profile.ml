@@ -6,8 +6,9 @@
 
    A profile is an ordinary commutative-monoid accumulator: profiles
    built from disjoint event streams can be [merge]d in any order and
-   serialize to identical JSON (the associativity test_profile checks),
-   which is what lets per-worker profiles ride the parsweep pipeline. *)
+   serialize to identical JSON (the associativity test_profile checks).
+   In a parallel sweep each job carries its own profile in its result
+   document; nothing merges them. *)
 
 type cls = Dataflow.Classify.load_class
 

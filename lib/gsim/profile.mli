@@ -7,8 +7,8 @@
 
     A profile is a commutative-monoid accumulator: profiles built from
     disjoint event streams {!merge} in any order to identical
-    summaries, so per-worker profiles can ride the parsweep pipeline
-    as JSON. *)
+    summaries.  A parallel sweep does not merge: each job's profile
+    rides in its own result document as JSON. *)
 
 type cls = Dataflow.Classify.load_class
 

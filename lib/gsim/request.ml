@@ -1,18 +1,22 @@
 (* Memory requests and per-warp-load tracking records.
 
    A warp-level load that cannot fully coalesce fans out into several
-   [Request.t]s, one per distinct cache line.  Each request carries
-   timestamps at every pipeline boundary so the turnaround breakdowns
-   of Figs 5 and 7 can be reconstructed:
+   [Request.t]s, one per distinct cache line.  The turnaround
+   breakdowns of Figs 5 and 7 are read from the warp-load record: its
+   issue cycle, its first and last L1 acceptance and its first and
+   last fill back at the SM.  A request carries the cycles the memory
+   system schedules it by:
 
-     t_issue   warp issued to the LD/ST unit
-     t_accept  accepted by the L1 (hit, merge, or miss reservation)
-     t_icnt    injected into the interconnect towards L2
-     t_serviced  data produced at the memory partition (L2 or DRAM)
-     t_return  fill arrived back at the SM
+     t_icnt         injected into the interconnect towards L2
+     t_arrive       lands at the partition input
+     t_l2_start     first cycle at the head of the partition input
+     t_serviced     data produced at the partition (L2 or DRAM)
+     t_resp_arrive  the response lands back at the SM
 
-   [level] records the deepest level that serviced the request, which
-   determines its unloaded (contention-free) latency. *)
+   (t_l2_start - t_icnt, less the icnt latency, is the queueing the
+   warp load's [wl_sum_icnt_wait] adds up.)  [level] records the
+   deepest level that serviced the request, which determines its
+   unloaded (contention-free) latency. *)
 
 type kind = Load | Store | Atomic
 
@@ -20,7 +24,6 @@ type level = Lvl_l1 | Lvl_l2 | Lvl_dram
 
 (* Tracking record for one warp-level global load instruction. *)
 type warp_load = {
-  wl_sm : int;
   wl_warp_slot : int; (* index into the SM warp table, for wake-up *)
   wl_cta : int; (* linear CTA id, -1 when not attributable *)
   wl_kernel : string;
@@ -45,19 +48,16 @@ type t = {
   kind : kind;
   cls : Dataflow.Classify.load_class;
   wl : warp_load option; (* None for stores *)
-  mutable t_issue : int;
-  mutable t_accept : int;
   mutable t_icnt : int;
   mutable t_arrive : int; (* when it lands at the partition input *)
   mutable t_l2_start : int;
   mutable t_serviced : int;
-  mutable t_return : int;
   mutable t_resp_arrive : int; (* when the response lands back at the SM *)
   mutable level : level;
   mutable no_fill : bool; (* bypassed loads do not allocate in the L1 *)
 }
 
-let make ~cta ~line_addr ~sm_id ~kind ~cls ~wl ~now =
+let make ~cta ~line_addr ~sm_id ~kind ~cls ~wl =
   {
     line_addr;
     sm_id;
@@ -65,21 +65,17 @@ let make ~cta ~line_addr ~sm_id ~kind ~cls ~wl ~now =
     kind;
     cls;
     wl;
-    t_issue = now;
-    t_accept = -1;
     t_icnt = -1;
     t_arrive = -1;
     t_l2_start = -1;
     t_serviced = -1;
-    t_return = -1;
     t_resp_arrive = -1;
     level = Lvl_l1;
     no_fill = false;
   }
 
-let make_warp_load ~cta ~sm ~warp_slot ~kernel ~pc ~cls ~active ~now =
+let make_warp_load ~cta ~warp_slot ~kernel ~pc ~cls ~active ~now =
   {
-    wl_sm = sm;
     wl_warp_slot = warp_slot;
     wl_cta = cta;
     wl_kernel = kernel;

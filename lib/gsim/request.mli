@@ -1,9 +1,11 @@
 (** Memory requests and per-warp-load tracking records.
 
     A warp-level load that does not fully coalesce fans out into
-    several requests, one per distinct cache line.  Each request
-    carries timestamps at every pipeline boundary so the turnaround
-    breakdowns of the paper's Figs 5 and 7 can be reconstructed. *)
+    several requests, one per distinct cache line.  The turnaround
+    breakdowns of the paper's Figs 5 and 7 are read from the warp-load
+    record's issue, acceptance and return cycles; a request carries
+    the cycles the interconnect and the memory partition schedule it
+    by. *)
 
 type kind = Load | Store | Atomic
 
@@ -13,7 +15,6 @@ type level = Lvl_l1 | Lvl_l2 | Lvl_dram
 
 (** Tracking record for one warp-level global load instruction. *)
 type warp_load = {
-  wl_sm : int;
   wl_warp_slot : int;  (** SM warp-table index, for wake-up *)
   wl_cta : int;  (** linear CTA id, [-1] when not attributable *)
   wl_kernel : string;
@@ -39,13 +40,10 @@ type t = {
   kind : kind;
   cls : Dataflow.Classify.load_class;
   wl : warp_load option;  (** [None] for stores *)
-  mutable t_issue : int;  (** warp issued to the LD/ST unit *)
-  mutable t_accept : int;  (** accepted by the L1 *)
   mutable t_icnt : int;  (** injected towards L2 *)
   mutable t_arrive : int;  (** landed at the partition input *)
   mutable t_l2_start : int;
   mutable t_serviced : int;  (** data produced at the partition *)
-  mutable t_return : int;  (** fill back at the SM *)
   mutable t_resp_arrive : int;
   mutable level : level;
   mutable no_fill : bool;  (** bypassed loads do not allocate in the L1 *)
@@ -58,12 +56,10 @@ val make :
   kind:kind ->
   cls:Dataflow.Classify.load_class ->
   wl:warp_load option ->
-  now:int ->
   t
 
 val make_warp_load :
   cta:int ->
-  sm:int ->
   warp_slot:int ->
   kernel:string ->
   pc:int ->

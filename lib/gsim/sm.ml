@@ -314,7 +314,6 @@ let check_cta_done t rc =
 (* ---- memory completion path ---- *)
 
 let complete_request t ~now (req : Request.t) =
-  req.Request.t_return <- now;
   match req.Request.wl with
   | None -> ()
   | Some wl ->
@@ -389,18 +388,12 @@ let process_returns t ~now ~icnt =
 
 (* ---- LD/ST unit: one L1 access attempt per cycle ---- *)
 
-(* A line request of a warp-level memory instruction, stamped with the
-   warp load's issue cycle. *)
-let line_request t ~now ~cta ~line ~kind ~cls wl =
-  let req = Request.make ~cta ~line_addr:line ~sm_id:t.id ~kind ~cls ~wl ~now in
-  (match wl with
-  | Some wl -> req.Request.t_issue <- wl.Request.wl_t_issue
-  | None -> ());
-  req
+(* A line request of a warp-level memory instruction. *)
+let line_request t ~cta ~line ~kind ~cls wl =
+  Request.make ~cta ~line_addr:line ~sm_id:t.id ~kind ~cls ~wl
 
 (* The L1 took [req] this cycle. *)
 let accept ~now (req : Request.t) =
-  req.Request.t_accept <- now;
   match req.Request.wl with
   | None -> ()
   | Some wl ->
@@ -453,7 +446,7 @@ let prefetch_next_line t ~now ~icnt ~line ~cls =
   then begin
     let preq =
       Request.make ~cta:(-1) ~line_addr:pline ~sm_id:t.id ~kind:Request.Load
-        ~cls ~wl:None ~now
+        ~cls ~wl:None
     in
     let outcome = Cache.access_load t.l1 ~req:preq ~icnt_ok:true in
     record_l1 t ~now ~line:pline ~cta:(-1) ~cls None outcome;
@@ -486,7 +479,7 @@ let fifo_cycle t ~now ~icnt =
                 if Icnt.can_inject icnt ~sm:t.id then begin
                   Cache.invalidate t.l1 ~line_addr:line;
                   let req =
-                    line_request t ~now ~cta:pm.pm_cta ~line
+                    line_request t ~cta:pm.pm_cta ~line
                       ~kind:Request.Store ~cls:pm.pm_cls None
                   in
                   accept ~now req;
@@ -510,7 +503,7 @@ let fifo_cycle t ~now ~icnt =
                  will not fill the L1 *)
               if Icnt.can_inject icnt ~sm:t.id then begin
                 let req =
-                  line_request t ~now ~cta:pm.pm_cta ~line ~kind:pm.pm_kind
+                  line_request t ~cta:pm.pm_cta ~line ~kind:pm.pm_kind
                     ~cls:pm.pm_cls pm.pm_wl
                 in
                 req.Request.no_fill <- true;
@@ -528,7 +521,7 @@ let fifo_cycle t ~now ~icnt =
                   (Cache.Rsrv_fail Cache.Fail_icnt)
           | Request.Load | Request.Atomic -> (
               let req =
-                line_request t ~now ~cta:pm.pm_cta ~line ~kind:pm.pm_kind
+                line_request t ~cta:pm.pm_cta ~line ~kind:pm.pm_kind
                   ~cls:pm.pm_cls pm.pm_wl
               in
               let outcome =
@@ -559,7 +552,7 @@ let iar_issue t ~now ~icnt ~line =
   | [] -> () (* unreachable: select only returns buffered lines *)
   | prim :: secs -> (
       let request (e : Mempolicy.iar_entry) =
-        line_request t ~now ~cta:e.Mempolicy.ie_cta ~line
+        line_request t ~cta:e.Mempolicy.ie_cta ~line
           ~kind:e.Mempolicy.ie_kind ~cls:e.Mempolicy.ie_cls e.Mempolicy.ie_wl
       in
       let req = request prim in
@@ -621,7 +614,7 @@ let issue_mem t ~now ~slot_idx (w : Warp.t) (m : Warp.mem_op) =
       let total = List.fold_left (fun a g -> a + List.length g) 0 groups in
       let cta = w.Warp.cta_lin in
       let wl =
-        Request.make_warp_load ~cta ~sm:t.id ~warp_slot:slot_idx ~kernel
+        Request.make_warp_load ~cta ~warp_slot:slot_idx ~kernel
           ~pc:m.Warp.m_pc ~cls ~active:(Warp.popcount m.Warp.m_mask) ~now
       in
       wl.Request.wl_nreq <- total;

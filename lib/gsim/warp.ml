@@ -45,11 +45,10 @@ type t = {
   warp_id : int; (* index within the CTA *)
   cta_lin : int; (* linearized CTA id *)
   kernel : Ptx.Kernel.t;
-  decode : Decode.t; (* predecoded per-pc tables, shared per launch *)
+  decode : Decode.t; (* predecoded per-pc tables, shared per kernel *)
   state : Exec.state; (* registers, predicates, thread ids *)
   valid_mask : int; (* lanes that hold real threads *)
   params : (string, int64) Hashtbl.t;
-  reconv_of_pc : int array; (* per-branch reconvergence pc, -1 = exit *)
   mem : mem_iface;
   scratch_addrs : int array; (* reused [mem_op.m_addrs] buffer *)
   mutable stack : entry list;
@@ -68,22 +67,7 @@ let popcount mask =
 
 let full_mask n = (1 lsl n) - 1
 
-(* Precompute per-pc reconvergence points from the post-dominator tree;
-   shared across all warps of a launch. *)
-let reconvergence_table kernel =
-  let cfg = Ptx.Cfg.build kernel in
-  let pdom = Ptx.Dom.post_dominators cfg in
-  Array.mapi
-    (fun pc instr ->
-      if Ptx.Instr.is_branch instr then
-        match Ptx.Dom.reconvergence_pc cfg pdom pc with
-        | Some r -> r
-        | None -> -1
-      else -1)
-    kernel.Ptx.Kernel.body
-
-let create ~warp_id ~cta_lin ~decode ~state ~valid_mask ~params
-    ~reconv_of_pc ~mem kernel =
+let create ~warp_id ~cta_lin ~decode ~state ~valid_mask ~params ~mem kernel =
   {
     warp_id;
     cta_lin;
@@ -92,7 +76,6 @@ let create ~warp_id ~cta_lin ~decode ~state ~valid_mask ~params
     state;
     valid_mask;
     params;
-    reconv_of_pc;
     mem;
     scratch_addrs = Array.make (Exec.width state) (-1);
     stack = [ { spc = 0; smask = valid_mask; sreconv = -1 } ];
@@ -142,7 +125,7 @@ let exec_branch w e pc guard target =
   else if not_taken = 0 then advance w target
   else begin
     (* divergence *)
-    let r = w.reconv_of_pc.(pc) in
+    let r = w.decode.Decode.reconv.(pc) in
     if r >= 0 then begin
       e.spc <- r;
       (* e becomes the reconvergence entry *)

@@ -41,12 +41,11 @@ type t = {
   warp_id : int;
   cta_lin : int;
   kernel : Ptx.Kernel.t;
-  decode : Decode.t;  (** predecoded per-pc tables, shared per launch *)
+  decode : Decode.t;  (** predecoded per-pc tables, shared per kernel *)
   state : Exec.state;
       (** the lanes' registers, predicates and thread coordinates *)
   valid_mask : int;
   params : (string, int64) Hashtbl.t;
-  reconv_of_pc : int array;
   mem : mem_iface;
   scratch_addrs : int array;
       (** reused buffer behind [mem_op.m_addrs]: valid only until the
@@ -64,11 +63,6 @@ val popcount : int -> int
 val full_mask : int -> int
 (** [full_mask n] sets lanes [0 .. n-1]. *)
 
-val reconvergence_table : Ptx.Kernel.t -> int array
-(** Per-pc reconvergence points from the post-dominator tree; -1 for
-    non-branches and branches that reconverge only at exit.  Computed
-    once per kernel and shared by all warps. *)
-
 val create :
   warp_id:int ->
   cta_lin:int ->
@@ -76,13 +70,13 @@ val create :
   state:Exec.state ->
   valid_mask:int ->
   params:(string, int64) Hashtbl.t ->
-  reconv_of_pc:int array ->
   mem:mem_iface ->
   Ptx.Kernel.t ->
   t
 (** A warp at pc 0 with the lanes of [valid_mask] active.  [state] is
     its own (its rows are written as it runs) and sets the lane count;
-    [decode] and [reconv_of_pc] must come from the same kernel. *)
+    [decode] must come from the same kernel, and its [reconv] table
+    drives the reconvergence stack. *)
 
 val finished : t -> bool
 (** Every lane has exited. *)

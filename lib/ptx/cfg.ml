@@ -75,7 +75,6 @@ let build (k : Kernel.t) =
 let nblocks t = Array.length t.blocks
 let block t bid = t.blocks.(bid)
 let block_of_pc t pc = t.block_of_pc.(pc)
-let entry _ = 0
 
 (* Blocks whose last instruction is Exit (or which fall off the end). *)
 let exit_blocks t =
@@ -125,13 +124,3 @@ let to_dot t =
     t.blocks;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let pp ppf t =
-  Array.iter
-    (fun b ->
-      Format.fprintf ppf "B%d [%d..%d] -> %a@\n" b.bid b.first b.last
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-           Format.pp_print_int)
-        (List.sort compare b.succs))
-    t.blocks

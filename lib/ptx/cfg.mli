@@ -21,7 +21,6 @@ val build : Kernel.t -> t
 val nblocks : t -> int
 val block : t -> int -> block
 val block_of_pc : t -> int -> int
-val entry : t -> int
 
 val exit_blocks : t -> int list
 (** Blocks ending in [Exit] (plus any block with no successors). *)
@@ -31,5 +30,3 @@ val reverse_postorder : t -> int list
 
 val to_dot : t -> string
 (** Graphviz rendering (one box per basic block, edges = control flow). *)
-
-val pp : Format.formatter -> t -> unit

@@ -2,8 +2,7 @@
    parameters, register counts and static shared-memory size.
 
    Branch targets are symbolic labels; [labels] maps each label to the
-   index of its [Label] pseudo-instruction.  [target] resolves a branch
-   at pc to the index the executor should jump to. *)
+   index of its [Label] pseudo-instruction. *)
 
 open Types
 
@@ -23,14 +22,13 @@ exception Invalid of string
 
 let invalid fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
 
+(* The first [Label] of each name; [Verify] reports any later one. *)
 let build_labels body =
   let labels = Hashtbl.create 16 in
   Array.iteri
     (fun pc instr ->
       match instr with
-      | Instr.Label l ->
-          if Hashtbl.mem labels l then invalid "duplicate label %s" l;
-          Hashtbl.add labels l pc
+      | Instr.Label l when not (Hashtbl.mem labels l) -> Hashtbl.add labels l pc
       | _ -> ())
     body;
   labels
@@ -50,13 +48,6 @@ let label_pc k l =
   match Hashtbl.find_opt k.labels l with
   | Some pc -> pc
   | None -> invalid "kernel %s: unknown label %s" k.kname l
-
-(* Index of the instruction a branch at [pc] jumps to. *)
-let target k pc =
-  match k.body.(pc) with
-  | Instr.Bra (_, l) -> label_pc k l
-  | i -> invalid "kernel %s: pc %d is not a branch: %s" k.kname pc
-           (Instr.to_string i)
 
 let global_load_pcs k =
   let acc = ref [] in

@@ -12,12 +12,14 @@ type t = {
   nregs : int;  (** number of general registers *)
   npregs : int;  (** number of predicate registers *)
   smem_bytes : int;  (** static shared memory per CTA, in bytes *)
-  labels : (string, int) Hashtbl.t;  (** label -> pc of its [Label] *)
+  labels : (string, int) Hashtbl.t;
+      (** label -> pc of its first [Label] ({!Verify} reports a
+          duplicate) *)
 }
 
 exception Invalid of string
-(** Raised by [create], [target] and [label_pc] on a malformed kernel,
-    and by [Verify.validate]. *)
+(** Raised by [label_pc] on an unknown label, and by
+    [Verify.validate]. *)
 
 val create :
   name:string ->
@@ -27,15 +29,11 @@ val create :
   smem_bytes:int ->
   Instr.t array ->
   t
-(** Builds a kernel and indexes its labels.
-    @raise Invalid on duplicate labels. *)
+(** Builds a kernel and indexes its labels; checks nothing
+    ({!Verify.validate} does). *)
 
 val label_pc : t -> string -> int
 (** pc of a label. @raise Invalid if absent. *)
-
-val target : t -> int -> int
-(** Branch target pc of the branch instruction at the given pc.
-    @raise Invalid if the pc does not hold a branch. *)
 
 val global_load_pcs : t -> int list
 (** pcs of all global-memory loads (including atomics), in order. *)

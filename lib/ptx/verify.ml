@@ -8,10 +8,11 @@
 
    The checks here need only the kernel's declarations and instruction
    array: declared sizes, register and predicate bounds, branch
-   targets, parameter references, the presence of an exit, and
-   unreachable code.  Dataflow-dependent checks (use-before-def,
-   operand kinds, barriers under divergent control flow) live in
-   [Dataflow.Verify], which layers on top of this module. *)
+   targets, duplicate labels, parameter references, the presence of an
+   exit, and unreachable code.  Dataflow-dependent checks
+   (use-before-def, operand kinds, barriers under divergent control
+   flow) live in [Dataflow.Verify], which layers on top of this
+   module. *)
 
 type severity = Error | Warning
 
@@ -66,10 +67,11 @@ let reachable (k : Kernel.t) =
 
 (* Declared sizes that are not negative, then per instruction:
    register and predicate indices within the declared files, branch
-   targets that are declared labels and [ld.param] of declared
-   parameters; then an exit somewhere in the body.  With [warnings],
-   also each instruction no path from entry reaches (dead stores of
-   the builder, mistyped labels).  Instructions in program order. *)
+   targets that are declared labels, each label declared once and
+   [ld.param] of declared parameters; then an exit somewhere in the
+   body.  With [warnings], also each instruction no path from entry
+   reaches (dead stores of the builder, mistyped labels).  Instructions
+   in program order. *)
 let check ~warnings (k : Kernel.t) =
   let kernel = k.Kernel.kname and body = k.Kernel.body in
   if Array.length body = 0 then
@@ -115,6 +117,13 @@ let check ~warnings (k : Kernel.t) =
                   with
                  | [] -> "none"
                  | known -> String.concat ", " (List.sort compare known)))
+        | Instr.Label l -> (
+            match Hashtbl.find_opt k.Kernel.labels l with
+            | Some first when first <> pc ->
+                add
+                  (diag ~kernel ~pc ~code:"duplicate-label"
+                     "label %s already defined at pc %d" l first)
+            | _ -> ())
         | Instr.Ld_param (_, p) when not (List.mem p declared) ->
             add
               (diag ~kernel ~pc ~code:"unknown-param"

@@ -31,8 +31,8 @@ val errors : diag list -> diag list
 
 val structural : Kernel.t -> diag list
 (** Negative declared sizes; then register/predicate bounds, branch
-    targets, parameter references and unreachable code in program
-    order; then a missing exit. *)
+    targets, duplicate labels (at each repeat), parameter references
+    and unreachable code in program order; then a missing exit. *)
 
 val validate : Kernel.t -> Kernel.t
 (** Returns the kernel when [structural] reports no error.

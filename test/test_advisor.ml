@@ -28,7 +28,7 @@ let walk_kernel () =
 
 let test_walk_detection () =
   let k = walk_kernel () in
-  let walks = I.walking_loads k in
+  let walks = I.walking_loads (Dataflow.Depgraph.of_kernel k) in
   (* only the vals[e] load walks; the row_ptr loads do not *)
   Alcotest.(check int) "one walking load" 1 (List.length walks);
   Alcotest.(check int) "walk step = 4 bytes" 4
@@ -46,7 +46,7 @@ let test_pointer_bump_walk () =
       B.emit b (Ptx.Instr.Iop (Add, ptr, Reg ptr, B.int 8)));
   B.st b Global U32 (B.addr a) (B.int 0);
   let k = B.finish b in
-  match I.walking_loads k with
+  match I.walking_loads (Dataflow.Depgraph.of_kernel k) with
   | [ w ] -> Alcotest.(check int) "bump step 8" 8 w.I.w_step
   | l -> Alcotest.failf "expected one walking load, got %d" (List.length l)
 
@@ -61,7 +61,7 @@ let test_gather_not_walk () =
       let v = B.ld b Global U32 (B.at b ~base:a ~scale:4 x) in
       B.st b Global U32 (B.at b ~base:a ~scale:4 i) v);
   let k = B.finish b in
-  let walks = I.walking_loads k in
+  let walks = I.walking_loads (Dataflow.Depgraph.of_kernel k) in
   (* idx[i] walks (i is the loop induction); a[idx[i]] must not *)
   let gather_pc = List.nth (Ptx.Kernel.global_load_pcs k) 1 in
   Alcotest.(check bool) "gather not a walk" false

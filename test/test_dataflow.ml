@@ -7,6 +7,9 @@ module B = Ptx.Builder
 let u64 n = { Ptx.Kernel.pname = n; pty = U64 }
 let u32 n = { Ptx.Kernel.pname = n; pty = U32 }
 
+(* The classifier over the kernel's one analysis. *)
+let classify k = Dataflow.Classify.classify (Dataflow.Depgraph.of_kernel k)
+
 (* The paper's Code 1: bfs-style kernel.
    tid = ctaid.x*ntid.x + tid.x
    mask = g_mask[tid]            <- deterministic
@@ -37,14 +40,14 @@ let bfs_like () =
   B.finish b
 
 let classes kernel =
-  let res = Dataflow.Classify.classify kernel in
+  let res = classify kernel in
   List.map
     (fun (li : Dataflow.Classify.load_info) -> (li.li_space, li.li_class))
     (Dataflow.Classify.global_loads res)
 
 let test_bfs_classification () =
   let k = bfs_like () in
-  let res = Dataflow.Classify.classify k in
+  let res = classify k in
   let d, n = Dataflow.Classify.count_global res in
   Alcotest.(check int) "deterministic global loads" 2 d;
   Alcotest.(check int) "non-deterministic global loads" 2 n;
@@ -69,7 +72,7 @@ let test_loop_deterministic () =
       B.emit b (Ptx.Instr.Fop (Fadd, F32, acc, Reg acc, v)));
   B.st b Global F32 (B.at b ~base:a ~scale:4 tid) (Reg acc);
   let k = B.finish b in
-  let res = Dataflow.Classify.classify k in
+  let res = classify k in
   let d, n = Dataflow.Classify.count_global res in
   Alcotest.(check int) "deterministic" 1 d;
   Alcotest.(check int) "non-deterministic" 0 n
@@ -87,7 +90,7 @@ let test_pointer_chase () =
       B.emit b (Ptx.Instr.Mov (cur, next)));
   B.st b Global U32 (B.addr a) (Reg cur);
   let k = B.finish b in
-  let res = Dataflow.Classify.classify k in
+  let res = classify k in
   let d, n = Dataflow.Classify.count_global res in
   (* first iteration reads a[tid] but the same pc later reads a[loaded]:
      static classification must be non-deterministic *)
@@ -103,7 +106,7 @@ let test_shared_not_global () =
   let g = B.ld b Global U32 (B.at b ~base:a ~scale:4 s) in
   B.st b Global U32 (B.addr a) g;
   let k = B.finish b in
-  let res = Dataflow.Classify.classify k in
+  let res = classify k in
   let d, n = Dataflow.Classify.count_global res in
   Alcotest.(check int) "one global load" 1 (d + n);
   Alcotest.(check int) "it is non-deterministic (indexed by shared load)" 1 n;
@@ -120,7 +123,7 @@ let test_selp_deterministic () =
   let v = B.ld b Global U32 (B.at b ~base ~scale:4 B.tid_x) in
   B.st b Global U32 (B.addr a) v;
   let k = B.finish b in
-  let d, n = Dataflow.Classify.count_global (Dataflow.Classify.classify k) in
+  let d, n = Dataflow.Classify.count_global (classify k) in
   Alcotest.(check (pair int int)) "selp of params is D" (1, 0) (d, n)
 
 (* setp comparing against a loaded value taints selp through the
@@ -135,14 +138,12 @@ let test_selp_tainted_predicate () =
   let v = B.ld b Global U32 (B.at b ~base ~scale:4 B.tid_x) in
   B.st b Global U32 (B.addr a) v;
   let k = B.finish b in
-  let d, n = Dataflow.Classify.count_global (Dataflow.Classify.classify k) in
+  let d, n = Dataflow.Classify.count_global (classify k) in
   Alcotest.(check (pair int int)) "selp w/ tainted pred" (1, 1) (d, n)
 
 let test_backward_slice () =
   let k = bfs_like () in
-  let cfg = Ptx.Cfg.build k in
-  let r = Dataflow.Reaching.compute k cfg in
-  let dg = Dataflow.Depgraph.build k r in
+  let dg = Dataflow.Depgraph.of_kernel k in
   let last_ld =
     List.rev (Ptx.Kernel.global_load_pcs k) |> List.hd
   in
@@ -155,8 +156,7 @@ let test_backward_slice () =
 
 let test_liveness () =
   let k = bfs_like () in
-  let cfg = Ptx.Cfg.build k in
-  let lv = Dataflow.Liveness.compute k cfg in
+  let lv = Dataflow.Liveness.compute (Dataflow.Depgraph.of_kernel k) in
   Alcotest.(check bool) "positive register pressure" true
     (Dataflow.Liveness.max_pressure lv > 0);
   (* the first instruction's defined register must be live somewhere *)
@@ -246,7 +246,7 @@ let test_reaching_loop_carried () =
 
 let test_leaf_provenance () =
   let k = bfs_like () in
-  let res = Dataflow.Classify.classify k in
+  let res = classify k in
   let loads = Dataflow.Classify.global_loads res in
   let has_leaf li l = List.mem l li.Dataflow.Classify.li_leaves in
   (match loads with
@@ -274,7 +274,7 @@ let test_direct_sreg_address () =
   let v = B.ld b Global U32 { Ptx.Types.abase = B.tid_x; aoffset = 0 } in
   B.st b Global U32 { Ptx.Types.abase = B.tid_x; aoffset = 64 } v;
   let k = B.finish b in
-  let d, n = Dataflow.Classify.count_global (Dataflow.Classify.classify k) in
+  let d, n = Dataflow.Classify.count_global (classify k) in
   Alcotest.(check (pair int int)) "sreg-addressed load is D" (1, 0) (d, n)
 
 (* atomics count as loads: an address fed by an atomic's result is N *)
@@ -285,7 +285,7 @@ let test_atomic_taints () =
   let v = B.ld b Global U32 (B.at b ~base:a ~scale:4 old) in
   B.st b Global U32 (B.addr a) v;
   let k = B.finish b in
-  let res = Dataflow.Classify.classify k in
+  let res = classify k in
   let d, n = Dataflow.Classify.count_global res in
   (* the atomic itself is a global access (D address), the dependent
      load is N *)
@@ -304,7 +304,7 @@ let test_no_memory_dependence () =
   let v = B.ld b Global U32 (B.at b ~base:a ~scale:4 x) in
   B.st b Global U32 (B.addr a) v;
   let k = B.finish b in
-  let d, n = Dataflow.Classify.count_global (Dataflow.Classify.classify k) in
+  let d, n = Dataflow.Classify.count_global (classify k) in
   Alcotest.(check (pair int int)) "reloaded value taints" (1, 1) (d, n)
 
 (* liveness precision: a value is dead after its last use and live
@@ -323,8 +323,7 @@ let test_liveness_precision () =
       (Ptx.Kernel.create ~name:"lv" ~params:[] ~nregs:4 ~npregs:1
          ~smem_bytes:0 body)
   in
-  let cfg = Ptx.Cfg.build k in
-  let lv = Dataflow.Liveness.compute k cfg in
+  let lv = Dataflow.Liveness.compute (Dataflow.Depgraph.of_kernel k) in
   Alcotest.(check bool) "r0 live into pc2" true
     (Dataflow.Liveness.live_in_reg lv ~pc:2 ~reg:0);
   Alcotest.(check bool) "r0 dead after pc2" false
@@ -346,9 +345,7 @@ let test_uninitialized_use () =
       (Ptx.Kernel.create ~name:"uninit" ~params:[] ~nregs:2 ~npregs:1
          ~smem_bytes:0 body)
   in
-  let cfg = Ptx.Cfg.build k in
-  let r = Dataflow.Reaching.compute k cfg in
-  let dg = Dataflow.Depgraph.build k r in
+  let dg = Dataflow.Depgraph.of_kernel k in
   Alcotest.(check bool) "flagged" true
     (Dataflow.Depgraph.has_uninitialized_use dg 0)
 

@@ -7,7 +7,7 @@ module B = Ptx.Builder
 
 let mk_req ?(sm = 0) ?(kind = Gsim.Request.Load) ?(cta = -1) line =
   Gsim.Request.make ~cta ~line_addr:line ~sm_id:sm ~kind
-    ~cls:Dataflow.Classify.Deterministic ~wl:None ~now:0
+    ~cls:Dataflow.Classify.Deterministic ~wl:None
 
 let outcome =
   Alcotest.testable
@@ -359,6 +359,53 @@ let test_exit_divergence () =
   Alcotest.(check int) "surviving lane wrote" 7
     (Gsim.Mem.get_u32 global (4 * 20))
 
+(* A warp diverging on %tid.x < 16 runs the if's body on the low half
+   and is whole again from the branch's reconvergence point (the
+   analysis's immediate post-dominator): each instruction from there on
+   runs once, with all 32 lanes. *)
+let test_reconverges_at_join () =
+  let b = B.create ~name:"join" ~params:[ Workloads.Kutil.u64 "a" ] () in
+  let ap = B.ld_param b "a" in
+  B.if_ b (B.setp b Lt B.tid_x (B.int 16)) (fun () ->
+      B.st b Global U32 (B.at b ~base:ap ~scale:4 B.tid_x) (B.int 1));
+  B.st b Global U32 (B.at b ~base:ap ~scale:4 B.tid_x) (B.int 2);
+  let launch =
+    Gsim.Launch.create ~kernel:(B.finish b) ~grid:(1, 1, 1) ~block:(32, 1, 1)
+      ~params:[ ("a", 0L) ] ~global:(Gsim.Mem.create 4096)
+  in
+  let body = launch.Gsim.Launch.kernel.Ptx.Kernel.body in
+  let pcs = List.init (Array.length body) Fun.id in
+  let bra =
+    List.find
+      (fun pc -> match body.(pc) with Ptx.Instr.Bra _ -> true | _ -> false)
+      pcs
+  in
+  let join =
+    (Dataflow.Depgraph.reconvergence launch.Gsim.Launch.analysis).(bra)
+  in
+  Alcotest.(check bool) "reconverges before exit" true (join > bra);
+  let cta = Gsim.Cta.create launch ~warp_size:32 ~cta_lin:0 in
+  let w = cta.Gsim.Cta.warps.(0) in
+  let trace = ref [] in
+  while not (Gsim.Warp.finished w) do
+    (* [peek_unit] skips labels, so [pc] is the instruction [step] runs *)
+    ignore (Gsim.Warp.peek_unit w);
+    trace := (Gsim.Warp.pc w, Gsim.Warp.active_mask w) :: !trace;
+    ignore (Gsim.Warp.step w)
+  done;
+  Alcotest.(check bool) "the body runs on the low half" true
+    (List.exists (fun (pc, m) -> pc > bra && pc < join && m = 0xFFFF) !trace);
+  let full = Gsim.Warp.full_mask 32 in
+  Alcotest.(check (list (pair int int)))
+    "from the join on: once each, all 32 lanes"
+    (List.filter_map
+       (fun pc ->
+         match body.(pc) with
+         | Ptx.Instr.Label _ -> None
+         | _ -> if pc >= join then Some (pc, full) else None)
+       pcs)
+    (List.rev (List.filter (fun (pc, _) -> pc >= join) !trace))
+
 (* ---------------- SM slot management ---------------- *)
 
 let mini_launch () =
@@ -416,17 +463,14 @@ let test_dot_exports () =
   B.if_ b p (fun () ->
       let v = B.ld b Global U32 (B.addr a) in
       B.st b Global U32 (B.addr a) v);
-  let k = B.finish b in
-  let cfg = Ptx.Cfg.build k in
-  let dot = Ptx.Cfg.to_dot cfg in
+  let dg = Dataflow.Depgraph.of_kernel (B.finish b) in
+  let dot = Ptx.Cfg.to_dot (Dataflow.Depgraph.cfg dg) in
   Alcotest.(check bool) "cfg dot has digraph" true
     (String.length dot > 20 && String.sub dot 0 7 = "digraph");
   Alcotest.(check bool) "cfg dot has edges" true
     (List.exists
        (fun line -> String.length line > 4 && String.sub line 2 1 = "B")
        (String.split_on_char '\n' dot));
-  let r = Dataflow.Reaching.compute k cfg in
-  let dg = Dataflow.Depgraph.build k r in
   let ddot = Dataflow.Depgraph.to_dot dg in
   Alcotest.(check bool) "deps dot highlights the load" true
     (let rec contains s sub i =
@@ -475,6 +519,8 @@ let tests =
       test_divergence_vs_scalar;
     QCheck_alcotest.to_alcotest prop_divergence_random_inputs;
     Alcotest.test_case "warp: divergent exits" `Quick test_exit_divergence;
+    Alcotest.test_case "warp: reconverges at the join" `Quick
+      test_reconverges_at_join;
   ]
 
 let () = Alcotest.run "gsim_units" [ ("units", tests) ]

@@ -34,13 +34,16 @@ let test_roundtrip_all_kernels () =
 
 (* Classification is invariant under the parse round-trip. *)
 let test_classification_stable_under_roundtrip () =
+  let counts k =
+    Dataflow.Classify.(count_global (classify (Dataflow.Depgraph.of_kernel k)))
+  in
   List.iter
     (fun app ->
       List.iter
         (fun k ->
-          let before = Dataflow.Classify.count_global (Dataflow.Classify.classify k) in
+          let before = counts k in
           let k2 = Ptx.Parse.kernel_of_string (Ptx.Kernel.to_string k) in
-          let after = Dataflow.Classify.count_global (Dataflow.Classify.classify k2) in
+          let after = counts k2 in
           Alcotest.(check (pair int int))
             (k.Ptx.Kernel.kname ^ " classification stable")
             before after)

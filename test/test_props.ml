@@ -257,7 +257,8 @@ let prop_classification_stable_under_roundtrip =
             ( li.Dataflow.Classify.li_pc,
               li.Dataflow.Classify.li_space,
               li.Dataflow.Classify.li_class ))
-          (Dataflow.Classify.classify k).Dataflow.Classify.res_loads
+          (Dataflow.Classify.classify (Dataflow.Depgraph.of_kernel k))
+            .Dataflow.Classify.res_loads
       in
       digest k = digest k2)
 

@@ -79,15 +79,36 @@ let test_validation_names_every_error () =
             Alcotest.failf "%S does not name %s" msg code)
         [ "register-bounds"; "unknown-label" ]
 
+(* A repeated label is a diagnostic at its second pc, not an exception
+   from [Kernel.create]. *)
 let test_duplicate_label_rejected () =
   let body =
     [| Ptx.Instr.Label "L"; Ptx.Instr.Label "L"; Ptx.Instr.Exit |]
   in
+  let k =
+    Ptx.Kernel.create ~name:"dup" ~params:[] ~nregs:1 ~npregs:1 ~smem_bytes:0
+      body
+  in
   Alcotest.check_raises "duplicate label"
-    (Ptx.Kernel.Invalid "duplicate label L") (fun () ->
-      ignore
-        (Ptx.Kernel.create ~name:"dup" ~params:[] ~nregs:1 ~npregs:1
-           ~smem_bytes:0 body))
+    (Ptx.Kernel.Invalid
+       "dup: pc 1: error [duplicate-label] label L already defined at pc 0")
+    (fun () -> ignore (Ptx.Verify.validate k))
+
+(* A duplicate label hides no other structural error. *)
+let test_duplicate_label_with_other_errors () =
+  let text =
+    String.concat "\n"
+      [ ".kernel dup ()"; ".reg 2 .pred 1 .shared 0"; "{"; "L:";
+        "  mov %r5, 0;"; "L:"; "  exit;"; "}" ]
+  in
+  match Ptx.Parse.kernel_of_string text with
+  | _ -> Alcotest.fail "expected Kernel.Invalid"
+  | exception Ptx.Kernel.Invalid msg ->
+      List.iter
+        (fun code ->
+          if not (mentions msg ("[" ^ code ^ "]")) then
+            Alcotest.failf "%S does not name %s" msg code)
+        [ "duplicate-label"; "register-bounds" ]
 
 (* ---------- def/use ---------- *)
 
@@ -369,6 +390,8 @@ let tests =
       test_validation_names_every_error;
     Alcotest.test_case "validation: duplicate label" `Quick
       test_duplicate_label_rejected;
+    Alcotest.test_case "validation: duplicate label and other errors" `Quick
+      test_duplicate_label_with_other_errors;
     Alcotest.test_case "def/use sets" `Quick test_defs_uses;
     Alcotest.test_case "round-trip: handwritten kernel" `Quick
       test_roundtrip_handwritten;

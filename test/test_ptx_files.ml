@@ -25,7 +25,8 @@ let with_file name f =
 let test_gather_file () =
   with_file "gather.ptx" (fun text ->
       let k = Ptx.Parse.kernel_of_string text in
-      let d, n = Dataflow.Classify.count_global (Dataflow.Classify.classify k) in
+      let an = Dataflow.Depgraph.of_kernel k in
+      let d, n = Dataflow.Classify.count_global (Dataflow.Classify.classify an) in
       Alcotest.(check (pair int int)) "gather.ptx: 1 D, 1 N" (1, 1) (d, n);
       (* round trip *)
       let text' = Ptx.Kernel.to_string k in
@@ -35,10 +36,11 @@ let test_gather_file () =
 let test_spmv_file () =
   with_file "spmv.ptx" (fun text ->
       let k = Ptx.Parse.kernel_of_string text in
-      let d, n = Dataflow.Classify.count_global (Dataflow.Classify.classify k) in
+      let an = Dataflow.Depgraph.of_kernel k in
+      let d, n = Dataflow.Classify.count_global (Dataflow.Classify.classify an) in
       Alcotest.(check (pair int int)) "spmv.ptx: 2 D, 3 N" (2, 3) (d, n);
       (* the value/column walks are detected *)
-      let walks = Dataflow.Induction.walking_loads k in
+      let walks = Dataflow.Induction.walking_loads an in
       Alcotest.(check int) "two walking loads" 2 (List.length walks);
       List.iter
         (fun w -> Alcotest.(check int) "4-byte walk" 4 w.Dataflow.Induction.w_step)

@@ -15,7 +15,10 @@ let prediction =
     (fun ppf p -> Format.pp_print_string ppf (S.string_of_prediction p))
     ( = )
 
-let predictions k = List.map (fun lp -> lp.S.lp_prediction) (S.predict k)
+let predictions k =
+  List.map
+    (fun lp -> lp.S.lp_prediction)
+    (S.predict (Dataflow.Depgraph.of_kernel k))
 
 (* a[tid] with 4-byte elements: textbook coalesced *)
 let test_unit_stride () =
@@ -146,7 +149,6 @@ let test_predictions_vs_measurement () =
   let run = app.Workloads.App.make Workloads.App.Small in
   (match run.Workloads.App.next_launch () with
   | Some launch ->
-      let k = launch.Gsim.Launch.kernel in
       List.iter
         (fun lp ->
           match lp.S.lp_prediction with
@@ -156,7 +158,8 @@ let test_predictions_vs_measurement () =
           | p ->
               Alcotest.failf "dwt load predicted %s"
                 (S.string_of_prediction p))
-        (S.predict ~block:launch.Gsim.Launch.block k);
+        (S.predict ~block:launch.Gsim.Launch.block
+           launch.Gsim.Launch.analysis);
       let fs = Gsim.Funcsim.run launch in
       Alcotest.(check bool) "measured requests/warp <= 2" true
         (Gsim.Funcsim.requests_per_warp fs Dataflow.Classify.Deterministic
@@ -167,9 +170,10 @@ let test_predictions_vs_measurement () =
   let run = app.Workloads.App.make Workloads.App.Small in
   match run.Workloads.App.next_launch () with
   | Some launch ->
-      let k = launch.Gsim.Launch.kernel in
       let irregular =
-        List.filter (fun lp -> lp.S.lp_prediction = S.Irregular) (S.predict k)
+        List.filter
+          (fun lp -> lp.S.lp_prediction = S.Irregular)
+          (S.predict launch.Gsim.Launch.analysis)
       in
       Alcotest.(check int) "bfs k1 has 2 irregular gathers" 2
         (List.length irregular);
@@ -208,7 +212,7 @@ let test_coalesced_implies_deterministic () =
                          launch.Gsim.Launch.classes lp.S.lp_pc
                       = Some Dataflow.Classify.Deterministic)
                 | S.Irregular -> ())
-              (S.predict k)
+              (S.predict launch.Gsim.Launch.analysis)
       done)
     Workloads.Suite.all
 
@@ -268,7 +272,8 @@ let test_predictions_hold_suite_wide () =
             let kname = k.Ptx.Kernel.kname in
             if not (Hashtbl.mem preds kname) then
               Hashtbl.add preds kname
-                (S.predict ~block:launch.Gsim.Launch.block k);
+                (S.predict ~block:launch.Gsim.Launch.block
+                   launch.Gsim.Launch.analysis);
             Gsim.Funcsim.run_into fs launch
       done;
       Hashtbl.iter

@@ -177,7 +177,7 @@ let test_completed_accesses_convention () =
   in
   let req line =
     Gsim.Request.make ~cta:(-1) ~line_addr:line ~sm_id:0
-      ~kind:Gsim.Request.Load ~cls:d ~wl:None ~now:0
+      ~kind:Gsim.Request.Load ~cls:d ~wl:None
   in
   (* miss A; merge A; B fails twice on the single busy MSHR; after the
      fill B's retry misses; A hits *)

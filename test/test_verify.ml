@@ -7,7 +7,9 @@ module Instr = Ptx.Instr
 module V = Ptx.Verify
 
 let diag_codes k =
-  List.map (fun (d : V.diag) -> d.V.d_code) (Dataflow.Verify.verify_kernel k)
+  List.map
+    (fun (d : V.diag) -> d.V.d_code)
+    (fst (Dataflow.Verify.verify_kernel k))
 
 let has_code code k = List.mem code (diag_codes k)
 
@@ -35,7 +37,7 @@ let test_suite_clean () =
     (List.length kernels >= 15);
   List.iter
     (fun (k : Ptx.Kernel.t) ->
-      let diags = Dataflow.Verify.verify_kernel k in
+      let diags = fst (Dataflow.Verify.verify_kernel k) in
       Alcotest.(check (list string))
         (Printf.sprintf "kernel %s verifies clean" k.Ptx.Kernel.kname)
         []
@@ -94,7 +96,7 @@ let test_unreachable_warns () =
       [ Instr.Bra (None, "l"); Instr.Mov (0, Imm 0L); Instr.Label "l";
         Instr.Exit ]
   in
-  let diags = Dataflow.Verify.verify_kernel k in
+  let diags = fst (Dataflow.Verify.verify_kernel k) in
   Alcotest.(check bool) "dead code warned" true
     (List.exists
        (fun (d : V.diag) ->

@@ -117,6 +117,56 @@ let test_host_stopped_early () =
   Alcotest.(check bool) "iter_launches: unwound" true !unwound;
   Alcotest.(check (option int)) "then None" None (pull run)
 
+(* Two different kernels built under one name:
+   [same_name_kernel ~gather:false] loads a[tid] (D);
+   [same_name_kernel ~gather:true] loads a[a[tid]] (N), after one more
+   load that moves its branch.  The relaunch memo is keyed by the
+   kernel value, not its name, so each launch, a relaunch included,
+   carries its own kernel's classes and reconvergence table. *)
+let same_name_kernel ~gather =
+  let module B = Ptx.Builder in
+  let open Ptx.Types in
+  let b = B.create ~name:"same" ~params:[ Workloads.Kutil.u64 "a" ] () in
+  let a = B.ld_param b "a" in
+  let idx =
+    if gather then B.ld b Global U32 (B.at b ~base:a ~scale:4 B.tid_x)
+    else B.tid_x
+  in
+  B.if_ b (B.setp b Lt B.tid_x (B.int 4)) (fun () ->
+      let v = B.ld b Global U32 (B.at b ~base:a ~scale:4 idx) in
+      B.st b Global U32 (B.at b ~base:a ~scale:4 B.tid_x) v);
+  B.finish b
+
+let test_host_same_name_kernels () =
+  let kd = same_name_kernel ~gather:false in
+  let kn = same_name_kernel ~gather:true in
+  let run =
+    App.host ~global:(Gsim.Mem.create 128) ~check:(fun () -> true)
+      (fun launch ->
+        List.iter
+          (fun kernel ->
+            launch ~kernel ~grid:(1, 1, 1) ~block:(32, 1, 1)
+              ~params:[ ("a", 0L) ])
+          [ kd; kn; kd ])
+  in
+  let launches = ref [] in
+  App.iter_launches run (fun l ->
+      launches := l :: !launches;
+      true);
+  let reconv k = Dataflow.Depgraph.(reconvergence (of_kernel k)) in
+  Alcotest.(check bool) "the two tables differ" false (reconv kd = reconv kn);
+  List.iter2
+    (fun (l : Gsim.Launch.t) (k, classes) ->
+      Alcotest.(check bool) "its own kernel" true (l.Gsim.Launch.kernel == k);
+      Alcotest.(check bool) "its own analysis" true
+        (Dataflow.Depgraph.kernel l.Gsim.Launch.analysis == k);
+      Alcotest.(check (pair int int)) "its own classes (D, N)" classes
+        (Dataflow.Classify.count_global l.Gsim.Launch.classes);
+      Alcotest.(check (array int)) "its own reconvergence table" (reconv k)
+        l.Gsim.Launch.decode.Gsim.Decode.reconv)
+    (List.rev !launches)
+    [ (kd, (1, 0)); (kn, (1, 1)); (kd, (1, 0)) ]
+
 (* Pulling without executing leaves bfs's frontier flag clear, so the
    host loop stops after one iteration: k1, k2. *)
 let test_bfs_unexecuted_walk () =
@@ -310,6 +360,8 @@ let tests =
       Alcotest.test_case "host program exception" `Quick test_host_exception;
       Alcotest.test_case "host program stopped early" `Quick
         test_host_stopped_early;
+      Alcotest.test_case "host program same-name kernels" `Quick
+        test_host_same_name_kernels;
       Alcotest.test_case "bfs unexecuted walk" `Quick test_bfs_unexecuted_walk;
       Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
       QCheck_alcotest.to_alcotest prop_prng_int_range;
