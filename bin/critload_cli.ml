@@ -36,15 +36,13 @@ let suite_names =
     Workloads.Suite.all
 
 let scale_arg =
-  let scale_conv =
-    Arg.enum
-      [ ("small", Workloads.App.Small); ("default", Workloads.App.Default);
-        ("large", Workloads.App.Large) ]
-  in
+  let open Workloads.App in
+  let names = List.map string_of_scale scales in
   Arg.(
     value
-    & opt scale_conv Workloads.App.Default
-    & info [ "scale" ] ~docv:"SCALE" ~doc:"Dataset scale: small|default|large.")
+    & opt (enum (List.combine names scales)) Default
+    & info [ "scale" ] ~docv:"SCALE"
+        ~doc:("Dataset scale: " ^ String.concat "|" names ^ "."))
 
 let cap_arg ?(default = 150_000) () =
   Arg.(
@@ -389,18 +387,16 @@ let characterize_cmd =
 let dot_cmd =
   let run name which =
     let app = find_app ~cmd:"dot" name in
-    let run = app.Workloads.App.make Workloads.App.Small in
-    (match run.Workloads.App.next_launch () with
-    | None -> prerr_endline "no launch"
-    | Some launch ->
+    match Workloads.App.(kernel_launches (app.make Small)) with
+    | [] -> prerr_endline "no launch"
+    | launch :: _ -> (
         let an = launch.Gsim.Launch.analysis in
-        (match which with
+        match which with
         | "cfg" -> print_string (Ptx.Cfg.to_dot (Dataflow.Depgraph.cfg an))
         | "deps" -> print_string (Dataflow.Depgraph.to_dot an)
         | other ->
             Printf.eprintf "unknown graph kind %s (cfg|deps)\n" other;
-            exit EC.usage));
-    ()
+            exit EC.usage)
   in
   let which =
     Arg.(
@@ -462,17 +458,17 @@ let simulate_cmd =
         "simulate: warning: run truncated by an instruction/cycle cap; \
          statistics cover only the simulated prefix\n%!";
     List.iter
-      (fun (nm, c) ->
+      (fun c ->
         Printf.printf
           "%s: req/warp %.2f, req/thread %.2f, turnaround %.0f, L1 miss \
            %.0f%%, L2 miss %.0f%%\n"
-          nm
+          (short_class c)
           (Gsim.Stats.requests_per_warp s c)
           (Gsim.Stats.requests_per_active_thread s c)
           (Gsim.Stats.avg_turnaround s c)
           (100.0 *. Gsim.Stats.l1_miss_ratio s c)
           (100.0 *. Gsim.Stats.l2_miss_ratio s c))
-      [ ("N", Nondeterministic); ("D", Deterministic) ];
+      [ Nondeterministic; Deterministic ];
     let b = Gsim.Stats.l1_cycle_breakdown s in
     Printf.printf
       "L1 cycles: hit %.0f%%, hit-reserved %.0f%%, miss %.0f%%, tag-fail \
@@ -1012,7 +1008,7 @@ let experiment_cmd =
     (* one policy sweep feeds both the table and its JSON record *)
     let policies () =
       let policies =
-        match policies with [] -> E.default_policies | ps -> ps
+        match policies with [] -> Gsim.Config.named_policies | ps -> ps
       in
       let rows = E.policy_sweep ~policies ~workers:jobs scale in
       write "policies.json" (fun oc ->

@@ -263,10 +263,10 @@ let render_fig5 scale =
        (fun app ->
          let n, d = fig5 scale app in
          let row cls (u, p, c, w) =
-           [ app.App.name; cls; Tables.f1 u; Tables.f1 p; Tables.f1 c;
-             Tables.f1 w; Tables.f1 (u +. p +. c +. w) ]
+           [ app.App.name; short_class cls; Tables.f1 u; Tables.f1 p;
+             Tables.f1 c; Tables.f1 w; Tables.f1 (u +. p +. c +. w) ]
          in
-         [ row "N" n; row "D" d ])
+         [ row Nondeterministic n; row Deterministic d ])
        all_apps)
 
 (* ---------------- Fig 6 / Fig 7 ---------------- *)
@@ -504,17 +504,17 @@ let sensitivity apps =
     (fun name ->
       let app = Suite.find name in
       List.map
-        (fun (scale, sname) ->
+        (fun scale ->
           let r = func_result scale app in
           let fs = r.Runner.fr_fs in
           {
             sn_app = name;
-            sn_scale = sname;
+            sn_scale = App.string_of_scale scale;
             sn_dyn_d_fraction = Gsim.Funcsim.deterministic_fraction fs;
             sn_req_per_thread_n =
               Gsim.Funcsim.requests_per_active_thread fs Nondeterministic;
           })
-        [ (App.Small, "small"); (App.Default, "default") ])
+        [ App.Small; App.Default ])
     apps
 
 let render_sensitivity () =
@@ -626,8 +626,9 @@ let ablations =
          greedy-then-oldest";
       abl_apps = all_apps;
       abl_variants =
-        [ ("lrr", Config.with_warp_sched Config.Lrr);
-          ("gto", Config.with_warp_sched Config.Gto) ];
+        List.map
+          (fun w -> (Config.warp_sched_name w, Config.with_warp_sched w))
+          Config.warp_scheds;
     } ]
 
 let ablation_rows scale a =
@@ -739,11 +740,7 @@ type policy_row = {
   po_fail_n_delta : float; (* relative N-fail change vs baseline *)
 }
 
-let default_policies =
-  [ Config.Baseline; Config.Iar Config.default_iar;
-    Config.Holistic Config.default_holistic ]
-
-let policy_sweep ?(policies = default_policies) ?(workers = 4) scale =
+let policy_sweep ?(policies = Config.named_policies) ?(workers = 4) scale =
   let module P = Parsweep in
   let cfg = timing_cfg () in
   let cfgs =

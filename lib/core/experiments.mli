@@ -208,15 +208,13 @@ type policy_row = {
   po_fail_n_delta : float;
 }
 
-val default_policies : Gsim.Config.policy list
-(** Baseline, IAR, and holistic with their default parameters. *)
-
 val policy_sweep :
   ?policies:Gsim.Config.policy list ->
   ?workers:int ->
   Workloads.App.scale ->
   policy_row list
-(** Rows ordered app-major then policy; jobs that failed in the pool
+(** [policies] defaults to {!Gsim.Config.named_policies}.  Rows
+    ordered app-major then policy; jobs that failed in the pool
     are dropped (speedup falls back to 1.0 when an app's baseline row
     is missing). *)
 

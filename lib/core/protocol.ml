@@ -19,6 +19,9 @@ let job_to_json (j : Parsweep.job) =
       ("profile", Json.Bool j.Parsweep.sj_profile);
       ("config", Gsim.Stats_io.config_to_json j.Parsweep.sj_cfg) ]
 
+let mode_of_name =
+  Gsim.Stats_io.Codec.of_name "mode" Runner.mode_name Runner.modes
+
 let job_of_json v =
   let ( let* ) r f = Result.bind r f in
   let field name decode ~default =
@@ -43,11 +46,7 @@ let job_of_json v =
       let* label = field "label" Json.get_str ~default:"base" in
       let* mode =
         field "mode"
-          (fun x ->
-            match Json.get_str x with
-            | "func" -> Parsweep.Func
-            | "timing" -> Parsweep.Timing
-            | m -> invalid_arg ("unknown mode " ^ m))
+          (fun x -> mode_of_name (Json.get_str x))
           ~default:Parsweep.Timing
       in
       let* warmup = field "warmup" Json.get_bool ~default:true in
@@ -100,10 +99,10 @@ let reject_reason_to_string = function
   | Queue_full -> "queue_full"
   | Shutting_down -> "shutting_down"
 
-let reject_reason_of_string = function
-  | "queue_full" -> Some Queue_full
-  | "shutting_down" -> Some Shutting_down
-  | _ -> None
+let reject_reason_of_string r =
+  List.find_opt
+    (fun x -> String.equal (reject_reason_to_string x) r)
+    [ Queue_full; Shutting_down ]
 
 type health = {
   h_queued : int;

@@ -10,6 +10,7 @@
 type mode = Func | Timing
 
 let mode_name = function Func -> "func" | Timing -> "timing"
+let modes = [ Func; Timing ]
 
 type func_result = {
   fr_app : Workloads.App.t;

@@ -14,6 +14,9 @@ type mode = Func | Timing
 val mode_name : mode -> string
 (** ["func"] / ["timing"] — the sweep JSON / cache spelling. *)
 
+val modes : mode list
+(** Both modes; a mode decoder is {!mode_name}'s inverse over it. *)
+
 type func_result = {
   fr_app : Workloads.App.t;
   fr_fs : Gsim.Funcsim.t;

@@ -44,6 +44,7 @@ let string_of_class = function
   | Nondeterministic -> "non-deterministic"
 
 let short_class = function Deterministic -> "D" | Nondeterministic -> "N"
+let load_classes = [ Deterministic; Nondeterministic ]
 
 let string_of_leaf = function
   | Leaf_param -> "param"

@@ -40,6 +40,10 @@ type result = {
 val short_class : load_class -> string
 (** ["D"] / ["N"], the paper's figure labels. *)
 
+val load_classes : load_class list
+(** Both classes, [Deterministic] first; a class decoder is
+    {!short_class}'s inverse over this list. *)
+
 val classify : Depgraph.t -> result
 (** Classify every memory load of the analyzed kernel. *)
 

@@ -83,6 +83,9 @@ type warp_sched_policy =
   | Lrr (* loose round robin, the paper-era GPGPU-Sim default *)
   | Gto (* greedy-then-oldest: stay on one warp until it stalls *)
 
+let warp_sched_name = function Lrr -> "lrr" | Gto -> "gto"
+let warp_scheds = [ Lrr; Gto ]
+
 type t = {
   n_sms : int;
   warp_size : int;
@@ -172,55 +175,14 @@ let default =
 
 (* ---- builder ----
 
-   Pipeline-style combinators over [default]; each takes the config
-   last so call sites read
-     Config.default |> Config.with_mshrs 32 |> Config.with_caps
+   Pipeline-style combinators over [default] for the knobs programs
+   vary; each takes the config last so call sites read
+     Config.default |> Config.with_policy p |> Config.with_caps
        ~max_warp_insts:5_000 ()
-   Optional arguments leave the corresponding field untouched, so a
-   builder names only what an experiment varies. *)
+   Optional arguments leave the corresponding field untouched.  Any
+   other field is a record update. *)
 
 let opt v = function Some x -> x | None -> v
-
-let with_n_sms n c = { c with n_sms = n }
-let with_warp_size n c = { c with warp_size = n }
-
-let with_l1 ?sets ?ways ?line_size ?hit_latency c =
-  {
-    c with
-    l1_sets = opt c.l1_sets sets;
-    l1_ways = opt c.l1_ways ways;
-    line_size = opt c.line_size line_size;
-    l1_hit_latency = opt c.l1_hit_latency hit_latency;
-  }
-
-let with_mshrs ?max_merge entries c =
-  {
-    c with
-    l1_mshr_entries = entries;
-    l1_mshr_max_merge = opt c.l1_mshr_max_merge max_merge;
-  }
-
-let with_l2 ?partitions ?sets ?ways ?mshr_entries ?latency ?input_queue c =
-  {
-    c with
-    n_mem_partitions = opt c.n_mem_partitions partitions;
-    l2_sets = opt c.l2_sets sets;
-    l2_ways = opt c.l2_ways ways;
-    l2_mshr_entries = opt c.l2_mshr_entries mshr_entries;
-    l2_latency = opt c.l2_latency latency;
-    l2_input_queue_size = opt c.l2_input_queue_size input_queue;
-  }
-
-let with_icnt_width n c = { c with icnt_buffer_size = n }
-let with_icnt_latency n c = { c with icnt_latency = n }
-
-let with_dram ?latency ?interval ?queue_size c =
-  {
-    c with
-    dram_latency = opt c.dram_latency latency;
-    dram_interval = opt c.dram_interval interval;
-    dram_queue_size = opt c.dram_queue_size queue_size;
-  }
 
 let with_caps ?max_warp_insts ?max_cycles () c =
   {
@@ -241,14 +203,21 @@ let policy_name = function
   | Holistic _ -> "holistic"
   | Per_pc _ -> "per-pc"
 
-let policy_of_string = function
-  | "baseline" -> Ok Baseline
-  | "iar" -> Ok (Iar default_iar)
-  | "holistic" -> Ok (Holistic default_holistic)
-  | s ->
+let named_policies = [ Baseline; Iar default_iar; Holistic default_holistic ]
+
+let policy_of_string s =
+  match List.find_opt (fun p -> String.equal (policy_name p) s) named_policies
+  with
+  | Some p -> Ok p
+  | None ->
+      let rec alternatives = function
+        | [ a; b ] -> a ^ " or " ^ b
+        | a :: rest -> a ^ ", " ^ alternatives rest
+        | [] -> ""
+      in
       Error
-        (Printf.sprintf
-           "unknown policy %S (expected baseline, iar or holistic)" s)
+        (Printf.sprintf "unknown policy %S (expected %s)" s
+           (alternatives (List.map policy_name named_policies)))
 
 (* Latency of a load that misses everywhere, with empty queues: request
    over icnt, L2 access, DRAM, and the return trip.  The L1 probe that

@@ -71,14 +71,23 @@ type policy =
 val policy_name : policy -> string
 (** Short label for tables and sweep job names. *)
 
+val named_policies : policy list
+(** The policies a CLI name selects: [Baseline], and [Iar] and
+    [Holistic] with their default parameters. *)
+
 val policy_of_string : string -> (policy, string) result
-(** Parse a CLI policy name ([baseline] / [iar] / [holistic]), using
-    the default parameters for the structured policies. *)
+(** Parse a CLI policy name ([baseline] / [iar] / [holistic]): the
+    inverse of {!policy_name} over {!named_policies}. *)
 
 (** Warp issue policy within an SM. *)
 type warp_sched_policy =
   | Lrr  (** loose round robin, the paper-era GPGPU-Sim default *)
   | Gto  (** greedy-then-oldest: stay on one warp until it stalls *)
+
+val warp_sched_name : warp_sched_policy -> string
+(** ["lrr"] / ["gto"]: the config JSON's spelling. *)
+
+val warp_scheds : warp_sched_policy list
 
 type t = {
   n_sms : int;
@@ -122,38 +131,10 @@ val default : t
 
 (** {1 Builder}
 
-    Pipeline-style combinators over {!default}; each takes the config
-    last, so call sites read
-    [Config.default |> Config.with_mshrs 32 |> Config.with_caps
-     ~max_warp_insts:5_000 ()].  Optional arguments leave the
-    corresponding field untouched, so a builder names only what an
-    experiment varies. *)
-
-val with_n_sms : int -> t -> t
-val with_warp_size : int -> t -> t
-
-val with_l1 :
-  ?sets:int -> ?ways:int -> ?line_size:int -> ?hit_latency:int -> t -> t
-
-val with_mshrs : ?max_merge:int -> int -> t -> t
-(** [with_mshrs n] sets the L1 MSHR entry count (and optionally the
-    per-entry merge limit, shared with the L2). *)
-
-val with_l2 :
-  ?partitions:int ->
-  ?sets:int ->
-  ?ways:int ->
-  ?mshr_entries:int ->
-  ?latency:int ->
-  ?input_queue:int ->
-  t ->
-  t
-
-val with_icnt_width : int -> t -> t
-(** Per-SM interconnect injection credits ([icnt_buffer_size]). *)
-
-val with_icnt_latency : int -> t -> t
-val with_dram : ?latency:int -> ?interval:int -> ?queue_size:int -> t -> t
+    Pipeline-style combinators over {!default} for the knobs programs
+    vary; each takes the config last, so call sites read
+    [Config.default |> Config.with_policy p |> Config.with_caps
+     ~max_warp_insts:5_000 ()].  Any other field is a record update. *)
 
 val with_caps : ?max_warp_insts:int -> ?max_cycles:int -> unit -> t -> t
 (** Simulation stop caps; [0] for [max_warp_insts] disables that cap. *)

@@ -429,9 +429,10 @@ let of_json = codec.dec
 
 let pp_summary ppf t =
   let pr fmt = Format.fprintf ppf fmt in
-  let class_block name cp =
+  let class_block c =
+    let cp = class_profile t c in
     pr "%s loads: %d issued, %d returned, avg turnaround %.1f, max %d@."
-      name cp.cp_issues cp.cp_returns
+      (Dataflow.Classify.short_class c) cp.cp_issues cp.cp_returns
       (if cp.cp_returns = 0 then 0.0
        else float_of_int cp.cp_sum_turnaround /. float_of_int cp.cp_returns)
       cp.cp_max_turnaround;
@@ -452,8 +453,7 @@ let pp_summary ppf t =
       cp.cp_l2_access cp.cp_l2_miss cp.cp_l2_fail.(0) cp.cp_l2_fail.(1)
       cp.cp_l2_fail.(2)
   in
-  class_block "D" t.per_class.(0);
-  class_block "N" t.per_class.(1);
+  List.iter class_block Dataflow.Classify.load_classes;
   pr "stores: %d accepted; rsrv fails: %d tags, %d mshr, %d icnt; %d L2 fails@."
     t.store_ok t.st_fail.(0) t.st_fail.(1) t.st_fail.(2) t.l2_store_fail;
   let l1m = t.l1_merge_intra + t.l1_merge_inter in

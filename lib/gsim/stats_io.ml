@@ -367,16 +367,23 @@ module Codec = struct
   let bool = { enc = (fun b -> Json.Bool b); dec = Json.get_bool }
   let string = { enc = (fun s -> Json.Str s); dec = Json.get_str }
 
-  let load_class =
+  let of_name what name all =
+    let of_name = Ptx.Types.of_name name all in
+    fun s ->
+      match of_name s with
+      | Some x -> x
+      | None -> raise (Json.Parse_error ("unknown " ^ what ^ " " ^ s))
+
+  let enum what name all =
+    let of_name = of_name what name all in
     {
-      enc = (fun c -> Json.Str (Dataflow.Classify.short_class c));
-      dec =
-        (function
-        | Json.Str "D" -> Dataflow.Classify.Deterministic
-        | Json.Str "N" -> Dataflow.Classify.Nondeterministic
-        | Json.Str s -> raise (Json.Parse_error ("unknown load class " ^ s))
-        | v -> Json.schema_fail "load class" v);
+      enc = (fun x -> Json.Str (name x));
+      dec = (function Json.Str s -> of_name s | v -> Json.schema_fail what v);
     }
+
+  let load_class =
+    enum "load class" Dataflow.Classify.short_class
+      Dataflow.Classify.load_classes
 
   let map to_a of_a c =
     { enc = (fun b -> c.enc (to_a b)); dec = (fun v -> of_a (c.dec v)) }
@@ -687,16 +694,7 @@ let cta_sched =
       | v -> Json.schema_fail "cta_sched" v);
   }
 
-let warp_sched =
-  {
-    enc =
-      (function Config.Lrr -> Json.Str "lrr" | Config.Gto -> Json.Str "gto");
-    dec =
-      (function
-      | Json.Str "lrr" -> Config.Lrr
-      | Json.Str "gto" -> Config.Gto
-      | v -> Json.schema_fail "warp_sched" v);
-  }
+let warp_sched = enum "warp_sched" Config.warp_sched_name Config.warp_scheds
 
 let config =
   let open Config in

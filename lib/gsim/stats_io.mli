@@ -86,8 +86,19 @@ module Codec : sig
   val bool : bool t
   val string : string t
 
+  val of_name : string -> ('a -> string) -> 'a list -> string -> 'a
+  (** [of_name what name all s]: the value of [all] that [name] spells
+      [s]; [of_name what name all] spells [all] once.
+      @raise Json.Parse_error ["unknown <what> <s>"] when none does. *)
+
+  val enum : string -> ('a -> string) -> 'a list -> 'a t
+  (** [enum what name all]: a value as the string [name] spells it,
+      decoded by {!of_name}; a non-string is ["expected <what>, got
+      <type>"]. *)
+
   val load_class : Dataflow.Classify.load_class t
-  (** ["D"] or ["N"], and nothing else. *)
+  (** ["D"] or ["N"] ({!Dataflow.Classify.short_class}), and nothing
+      else. *)
 
   val map : ('b -> 'a) -> ('a -> 'b) -> 'a t -> 'b t
   (** [map to_a of_a c]: a ['b] carried in its ['a] form. *)

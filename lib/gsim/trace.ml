@@ -118,6 +118,7 @@ let with_muted t f =
 module Json = Stats_io.Json
 
 let load_class = Stats_io.Codec.load_class
+let of_name = Stats_io.Codec.of_name
 
 let outcome_name (o : Cache.outcome) =
   match o with
@@ -128,36 +129,31 @@ let outcome_name (o : Cache.outcome) =
   | Cache.Rsrv_fail Cache.Fail_mshr -> "rsrv_fail_mshr"
   | Cache.Rsrv_fail Cache.Fail_icnt -> "rsrv_fail_icnt"
 
-let outcome_of_name = function
-  | "hit" -> Cache.Hit
-  | "hit_reserved" -> Cache.Hit_reserved
-  | "miss" -> Cache.Miss
-  | "rsrv_fail_tags" -> Cache.Rsrv_fail Cache.Fail_tags
-  | "rsrv_fail_mshr" -> Cache.Rsrv_fail Cache.Fail_mshr
-  | "rsrv_fail_icnt" -> Cache.Rsrv_fail Cache.Fail_icnt
-  | s -> raise (Json.Parse_error ("unknown cache outcome " ^ s))
+let outcome_of_name =
+  of_name "cache outcome" outcome_name
+    Cache.
+      [ Hit; Hit_reserved; Miss; Rsrv_fail Fail_tags; Rsrv_fail Fail_mshr;
+        Rsrv_fail Fail_icnt ]
 
 let level_name = function
   | Request.Lvl_l1 -> "l1"
   | Request.Lvl_l2 -> "l2"
   | Request.Lvl_dram -> "dram"
 
-let level_of_name = function
-  | "l1" -> Request.Lvl_l1
-  | "l2" -> Request.Lvl_l2
-  | "dram" -> Request.Lvl_dram
-  | s -> raise (Json.Parse_error ("unknown memory level " ^ s))
+let level_of_name =
+  of_name "memory level" level_name Request.[ Lvl_l1; Lvl_l2; Lvl_dram ]
 
 let src_name = function
   | A_load c -> Dataflow.Classify.short_class c
   | A_store -> "store"
   | A_prefetch -> "prefetch"
 
-let src_of_json v =
-  match Json.get_str v with
-  | "store" -> A_store
-  | "prefetch" -> A_prefetch
-  | _ -> A_load (load_class.dec v)
+let src_of_name =
+  of_name "load class" src_name
+    (A_store :: A_prefetch
+    :: List.map (fun c -> A_load c) Dataflow.Classify.load_classes)
+
+let src_of_json v = src_of_name (Json.get_str v)
 
 let side_fields = function
   | S_l1 sm -> [ ("at", Json.Str "l1"); ("unit", Json.Int sm) ]
@@ -172,10 +168,7 @@ let side_of_json v =
 
 let dir_name = function Dir_req -> "req" | Dir_resp -> "resp"
 
-let dir_of_name = function
-  | "req" -> Dir_req
-  | "resp" -> Dir_resp
-  | s -> raise (Json.Parse_error ("unknown icnt direction " ^ s))
+let dir_of_name = of_name "icnt direction" dir_name [ Dir_req; Dir_resp ]
 
 let event_to_json = function
   | Ev_load_issue e ->

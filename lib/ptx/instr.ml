@@ -133,9 +133,7 @@ let pp ppf (i : t) =
   | Iop (o, d, a, b) -> pr "%s %%r%d, %a, %a" (string_of_iop o) d op a op b
   | Mad (d, a, b, c) -> pr "mad.lo %%r%d, %a, %a, %a" d op a op b op c
   | Fop (o, ty, d, a, b) ->
-      pr "%s%s %%r%d, %a, %a" (string_of_fop o)
-        (if ty = F64 then "64" else "32")
-        d op a op b
+      pr "%s %%r%d, %a, %a" (fop_mnemonic o ty) d op a op b
   | Fma (ty, d, a, b, c) ->
       pr "fma.%s %%r%d, %a, %a, %a" (string_of_dtype ty) d op a op b op c
   | Funary (o, ty, d, a) ->

@@ -34,21 +34,9 @@ let split_operands s =
   |> List.filter (fun x -> x <> "")
 
 let parse_sreg s =
-  let dim_of c =
-    match c with
-    | "x" -> X
-    | "y" -> Y
-    | "z" -> Z
-    | _ -> error "bad dimension %s" c
-  in
-  match String.split_on_char '.' s with
-  | [ "%tid"; d ] -> Tid (dim_of d)
-  | [ "%ntid"; d ] -> Ntid (dim_of d)
-  | [ "%ctaid"; d ] -> Ctaid (dim_of d)
-  | [ "%nctaid"; d ] -> Nctaid (dim_of d)
-  | [ "%laneid" ] -> Laneid
-  | [ "%warpid" ] -> Warpid
-  | _ -> error "unknown special register %s" s
+  match of_name string_of_sreg sregs s with
+  | Some r -> r
+  | None -> error "unknown special register %s" s
 
 let parse_reg s =
   if String.length s > 2 && s.[0] = '%' && s.[1] = 'r' then
@@ -101,54 +89,19 @@ let addr_inner s =
   if n < 2 || s.[0] <> '[' || s.[n - 1] <> ']' then error "bad address %s" s
   else String.sub s 1 (n - 2)
 
-let iop_of_mnemonic = function
-  | "add" -> Some Add
-  | "sub" -> Some Sub
-  | "mul.lo" -> Some Mul
-  | "mul.hi" -> Some Mulhi
-  | "div" -> Some Div
-  | "rem" -> Some Rem
-  | "min" -> Some Min
-  | "max" -> Some Max
-  | "and" -> Some Band
-  | "or" -> Some Bor
-  | "xor" -> Some Bxor
-  | "shl" -> Some Shl
-  | "shr" -> Some Shr
-  | _ -> None
+let iop_of_mnemonic = of_name string_of_iop iops
 
-let fop_of_mnemonic = function
-  | "add.f32" -> Some (Fadd, F32)
-  | "add.f64" -> Some (Fadd, F64)
-  | "sub.f32" -> Some (Fsub, F32)
-  | "sub.f64" -> Some (Fsub, F64)
-  | "mul.f32" -> Some (Fmul, F32)
-  | "mul.f64" -> Some (Fmul, F64)
-  | "div.f32" -> Some (Fdiv, F32)
-  | "div.f64" -> Some (Fdiv, F64)
-  | "min.f32" -> Some (Fmin, F32)
-  | "min.f64" -> Some (Fmin, F64)
-  | "max.f32" -> Some (Fmax, F32)
-  | "max.f64" -> Some (Fmax, F64)
-  | _ -> None
+let fop_of_mnemonic =
+  of_name
+    (fun (o, ty) -> fop_mnemonic o ty)
+    (List.concat_map (fun o -> [ (o, F32); (o, F64) ]) fops)
 
-let funary_of_string = function
-  | "sqrt" -> Some Sqrt
-  | "rsqrt" -> Some Rsqrt
-  | "rcp" -> Some Rcp
-  | "sin" -> Some Sin
-  | "cos" -> Some Cos
-  | "ex2" -> Some Ex2
-  | "lg2" -> Some Lg2
-  | _ -> None
+let funary_of_string = of_name string_of_funary funarys
 
-let atomop_of_string = function
-  | "add" -> Aadd
-  | "min" -> Amin
-  | "max" -> Amax
-  | "exch" -> Aexch
-  | "cas" -> Acas
-  | s -> error "unknown atomic op %s" s
+let atomop_of_string s =
+  match of_name string_of_atomop atomops s with
+  | Some o -> o
+  | None -> error "unknown atomic op %s" s
 
 (* Instructions with dotted mnemonics (ld/st/setp/cvt/fma/atom/SFU). *)
 let parse_dotted mnemonic rest line : Instr.t =

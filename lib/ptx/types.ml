@@ -120,18 +120,7 @@ let string_of_dtype = function
   | F32 -> "f32"
   | F64 -> "f64"
 
-let dtype_of_string = function
-  | "u8" -> U8
-  | "s8" -> S8
-  | "u16" -> U16
-  | "s16" -> S16
-  | "u32" -> U32
-  | "s32" -> S32
-  | "u64" -> U64
-  | "s64" -> S64
-  | "f32" -> F32
-  | "f64" -> F64
-  | s -> invalid_arg ("dtype_of_string: " ^ s)
+let dtypes = [ U8; S8; U16; S16; U32; S32; U64; S64; F32; F64 ]
 
 let string_of_space = function
   | Param -> "param"
@@ -141,16 +130,10 @@ let string_of_space = function
   | Const -> "const"
   | Tex -> "tex"
 
-let space_of_string = function
-  | "param" -> Param
-  | "global" -> Global
-  | "shared" -> Shared
-  | "local" -> Local
-  | "const" -> Const
-  | "tex" -> Tex
-  | s -> invalid_arg ("space_of_string: " ^ s)
+let spaces = [ Param; Global; Shared; Local; Const; Tex ]
 
 let string_of_dim = function X -> "x" | Y -> "y" | Z -> "z"
+let dims = [ X; Y; Z ]
 
 let string_of_sreg = function
   | Tid d -> "%tid." ^ string_of_dim d
@@ -159,6 +142,10 @@ let string_of_sreg = function
   | Nctaid d -> "%nctaid." ^ string_of_dim d
   | Laneid -> "%laneid"
   | Warpid -> "%warpid"
+
+let sregs =
+  List.concat_map (fun d -> [ Tid d; Ntid d; Ctaid d; Nctaid d ]) dims
+  @ [ Laneid; Warpid ]
 
 let string_of_iop = function
   | Add -> "add"
@@ -175,6 +162,9 @@ let string_of_iop = function
   | Shl -> "shl"
   | Shr -> "shr"
 
+let iops =
+  [ Add; Sub; Mul; Mulhi; Div; Rem; Min; Max; Band; Bor; Bxor; Shl; Shr ]
+
 let string_of_fop = function
   | Fadd -> "add.f"
   | Fsub -> "sub.f"
@@ -182,6 +172,11 @@ let string_of_fop = function
   | Fdiv -> "div.f"
   | Fmin -> "min.f"
   | Fmax -> "max.f"
+
+let fops = [ Fadd; Fsub; Fmul; Fdiv; Fmin; Fmax ]
+
+(* The full mnemonic carries the width: add.f32, max.f64. *)
+let fop_mnemonic o ty = string_of_fop o ^ if ty = F64 then "64" else "32"
 
 let string_of_funary = function
   | Sqrt -> "sqrt"
@@ -192,6 +187,8 @@ let string_of_funary = function
   | Ex2 -> "ex2"
   | Lg2 -> "lg2"
 
+let funarys = [ Sqrt; Rsqrt; Rcp; Sin; Cos; Ex2; Lg2 ]
+
 let string_of_cmp = function
   | Eq -> "eq"
   | Ne -> "ne"
@@ -200,14 +197,7 @@ let string_of_cmp = function
   | Gt -> "gt"
   | Ge -> "ge"
 
-let cmp_of_string = function
-  | "eq" -> Eq
-  | "ne" -> Ne
-  | "lt" -> Lt
-  | "le" -> Le
-  | "gt" -> Gt
-  | "ge" -> Ge
-  | s -> invalid_arg ("cmp_of_string: " ^ s)
+let cmps = [ Eq; Ne; Lt; Le; Gt; Ge ]
 
 let string_of_atomop = function
   | Aadd -> "add"
@@ -215,6 +205,28 @@ let string_of_atomop = function
   | Amax -> "max"
   | Aexch -> "exch"
   | Acas -> "cas"
+
+let atomops = [ Aadd; Amin; Amax; Aexch; Acas ]
+
+(* ---- decoders ----
+
+   Each printer above is its type's one spelling; a decoder is the
+   printer's inverse over the type's constructor list, whose names it
+   spells once when it is made. *)
+
+let of_name print all =
+  let named = List.map (fun v -> (print v, v)) all in
+  fun s ->
+    List.find_map (fun (n, v) -> if String.equal n s then Some v else None) named
+
+let decoder what print all s =
+  match of_name print all s with
+  | Some v -> v
+  | None -> invalid_arg (what ^ ": " ^ s)
+
+let dtype_of_string = decoder "dtype_of_string" string_of_dtype dtypes
+let space_of_string = decoder "space_of_string" string_of_space spaces
+let cmp_of_string = decoder "cmp_of_string" string_of_cmp cmps
 
 let pp_operand ppf = function
   | Reg r -> Format.fprintf ppf "%%r%d" r

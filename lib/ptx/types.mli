@@ -51,19 +51,61 @@ val dtype_size : dtype -> int
 val dtype_is_float : dtype -> bool
 val dtype_is_signed : dtype -> bool
 
+(** {1 Names}
+
+    Each [string_of_*] printer is its type's one spelling, and each
+    constructor list names every value of its type once.  The decoders
+    are the printers' inverses over those lists ({!of_name}), so a name
+    decodes iff some constructor prints as it. *)
+
 val string_of_dtype : dtype -> string
-val dtype_of_string : string -> dtype
-(** @raise Invalid_argument on an unknown type name. *)
+val dtypes : dtype list
 
 val string_of_space : space -> string
-val space_of_string : string -> space
-(** @raise Invalid_argument on an unknown space name. *)
+val spaces : space list
+
+val string_of_sreg : sreg -> string
+(** [%tid.x], ..., [%laneid], [%warpid]. *)
+
+val sregs : sreg list
+(** All 14 special registers. *)
 
 val string_of_iop : iop -> string
+val iops : iop list
+
 val string_of_fop : fop -> string
+(** The mnemonic without its width ([add.f]). *)
+
+val fops : fop list
+
+val fop_mnemonic : fop -> dtype -> string
+(** The full mnemonic: [add.f64] for [F64], [add.f32] for any other
+    type.  {!Verify} rejects a float op on a non-float type, which
+    would not parse back as itself. *)
+
 val string_of_funary : funary -> string
+val funarys : funary list
 val string_of_cmp : cmp -> string
-val cmp_of_string : string -> cmp
+val cmps : cmp list
 val string_of_atomop : atomop -> string
+val atomops : atomop list
+
+val of_name : ('a -> string) -> 'a list -> string -> 'a option
+(** [of_name print all s] is the value of [all] that [print] spells
+    [s], if any.  [of_name print all] prints [all] once, so a decoder
+    is best made by that partial application. *)
+
+val dtype_of_string : string -> dtype
+(** Inverse of {!string_of_dtype}.
+    @raise Invalid_argument on an unknown type name. *)
+
+val space_of_string : string -> space
+(** Inverse of {!string_of_space}.
+    @raise Invalid_argument on an unknown space name. *)
+
+val cmp_of_string : string -> cmp
+(** Inverse of {!string_of_cmp}.
+    @raise Invalid_argument on an unknown comparison. *)
+
 val pp_operand : Format.formatter -> operand -> unit
 val pp_addr : Format.formatter -> addr -> unit

@@ -8,8 +8,9 @@
 
    The checks here need only the kernel's declarations and instruction
    array: declared sizes, register and predicate bounds, branch
-   targets, duplicate labels, parameter references, the presence of an
-   exit, and unreachable code.  Dataflow-dependent checks
+   targets, duplicate labels, parameter references, instruction forms
+   the printer cannot spell, the presence of an exit, and unreachable
+   code.  Dataflow-dependent checks
    (use-before-def, operand kinds, barriers under divergent control
    flow) live in [Dataflow.Verify], which layers on top of this
    module. *)
@@ -67,11 +68,13 @@ let reachable (k : Kernel.t) =
 
 (* Declared sizes that are not negative, then per instruction:
    register and predicate indices within the declared files, branch
-   targets that are declared labels, each label declared once and
-   [ld.param] of declared parameters; then an exit somewhere in the
-   body.  With [warnings], also each instruction no path from entry
-   reaches (dead stores of the builder, mistyped labels).  Instructions
-   in program order. *)
+   targets that are declared labels, each label declared once,
+   [ld.param] of declared parameters, and no form that prints as
+   another (an [Ld] from [Param], which prints as [ld.param]; a float
+   op on a non-float type, which prints as its f32 twin); then an exit
+   somewhere in the body.  With [warnings], also each instruction no
+   path from entry reaches (dead stores of the builder, mistyped
+   labels).  Instructions in program order. *)
 let check ~warnings (k : Kernel.t) =
   let kernel = k.Kernel.kname and body = k.Kernel.body in
   if Array.length body = 0 then
@@ -130,6 +133,16 @@ let check ~warnings (k : Kernel.t) =
                  "ld.param of undeclared parameter %s (declared: %s)" p
                  (if declared = [] then "none"
                   else String.concat ", " declared))
+        | Instr.Ld (Types.Param, _, _, a) ->
+            add
+              (diag ~kernel ~pc ~code:"param-address"
+                 "ld.param from address %a: parameters are read by name"
+                 Types.pp_addr a)
+        | Instr.Fop (o, ty, _, _, _) when not (Types.dtype_is_float ty) ->
+            add
+              (diag ~kernel ~pc ~code:"float-op-type"
+                 "a float op on %s prints as %s: it takes f32 or f64"
+                 (Types.string_of_dtype ty) (Types.fop_mnemonic o ty))
         | _ -> ());
         if warnings && not reached.(pc) then
           add

@@ -31,7 +31,9 @@ val errors : diag list -> diag list
 
 val structural : Kernel.t -> diag list
 (** Negative declared sizes; then register/predicate bounds, branch
-    targets, duplicate labels (at each repeat), parameter references
+    targets, duplicate labels (at each repeat), parameter references,
+    forms that would not parse back as themselves ([param-address]: an
+    [Ld] from [Param]; [float-op-type]: a float op on a non-float type)
     and unreachable code in program order; then a missing exit. *)
 
 val validate : Kernel.t -> Kernel.t

@@ -18,16 +18,17 @@ let category_name = function
    setting, [Large] stresses the memory system harder. *)
 type scale = Small | Default | Large
 
-let scale_of_string = function
-  | "small" -> Small
-  | "default" -> Default
-  | "large" -> Large
-  | s -> invalid_arg ("App.scale_of_string: " ^ s)
-
 let string_of_scale = function
   | Small -> "small"
   | Default -> "default"
   | Large -> "large"
+
+let scales = [ Small; Default; Large ]
+
+let scale_of_string s =
+  match List.find_opt (fun x -> String.equal (string_of_scale x) s) scales with
+  | Some x -> x
+  | None -> invalid_arg ("App.scale_of_string: " ^ s)
 
 type run = {
   global : Gsim.Mem.t;

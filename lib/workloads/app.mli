@@ -9,11 +9,15 @@ val category_name : category -> string
     bench setting, [Large] stresses the memory system harder. *)
 type scale = Small | Default | Large
 
-val scale_of_string : string -> scale
-(** @raise Invalid_argument on unknown names. *)
-
 val string_of_scale : scale -> string
-(** Inverse of [scale_of_string]; used by the sweep JSON export. *)
+(** ["small"] / ["default"] / ["large"]: the one spelling, used by the
+    CLI, the sweep JSON and the cache. *)
+
+val scales : scale list
+
+val scale_of_string : string -> scale
+(** Inverse of {!string_of_scale} over {!scales}.
+    @raise Invalid_argument on unknown names. *)
 
 (** One run of an application: a global-memory image plus a host
     program yielding kernel launches one at a time (the CUDA host loop,

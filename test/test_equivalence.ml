@@ -125,7 +125,7 @@ let modes =
        backoff and entries age past the 2-cycle wait *)
     ( "iar-starved",
       `Cycle
-        (uncapped |> with_mshrs 4
+        ({ uncapped with l1_mshr_entries = 4 }
         |> with_policy (Iar { iar_entries = 32; iar_max_wait = 2 })) );
     ("holistic", `Cycle (uncapped |> with_policy (Holistic default_holistic)));
   ]

@@ -168,7 +168,7 @@ let prop_coalesce_count_bounds =
 (* ---------------- interconnect ---------------- *)
 
 let test_icnt_credits_and_latency () =
-  let cfg = Gsim.Config.default |> Gsim.Config.with_icnt_width 2 in
+  let cfg = { Gsim.Config.default with icnt_buffer_size = 2 } in
   let icnt = Gsim.Icnt.create cfg in
   Alcotest.(check bool) "can inject" true (Gsim.Icnt.can_inject icnt ~sm:0);
   let r1 = mk_req 0 in
@@ -273,7 +273,7 @@ let run_with_warp_size kernel ~n_threads ~setup warp_size =
       ~params:[ ("a", 0L); ("n", Int64.of_int n_threads) ]
       ~global
   in
-  let cfg = Gsim.Config.default |> Gsim.Config.with_warp_size warp_size in
+  let cfg = { Gsim.Config.default with warp_size } in
   ignore (Gsim.Funcsim.run ~cfg launch);
   global
 

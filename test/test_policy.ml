@@ -355,24 +355,31 @@ let test_policy_names () =
       | Ok q ->
           Alcotest.(check bool) (C.policy_name p ^ " round-trips") true (p = q)
       | Error e -> Alcotest.fail e)
-    [ C.Baseline; C.Iar C.default_iar; C.Holistic C.default_holistic ];
+    C.named_policies;
+  Alcotest.(check (list string)) "names are distinct"
+    [ "baseline"; "holistic"; "iar" ]
+    (List.sort_uniq compare (List.map C.policy_name C.named_policies));
   (match C.policy_of_string "no-such-policy" with
   | Ok _ -> Alcotest.fail "junk parsed as a policy"
-  | Error _ -> ())
+  | Error e ->
+      Alcotest.(check string) "error names the choices"
+        "unknown policy \"no-such-policy\" (expected baseline, iar or \
+         holistic)"
+        e)
 
-(* every builder must reach the config digest: a knob the digest misses
+(* every knob must reach the config digest: a knob the digest misses
    is a sweep-cache collision between semantically different runs *)
 let test_digest_sensitivity () =
   let variants =
     [
-      ("n_sms", C.with_n_sms 8 C.default);
-      ("warp_size", C.with_warp_size 16 C.default);
-      ("l1", C.with_l1 ~sets:16 C.default);
-      ("mshrs", C.with_mshrs 32 C.default);
-      ("l2", C.with_l2 ~ways:4 C.default);
-      ("icnt_width", C.with_icnt_width 2 C.default);
-      ("icnt_latency", C.with_icnt_latency 9 C.default);
-      ("dram", C.with_dram ~latency:77 C.default);
+      ("n_sms", { C.default with C.n_sms = 8 });
+      ("warp_size", { C.default with C.warp_size = 16 });
+      ("l1", { C.default with C.l1_sets = 16 });
+      ("mshrs", { C.default with C.l1_mshr_entries = 32 });
+      ("l2", { C.default with C.l2_ways = 4 });
+      ("icnt_width", { C.default with C.icnt_buffer_size = 2 });
+      ("icnt_latency", { C.default with C.icnt_latency = 9 });
+      ("dram", { C.default with C.dram_latency = 77 });
       ("caps", C.with_caps ~max_warp_insts:123 () C.default);
       ("cta_sched", C.with_cta_sched (C.Clustered 2) C.default);
       ("warp_sched", C.with_warp_sched C.Gto C.default);

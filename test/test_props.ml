@@ -89,65 +89,70 @@ let prop_split_subwarp_coverage =
    so every generated program is well-formed by construction. *)
 type rop =
   | R_iop of iop * int * int
-  | R_fop of fop * int * int
-  | R_funary of funary * int
+  | R_fop of fop * dtype * int * int
+  | R_fma of dtype * int * int * int
+  | R_funary of funary * dtype * int
   | R_mad of int * int * int
   | R_cvt of dtype * dtype * int
+  | R_sreg of sreg
   | R_ld of space * dtype * int
   | R_st of space * dtype * int * int
-  | R_atom of atomop * int * int
-  | R_selp of cmp * int * int
+  | R_atom of atomop * dtype * int * int
+  | R_selp of cmp * dtype * int * int
+  | R_pred of cmp * cmp * int * int
   | R_if of cmp * int * int * rop list
   | R_for of int * rop list
   | R_bar
 
+(* Choices come from the constructor lists, so every printable form is
+   drawn: all but the two the verifier rejects (an [Ld] from [Param],
+   a float op on a non-float type). *)
 let gen_rop : rop QCheck.Gen.t =
   let open QCheck.Gen in
   let idx = int_bound 1000 in
+  let dtype = oneofl dtypes in
   let base =
-    [ ( 4,
-        map3
-          (fun op i j -> R_iop (op, i, j))
-          (oneofl [ Add; Sub; Mul; Mulhi; Div; Rem; Min; Max; Band; Bor;
-                    Bxor; Shl; Shr ])
-          idx idx );
+    [ (4, map3 (fun op i j -> R_iop (op, i, j)) (oneofl iops) idx idx);
       ( 2,
         map3
-          (fun op i j -> R_fop (op, i, j))
-          (oneofl [ Fadd; Fsub; Fmul; Fdiv; Fmin; Fmax ])
+          (fun (op, ty) i j -> R_fop (op, ty, i, j))
+          (pair (oneofl fops) (oneofl (List.filter dtype_is_float dtypes)))
           idx idx );
       ( 1,
         map2
-          (fun op i -> R_funary (op, i))
-          (oneofl [ Sqrt; Rsqrt; Rcp; Sin; Cos; Ex2; Lg2 ])
-          idx );
-      (1, map3 (fun i j k -> R_mad (i, j, k)) idx idx idx);
+          (fun (ty, i) (j, k) -> R_fma (ty, i, j, k))
+          (pair dtype idx) (pair idx idx) );
       ( 1,
         map3
-          (fun d s i -> R_cvt (d, s, i))
-          (oneofl [ U32; S32; U64; F32; F64 ])
-          (oneofl [ U32; S32; U64; F32; F64 ])
-          idx );
+          (fun op ty i -> R_funary (op, ty, i))
+          (oneofl funarys) dtype idx );
+      (1, map3 (fun i j k -> R_mad (i, j, k)) idx idx idx);
+      (1, map3 (fun d s i -> R_cvt (d, s, i)) dtype dtype idx);
+      (1, map (fun r -> R_sreg r) (oneofl sregs));
       ( 2,
         map3
           (fun sp ty i -> R_ld (sp, ty, i))
-          (oneofl [ Global; Shared ])
-          (oneofl [ U8; U16; U32; S32; U64; F32; F64 ])
-          idx );
+          (oneofl (List.filter (fun sp -> sp <> Param) spaces))
+          dtype idx );
       ( 2,
         map3
           (fun (sp, ty) i j -> R_st (sp, ty, i, j))
-          (pair (oneofl [ Global; Shared ]) (oneofl [ U32; S32; U64; F32 ]))
+          (pair (oneofl spaces) dtype)
           idx idx );
       ( 1,
         map3
-          (fun op i j -> R_atom (op, i, j))
-          (oneofl [ Aadd; Amin; Amax; Aexch; Acas ])
+          (fun (op, ty) i j -> R_atom (op, ty, i, j))
+          (pair (oneofl atomops) dtype)
           idx idx );
       ( 1,
         map3
-          (fun c i j -> R_selp (c, i, j))
-          (oneofl [ Eq; Ne; Lt; Le; Gt; Ge ])
+          (fun (c, ty) i j -> R_selp (c, ty, i, j))
+          (pair (oneofl cmps) dtype)
+          idx idx );
+      ( 1,
+        map3
+          (fun (c1, c2) i j -> R_pred (c1, c2, i, j))
+          (pair (oneofl cmps) (oneofl cmps))
           idx idx );
       (1, return R_bar) ]
   in
@@ -159,7 +164,7 @@ let gen_rop : rop QCheck.Gen.t =
         @ [ ( 2,
               map3
                 (fun c (i, j) body -> R_if (c, i, j, body))
-                (oneofl [ Eq; Ne; Lt; Le; Gt; Ge ])
+                (oneofl cmps)
                 (pair idx idx)
                 (list_size (int_range 1 5) (gen (depth - 1))) );
             ( 1,
@@ -191,16 +196,25 @@ let build_kernel ops =
   let rec interp op =
     match op with
     | R_iop (o, i, j) -> push (B.iop b o (pick i) (pick j))
-    | R_fop (o, i, j) -> push (B.fop b o (pick i) (pick j))
-    | R_funary (o, i) -> push (B.funary b o (pick i))
+    | R_fop (o, ty, i, j) -> push (B.fop b o ~ty (pick i) (pick j))
+    | R_fma (ty, i, j, k) -> push (B.fma b ~ty (pick i) (pick j) (pick k))
+    | R_funary (o, ty, i) -> push (B.funary b o ~ty (pick i))
     | R_mad (i, j, k) -> push (B.mad b (pick i) (pick j) (pick k))
     | R_cvt (d, s, i) -> push (B.cvt b ~dst_ty:d ~src_ty:s (pick i))
+    | R_sreg r -> push (B.mov b (B.special r))
     | R_ld (sp, ty, i) -> push (B.ld b sp ty (addr_of sp i))
     | R_st (sp, ty, i, j) -> B.st b sp ty (addr_of sp i) (pick j)
-    | R_atom (o, i, j) -> push (B.atom b o U32 (addr_of Global i) (pick j))
-    | R_selp (c, i, j) ->
-        let p = B.setp b c (pick i) (pick j) in
+    | R_atom (o, ty, i, j) ->
+        push (B.atom b o ty (addr_of Global i) (pick j))
+    | R_selp (c, ty, i, j) ->
+        let p = B.setp b c ~ty (pick i) (pick j) in
         push (B.selp b (pick i) (pick j) p)
+    | R_pred (c1, c2, i, j) ->
+        (* not/and/or.pred over two comparisons *)
+        let p = B.setp b c1 (pick i) (pick j) in
+        let q = B.pand b (B.pnot b p) (B.setp b c2 (pick j) (pick i)) in
+        B.emit b (Ptx.Instr.Por (q, q, p));
+        push (B.selp b (pick i) (pick j) q)
     | R_if (c, i, j, body) ->
         let p = B.setp b c (pick i) (pick j) in
         B.if_ b p (fun () -> List.iter interp body)
@@ -492,6 +506,160 @@ let prop_codec_mutations =
       | exception Io.Json.Parse_error e -> contains e (member_name path)
       | exception _ -> false)
 
+(* ---------------- names ---------------- *)
+
+(* Each enumerated type's printer is its one spelling, and its decoder
+   the printer's inverse over the constructor list: every listed
+   value's name decodes to that value, no two values share a name, and
+   a junk name is rejected.  [decode] answers [None] for a rejection;
+   any other exception fails the case. *)
+let names what ?(junk = "junk") print decode all =
+  Alcotest.test_case ("names: " ^ what) `Quick (fun () ->
+      List.iter
+        (fun v ->
+          Alcotest.(check bool) (print v ^ " decodes to itself") true
+            (decode (print v) = Some v))
+        all;
+      let spelled = List.map print all in
+      Alcotest.(check int) "names are distinct" (List.length all)
+        (List.length (List.sort_uniq compare spelled));
+      Alcotest.(check bool) (junk ^ " is rejected") true (decode junk = None))
+
+let invalid_arg_opt f s =
+  match f s with v -> Some v | exception Invalid_argument _ -> None
+
+let parse_error_opt f s =
+  match f s with v -> Some v | exception Io.Json.Parse_error _ -> None
+
+(* One instruction parsed inside an otherwise empty kernel. *)
+let parse_instr text =
+  match
+    Ptx.Parse.kernel_of_string
+      (".kernel k ()\n.reg 4 .pred 1 .shared 0\n{\n" ^ text ^ ";\nexit;\n}\n")
+  with
+  | k -> Some k.Ptx.Kernel.body.(0)
+  | exception Ptx.Parse.Error _ -> None
+
+(* [doc] with member [key] set to the string [s]. *)
+let with_str key s = function
+  | Io.Json.Obj ms ->
+      Io.Json.Obj
+        (List.map
+           (fun (k, v) -> (k, if k = key then Io.Json.Str s else v))
+           ms)
+  | v -> v
+
+module T = Gsim.Trace
+
+let access src outcome =
+  T.Ev_access { cycle = 1; where = T.S_l1 0; line = 128; src; outcome }
+
+(* A trace type's name, read back from the event [ev v] carries under
+   [key]: the decoder is private to Trace, so it is reached through
+   [event_of_json]. *)
+let trace_names what key ev field all =
+  let print v = Io.Json.str_field key (T.event_to_json (ev v)) in
+  let decode s =
+    Option.bind
+      (parse_error_opt T.event_of_json
+         (with_str key s (T.event_to_json (ev (List.hd all)))))
+      field
+  in
+  names what print decode all
+
+let name_cases =
+  let instr text f = Option.bind (parse_instr text) f in
+  let cfg_json = Io.config_to_json C.default in
+  [ names "dtype" string_of_dtype (invalid_arg_opt dtype_of_string) dtypes;
+    names "space" string_of_space (invalid_arg_opt space_of_string) spaces;
+    names "cmp" string_of_cmp (invalid_arg_opt cmp_of_string) cmps;
+    names "iop" string_of_iop
+      (fun m ->
+        instr (m ^ " %r0, %r1, %r2") (function
+          | Ptx.Instr.Iop (o, _, _, _) -> Some o
+          | _ -> None))
+      iops;
+    names "fop"
+      (fun (o, ty) -> fop_mnemonic o ty)
+      (fun m ->
+        instr (m ^ " %r0, %r1, %r2") (function
+          | Ptx.Instr.Fop (o, ty, _, _, _) -> Some (o, ty)
+          | _ -> None))
+      (List.concat_map (fun o -> [ (o, F32); (o, F64) ]) fops);
+    names "funary" string_of_funary
+      (fun f ->
+        instr (f ^ ".f32 %r0, %r1") (function
+          | Ptx.Instr.Funary (o, _, _, _) -> Some o
+          | _ -> None))
+      funarys;
+    names "atomop" string_of_atomop
+      (fun a ->
+        instr ("atom.global." ^ a ^ ".u32 %r0, [%r1], %r2") (function
+          | Ptx.Instr.Atom (o, _, _, _, _) -> Some o
+          | _ -> None))
+      atomops;
+    names "sreg" ~junk:"%tid.w" string_of_sreg
+      (fun r ->
+        instr ("mov %r0, " ^ r) (function
+          | Ptx.Instr.Mov (_, Sreg s) -> Some s
+          | _ -> None))
+      sregs;
+    names "load class" Dataflow.Classify.short_class
+      (parse_error_opt (fun s -> Io.Codec.load_class.dec (Io.Json.Str s)))
+      Dataflow.Classify.load_classes;
+    names "warp scheduler" C.warp_sched_name
+      (fun s ->
+        Option.map
+          (fun c -> c.C.warp_sched)
+          (parse_error_opt Io.config_of_json
+             (with_str "warp_sched" s cfg_json)))
+      C.warp_scheds;
+    trace_names "cache outcome" "outcome"
+      (access T.A_store)
+      (function T.Ev_access e -> Some e.outcome | _ -> None)
+      Gsim.Cache.
+        [ Hit; Hit_reserved; Miss; Rsrv_fail Fail_tags; Rsrv_fail Fail_mshr;
+          Rsrv_fail Fail_icnt ];
+    trace_names "access source" "src"
+      (fun src -> access src Gsim.Cache.Hit)
+      (function T.Ev_access e -> Some e.src | _ -> None)
+      T.[ A_load Deterministic; A_load Nondeterministic; A_store; A_prefetch ];
+    trace_names "memory level" "level"
+      (fun level ->
+        T.Ev_load_return
+          { cycle = 9; sm = 0; cta = 0; kernel = "k"; pc = 4;
+            cls = Dataflow.Classify.Deterministic; nreq = 1; turnaround = 8;
+            level })
+      (function T.Ev_load_return e -> Some e.level | _ -> None)
+      Gsim.Request.[ Lvl_l1; Lvl_l2; Lvl_dram ];
+    trace_names "icnt direction" "dir"
+      (fun dir -> T.Ev_icnt_enq { cycle = 2; dir; sm = 0; part = 1; line = 0 })
+      (function T.Ev_icnt_enq e -> Some e.dir | _ -> None)
+      T.[ Dir_req; Dir_resp ];
+    names "scale" Workloads.App.string_of_scale
+      (invalid_arg_opt Workloads.App.scale_of_string)
+      Workloads.App.scales;
+    names "job mode" Critload.Runner.mode_name
+      (fun m ->
+        Result.to_option
+          (Critload.Protocol.job_of_json
+             (Io.Json.Obj
+                [ ("app", Io.Json.Str "2mm"); ("mode", Io.Json.Str m) ]))
+        |> Option.map (fun j -> j.Ps.sj_mode))
+      Critload.Runner.modes;
+    names "reject reason" Critload.Protocol.reject_reason_to_string
+      (fun r ->
+        match
+          Critload.Protocol.response_of_json
+            (with_str "reason" r
+               (Critload.Protocol.response_to_json
+                  (Critload.Protocol.Rejected
+                     { id = "j"; reason = Queue_full; retry_after = 0.5 })))
+        with
+        | Ok (Critload.Protocol.Rejected { reason; _ }) -> Some reason
+        | _ -> None)
+      Critload.Protocol.[ Queue_full; Shutting_down ] ]
+
 let tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_cover_each_sector_once;
@@ -503,5 +671,6 @@ let tests =
       prop_json_roundtrip;
       prop_config_table_complete;
       prop_codec_mutations ]
+  @ name_cases
 
 let () = Alcotest.run "props" [ ("props", tests) ]

@@ -44,7 +44,7 @@ let test_digest_invariants () =
       (P.job_digest j <> P.job_digest j')
   in
   differs "config"
-    (P.job ~cfg:(cfg |> Gsim.Config.with_mshrs 32) ~warmup:false "2mm");
+    (P.job ~cfg:{ cfg with l1_mshr_entries = 32 } ~warmup:false "2mm");
   differs "scale" (P.job ~cfg ~warmup:false ~scale:Workloads.App.Default "2mm");
   differs "mode" (P.job ~cfg ~warmup:false ~mode:P.Func "2mm");
   differs "warmup" (P.job ~cfg "2mm");
@@ -330,7 +330,7 @@ let test_cold_warm_identical () =
   Alcotest.(check int) "bypass reads nothing" 0 cached_nocache;
   (* a config change misses the warm cache *)
   let jobs' =
-    [ P.job ~cfg:(cfg |> Gsim.Config.with_mshrs 32) ~warmup:false "2mm" ]
+    [ P.job ~cfg:{ cfg with l1_mshr_entries = 32 } ~warmup:false "2mm" ]
   in
   let _, started', cached' = run_counting ~cache_dir:(Some dir) jobs' in
   Alcotest.(check int) "changed config re-simulates" 1 started';

@@ -230,7 +230,7 @@ let mk_launch () =
     ~global
 
 (* One SM so both CTAs are co-resident and share an L1. *)
-let e2e_cfg = Gsim.Config.default |> Gsim.Config.with_n_sms 1
+let e2e_cfg = { Gsim.Config.default with n_sms = 1 }
 
 let test_e2e_event_stream () =
   let trace, events = collector () in

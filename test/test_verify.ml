@@ -213,6 +213,23 @@ let test_pnot_predicate_edge () =
   Alcotest.(check bool) "guard through pnot flagged" true
     (has_code "divergent-barrier" k)
 
+(* Forms the printer spells as another instruction: an [Ld] from
+   [Param] prints as ld.param, which reads a parameter by name, and a
+   float op on u32 prints as its f32 twin, which rounds. *)
+let test_unprintable_forms () =
+  let k =
+    mk
+      [ Instr.Mov (0, Imm 64L);
+        Instr.Ld (Param, U32, 1, { abase = Reg 0; aoffset = 4 });
+        Instr.Fop (Fadd, U32, 2, Reg 1, Reg 1);
+        Instr.Fop (Fadd, F64, 3, Reg 2, Reg 2);
+        Instr.Exit ]
+  in
+  Alcotest.(check (list (pair int string)))
+    "both forms rejected at their pcs"
+    [ (1, "param-address"); (2, "float-op-type") ]
+    (List.map (fun (d : V.diag) -> (d.V.d_pc, d.V.d_code)) (V.structural k))
+
 (* structural errors suppress the dataflow pass (whose analyses assume
    in-bounds registers) *)
 let test_structural_gates_dataflow () =
@@ -258,5 +275,7 @@ let () =
             test_pnot_predicate_edge;
           Alcotest.test_case "structural gates dataflow" `Quick
             test_structural_gates_dataflow;
+          Alcotest.test_case "unprintable forms" `Quick
+            test_unprintable_forms;
         ] );
     ]

@@ -32,23 +32,28 @@ let () =
           Printf.eprintf "validate_sweep: %s has status %s\n" app status;
           exit 1);
       let result = Json.member "result" env in
+      let mode = Json.str_field "mode" env in
       let reencoded =
-        match Json.str_field "mode" env with
-        | "timing" ->
+        match
+          List.find_opt
+            (fun m -> String.equal (Critload.Runner.mode_name m) mode)
+            Critload.Runner.modes
+        with
+        | Some P.Timing ->
             let t = P.timing_summary_of_json result in
             if t.P.tm_stats.Gsim.Stats.cycles <= 0 then begin
               Printf.eprintf "validate_sweep: %s has no cycles\n" app;
               exit 1
             end;
             P.timing_summary_to_json t
-        | "func" ->
+        | Some P.Func ->
             let f = P.func_summary_of_json result in
             if not f.P.fu_check then begin
               Printf.eprintf "validate_sweep: %s failed its host check\n" app;
               exit 1
             end;
             P.func_summary_to_json f
-        | mode ->
+        | None ->
             Printf.eprintf "validate_sweep: %s has unknown mode %s\n" app mode;
             exit 1
       in
