@@ -698,7 +698,7 @@ let sweep_cmd =
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
             "Directory of the content-addressed result cache.  Jobs \
-             whose digest — kernels (normalized text), launch geometry, \
+             whose digest — kernels (printed text), launch geometry, \
              dataset seed, full config, mode and simulator tag — \
              matches a stored entry are served from it without \
              re-simulating; completed jobs are stored back as they \

@@ -32,7 +32,6 @@ type load_advice = {
   la_pc : int;
   la_class : Classify.load_class;
   la_prediction : Stride.prediction;
-  la_walk : int option;
   la_advice : advice;
 }
 
@@ -77,7 +76,6 @@ let advise_launch (l : Gsim.Launch.t) =
         la_pc = pc;
         la_class = cls;
         la_prediction = lp.Stride.lp_prediction;
-        la_walk = walk;
         la_advice = advice;
       })
     (Stride.predict ~block:l.Gsim.Launch.block an)

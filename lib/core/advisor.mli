@@ -17,14 +17,8 @@ type load_advice = {
   la_pc : int;
   la_class : Dataflow.Classify.load_class;
   la_prediction : Dataflow.Stride.prediction;
-  la_walk : int option;
   la_advice : advice;
 }
-
-val string_of_advice : advice -> string
-val advise_launch : Gsim.Launch.t -> load_advice list
-(** Advice for the launched kernel's global loads, from the launch's
-    own analysis and classes, for its block shape. *)
 
 val advise_app : Workloads.App.t -> Workloads.App.scale -> load_advice list
 (** Advice for every distinct kernel the application launches. *)

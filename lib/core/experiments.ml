@@ -652,8 +652,6 @@ let advisor_rows scale (app, advice) =
   [ ablation_run scale app (timing_cfg ()) "baseline";
     ablation_run scale app guided "advisor" ]
 
-let ablate_advisor scale = List.concat_map (advisor_rows scale) (advice scale)
-
 let render_ablate_advisor scale =
   let advice = advice scale in
   "Per-load advice (classification x stride x walk detection):\n"

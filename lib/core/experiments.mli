@@ -1,11 +1,9 @@
-(** One function per paper table/figure: structured rows for tests plus
-    a text renderer for [critload experiment].  EXPERIMENTS.md records
-    the shapes to compare against the paper. *)
+(** One function per paper table/figure: structured rows for tests,
+    and a text renderer for [critload experiment], reached by id
+    through {!all}.  EXPERIMENTS.md records the shapes to compare
+    against the paper. *)
 
 open Dataflow.Classify
-
-val func_cap : int
-(** Warp-instruction cap of the functional runs. *)
 
 val set_timing_cap : int -> unit
 (** Override the per-app warp-instruction cap of the timing runs
@@ -39,12 +37,6 @@ type table1_row = {
 }
 
 val table1 : Workloads.App.scale -> table1_row list
-val render_table1 : Workloads.App.scale -> string
-
-(** {1 Table II / III} *)
-
-val render_table2 : unit -> string
-val render_table3 : Workloads.App.scale -> string
 
 (** {1 Fig 1 — load classification} *)
 
@@ -56,7 +48,6 @@ type fig1_row = {
 }
 
 val fig1 : Workloads.App.scale -> fig1_row list
-val render_fig1 : Workloads.App.scale -> string
 
 (** {1 Fig 2 — requests per warp / active thread} *)
 
@@ -67,19 +58,14 @@ type fig2_row = {
 }
 
 val fig2 : Workloads.App.scale -> fig2_row list
-val render_fig2 : Workloads.App.scale -> string
 
 (** {1 Fig 3 / Fig 4} *)
 
 val fig3 : Workloads.App.scale -> Workloads.App.t -> float array
 (** L1 cycle-outcome fractions, indexed by [Stats.l1_event_index]. *)
 
-val render_fig3 : Workloads.App.scale -> string
-
 val fig4 : Workloads.App.scale -> Workloads.App.t -> float * float * float
 (** (SP, SFU, LD/ST) first-stage busy fractions. *)
-
-val render_fig4 : Workloads.App.scale -> string
 
 (** {1 Fig 5 — turnaround breakdown} *)
 
@@ -89,8 +75,6 @@ val fig5 :
   (float * float * float * float) * (float * float * float * float)
 (** ((N breakdown), (D breakdown)) — each (unloaded, rsrv_prev,
     rsrv_cur, wasted). *)
-
-val render_fig5 : Workloads.App.scale -> string
 
 (** {1 Fig 6 / Fig 7 — per-pc turnaround vs request count} *)
 
@@ -103,7 +87,6 @@ type fig6_series = {
 }
 
 val fig6 : Workloads.App.scale -> fig6_series list
-val render_fig6 : Workloads.App.scale -> string
 
 type fig7_row = {
   f7_nreq : int;
@@ -115,7 +98,6 @@ type fig7_row = {
 }
 
 val fig7 : Workloads.App.scale -> (string * int) * fig7_row list
-val render_fig7 : Workloads.App.scale -> string
 
 (** {1 Fig 8 — miss ratios} *)
 
@@ -125,18 +107,12 @@ val fig8 :
   (float * float) * (float * float)
 (** ((L1 N, L2 N), (L1 D, L2 D)). *)
 
-val render_fig8 : Workloads.App.scale -> string
-
 (** {1 Figs 9-12 — functional-side metrics} *)
 
 val fig9 : Workloads.App.scale -> Workloads.App.t -> float
-val render_fig9 : Workloads.App.scale -> string
 val fig10 : Workloads.App.scale -> Workloads.App.t -> float * float
-val render_fig10 : Workloads.App.scale -> string
 val fig11 : Workloads.App.scale -> Workloads.App.t -> Gsim.Funcsim.sharing
-val render_fig11 : Workloads.App.scale -> string
 val fig12 : Workloads.App.scale -> Workloads.App.t -> (int * float) list
-val render_fig12 : Workloads.App.scale -> string
 
 (** {1 Input-size sensitivity} *)
 
@@ -150,8 +126,6 @@ type sensitivity_row = {
 val sensitivity : string list -> sensitivity_row list
 (** Classification metrics across dataset scales (cf. Burtscher et al.:
     irregularity is largely input-size independent). *)
-
-val render_sensitivity : unit -> string
 
 (** {1 Section X ablations} *)
 
@@ -168,13 +142,8 @@ val ablation_run :
   Workloads.App.scale -> Workloads.App.t -> Gsim.Config.t -> string ->
   ablation_row
 
-val ablate_advisor : Workloads.App.scale -> ablation_row list
-val render_ablate_advisor : Workloads.App.scale -> string
-
 val ablate_l2 :
   Workloads.App.scale -> (string * string * int * float * float) list
-
-val render_ablate_l2 : Workloads.App.scale -> string
 
 (** {1 The experiment table} *)
 

@@ -55,22 +55,16 @@ let jobs ~apps ~scales ~cfgs ?(mode = Timing) ?(warmup = true)
 
    The sweep cache is content-addressed: a job's digest covers
    everything its result depends on — the application's kernels (as
-   text, after a parse → print round trip so formatting-only edits
-   don't invalidate), its launch geometry and dataset seed, the full
-   machine configuration, the simulation mode, the warmup and profile
-   settings, and the simulator semantics tag.  The config label is a
-   presentation knob and deliberately excluded: two jobs that must
-   produce the same bytes share one cache entry.  A job has no
-   fast-forward setting: it always runs fast-forwarded, which is
-   byte-identical to the naive cycle loop by construction. *)
+   printed text; a kernel is an AST, so its printing is canonical), its
+   launch geometry and dataset seed, the full machine configuration,
+   the simulation mode, the warmup and profile settings, and the
+   simulator semantics tag.  The config label is a presentation knob
+   and deliberately excluded: two jobs that must produce the same bytes
+   share one cache entry.  A job has no fast-forward setting: it always
+   runs fast-forwarded, which is byte-identical to the naive cycle loop
+   by construction. *)
 
 let cache_schema = "critload-cache-v1"
-
-(* Kernel identity as normalized text: printing, re-parsing and
-   printing again makes the digest a function of the parsed program,
-   not of whitespace or comment choices in the builder. *)
-let normalize_kernel k =
-  Ptx.Kernel.to_string (Ptx.Parse.kernel_of_string (Ptx.Kernel.to_string k))
 
 (* Enumerating an app's launches without simulating between them is
    deterministic — its host program sees the untouched initial memory
@@ -95,7 +89,7 @@ let app_fingerprint (app : Workloads.App.t) scale =
       if not (Hashtbl.mem seen kname) then begin
         Hashtbl.add seen kname ();
         Buffer.add_string b "|kernel=";
-        Buffer.add_string b (normalize_kernel k)
+        Buffer.add_string b (Ptx.Kernel.to_string k)
       end;
       true);
   Digest.to_hex (Digest.string (Buffer.contents b))

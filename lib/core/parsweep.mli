@@ -63,11 +63,12 @@ val jobs :
 (** {1 Content digests and the sweep cache}
 
     The cache is content-addressed: {!job_digest} covers everything a
-    job's result depends on — the app's kernels (as normalized text:
-    print → parse → print, so formatting-only edits don't invalidate),
-    launch geometry, dataset seed, the full {!Gsim.Config.t} (via
-    {!Gsim.Stats_io.config_digest}), the simulation mode, warmup and
-    profile settings, and {!Version.sim_tag}.  The config {e label} is
+    job's result depends on — the app's kernels (as
+    {!Ptx.Kernel.to_string} prints them: a kernel is an AST, so its
+    text is canonical), launch geometry, dataset seed, the full
+    {!Gsim.Config.t} (via {!Gsim.Stats_io.config_digest}), the
+    simulation mode, warmup and profile settings, and
+    {!Version.sim_tag}.  The config {e label} is
     deliberately excluded: it cannot change the result bytes, so jobs
     differing only there share an entry. *)
 
@@ -134,7 +135,6 @@ type func_summary = {
   fu_atom_warps : int;
 }
 
-val func_summary : Runner.func_result -> func_summary
 val func_summary_to_json : func_summary -> Gsim.Stats_io.Json.t
 
 val func_summary_of_json : Gsim.Stats_io.Json.t -> func_summary

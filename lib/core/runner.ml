@@ -13,7 +13,6 @@ let mode_name = function Func -> "func" | Timing -> "timing"
 let modes = [ Func; Timing ]
 
 type func_result = {
-  fr_app : Workloads.App.t;
   fr_fs : Gsim.Funcsim.t;
   fr_launches : int;
   fr_ctas : int; (* total CTAs across launches *)
@@ -52,7 +51,6 @@ let run_func ?(cfg = Gsim.Config.default) ?(max_warp_insts = 0)
       Gsim.Funcsim.run_into fs ~max_warp_insts launch;
       not fs.Gsim.Funcsim.capped);
   {
-    fr_app = app;
     fr_fs = fs;
     fr_launches = !launches;
     fr_ctas = !ctas;
@@ -128,15 +126,13 @@ let run_timing ?(cfg = Gsim.Config.default) ?(warmup = true) ?trace
    a simulator bug can produce — static verification, unbound
    parameters, memory faults, watchdog stalls — arrives as one typed
    [Sim_error.t] instead of an exception escaping to the caller.
-   Kernel construction and parsing errors are folded into the same
-   type so callers have a single error channel. *)
+   Kernel construction errors are folded into the same type so callers
+   have a single error channel. *)
 
 let catching f =
   try Ok (f ()) with
   | Gsim.Sim_error.Error e -> Error e
   | Ptx.Kernel.Invalid msg ->
-      Error (Gsim.Sim_error.make Gsim.Sim_error.Invalid_kernel "%s" msg)
-  | Ptx.Parse.Error msg ->
       Error (Gsim.Sim_error.make Gsim.Sim_error.Invalid_kernel "%s" msg)
 
 (* The unified report: one result shape for both simulation modes, so
@@ -145,10 +141,7 @@ let catching f =
    different record types. *)
 module Report = struct
   type t = {
-    app : Workloads.App.t;
-    mode : mode;
     cfg : Gsim.Config.t;
-    scale : Workloads.App.scale;
     launches : int;
     stats : Gsim.Stats.t option;  (* Timing *)
     func : func_result option;  (* Func *)
@@ -189,10 +182,7 @@ let run ?(cfg = Gsim.Config.default) ?(mode = Timing)
              skipping host-reference verification when it fires. *)
           let r = run_func ~cfg ~max_warp_insts:func_cap ~check app scale in
           {
-            Report.app;
-            mode;
-            cfg;
-            scale;
+            Report.cfg;
             launches = r.fr_launches;
             stats = None;
             func = Some r;
@@ -212,10 +202,7 @@ let run ?(cfg = Gsim.Config.default) ?(mode = Timing)
               scale
           in
           {
-            Report.app;
-            mode;
-            cfg;
-            scale;
+            Report.cfg;
             launches;
             stats = Some stats;
             func = None;

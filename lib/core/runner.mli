@@ -18,7 +18,6 @@ val modes : mode list
 (** Both modes; a mode decoder is {!mode_name}'s inverse over it. *)
 
 type func_result = {
-  fr_app : Workloads.App.t;
   fr_fs : Gsim.Funcsim.t;
   fr_launches : int;
   fr_ctas : int;  (** total CTAs across launches *)
@@ -31,10 +30,7 @@ type func_result = {
 (** One result shape for both simulation modes. *)
 module Report : sig
   type t = {
-    app : Workloads.App.t;
-    mode : mode;
     cfg : Gsim.Config.t;
-    scale : Workloads.App.scale;
     launches : int;
     stats : Gsim.Stats.t option;  (** [Some] iff [mode = Timing] *)
     func : func_result option;  (** [Some] iff [mode = Func] *)
@@ -87,8 +83,8 @@ val run :
     computation).
 
     Every failure mode — static verification, unbound parameters,
-    memory faults, watchdog stalls, kernel construction and parse
-    errors — arrives as a structured {!Gsim.Sim_error.t} instead of an
+    memory faults, watchdog stalls, kernel construction errors —
+    arrives as a structured {!Gsim.Sim_error.t} instead of an
     exception. *)
 
 val warmup_launches :

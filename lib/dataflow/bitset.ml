@@ -58,11 +58,6 @@ let cardinal t =
   done;
   !count
 
-let iter f t =
-  for i = 0 to t.n - 1 do
-    if mem t i then f i
-  done
-
 let elements t =
   let acc = ref [] in
   for i = t.n - 1 downto 0 do

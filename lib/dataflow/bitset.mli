@@ -18,6 +18,5 @@ val diff_into : dst:t -> src:t -> unit
 
 val equal : t -> t -> bool
 val cardinal : t -> int
-val iter : (int -> unit) -> t -> unit
 val elements : t -> int list
 val of_list : int -> int list -> t

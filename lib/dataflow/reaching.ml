@@ -13,7 +13,6 @@ type def = { def_id : int; def_pc : int; def_node : int }
 type t = {
   kernel : Ptx.Kernel.t;
   cfg : Ptx.Cfg.t;
-  ndefs : int;
   defs : def array; (* indexed by def_id *)
   defs_of_node : int list array; (* node -> def ids *)
   in_at : Bitset.t array; (* per-pc IN set of def ids *)
@@ -113,7 +112,7 @@ let compute (k : Ptx.Kernel.t) (cfg : Ptx.Cfg.t) =
         (defs_at_pc.(pc) |> List.rev)
     done
   done;
-  { kernel = k; cfg; ndefs; defs; defs_of_node; in_at; nregs }
+  { kernel = k; cfg; defs; defs_of_node; in_at; nregs }
 
 (* pcs of the definitions of register node [node] that reach [pc]. *)
 let defs_reaching_node t ~pc ~node =

@@ -9,7 +9,6 @@ type def = { def_id : int; def_pc : int; def_node : int }
 type t = {
   kernel : Ptx.Kernel.t;
   cfg : Ptx.Cfg.t;
-  ndefs : int;
   defs : def array;
   defs_of_node : int list array;
   in_at : Bitset.t array;  (** per-pc IN set of definition ids *)

@@ -205,15 +205,19 @@ let address_value dg values pc =
       add (operand_value dg values ~pc a.abase) (Kon (Int64.of_int a.aoffset))
   | _ -> invalid_arg "Stride.address_value: pc is not a load"
 
+(* The machine every prediction assumes: Table II's 32-lane warps and
+   128-byte lines. *)
+let warp_size = 32
+let line_size = 128L
+
 (* Distinct [line_size]-byte lines a fully-active warp touches when
    each lane's byte offset follows the affine form [a], for the given
    block shape.  A [grouped] form has unknown, assumed-disjoint bases
    per (tid.y, tid.z) group, so its lines are counted per group.
    Offsets below the base round down to the line before it. *)
-let lines ?(warp_size = 32) ?(line_size = 128) ~block ~grouped a =
+let lines ~block ~grouped a =
   let bx, by, _bz = block in
   let bx = max 1 bx and by = max 1 by in
-  let ls = Int64.of_int line_size in
   let seen = Hashtbl.create 8 in
   for lane = 0 to warp_size - 1 do
     let x = lane mod bx in
@@ -226,16 +230,17 @@ let lines ?(warp_size = 32) ?(line_size = 128) ~block ~grouped a =
         (Int64.add (term a.az z) (term a.al lane))
     in
     let line =
-      let q = Int64.div off ls in
-      if Int64.compare (Int64.rem off ls) 0L < 0 then Int64.pred q else q
+      let q = Int64.div off line_size in
+      if Int64.compare (Int64.rem off line_size) 0L < 0 then Int64.pred q
+      else q
     in
     Hashtbl.replace seen ((if grouped then (y, z) else (0, 0)), line) ()
   done;
   Hashtbl.length seen
 
-let predict_value ?warp_size ?line_size ~block v =
+let predict_value ~block v =
   let requests ~grouped a =
-    let n = lines ?warp_size ?line_size ~block ~grouped a in
+    let n = lines ~block ~grouped a in
     if n <= 2 then Coalesced n else Strided n
   in
   match v with
@@ -249,14 +254,13 @@ type load_prediction = { lp_pc : int; lp_prediction : prediction }
 
 (* Predict the warp-level coalescing of every global load, given the
    launch's block shape (default: a 1-D block, the common layout). *)
-let predict ?warp_size ?line_size ?(block = (256, 1, 1)) dg =
+let predict ?(block = (256, 1, 1)) dg =
   let values = analyze dg in
   List.map
     (fun pc ->
       { lp_pc = pc;
         lp_prediction =
-          predict_value ?warp_size ?line_size ~block
-            (address_value dg values pc) })
+          predict_value ~block (address_value dg values pc) })
     (Ptx.Kernel.global_load_pcs (Depgraph.kernel dg))
 
 let pp_predictions ?block ppf dg =

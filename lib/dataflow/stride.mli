@@ -49,15 +49,10 @@ val string_of_prediction : prediction -> string
 
 type load_prediction = { lp_pc : int; lp_prediction : prediction }
 
-val predict :
-  ?warp_size:int ->
-  ?line_size:int ->
-  ?block:int * int * int ->
-  Depgraph.t ->
-  load_prediction list
+val predict : ?block:int * int * int -> Depgraph.t -> load_prediction list
 (** Predicted coalescing class of every global load of the analyzed
     kernel, in program order, for the given launch block shape
-    (default [(256,1,1)]). *)
+    (default [(256,1,1)]), on 32-lane warps and 128-byte lines. *)
 
 val pp_predictions :
   ?block:int * int * int -> Format.formatter -> Depgraph.t -> unit

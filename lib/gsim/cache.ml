@@ -37,7 +37,6 @@ type mshr_entry = { mutable waiters : Request.t list; mutable merged : int }
 
 type t = {
   sets : int;
-  ways : int;
   line_size : int;
   lines : line array array; (* [set].[way] *)
   mshr : (int, mshr_entry) Hashtbl.t; (* line_addr -> entry *)
@@ -49,7 +48,6 @@ type t = {
 let create ~sets ~ways ~line_size ~mshr_entries ~mshr_max_merge =
   {
     sets;
-    ways;
     line_size;
     lines =
       Array.init sets (fun _ ->
@@ -63,49 +61,63 @@ let create ~sets ~ways ~line_size ~mshr_entries ~mshr_max_merge =
 
 let set_index t line_addr = line_addr / t.line_size mod t.sets
 
-let find_line t la =
-  let set = t.lines.(set_index t la) in
-  let rec go w =
-    if w >= t.ways then None
-    else if set.(w).tag = la && set.(w).state <> Invalid then Some set.(w)
-    else go (w + 1)
+(* Way of [set] holding line [la], or -1.  The helpers below return
+   way indices and close over nothing: [touch] allocates nothing, and
+   the timing model's probes only the option they return. *)
+let way_of set la =
+  let rec go set la w =
+    if w >= Array.length set then -1
+    else
+      let l = set.(w) in
+      if l.tag = la && l.state <> Invalid then w else go set la (w + 1)
   in
-  go 0
+  go set la 0
+
+(* The LRU way of [set] that is not reserved (nor, with
+   [skip_protected], protected), the lowest on a tie; -1 for none. *)
+let lru_way set ~skip_protected =
+  let best = ref (-1) in
+  for w = 0 to Array.length set - 1 do
+    let l = set.(w) in
+    if
+      l.state <> Reserved
+      && (not (skip_protected && l.protected_))
+      && (!best < 0 || l.last_use < set.(!best).last_use)
+    then best := w
+  done;
+  !best
 
 (* Victim selection: an invalid way first, else the LRU non-reserved
    unprotected way; when every evictable way is protected, clear the
-   set's protection and take the plain LRU (second chance).  None when
+   set's protection and take the plain LRU (second chance).  -1 when
    every way is reserved (tag reservation failure).  With no protected
    lines — the default — this is exactly the unprotected LRU policy. *)
+let victim_way set =
+  let rec invalid set w =
+    if w >= Array.length set then -1
+    else if set.(w).state = Invalid then w
+    else invalid set (w + 1)
+  in
+  let w = invalid set 0 in
+  if w >= 0 then w
+  else
+    let w = lru_way set ~skip_protected:true in
+    if w >= 0 then w
+    else begin
+      let w = lru_way set ~skip_protected:false in
+      if w >= 0 then Array.iter (fun l -> l.protected_ <- false) set;
+      w
+    end
+
+let find_line t la =
+  let set = t.lines.(set_index t la) in
+  let w = way_of set la in
+  if w < 0 then None else Some set.(w)
+
 let find_victim t la =
   let set = t.lines.(set_index t la) in
-  let invalid = Array.fold_left
-      (fun acc l -> match acc with
-         | Some _ -> acc
-         | None -> if l.state = Invalid then Some l else None)
-      None set
-  in
-  match invalid with
-  | Some l -> Some l
-  | None -> (
-      let pick ~skip_protected =
-        Array.fold_left
-          (fun acc l ->
-            if l.state = Reserved || (skip_protected && l.protected_) then acc
-            else
-              match acc with
-              | Some best when best.last_use <= l.last_use -> acc
-              | _ -> Some l)
-          None set
-      in
-      match pick ~skip_protected:true with
-      | Some _ as v -> v
-      | None -> (
-          match pick ~skip_protected:false with
-          | Some _ as v ->
-              Array.iter (fun l -> l.protected_ <- false) set;
-              v
-          | None -> None))
+  let w = victim_way set in
+  if w < 0 then None else Some set.(w)
 
 let mshr_full t = Hashtbl.length t.mshr >= t.mshr_entries
 
@@ -210,6 +222,28 @@ let write_allocate t ~line_addr =
           victim.state <- Valid;
           victim.last_use <- t.time;
           true)
+
+(* The functional model's access: nothing is in flight, so a miss
+   fills its victim at once, with no MSHR and no reservation.  True on a
+   hit, which refreshes the line's LRU stamp. *)
+let touch t ~line_addr =
+  t.time <- t.time + 1;
+  let set = t.lines.(set_index t line_addr) in
+  let w = way_of set line_addr in
+  if w >= 0 then begin
+    set.(w).last_use <- t.time;
+    true
+  end
+  else begin
+    let v = victim_way set in
+    if v >= 0 then begin
+      let l = set.(v) in
+      l.tag <- line_addr;
+      l.state <- Valid;
+      l.last_use <- t.time
+    end;
+    false
+  end
 
 let mshr_in_use t = Hashtbl.length t.mshr
 

@@ -6,7 +6,10 @@
     failures (tags / MSHRs / interconnect) are the wasted cycles the
     paper's Fig 3 plots.  The cache counts none of them: its callers
     record each probe ({!Stats} for Fig 3, {!Trace.probe} for the event
-    stream). *)
+    stream).
+
+    The functional simulator models the same tag arrays with {!touch}:
+    caches created with no MSHR entries, whose misses fill at once. *)
 
 type fail_reason = Fail_tags | Fail_mshr | Fail_icnt
 type outcome = Hit | Hit_reserved | Miss | Rsrv_fail of fail_reason
@@ -55,6 +58,12 @@ val invalidate : t -> line_addr:int -> unit
 val write_allocate : t -> line_addr:int -> bool
 (** Write-allocate update for L2 stores; false when every way of the
     set is reserved this cycle. *)
+
+val touch : t -> line_addr:int -> bool
+(** The functional simulator's access, on a cache no other call
+    reserves lines in: true on a hit, which refreshes the line's LRU
+    stamp; a miss fills the LRU way at once, with no MSHR and no
+    reservation. *)
 
 val mshr_in_use : t -> int
 (** In-flight MSHR entries (occupancy timelines). *)

@@ -241,6 +241,12 @@ let ctas_per_sm c ~threads_per_cta ~smem_bytes =
   in
   max 1 (min c.max_ctas_per_sm (min by_threads by_smem))
 
+(* The SM a CTA starts on: both simulators place CTAs by this rule. *)
+let home_sm c cta =
+  match c.cta_sched with
+  | Round_robin -> cta mod c.n_sms
+  | Clustered k -> cta / max 1 k mod c.n_sms
+
 let pp ppf c =
   Format.fprintf ppf
     "@[<v>Core: %d SMs, %d-wide SIMT, %d threads/SM max@,\

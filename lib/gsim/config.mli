@@ -155,4 +155,11 @@ val unloaded_l2_latency : t -> int
 val ctas_per_sm : t -> threads_per_cta:int -> smem_bytes:int -> int
 (** Concurrent CTAs per SM given the thread and shared-memory limits. *)
 
+val home_sm : t -> int -> int
+(** The SM a CTA is first placed on under [cta_sched]: round-robin
+    deals CTAs out in order; [Clustered k] gives each SM [k]
+    consecutive CTAs.  The functional simulator runs every CTA there;
+    the timing model queues clustered CTAs on it (round-robin CTAs go
+    wherever a slot frees, starting from this order). *)
+
 val pp : Format.formatter -> t -> unit

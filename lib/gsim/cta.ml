@@ -5,12 +5,7 @@
    thread-local addresses the kernel computes; const and tex spaces
    read the global image (their caches are not modelled). *)
 
-type t = {
-  cta_lin : int;
-  warps : Warp.t array;
-  shared : Mem.t;
-  launch : Launch.t;
-}
+type t = { warps : Warp.t array; launch : Launch.t }
 
 let shared_size kernel =
   max 256 kernel.Ptx.Kernel.smem_bytes
@@ -50,7 +45,7 @@ let create (launch : Launch.t) ~warp_size ~cta_lin =
           ~valid_mask:(Warp.full_mask lanes)
           ~params:launch.Launch.params ~mem kernel)
   in
-  { cta_lin; warps; shared; launch }
+  { warps; launch }
 
 let n_warps t = Array.length t.warps
 

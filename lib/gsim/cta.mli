@@ -4,9 +4,7 @@
     caches are not modelled). *)
 
 type t = {
-  cta_lin : int;
-  warps : Warp.t array;
-  shared : Mem.t;
+  warps : Warp.t array;  (** each warp's [mem] holds the CTA's memories *)
   launch : Launch.t;
 }
 

@@ -15,13 +15,13 @@
      alone, to replay the launches a timing run skips.
 
    CTAs run to completion one at a time (warps round-robin between
-   barriers), with CTA -> SM assignment following the configured CTA
-   scheduler so the emulated per-SM L1 counters see the same working
-   sets as the timing model.  All three roles drive the same CTA loop
-   ([exec_cta]) and differ only in what they do with each memory op, so
-   they execute in the same order and leave the same memory image:
-   atomics and racing stores make that image depend on the order, and
-   iterative apps pick their next launch from it. *)
+   barriers), each on the SM [Config.home_sm] gives it, so the per-SM
+   L1s (the timing model's [Cache], probed with [Cache.touch]) see the
+   same working sets as the timing model's.  All three roles drive the
+   same CTA loop ([exec_cta]) and differ only in what they do with each
+   memory op, so they execute in the same order and leave the same
+   memory image: atomics and racing stores make that image depend on
+   the order, and iterative apps pick their next launch from it. *)
 
 type cls = Dataflow.Classify.load_class
 
@@ -47,8 +47,8 @@ type t = {
   mutable atom_warps : int;
   blocks : (int, block_info) Hashtbl.t;
   mutable block_accesses : int; (* total load requests to global blocks *)
-  l1s : Simplecache.t array;
-  l2 : Simplecache.t;
+  l1s : Cache.t array;
+  l2 : Cache.t;
   mutable l2_queries : int; (* line-granularity queries *)
   mutable l2_sector_queries : int; (* 32B-sector granularity, as the
                                       CUDA profiler counts them *)
@@ -76,12 +76,13 @@ let create cfg =
     block_accesses = 0;
     l1s =
       Array.init cfg.Config.n_sms (fun _ ->
-          Simplecache.create ~sets:cfg.Config.l1_sets ~ways:cfg.Config.l1_ways
-            ~line_size:cfg.Config.line_size);
+          Cache.create ~sets:cfg.Config.l1_sets ~ways:cfg.Config.l1_ways
+            ~line_size:cfg.Config.line_size ~mshr_entries:0 ~mshr_max_merge:0);
     l2 =
-      Simplecache.create
+      Cache.create
         ~sets:(cfg.Config.l2_sets * cfg.Config.n_mem_partitions)
-        ~ways:cfg.Config.l2_ways ~line_size:cfg.Config.line_size;
+        ~ways:cfg.Config.l2_ways ~line_size:cfg.Config.line_size
+        ~mshr_entries:0 ~mshr_max_merge:0;
     l2_queries = 0;
     l2_sector_queries = 0;
     l2_hits = 0;
@@ -144,25 +145,16 @@ let record_mem t ~launch ~sm ~cta (m : Warp.mem_op) =
       List.iter
         (fun la ->
           record_block t ~cta la;
-          if not (Simplecache.access t.l1s.(sm) la) then begin
+          if not (Cache.touch t.l1s.(sm) ~line_addr:la) then begin
             t.l2_queries <- t.l2_queries + 1;
             t.l2_sector_queries <- t.l2_sector_queries + sectors_of la;
-            if Simplecache.access t.l2 la then t.l2_hits <- t.l2_hits + 1
+            if Cache.touch t.l2 ~line_addr:la then t.l2_hits <- t.l2_hits + 1
           end)
         lines
   | Ptx.Types.Global, Warp.Store ->
       t.global_store_warps <- t.global_store_warps + 1
   | Ptx.Types.Shared, Warp.Load -> t.shared_load_warps <- t.shared_load_warps + 1
   | _, _ -> ()
-
-(* CTA -> SM assignment under the configured scheduler (matches the
-   timing simulator's initial placement). *)
-let sm_of_cta cfg cta =
-  match cfg.Config.cta_sched with
-  | Config.Round_robin -> cta mod cfg.Config.n_sms
-  | Config.Clustered k ->
-      let k = max 1 k in
-      cta / k mod cfg.Config.n_sms
 
 (* Run one CTA to completion: warps advance round-robin, pausing at
    barriers until the whole CTA arrives.  Each memory op goes to
@@ -213,7 +205,7 @@ let exec_cta ~warp_size ~budget (launch : Launch.t) cta_lin on_mem =
    the CTA stops where the launch-wide instruction cap falls. *)
 let run_cta t ~launch ~max_warp_insts cta_lin =
   let cfg = t.cfg in
-  let sm = sm_of_cta cfg cta_lin in
+  let sm = Config.home_sm cfg cta_lin in
   let budget =
     if max_warp_insts = 0 then max_int else max_warp_insts - t.warp_insts
   in
@@ -383,14 +375,14 @@ type counters = {
   l2_read_sector_queries : int;
 }
 
+(* [record_mem] touches the L1 once per block access, and each L1 miss
+   is one L2 query. *)
 let counters t =
-  let l1h = Array.fold_left (fun a c -> a + c.Simplecache.hits) 0 t.l1s in
-  let l1m = Array.fold_left (fun a c -> a + c.Simplecache.misses) 0 t.l1s in
   {
     gld_request = total_gld_warps t;
     shared_load = t.shared_load_warps;
-    l1_global_load_hit = l1h;
-    l1_global_load_miss = l1m;
+    l1_global_load_hit = t.block_accesses - t.l2_queries;
+    l1_global_load_miss = t.l2_queries;
     l2_read_hits = t.l2_hits;
     l2_read_queries = t.l2_queries;
     l2_read_sector_queries = t.l2_sector_queries;

@@ -14,6 +14,10 @@
     - execute-only ({!execute}) runs a launch for its memory effects
       alone.
 
+    The full model runs each CTA on its {!Config.home_sm} and probes
+    that SM's L1, then the L2, with {!Cache.touch}: the timing model's
+    tag arrays and LRU, with no MSHRs, so a miss fills at once.
+
     All three run the same CTA loop, so they execute a launch in the
     same order and leave the same memory image.  An iterative
     application picks its next launch from that image, so walking it
@@ -44,8 +48,8 @@ type t = {
   mutable atom_warps : int;
   blocks : (int, block_info) Hashtbl.t;
   mutable block_accesses : int;
-  l1s : Simplecache.t array;
-  l2 : Simplecache.t;
+  l1s : Cache.t array;  (** one per SM, touched by its CTAs' loads *)
+  l2 : Cache.t;  (** every partition's sets in one tag array *)
   mutable l2_queries : int;  (** line-granularity L2 queries *)
   mutable l2_sector_queries : int;  (** 32B-sector granularity *)
   mutable l2_hits : int;
@@ -106,7 +110,9 @@ val cta_distance_histogram : t -> (int * float) list
 (** Fig 12: distance between consecutive distinct CTA ids (sorted) over
     shared blocks, as (distance, fraction) pairs sorted by distance. *)
 
-(** Table III style profiler counters. *)
+(** Table III style profiler counters.  Each coalesced request of a
+    global load or atomic is one L1 access; an L1 miss is one L2
+    query. *)
 type counters = {
   gld_request : int;
   shared_load : int;

@@ -41,10 +41,9 @@ let tune_gc () =
           space_overhead = max g.Gc.space_overhead 200 }
   end
 
-let create_machine ?(cfg = Config.default) ?stats ?(trace = Trace.null ()) ()
-    =
+let create_machine ?(cfg = Config.default) ?(trace = Trace.null ()) () =
   tune_gc ();
-  let stats = match stats with Some s -> s | None -> Stats.create () in
+  let stats = Stats.create () in
   {
     cfg;
     stats;
@@ -72,10 +71,9 @@ let make_dist t launch =
   let cta_queues = Array.init t.cfg.Config.n_sms (fun _ -> Queue.create ()) in
   (match t.cfg.Config.cta_sched with
   | Config.Round_robin -> ()
-  | Config.Clustered k ->
-      let k = max 1 k in
+  | Config.Clustered _ ->
       for cta = 0 to n_ctas_target - 1 do
-        Queue.push cta cta_queues.(cta / k mod t.cfg.Config.n_sms)
+        Queue.push cta cta_queues.(Config.home_sm t.cfg cta)
       done);
   { launch; n_ctas_target; next_cta = 0; cta_queues }
 
@@ -310,7 +308,7 @@ let run_launch t ?(fast_forward = false) (launch : Launch.t) =
   else true
 
 (* Convenience: one launch on a fresh machine. *)
-let run ?cfg ?stats ?trace ?fast_forward (launch : Launch.t) =
-  let t = create_machine ?cfg ?stats ?trace () in
+let run ?cfg ?trace ?fast_forward (launch : Launch.t) =
+  let t = create_machine ?cfg ?trace () in
   ignore (run_launch t ?fast_forward launch);
   t

@@ -15,8 +15,7 @@ type t = {
   mutable cycle : int;
 }
 
-val create_machine :
-  ?cfg:Config.t -> ?stats:Stats.t -> ?trace:Trace.t -> unit -> t
+val create_machine : ?cfg:Config.t -> ?trace:Trace.t -> unit -> t
 (** [?trace] defaults to a null sink shared by every SM, the
     interconnect, and every memory partition; when enabled, per-SM
     MSHR / LD-ST queue occupancy is additionally sampled every 256th
@@ -41,7 +40,6 @@ val run_launch : t -> ?fast_forward:bool -> Launch.t -> bool
     watchdog), with kernel / warp / cycle context. *)
 
 val run :
-  ?cfg:Config.t -> ?stats:Stats.t -> ?trace:Trace.t ->
-  ?fast_forward:bool -> Launch.t -> t
+  ?cfg:Config.t -> ?trace:Trace.t -> ?fast_forward:bool -> Launch.t -> t
 (** One launch on a fresh machine. *)
 

@@ -9,7 +9,7 @@
    (fire-and-forget), loads probe the L2 with hit / hit-reserved /
    miss / reservation-fail outcomes mirroring the L1 model. *)
 
-type dram_txn = { d_line : int; d_ready : int; d_write : bool }
+type dram_txn = { d_line : int; d_ready : int }
 
 type pending_hit = { h_req : Request.t; h_ready : int }
 
@@ -44,8 +44,7 @@ let create ?(trace = Trace.null ()) (cfg : Config.t) ~id ~stats =
     dram_next_free = 0;
   }
 
-let respond t ~now ~(level : Request.level) (req : Request.t) =
-  req.Request.t_serviced <- now;
+let respond t ~(level : Request.level) (req : Request.t) =
   req.Request.level <- Request.deeper req.Request.level level;
   Queue.push req t.resp
 
@@ -58,7 +57,7 @@ let schedule_dram t ~start ~line ~write =
     Trace.emit t.trace
       (Trace.Ev_dram_enq { cycle = begin_at; part = t.id; line; write });
   let ready = begin_at + t.cfg.Config.dram_latency in
-  if not write then Queue.push { d_line = line; d_ready = ready; d_write = write } t.dram;
+  if not write then Queue.push { d_line = line; d_ready = ready } t.dram;
   ready
 
 let dram_has_space t = Queue.length t.dram < t.cfg.Config.dram_queue_size
@@ -80,7 +79,7 @@ let cycle t ~now ~icnt =
              { cycle = now; where = Trace.S_l2 t.id; line = txn.d_line;
                waiters = List.length waiters })
       end;
-      List.iter (fun req -> respond t ~now ~level:Request.Lvl_dram req) waiters
+      List.iter (fun req -> respond t ~level:Request.Lvl_dram req) waiters
     end
     else continue_ := false
   done;
@@ -90,7 +89,7 @@ let cycle t ~now ~icnt =
     let h = Queue.peek t.hits in
     if h.h_ready <= now then begin
       ignore (Queue.pop t.hits);
-      respond t ~now ~level:Request.Lvl_l2 h.h_req
+      respond t ~level:Request.Lvl_l2 h.h_req
     end
     else continue_ := false
   done;

@@ -72,7 +72,6 @@ type holistic_state = {
   mutable win_fails : int;
   mutable h_allowed : int;
   mutable h_max_ctas : int;
-  mutable h_warps_per_cta : int;
   mutable h_steps : int; (* throttle tightenings, for observability *)
 }
 
@@ -102,7 +101,6 @@ let rec state_of_policy = function
           win_fails = 0;
           h_allowed = max_int;
           h_max_ctas = 0;
-          h_warps_per_cta = 0;
           h_steps = 0;
         }
   | Config.Per_pc (ps, inner) -> S_perpc (ps, state_of_policy inner)
@@ -125,7 +123,6 @@ let reconfigure t ~warp_slots ~warps_per_cta =
   match t.thr with
   | None -> ()
   | Some hs ->
-      hs.h_warps_per_cta <- warps_per_cta;
       hs.h_max_ctas <-
         (if warps_per_cta > 0 then max 1 (warp_slots / warps_per_cta) else 0);
       hs.h_allowed <- (if hs.h_max_ctas > 0 then hs.h_max_ctas else max_int);

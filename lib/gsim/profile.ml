@@ -285,11 +285,6 @@ let merge ~dst ~src =
 
 (* ---- derived metrics ---- *)
 
-let avg_turnaround t c =
-  let cp = class_profile t c in
-  if cp.cp_returns = 0 then 0.0
-  else float_of_int cp.cp_sum_turnaround /. float_of_int cp.cp_returns
-
 let l1_loads t c =
   let cp = class_profile t c in
   cp.cp_l1_hit + cp.cp_l1_merge + cp.cp_l1_miss

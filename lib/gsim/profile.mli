@@ -23,8 +23,6 @@ val bucket_of_latency : int -> int
 val bucket_lo : int -> int
 (** Inclusive lower bound of a bucket. *)
 
-val bucket_label : int -> string
-
 (** {1 Accumulators} *)
 
 type class_profile = {
@@ -87,14 +85,9 @@ val merge : dst:t -> src:t -> unit
 
 (** {1 Derived metrics} *)
 
-val avg_turnaround : t -> cls -> float
 val l1_loads : t -> cls -> int
 (** Completed L1 load probes: hit + merge + miss (fails excluded),
     matching [Stats.cs_l1_access]. *)
-
-val occ_sorted : t -> occ_sample list
-(** Occupancy samples in deterministic (cycle, sm) order regardless of
-    merge order. *)
 
 (** {1 Serialization} *)
 
@@ -105,9 +98,7 @@ val to_json : t -> Stats_io.Json.t
 val of_json : Stats_io.Json.t -> t
 (** @raise Stats_io.Json.Parse_error on schema mismatch. *)
 
-val pp_summary : Format.formatter -> t -> unit
+val summary_to_string : t -> string
 (** The [critload trace APP --format summary] report: per-category
     turnaround histograms, reservation-fail attribution, MSHR-merge
     locality, occupancy digest, hottest loads. *)
-
-val summary_to_string : t -> string

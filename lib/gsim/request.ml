@@ -10,7 +10,6 @@
      t_icnt         injected into the interconnect towards L2
      t_arrive       lands at the partition input
      t_l2_start     first cycle at the head of the partition input
-     t_serviced     data produced at the partition (L2 or DRAM)
      t_resp_arrive  the response lands back at the SM
 
    (t_l2_start - t_icnt, less the icnt latency, is the queueing the
@@ -51,7 +50,6 @@ type t = {
   mutable t_icnt : int;
   mutable t_arrive : int; (* when it lands at the partition input *)
   mutable t_l2_start : int;
-  mutable t_serviced : int;
   mutable t_resp_arrive : int; (* when the response lands back at the SM *)
   mutable level : level;
   mutable no_fill : bool; (* bypassed loads do not allocate in the L1 *)
@@ -68,7 +66,6 @@ let make ~cta ~line_addr ~sm_id ~kind ~cls ~wl =
     t_icnt = -1;
     t_arrive = -1;
     t_l2_start = -1;
-    t_serviced = -1;
     t_resp_arrive = -1;
     level = Lvl_l1;
     no_fill = false;

@@ -43,7 +43,6 @@ type t = {
   mutable t_icnt : int;  (** injected towards L2 *)
   mutable t_arrive : int;  (** landed at the partition input *)
   mutable t_l2_start : int;
-  mutable t_serviced : int;  (** data produced at the partition *)
   mutable t_resp_arrive : int;
   mutable level : level;
   mutable no_fill : bool;  (** bypassed loads do not allocate in the L1 *)

@@ -17,7 +17,6 @@ type kind =
   | Invalid_kernel (* rejected by the static verifier *)
   | Unbound_param (* ld.param of a parameter the launch never bound *)
   | Mem_fault (* out-of-bounds access *)
-  | Arith_fault (* integer division by zero *)
   | Barrier_deadlock (* part of a CTA waits at bar.sync forever *)
   | No_progress (* machine live-locked: cycles pass, nothing retires *)
   | Internal (* broken simulator invariant *)
@@ -38,7 +37,6 @@ let kind_name = function
   | Invalid_kernel -> "invalid-kernel"
   | Unbound_param -> "unbound-param"
   | Mem_fault -> "mem-fault"
-  | Arith_fault -> "arith-fault"
   | Barrier_deadlock -> "barrier-deadlock"
   | No_progress -> "no-progress"
   | Internal -> "internal"
@@ -86,8 +84,6 @@ let to_string e =
   Printf.sprintf "sim error [%s]%s: %s" (kind_name e.e_kind)
     (match ctx with [] -> "" | l -> " " ^ String.concat ", " l)
     e.e_msg
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 let () =
   Printexc.register_printer (function

@@ -10,7 +10,6 @@ type kind =
   | Invalid_kernel  (** rejected by the static verifier *)
   | Unbound_param  (** ld.param of a parameter the launch never bound *)
   | Mem_fault  (** out-of-bounds access *)
-  | Arith_fault  (** integer division by zero *)
   | Barrier_deadlock  (** part of a CTA waits at bar.sync forever *)
   | No_progress  (** machine live-locked: cycles pass, nothing retires *)
   | Internal  (** broken simulator invariant *)
@@ -62,4 +61,3 @@ val with_context :
     (innermost) values win. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

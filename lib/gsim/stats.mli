@@ -67,7 +67,6 @@ type t = {
 }
 
 val create : unit -> t
-val unit_index : Exec.unit_class -> int
 val record_unit_busy : t -> Exec.unit_class -> unit
 
 val record_unit_busy_span : t -> Exec.unit_class -> int -> unit

@@ -273,11 +273,6 @@ module Json = struct
 
   let get_int = function Int i -> i | v -> schema_fail "int" v
 
-  let get_float = function
-    | Float f -> f
-    | Int i -> float_of_int i
-    | v -> schema_fail "number" v
-
   let get_bool = function Bool b -> b | v -> schema_fail "bool" v
   let get_str = function Str s -> s | v -> schema_fail "string" v
   let get_list = function Arr l -> l | v -> schema_fail "array" v

@@ -37,7 +37,6 @@ module Json : sig
   (** Field of an object; [Null] when absent. *)
 
   val get_int : t -> int
-  val get_float : t -> float
   (** Accepts both [Int] and [Float]. *)
 
   val get_bool : t -> bool

@@ -15,7 +15,6 @@ type mem_op = {
   m_pc : int;
   m_space : space;
   m_kind : mem_kind;
-  m_dtype : dtype;
   m_mask : int; (* lanes active for this access *)
   m_addrs : int array; (* per-lane effective byte address *)
 }
@@ -47,7 +46,6 @@ type t = {
   kernel : Ptx.Kernel.t;
   decode : Decode.t; (* predecoded per-pc tables, shared per kernel *)
   state : Exec.state; (* registers, predicates, thread ids *)
-  valid_mask : int; (* lanes that hold real threads *)
   params : (string, int64) Hashtbl.t;
   mem : mem_iface;
   scratch_addrs : int array; (* reused [mem_op.m_addrs] buffer *)
@@ -74,7 +72,6 @@ let create ~warp_id ~cta_lin ~decode ~state ~valid_mask ~params ~mem kernel =
     kernel;
     decode;
     state;
-    valid_mask;
     params;
     mem;
     scratch_addrs = Array.make (Exec.width state) (-1);
@@ -211,20 +208,20 @@ let step_unguarded w : step_result =
           Exec.load w.state mask (mem_of_space w.mem sp) ty d a w.scratch_addrs;
           advance w (pc + 1);
           S_mem
-            { m_pc = pc; m_space = sp; m_kind = Load; m_dtype = ty;
-              m_mask = mask; m_addrs = w.scratch_addrs }
+            { m_pc = pc; m_space = sp; m_kind = Load; m_mask = mask;
+              m_addrs = w.scratch_addrs }
       | Ptx.Instr.St (sp, ty, a, v) ->
           Exec.store w.state mask (mem_of_space w.mem sp) ty a v w.scratch_addrs;
           advance w (pc + 1);
           S_mem
-            { m_pc = pc; m_space = sp; m_kind = Store; m_dtype = ty;
-              m_mask = mask; m_addrs = w.scratch_addrs }
+            { m_pc = pc; m_space = sp; m_kind = Store; m_mask = mask;
+              m_addrs = w.scratch_addrs }
       | Ptx.Instr.Atom (op, ty, d, a, v) ->
           Exec.atomic w.state mask w.mem.m_global op ty d a v w.scratch_addrs;
           advance w (pc + 1);
           S_mem
-            { m_pc = pc; m_space = Global; m_kind = Atomic; m_dtype = ty;
-              m_mask = mask; m_addrs = w.scratch_addrs }
+            { m_pc = pc; m_space = Global; m_kind = Atomic; m_mask = mask;
+              m_addrs = w.scratch_addrs }
       | Ptx.Instr.Mov _ | Ptx.Instr.Iop _ | Ptx.Instr.Mad _ | Ptx.Instr.Fop _
       | Ptx.Instr.Fma _ | Ptx.Instr.Funary _ | Ptx.Instr.Cvt _
       | Ptx.Instr.Setp _ | Ptx.Instr.Selp _ | Ptx.Instr.Pnot _
@@ -239,8 +236,7 @@ let step_unguarded w : step_result =
 
 (* [step_unguarded] with execution context attached to any simulator
    fault: faulting instructions do not advance the pc, so [pc w] at
-   catch time still names them.  Division by zero (corrupt data feeding
-   div/rem) is promoted to a structured error here too. *)
+   catch time still names them. *)
 let step w : step_result =
   try step_unguarded w with
   | Sim_error.Error e ->
@@ -248,7 +244,3 @@ let step w : step_result =
         (Sim_error.Error
            (Sim_error.with_context ~kernel:w.kernel.Ptx.Kernel.kname
               ~pc:(pc w) ~cta:w.cta_lin ~warp:w.warp_id e))
-  | Division_by_zero ->
-      Sim_error.error ~kernel:w.kernel.Ptx.Kernel.kname ~pc:(pc w)
-        ~cta:w.cta_lin ~warp:w.warp_id Sim_error.Arith_fault
-        "integer division by zero"

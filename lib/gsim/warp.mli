@@ -18,7 +18,6 @@ type mem_op = {
   m_pc : int;
   m_space : space;
   m_kind : mem_kind;
-  m_dtype : dtype;
   m_mask : int;
   m_addrs : int array;
 }
@@ -44,7 +43,6 @@ type t = {
   decode : Decode.t;  (** predecoded per-pc tables, shared per kernel *)
   state : Exec.state;
       (** the lanes' registers, predicates and thread coordinates *)
-  valid_mask : int;
   params : (string, int64) Hashtbl.t;
   mem : mem_iface;
   scratch_addrs : int array;

@@ -81,7 +81,6 @@ val pnot : t -> int -> int
 val pand : t -> int -> int -> int
 val label : t -> string -> unit
 val bra : t -> string -> unit
-val bra_if : t -> int -> string -> unit
 val bra_ifnot : t -> int -> string -> unit
 val bar : t -> unit
 

@@ -8,7 +8,6 @@
 
 type t = {
   idom : int array; (* immediate dominator per node; -1 if unreachable *)
-  rpo_index : int array;
 }
 
 (* Generic CHK over a graph with [n] nodes, an [entry], and edge
@@ -55,7 +54,7 @@ let compute ~n ~entry ~succs ~preds =
         end)
       rpo
   done;
-  { idom; rpo_index }
+  { idom }
 
 let dominators (cfg : Cfg.t) =
   let n = Cfg.nblocks cfg in

@@ -4,16 +4,9 @@
     node; the immediate post-dominator of a divergent branch is the SIMT
     reconvergence point used by the simulator. *)
 
-type t = { idom : int array; rpo_index : int array }
-
-val compute :
-  n:int ->
-  entry:int ->
-  succs:(int -> int list) ->
-  preds:(int -> int list) ->
-  t
-(** Generic immediate-dominator computation over an arbitrary rooted
-    graph; [idom.(entry) = entry], unreachable nodes get [-1]. *)
+type t = { idom : int array }
+(** Immediate (post-)dominator per node: the root's is itself, and a
+    node the root does not reach gets [-1]. *)
 
 val dominators : Cfg.t -> t
 

@@ -73,9 +73,6 @@ val sregs : sreg list
 val string_of_iop : iop -> string
 val iops : iop list
 
-val string_of_fop : fop -> string
-(** The mnemonic without its width ([add.f]). *)
-
 val fops : fop list
 
 val fop_mnemonic : fop -> dtype -> string

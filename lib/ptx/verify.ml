@@ -42,8 +42,6 @@ let to_string d =
     Printf.sprintf "%s: pc %d: %s [%s] %s" d.d_kernel d.d_pc
       (severity_name d.d_severity) d.d_code d.d_msg
 
-let pp ppf d = Format.pp_print_string ppf (to_string d)
-
 let errors = List.filter (fun d -> d.d_severity = Error)
 
 (* ---- the structural pass ---- *)

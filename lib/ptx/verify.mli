@@ -24,7 +24,6 @@ val diag :
   'a
 
 val to_string : diag -> string
-val pp : Format.formatter -> diag -> unit
 
 val errors : diag list -> diag list
 (** The fatal subset. *)

@@ -44,7 +44,8 @@ let csr_of_edges ~n_rows edges values =
 (* RMAT generator (Chakrabarti et al.): recursively pick a quadrant with
    probabilities (a,b,c,d), giving the skewed degree distribution of
    real-world graphs — the source of the paper's irregular gathers. *)
-let rmat ?(a = 0.57) ?(b = 0.19) ?(c = 0.19) rng ~scale ~edge_factor =
+let rmat rng ~scale ~edge_factor =
+  let a = 0.57 and b = 0.19 and c = 0.19 in
   let n = 1 lsl scale in
   let n_edges = n * edge_factor in
   let edges = ref [] in

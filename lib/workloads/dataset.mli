@@ -19,12 +19,11 @@ val csr_of_edges : n_rows:int -> (int * int) list -> float list -> csr
 (** Build CSR from an edge list with per-edge values (counting sort by
     source). *)
 
-val rmat :
-  ?a:float -> ?b:float -> ?c:float -> Prng.t -> scale:int -> edge_factor:int ->
-  csr
+val rmat : Prng.t -> scale:int -> edge_factor:int -> csr
 (** RMAT generator (Chakrabarti et al.): 2^scale vertices with the
     skewed degree distribution of real-world graphs — the source of the
-    paper's irregular gathers. *)
+    paper's irregular gathers.  Quadrant probabilities a = 0.57,
+    b = c = 0.19 (Graph500's). *)
 
 val uniform_graph : Prng.t -> n:int -> edge_factor:int -> csr
 (** Uniform random graph (near-Poisson degrees), like Rodinia's

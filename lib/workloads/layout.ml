@@ -8,8 +8,6 @@ let alignment = 128
 
 let create mem = { mem; cursor = 0 }
 
-let mem t = t.mem
-
 (* Reserve [bytes] and return the base address. *)
 let alloc t bytes =
   let base = t.cursor in

@@ -4,9 +4,7 @@
 
 type t
 
-val alignment : int
 val create : Gsim.Mem.t -> t
-val mem : t -> Gsim.Mem.t
 
 val alloc : t -> int -> int
 (** Reserve bytes (padded to the alignment); returns the base address.

@@ -109,6 +109,44 @@ let test_cache_invalidate_and_write_allocate () =
   Alcotest.check outcome "write-allocated line hits" Gsim.Cache.Hit
     (Gsim.Cache.access_load c ~req:(mk_req 128) ~icnt_ok:true)
 
+(* [touch] against a list-based LRU model: a set is its resident lines,
+   most recent first.  A hit moves the line to the front; a miss puts
+   it there and, when the set is full, drops the last (least recent)
+   line.  Line numbers range over twice the cache's capacity, so
+   streams both hit and evict. *)
+let prop_touch_matches_lru_model =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun sets ->
+      int_range 1 4 >>= fun ways ->
+      list_size (int_range 0 200) (int_bound ((2 * sets * ways) - 1))
+      >|= fun lines -> (sets, ways, lines))
+  in
+  let print (sets, ways, lines) =
+    Printf.sprintf "sets=%d ways=%d lines=[%s]" sets ways
+      (String.concat ";" (List.map string_of_int lines))
+  in
+  QCheck.Test.make ~count:500 ~name:"cache: touch matches a list LRU model"
+    (QCheck.make ~print gen)
+    (fun (sets, ways, lines) ->
+      let c =
+        Gsim.Cache.create ~sets ~ways ~line_size:128 ~mshr_entries:0
+          ~mshr_max_merge:0
+      in
+      let model = Array.make sets [] in
+      List.for_all
+        (fun l ->
+          let la = l * 128 and s = l mod sets in
+          let hit = List.mem la model.(s) in
+          let others = List.filter (( <> ) la) model.(s) in
+          let kept =
+            if hit || List.length others < ways then others
+            else List.filteri (fun i _ -> i < ways - 1) others
+          in
+          model.(s) <- la :: kept;
+          Gsim.Cache.touch c ~line_addr:la = hit)
+        lines)
+
 (* ---------------- coalescer ---------------- *)
 
 let test_coalesce_fully_coalesced () =
@@ -241,7 +279,7 @@ let test_l2part_services_load () =
       Alcotest.(check bool) "timestamps ordered" true
         (resp.Gsim.Request.t_icnt <= resp.Gsim.Request.t_arrive
         && resp.Gsim.Request.t_arrive <= resp.Gsim.Request.t_l2_start
-        && resp.Gsim.Request.t_l2_start < resp.Gsim.Request.t_serviced));
+        && resp.Gsim.Request.t_l2_start < resp.Gsim.Request.t_resp_arrive));
   (* a second access to the same line is an L2 hit *)
   let r2 = mk_req line in
   Gsim.Icnt.inject_request icnt ~now:!t r2;
@@ -499,6 +537,7 @@ let tests =
     Alcotest.test_case "cache: LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache: invalidate + write allocate" `Quick
       test_cache_invalidate_and_write_allocate;
+    QCheck_alcotest.to_alcotest prop_touch_matches_lru_model;
     Alcotest.test_case "coalesce: fully coalesced" `Quick
       test_coalesce_fully_coalesced;
     Alcotest.test_case "coalesce: strided worst case" `Quick

@@ -203,6 +203,47 @@ let test_sweep_document () =
       ignore (P.timing_summary_of_json (Json.member "result" env)))
     jobs results
 
+(* ---- the CLI's two sweep encodings ---- *)
+
+(* The CLI sits beside this test's directory in the build tree, so the
+   test runs from any working directory. *)
+let cli =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin/critload_cli.exe")
+
+let run_cli args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin null null
+  in
+  Unix.close null;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "critload %s failed" (String.concat " " args)
+
+(* `sweep --format jsonl` writes one line per job: the envelope the json
+   document lists at the same index of [results], byte for byte. *)
+let test_jsonl_lines_match_json () =
+  let sweep format =
+    let out = Filename.temp_file "critload-sweep" ("." ^ format) in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove out)
+      (fun () ->
+        run_cli
+          [ "sweep"; "--no-cache"; "--apps"; "2mm,bfs"; "--scale"; "small";
+            "--cap"; "6000"; "--no-warmup"; "--profile"; "--jobs"; "1";
+            "--format"; format; "--out"; out ];
+        In_channel.with_open_bin out In_channel.input_all)
+  in
+  let results =
+    Json.get_list (Json.member "results" (Json.of_string (sweep "json")))
+  in
+  Alcotest.(check int) "one envelope per job" 2 (List.length results);
+  Alcotest.(check string) "each line is its envelope, in order"
+    (String.concat "" (List.map (fun r -> Json.to_string r ^ "\n") results))
+    (sweep "jsonl")
+
 (* ---- pool lifecycle ---- *)
 
 (* workers are persistent: with one worker, every job runs in the same
@@ -267,6 +308,8 @@ let () =
             test_deterministic_failure_not_retried;
           Alcotest.test_case "func mode round-trip" `Quick
             test_func_mode_roundtrip;
+          Alcotest.test_case "jsonl lines match the json document" `Quick
+            test_jsonl_lines_match_json;
           Alcotest.test_case "sweep document parses back" `Quick
             test_sweep_document;
           Alcotest.test_case "one worker runs every job" `Quick

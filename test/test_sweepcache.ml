@@ -1,5 +1,5 @@
 (* The content-addressed sweep cache: digests must track exactly the
-   inputs a result depends on (kernels as normalized text, launch
+   inputs a result depends on (kernels as printed text, launch
    geometry, dataset seed, config, mode, simulator tag) and ignore
    presentation (label) and observably-equivalent knobs (fast-forward);
    a warm sweep must serve every job from the store with byte-identical
@@ -103,8 +103,7 @@ let test_seed_changes_fingerprint () =
 
 (* ---- kernel-text sensitivity ---- *)
 
-let mini_app text =
-  let kernel = Ptx.Parse.kernel_of_string text in
+let mini_app_of kernel =
   Workloads.App.v ~name:"mini" ~category:Workloads.App.Linear
     ~description:"synthetic cache-test app" ~seed:1 (fun _rng _scale ->
       Workloads.App.host ~global:(Gsim.Mem.create 4096)
@@ -112,6 +111,8 @@ let mini_app text =
         (fun launch ->
           launch ~kernel ~grid:(1, 1, 1) ~block:(32, 1, 1)
             ~params:[ ("a", 0L) ]))
+
+let mini_app text = mini_app_of (Ptx.Parse.kernel_of_string text)
 
 let kernel_a =
   ".kernel k (.param .u64 a)\n.reg 2 .pred 1 .shared 0\n{\n\
@@ -136,6 +137,27 @@ let test_kernel_text_sensitivity () =
     (fp kernel_a) (fp kernel_a_reformatted);
   Alcotest.(check bool) "changed instruction changes the fingerprint" true
     (fp kernel_a <> fp kernel_b)
+
+(* A kernel both verifiers accept but the parser cannot read back: a
+   float immediate as a load's address base prints as [0x1p+0], whose
+   exponent sign parses as an offset separator.  The fingerprint hashes
+   the printed text and parses nothing, so such an app still digests,
+   and by its kernel's content. *)
+let test_unparseable_kernel_fingerprints () =
+  let app base =
+    mini_app_of
+      (Ptx.Kernel.create ~name:"k" ~params:[] ~nregs:1 ~npregs:1
+         ~smem_bytes:0
+         [| Ptx.Instr.Ld
+              ( Ptx.Types.Global, Ptx.Types.U32, 0,
+                { Ptx.Types.abase = Ptx.Types.Fimm base; aoffset = 0 } );
+            Ptx.Instr.Exit |])
+  in
+  let fp base = P.app_fingerprint (app base) Workloads.App.Small in
+  Alcotest.(check int) "an MD5 in hex" 32 (String.length (fp 1.0));
+  Alcotest.(check string) "deterministic" (fp 1.0) (fp 1.0);
+  Alcotest.(check bool) "another base, another fingerprint" true
+    (fp 1.0 <> fp 2.0)
 
 (* ---- store / lookup primitives ---- *)
 
@@ -373,6 +395,8 @@ let () =
             test_unknown_app_not_memoized;
           Alcotest.test_case "seed" `Quick test_seed_changes_fingerprint;
           Alcotest.test_case "kernel-text" `Quick test_kernel_text_sensitivity;
+          Alcotest.test_case "unparseable kernel" `Quick
+            test_unparseable_kernel_fingerprints;
         ] );
       ( "store",
         [
