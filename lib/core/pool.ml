@@ -149,6 +149,7 @@ let spawn t streak =
       { pid; task_wr; result_rd; split = Framing.Splitter.create (); streak }
 
 let alive t = List.length (procs t)
+let pids t = List.map (fun w -> w.pid) (procs t)
 
 let spawn_due t ~want =
   let now = Unix.gettimeofday () in

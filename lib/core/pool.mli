@@ -93,6 +93,10 @@ val in_flight : 'a t -> 'a list
 (** Tags of the assignments still running. *)
 
 val alive : 'a t -> int
+
+val pids : 'a t -> int list
+(** Process ids of the live workers. *)
+
 val crashes : 'a t -> int
 
 val restarts : 'a t -> int

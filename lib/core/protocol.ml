@@ -121,6 +121,7 @@ type health = {
   h_crashes : int;
   h_restarts : int;
   h_disconnects : int;
+  h_worker_peak_rss_kb : int;
 }
 
 let empty_health =
@@ -141,6 +142,7 @@ let empty_health =
     h_crashes = 0;
     h_restarts = 0;
     h_disconnects = 0;
+    h_worker_peak_rss_kb = 0;
   }
 
 (* Field spellings double as the health JSON schema; keep them in sync
@@ -179,7 +181,9 @@ let health_codec =
       field "restarts" int (fun h -> h.h_restarts)
         (fun h x -> { h with h_restarts = x });
       field "disconnects" int (fun h -> h.h_disconnects)
-        (fun h x -> { h with h_disconnects = x }) ]
+        (fun h x -> { h with h_disconnects = x });
+      field "worker_peak_rss_kb" int (fun h -> h.h_worker_peak_rss_kb)
+        (fun h x -> { h with h_worker_peak_rss_kb = x }) ]
     (fun () -> empty_health)
 
 let health_to_json = health_codec.enc

@@ -77,6 +77,9 @@ type health = {
   h_crashes : int;  (** worker processes lost to crashes *)
   h_restarts : int;  (** supervisor respawns (after backoff) *)
   h_disconnects : int;  (** clients gone with work still pending *)
+  h_worker_peak_rss_kb : int;
+      (** the largest peak resident set (VmHWM, kB) over the live pool
+          workers; 0 where no worker's [/proc/PID/status] can be read *)
 }
 
 val empty_health : health

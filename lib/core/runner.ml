@@ -174,6 +174,9 @@ let run ?(cfg = Gsim.Config.default) ?(mode = Timing)
     ?(func_cap = 0) ?trace ?trace_kernel ?(profile = false)
     ?(fast_forward = true) (app : Workloads.App.t) =
   catching (fun () ->
+      Result.iter_error
+        (Gsim.Sim_error.error Gsim.Sim_error.Invalid_config "%s")
+        (Gsim.Config.check cfg);
       match mode with
       | Func ->
           (* Functional runs ignore the config's instruction cap (the

@@ -82,7 +82,8 @@ val run :
     cut the run short (verification must observe the complete
     computation).
 
-    Every failure mode — static verification, unbound parameters,
+    Every failure mode — a config {!Gsim.Config.check} rejects (before
+    anything is built), static verification, unbound parameters,
     memory faults, watchdog stalls, kernel construction errors —
     arrives as a structured {!Gsim.Sim_error.t} instead of an
     exception. *)

@@ -65,6 +65,22 @@ let exec_task ~chaos =
     | Error e -> invalid_arg ("bad job: " ^ e)
     | Ok job -> Parsweep.exec_job job
 
+(* Peak resident set (VmHWM, kB) of a process; 0 where its status file
+   cannot be read (a worker that just exited, or no procfs). *)
+let vm_hwm_kb pid =
+  match open_in (Printf.sprintf "/proc/%d/status" pid) with
+  | exception Sys_error _ -> 0
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> 0
+        | line -> (
+            match Scanf.sscanf_opt line "VmHWM: %d kB" Fun.id with
+            | Some kb -> kb
+            | None -> scan ())
+      in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) scan
+
 (* ---- supervisor state ---- *)
 
 (* One accepted-but-unfinished submission. *)
@@ -246,6 +262,9 @@ let run ?(on_listening = fun () -> ()) cfg =
             h_crashes = Pool.crashes pool;
             h_restarts = Pool.restarts pool;
             h_disconnects = !disconnects;
+            h_worker_peak_rss_kb =
+              List.fold_left (fun m pid -> max m (vm_hwm_kb pid)) 0
+                (Pool.pids pool);
           }
         in
 

@@ -219,6 +219,84 @@ let policy_of_string s =
         (Printf.sprintf "unknown policy %S (expected %s)" s
            (alternatives (List.map policy_name named_policies)))
 
+(* ---- validation ----
+
+   The bounds a config must meet before a simulator is built from it,
+   as (name, value, lo, hi) with the config JSON's spelling of each
+   field.  The lower bounds keep the machine able to run: lib/gsim
+   builds with -unsafe, which in OCaml 5 also drops the zero-divisor
+   check, so a 0 warp size, line size, set count or partition count is
+   a SIGFPE rather than an exception; a lane mask is a 63-bit int, so
+   a 64-lane warp never finishes (32, the hardware's width, is the
+   widest allowed); no ways, MSHRs, queue or buffer entries stall the
+   machine; a negative latency or cap runs the clock backwards.  The upper bounds cap what a config allocates
+   (SMs and the threads resident on each, sets x ways per cache, MSHR
+   tables, the IAR buffer, shared banks) so that a config decoded from
+   a client cannot exhaust a worker's memory, and keep cycle arithmetic
+   far from overflow.
+   Every config the experiments, tests and CLI flags build lies well
+   inside them. *)
+
+let max_latency = 1_000_000
+
+let rec policy_bounds = function
+  | Baseline -> []
+  | Ndet_flags lp -> [ ("ndet_flags.split", lp.lp_split, 0, 32) ]
+  | Iar ip ->
+      [ ("iar.entries", ip.iar_entries, 1, 4096);
+        ("iar.max_wait", ip.iar_max_wait, 0, max_latency) ]
+  | Holistic hp ->
+      [ ("holistic.bypass_sample", hp.hp_bypass_sample, 0, max_latency);
+        ("holistic.bypass_hit_pct", hp.hp_bypass_hit_pct, 0, 100);
+        ("holistic.throttle_window", hp.hp_throttle_window, 1, max_latency);
+        ("holistic.throttle_high_pct", hp.hp_throttle_high_pct, 0, 100);
+        ("holistic.throttle_low_pct", hp.hp_throttle_low_pct, 0, 100) ]
+  | Per_pc (overrides, inner) ->
+      List.map (fun (_, lp) -> ("per_pc.split", lp.lp_split, 0, 32)) overrides
+      @ policy_bounds inner
+
+let bounds c =
+  [ ("n_sms", c.n_sms, 1, 128);
+    ("warp_size", c.warp_size, 1, 32);
+    ("max_threads_per_sm", c.max_threads_per_sm, 1, 4096);
+    ("max_ctas_per_sm", c.max_ctas_per_sm, 1, 32);
+    ("shared_mem_per_sm", c.shared_mem_per_sm, 0, 16 * 1024 * 1024);
+    ("l1_sets", c.l1_sets, 1, 512);
+    ("l1_ways", c.l1_ways, 1, 32);
+    ("line_size", c.line_size, 1, 4096);
+    ("l1_mshr_entries", c.l1_mshr_entries, 1, 4096);
+    ("l1_mshr_max_merge", c.l1_mshr_max_merge, 1, 4096);
+    ("l1_hit_latency", c.l1_hit_latency, 1, max_latency);
+    ("n_mem_partitions", c.n_mem_partitions, 1, 32);
+    ("l2_sets", c.l2_sets, 1, 2048);
+    ("l2_ways", c.l2_ways, 1, 32);
+    ("l2_mshr_entries", c.l2_mshr_entries, 1, 4096);
+    ("l2_latency", c.l2_latency, 1, max_latency);
+    ("icnt_latency", c.icnt_latency, 1, max_latency);
+    ("icnt_buffer_size", c.icnt_buffer_size, 1, 4096);
+    ("l2_input_queue_size", c.l2_input_queue_size, 1, 4096);
+    ("dram_latency", c.dram_latency, 1, max_latency);
+    ("dram_interval", c.dram_interval, 1, max_latency);
+    ("dram_queue_size", c.dram_queue_size, 1, 4096);
+    ("sp_latency", c.sp_latency, 1, max_latency);
+    ("sfu_latency", c.sfu_latency, 1, max_latency);
+    ("sfu_initiation", c.sfu_initiation, 1, max_latency);
+    ("shared_latency", c.shared_latency, 1, max_latency);
+    ("shared_banks", c.shared_banks, 0, 64);
+    ("max_warp_insts", c.max_warp_insts, 0, max_int);
+    ("max_cycles", c.max_cycles, 1, max_int);
+    ("l2_cluster", c.l2_cluster, 0, 1024) ]
+  @ (match c.cta_sched with
+    | Round_robin -> []
+    | Clustered k -> [ ("cta_sched.clustered", k, 1, 65536) ])
+  @ policy_bounds c.policy
+
+let check c =
+  match List.find_opt (fun (_, v, lo, hi) -> v < lo || v > hi) (bounds c) with
+  | None -> Ok ()
+  | Some (name, v, lo, hi) ->
+      Error (Printf.sprintf "%s = %d is outside [%d, %d]" name v lo hi)
+
 (* Latency of a load that misses everywhere, with empty queues: request
    over icnt, L2 access, DRAM, and the return trip.  The L1 probe that
    detects the miss is a single cycle in this model, accounted in the

@@ -146,6 +146,15 @@ val with_l2_cluster : int -> t -> t
 val with_policy : policy -> t -> t
 (** Select the memory-system policy (see {!policy}). *)
 
+val check : t -> (unit, string) result
+(** [Error] names the first field outside its bounds, with the
+    bounds.  Lower bounds keep the machine able to run (no zero
+    divisor, warp, way, MSHR or queue entry; no negative latency or
+    cap; at most 32 lanes per warp); upper bounds cap what a config
+    allocates (SMs, sets and ways, MSHRs, queues, the IAR buffer).
+    {!Stats_io.config_of_json} and [Critload.Runner.run] call it, so a
+    bad config is a typed error before anything is built. *)
+
 val unloaded_dram_latency : t -> int
 (** Contention-free latency of a load serviced by DRAM. *)
 

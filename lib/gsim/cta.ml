@@ -1,21 +1,34 @@
 (* CTA instantiation: builds the warps of one thread block, its shared
    memory, and the memory interface its threads use.
 
-   Local memory is modelled as a per-CTA scratch buffer indexed by the
-   thread-local addresses the kernel computes; const and tex spaces
-   read the global image (their caches are not modelled). *)
+   Local memory is modelled as a per-CTA scratch buffer of 64 bytes per
+   thread (at least 256), indexed by the thread-local addresses the
+   kernel computes; const and tex spaces read the global image (their
+   caches are not modelled).  Only a kernel with an [ld.local] or
+   [st.local] gets that buffer ([Decode.uses_local]).  Every other
+   kernel's CTAs share one zero-byte memory, on which any access is a
+   [Mem_fault] as an out-of-bounds one would be.  The buffer is 16 KiB
+   for a 256-thread CTA, a major-heap block each, and no suite kernel
+   addresses local space, while an iterative app builds thousands of
+   CTAs per run. *)
 
 type t = { warps : Warp.t array; launch : Launch.t }
 
 let shared_size kernel =
   max 256 kernel.Ptx.Kernel.smem_bytes
 
+let no_local = Mem.create 0
+
 let create (launch : Launch.t) ~warp_size ~cta_lin =
   let kernel = launch.Launch.kernel in
   let nthreads = Launch.threads_per_cta launch in
   let nwarps = (nthreads + warp_size - 1) / warp_size in
   let shared = Mem.create (shared_size kernel) in
-  let local = Mem.create (max 256 (nthreads * 64)) in
+  let local =
+    if launch.Launch.decode.Decode.uses_local then
+      Mem.create (max 256 (nthreads * 64))
+    else no_local
+  in
   let mem =
     { Warp.m_global = launch.Launch.global; m_shared = shared; m_local = local }
   in

@@ -7,6 +7,7 @@ type t = {
   load_cls : Dataflow.Classify.load_class array;
   reconv : int array;
   alu : (Exec.state -> int -> unit) array;
+  uses_local : bool;
 }
 
 let of_analysis dg (classes : Dataflow.Classify.result) =
@@ -31,4 +32,12 @@ let of_analysis dg (classes : Dataflow.Classify.result) =
         body;
     reconv = Dataflow.Depgraph.reconvergence dg;
     alu = Array.map Exec.compile_alu body;
+    uses_local =
+      Array.exists
+        (function
+          | Ptx.Instr.Ld (Ptx.Types.Local, _, _, _)
+          | Ptx.Instr.St (Ptx.Types.Local, _, _, _) ->
+              true
+          | _ -> false)
+        body;
   }

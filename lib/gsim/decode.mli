@@ -18,7 +18,10 @@
     - [alu]         compiled executor per pc ({!Exec.compile_alu}),
                     run on a warp's {!Exec.state} and active mask:
                     operand-shape dispatch done once here, so the
-                    stepper's ALU path is one indirect call. *)
+                    stepper's ALU path is one indirect call;
+    - [uses_local]  whether any [ld]/[st] addresses local space, so a
+                    CTA of a kernel that never does gets no local
+                    buffer ({!Cta.create}). *)
 
 type t = {
   units : Exec.unit_class array;
@@ -27,6 +30,7 @@ type t = {
   load_cls : Dataflow.Classify.load_class array;
   reconv : int array;
   alu : (Exec.state -> int -> unit) array;
+  uses_local : bool;
 }
 
 val of_analysis : Dataflow.Depgraph.t -> Dataflow.Classify.result -> t

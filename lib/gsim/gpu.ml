@@ -26,14 +26,25 @@ type t = {
    heap a long simulation spends a measurable fraction of its time in
    minor collections.  Grow the minor heap once per process —
    GC parameters are pure runtime tuning and cannot affect simulation
-   results.  Never shrinks a user-configured larger heap. *)
+   results.  Never shrinks a user-configured larger heap.
+
+   8M words (64 MiB) is the size a sweep picked.  One process walking
+   the 15 apps at Default (cap 150k, warmup on, CTAs without local
+   memory) peaked at 128 MB with 2M or 4M words, 166 MB with 8M and
+   214 MB with 16M: below 4M words the major heap sets the peak, so a
+   smaller heap saves nothing and only promotes more.  Paired perfbench
+   runs resolved no throughput difference between 4M, 8M and 16M, but
+   at 4M serve's 90th-percentile latency read 13-20% higher than at
+   16M, near the benchmark's 25% bound, and at 8M it did not move.
+   space_overhead stays at 200: at OCaml's default of 120 the serve
+   workload ran fewer jobs per second in 5 of 6 pairs. *)
 let gc_tuned = ref false
 
 let tune_gc () =
   if not !gc_tuned then begin
     gc_tuned := true;
     let g = Gc.get () in
-    let minor = 16 * 1024 * 1024 (* words *) in
+    let minor = 8 * 1024 * 1024 (* words *) in
     if g.Gc.minor_heap_size < minor then
       Gc.set
         { g with

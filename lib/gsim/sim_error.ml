@@ -14,6 +14,7 @@
    that only stringifies exceptions ships the structured rendering. *)
 
 type kind =
+  | Invalid_config (* a config field outside its bounds ([Config.check]) *)
   | Invalid_kernel (* rejected by the static verifier *)
   | Unbound_param (* ld.param of a parameter the launch never bound *)
   | Mem_fault (* out-of-bounds access *)
@@ -34,6 +35,7 @@ type t = {
 exception Error of t
 
 let kind_name = function
+  | Invalid_config -> "invalid-config"
   | Invalid_kernel -> "invalid-kernel"
   | Unbound_param -> "unbound-param"
   | Mem_fault -> "mem-fault"

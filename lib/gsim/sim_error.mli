@@ -7,6 +7,7 @@
     message. *)
 
 type kind =
+  | Invalid_config  (** a config field outside its bounds ({!Config.check}) *)
   | Invalid_kernel  (** rejected by the static verifier *)
   | Unbound_param  (** ld.param of a parameter the launch never bound *)
   | Mem_fault  (** out-of-bounds access *)

@@ -762,7 +762,11 @@ let config =
     (fun () -> default)
 
 let config_to_json = config.enc
-let config_of_json = config.dec
+let config_of_json v =
+  let c = config.dec v in
+  match Config.check c with
+  | Ok () -> c
+  | Error e -> raise (Json.Parse_error e)
 
 (* The canonical content digest: MD5 of the compact config JSON, which
    names every field, so configs share a digest iff they are equal. *)

@@ -160,8 +160,9 @@ val config_to_json : Config.t -> Json.t
     outputs and cache entries. *)
 
 val config_of_json : Json.t -> Config.t
-(** Inverse of {!config_to_json}.
-    @raise Json.Parse_error on schema mismatch. *)
+(** Inverse of {!config_to_json}, for configs {!Config.check} accepts.
+    @raise Json.Parse_error on schema mismatch, or naming the field
+    {!Config.check} rejects. *)
 
 val config_digest : Config.t -> string
 (** Hex MD5 of the compact {!config_to_json} rendering.  Every field is

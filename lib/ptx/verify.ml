@@ -64,12 +64,26 @@ let reachable (k : Kernel.t) =
   visit 0;
   seen
 
-(* Declared sizes that are not negative, then per instruction:
+(* A name the parser reads back as itself.  Kernel, parameter and label
+   names print bare, so a space, comma, bracket, colon, parenthesis or
+   comment marker in one would split or end its token. *)
+let is_identifier s =
+  s <> ""
+  && (match s.[0] with 'A' .. 'Z' | 'a' .. 'z' | '_' | '$' -> true | _ -> false)
+  && String.for_all
+       (function
+         | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '$' -> true | _ -> false)
+       s
+
+(* Declared sizes that are not negative and names that are identifiers
+   (kernel, then parameters), then per instruction:
    register and predicate indices within the declared files, branch
-   targets that are declared labels, each label declared once,
-   [ld.param] of declared parameters, and no form that prints as
-   another (an [Ld] from [Param], which prints as [ld.param]; a float
-   op on a non-float type, which prints as its f32 twin); then an exit
+   targets that are declared labels, each label declared once under an
+   identifier, [ld.param] of declared parameters, and no form that
+   prints as another (an [Ld] from [Param], which prints as
+   [ld.param]; a float op on a non-float type, which prints as its f32
+   twin) or does not parse (a float immediate as an address base,
+   whose exponent sign reads as an offset); then an exit
    somewhere in the body.  With [warnings], also each instruction no
    path from entry reaches (dead stores of the builder, mistyped
    labels).  Instructions in program order. *)
@@ -88,6 +102,15 @@ let check ~warnings (k : Kernel.t) =
         (diag ~kernel ~pc:(-1) ~code:"negative-size"
            "declared .reg %d .pred %d .shared %d: no size may be negative"
            k.Kernel.nregs k.Kernel.npregs k.Kernel.smem_bytes);
+    let name ~pc what n =
+      if not (is_identifier n) then
+        add
+          (diag ~kernel ~pc ~code:"bad-name"
+             "%s name %S is not an identifier ([A-Za-z_$][A-Za-z0-9_$]*)" what
+             n)
+    in
+    name ~pc:(-1) "kernel" kernel;
+    List.iter (fun p -> name ~pc:(-1) "parameter" p.Kernel.pname) k.Kernel.params;
     Array.iteri
       (fun pc instr ->
         let reg what r =
@@ -108,6 +131,17 @@ let check ~warnings (k : Kernel.t) =
         List.iter (reg "used") (Instr.uses instr);
         List.iter (pred "defined") (Instr.pdefs instr);
         List.iter (pred "used") (Instr.puses instr);
+        (match instr with
+        | Instr.Label l -> name ~pc "label" l
+        | Instr.Ld (_, _, _, ({ abase = Types.Fimm _; _ } as a))
+        | Instr.St (_, _, ({ abase = Types.Fimm _; _ } as a), _)
+        | Instr.Atom (_, _, _, ({ abase = Types.Fimm _; _ } as a), _) ->
+            add
+              (diag ~kernel ~pc ~code:"float-immediate-address"
+                 "address %a has a float immediate base: its exponent sign \
+                  reads back as an offset"
+                 Types.pp_addr a)
+        | _ -> ());
         (match instr with
         | Instr.Bra (_, l) when not (Hashtbl.mem k.Kernel.labels l) ->
             add

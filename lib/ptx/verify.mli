@@ -29,11 +29,15 @@ val errors : diag list -> diag list
 (** The fatal subset. *)
 
 val structural : Kernel.t -> diag list
-(** Negative declared sizes; then register/predicate bounds, branch
-    targets, duplicate labels (at each repeat), parameter references,
-    forms that would not parse back as themselves ([param-address]: an
-    [Ld] from [Param]; [float-op-type]: a float op on a non-float type)
-    and unreachable code in program order; then a missing exit. *)
+(** Negative declared sizes and kernel or parameter names that are not
+    identifiers ([bad-name]: [[A-Za-z_$][A-Za-z0-9_$]*]); then
+    register/predicate bounds, label names that are not identifiers,
+    branch targets, duplicate labels (at each repeat), parameter
+    references, forms that would not parse back as themselves
+    ([param-address]: an [Ld] from [Param]; [float-op-type]: a float op
+    on a non-float type; [float-immediate-address]: an [Ld], [St] or
+    [Atom] whose address base is a float immediate) and unreachable
+    code in program order; then a missing exit. *)
 
 val validate : Kernel.t -> Kernel.t
 (** Returns the kernel when [structural] reports no error.

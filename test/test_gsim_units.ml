@@ -444,6 +444,89 @@ let test_reconverges_at_join () =
        pcs)
     (List.rev (List.filter (fun (pc, _) -> pc >= join) !trace))
 
+(* ---------------- local memory ---------------- *)
+
+(* Each thread reads its local slot at [4 * tid.x + off] before writing
+   it, stores its global tid there and reads it back.  The first read
+   goes to [a + 4 * gtid] and the read-back to [a + 4 * (n + gtid)]. *)
+let local_launch ?(off = 0) ~ctas ~threads () =
+  let b = B.create ~name:"localk" ~params:[ Workloads.Kutil.u64 "a" ] () in
+  let ap = B.ld_param b "a" in
+  let gtid = B.global_tid b in
+  let slot = B.at b ~base:(B.int off) ~scale:4 B.tid_x in
+  let first = B.ld b Local U32 slot in
+  B.st b Local U32 slot gtid;
+  let back = B.ld b Local U32 slot in
+  B.st b Global U32 (B.at b ~base:ap ~scale:4 gtid) first;
+  B.st b Global U32 (B.at b ~base:ap ~scale:4 ~off:(4 * ctas * threads) gtid)
+    back;
+  Gsim.Launch.create ~kernel:(B.finish b) ~grid:(ctas, 1, 1)
+    ~block:(threads, 1, 1) ~params:[ ("a", 0L) ]
+    ~global:(Gsim.Mem.create (8 * ctas * threads))
+
+let check_local_image name launch ~n =
+  let g = launch.Gsim.Launch.global in
+  for t = 0 to n - 1 do
+    Alcotest.(check int) (Printf.sprintf "%s: slot %d read 0 first" name t) 0
+      (Gsim.Mem.get_u32 g (4 * t));
+    Alcotest.(check int) (Printf.sprintf "%s: slot %d read back" name t) t
+      (Gsim.Mem.get_u32 g (4 * (n + t)))
+  done
+
+let cfg_timing = Gsim.Config.default |> Gsim.Config.with_caps ~max_warp_insts:0 ()
+
+let test_local_memory () =
+  let ctas = 4 and threads = 64 in
+  let n = ctas * threads in
+  let l = local_launch ~ctas ~threads () in
+  Alcotest.(check bool) "kernel addresses local space" true
+    l.Gsim.Launch.decode.Gsim.Decode.uses_local;
+  Gsim.Funcsim.execute Gsim.Config.default l;
+  check_local_image "funcsim" l ~n;
+  let l = local_launch ~ctas ~threads () in
+  let machine = Gsim.Gpu.create_machine ~cfg:cfg_timing () in
+  Alcotest.(check bool) "timing run finishes" true
+    (Gsim.Gpu.run_launch machine l);
+  check_local_image "timing" l ~n
+
+(* The first access past a CTA's [64 * threads] local bytes is a typed
+   fault in both simulators, not a read of a neighbour's memory. *)
+let test_local_bounds () =
+  let threads = 64 in
+  let faults name run =
+    match run (local_launch ~off:(threads * 64) ~ctas:2 ~threads ()) with
+    | _ -> Alcotest.failf "%s: access past local memory did not fault" name
+    | exception Gsim.Sim_error.Error e ->
+        Alcotest.(check string) (name ^ ": fault kind") "mem-fault"
+          (Gsim.Sim_error.kind_name e.Gsim.Sim_error.e_kind)
+  in
+  faults "funcsim" (Gsim.Funcsim.execute Gsim.Config.default);
+  faults "timing" (fun l ->
+      ignore (Gsim.Gpu.run_launch (Gsim.Gpu.create_machine ~cfg:cfg_timing ()) l))
+
+(* A CTA of a kernel with no ld.local/st.local gets no local buffer: 100
+   CTAs of 256 threads allocate nothing directly in the major heap (the
+   16 KiB buffer each once had was a major block). *)
+let test_no_local_no_major_alloc () =
+  let b = B.create ~name:"nolocal" ~params:[ Workloads.Kutil.u64 "a" ] () in
+  let ap = B.ld_param b "a" in
+  let gtid = B.global_tid b in
+  B.st b Global U32 (B.at b ~base:ap ~scale:4 gtid) gtid;
+  let launch =
+    Gsim.Launch.create ~kernel:(B.finish b) ~grid:(100, 1, 1)
+      ~block:(256, 1, 1) ~params:[ ("a", 0L) ]
+      ~global:(Gsim.Mem.create (4 * 100 * 256))
+  in
+  Alcotest.(check bool) "kernel does not address local space" false
+    launch.Gsim.Launch.decode.Gsim.Decode.uses_local;
+  let _, promoted0, major0 = Gc.counters () in
+  for cta_lin = 0 to 99 do
+    ignore (Gsim.Cta.create launch ~warp_size:32 ~cta_lin)
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  Alcotest.(check (float 0.)) "words allocated directly in the major heap" 0.
+    (major1 -. major0 -. (promoted1 -. promoted0))
+
 (* ---------------- SM slot management ---------------- *)
 
 let mini_launch () =
@@ -520,6 +603,11 @@ let test_dot_exports () =
 
 let tests =
   [
+    Alcotest.test_case "local memory: fresh, private, per thread" `Quick
+      test_local_memory;
+    Alcotest.test_case "local memory: bounds" `Quick test_local_bounds;
+    Alcotest.test_case "local memory: none unless addressed" `Quick
+      test_no_local_no_major_alloc;
     Alcotest.test_case "sm: slot packing" `Quick test_sm_slot_packing;
     Alcotest.test_case "sm: reconfigure" `Quick test_sm_reconfigure_empty;
     Alcotest.test_case "cycle sim determinism" `Quick

@@ -2,7 +2,8 @@
    kernel in the suite, classification stability across the
    parse round-trip, the prefetcher ablation's effect, barrier-heavy
    kernels under the cycle simulator, timing/functional agreement on
-   final memory contents, and the warmup pre-pass's answers. *)
+   final memory contents, the warmup pre-pass's answers, and the
+   bounds every config must meet before it runs. *)
 
 module App = Workloads.App
 
@@ -196,6 +197,139 @@ let test_warmup_launches scale expected () =
     (List.combine Workloads.Suite.names expected)
     answers
 
+(* ---------------- config bounds ---------------- *)
+
+module Json = Gsim.Stats_io.Json
+
+type step = K of string | I of int
+
+(* Every integer member of [doc], as the path to it. *)
+let rec int_paths = function
+  | Json.Int _ -> [ [] ]
+  | Json.Obj ms ->
+      List.concat_map
+        (fun (k, v) -> List.map (fun p -> K k :: p) (int_paths v))
+        ms
+  | Json.Arr xs ->
+      List.concat
+        (List.mapi (fun i x -> List.map (fun p -> I i :: p) (int_paths x)) xs)
+  | _ -> []
+
+let rec set_path path x v =
+  match (path, v) with
+  | [], _ -> x
+  | K k :: rest, Json.Obj ms ->
+      Json.Obj
+        (List.map (fun (k', y) -> (k', if k' = k then set_path rest x y else y))
+           ms)
+  | I i :: rest, Json.Arr xs ->
+      Json.Arr (List.mapi (fun j y -> if j = i then set_path rest x y else y) xs)
+  | _, v -> v
+
+let path_name p =
+  String.concat "." (List.map (function K k -> k | I i -> string_of_int i) p)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Run bfs at Small under [cfg] in a forked child, so a signal (a zero
+   divisor under -unsafe) or a hang fails one case instead of this
+   binary.  The child exits 0 on [Ok] or a typed error. *)
+let runs_to_a_result cfg =
+  match Unix.fork () with
+  | 0 ->
+      ignore (Unix.alarm 120);
+      let code =
+        match
+          Critload.Runner.run ~cfg ~scale:App.Small ~warmup:false
+            (Workloads.Suite.find "bfs")
+        with
+        | Ok _ | Error _ -> 0
+        | exception _ -> 3
+      in
+      Unix._exit code
+  | pid -> (
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED 0 -> Ok ()
+      | Unix.WEXITED c -> Error (Printf.sprintf "exit %d" c)
+      | Unix.WSIGNALED s | Unix.WSTOPPED s -> Error (Printf.sprintf "signal %d" s))
+
+(* Each integer field of the config, under every policy variant and the
+   clustered CTA scheduler, set to 0, -1, 64 and max_int: the decoder
+   rejects the value naming the field, or bfs runs at Small (cap 3000)
+   to [Ok] or a typed error. *)
+let test_config_bounds () =
+  let module C = Gsim.Config in
+  let base = C.default |> C.with_caps ~max_warp_insts:3000 () in
+  let flags = { C.no_policy with C.lp_split = 4 } in
+  let docs =
+    List.mapi
+      (fun i cfg ->
+        let doc = Gsim.Stats_io.config_to_json cfg in
+        (* the top-level fields once, each policy's own members after *)
+        ( doc,
+          List.filter
+            (fun p -> i = 0 || List.hd p = K "policy")
+            (int_paths doc) ))
+      [ C.with_cta_sched (C.Clustered 2) base;
+        C.with_policy (C.Ndet_flags flags) base;
+        C.with_policy (C.Iar C.default_iar) base;
+        C.with_policy (C.Holistic C.default_holistic) base;
+        C.with_policy (C.Per_pc ([ (("bfs_kernel1", 9), flags) ], C.Baseline))
+          base ]
+  in
+  let accepted = ref 0 and rejected = ref 0 in
+  List.iter
+    (fun (doc, paths) ->
+      List.iter
+        (fun path ->
+          let name =
+            match List.rev path with K k :: _ -> k | _ -> path_name path
+          in
+          List.iter
+            (fun x ->
+              let case = Printf.sprintf "%s = %d" (path_name path) x in
+              match Gsim.Stats_io.config_of_json (set_path path (Json.Int x) doc) with
+              | exception Json.Parse_error e ->
+                  incr rejected;
+                  if not (contains e name) then
+                    Alcotest.failf "%s: rejection %S does not name %s" case e name
+              | cfg -> (
+                  incr accepted;
+                  match runs_to_a_result cfg with
+                  | Ok () -> ()
+                  | Error how -> Alcotest.failf "%s: the run died (%s)" case how))
+            [ 0; -1; 64; max_int ])
+        paths)
+    docs;
+  Alcotest.(check bool) "some values run, some are rejected" true
+    (!accepted > 0 && !rejected > 0)
+
+(* [Runner.run] checks the config it is handed, before building
+   anything. *)
+let test_runner_checks_config () =
+  let module C = Gsim.Config in
+  List.iter
+    (fun (name, cfg) ->
+      match Critload.Runner.run ~cfg ~scale:App.Small (Workloads.Suite.find "bfs") with
+      | Ok _ -> Alcotest.failf "%s: a bad config ran" name
+      | Error e ->
+          Alcotest.(check string) (name ^ ": kind") "invalid-config"
+            (Gsim.Sim_error.kind_name e.Gsim.Sim_error.e_kind);
+          Alcotest.(check bool) (name ^ ": named") true
+            (contains e.Gsim.Sim_error.e_msg name))
+    [ ("warp_size", { C.default with C.warp_size = 0 });
+      ("max_cycles", { C.default with C.max_cycles = -1 });
+      ("sp_latency", { C.default with C.sp_latency = -5 });
+      ("l1_ways", { C.default with C.l1_ways = 0 });
+      ("iar.entries",
+        C.with_policy (C.Iar { C.default_iar with C.iar_entries = max_int })
+          C.default) ]
+
 let tests =
   [
     Alcotest.test_case "round-trip: all suite kernels" `Quick
@@ -222,6 +356,10 @@ let tests =
     Alcotest.test_case "warmup launches (default)" `Slow
       (test_warmup_launches App.Default
          [ 0; 1; 2; 1; 0; 0; 1; 0; 0; 1; 10; 0; 0; 1; 0 ]);
+    Alcotest.test_case "config: each int field at 0, -1, 64, max_int" `Slow
+      test_config_bounds;
+    Alcotest.test_case "config: Runner.run rejects a bad config" `Quick
+      test_runner_checks_config;
   ]
 
 let () = Alcotest.run "integration" [ ("integration", tests) ]

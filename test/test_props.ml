@@ -329,12 +329,13 @@ module Io = Gsim.Stats_io
 module C = Gsim.Config
 module Ps = Critload.Parsweep
 
-(* Every scalar field distinct and non-default.  The record literal
-   names every field, so a new one must be given a value here, and a
-   field missing from the codec's table then fails the round trip
-   instead of colliding in the sweep cache. *)
+(* Every scalar field distinct and non-default, and inside the bounds
+   [Config.check] puts on a decoded config (1..32 fits every field).
+   The record literal names every field, so a new one must be given a
+   value here, and a field missing from the codec's table then fails
+   the round trip instead of colliding in the sweep cache. *)
 let distinct_config base policy =
-  let v i = 10_000_000 + (base * 100) + i in
+  let v i = 1 + (base mod 2) + i in
   { C.n_sms = v 0; warp_size = v 1; max_threads_per_sm = v 2;
     max_ctas_per_sm = v 3; shared_mem_per_sm = v 4; l1_sets = v 5;
     l1_ways = v 6; line_size = v 7; l1_mshr_entries = v 8;
@@ -347,9 +348,10 @@ let distinct_config base policy =
     max_cycles = v 28; cta_sched = C.Clustered (v 29); warp_sched = C.Gto;
     l2_cluster = v 30; policy }
 
-(* one value of each policy variant, parameters likewise distinct *)
+(* one value of each policy variant, parameters likewise distinct,
+   non-default and in bounds *)
 let distinct_policies base =
-  let v i = 20_000_000 + (base * 100) + i in
+  let v i = 21 + (base mod 2) + i in
   let flags = { C.lp_split = v 0; lp_prefetch = true; lp_bypass = true } in
   let iar = { C.iar_entries = v 1; iar_max_wait = v 2 } in
   [ C.Baseline;

@@ -234,7 +234,7 @@ let test_protocol_roundtrip () =
       h_alive = 5; h_accepted = 6; h_completed = 7; h_failed = 8;
       h_timeouts = 9; h_rejected = 10; h_cache_hits = 11;
       h_cache_misses = 12; h_cache_damaged = 13; h_crashes = 14;
-      h_restarts = 15; h_disconnects = 16;
+      h_restarts = 15; h_disconnects = 16; h_worker_peak_rss_kb = 17;
     }
   in
   Alcotest.(check bool) "health round-trips field-exactly" true
@@ -349,6 +349,45 @@ let test_vanished_reader () =
   until_dropped ();
   Client.close c;
   Client.close c2;
+  stop_server scfg pid
+
+(* ---- a bad config is refused before it reaches a worker ---- *)
+
+(* A submit whose config has a 0-lane warp (a SIGFPE in a worker under
+   -unsafe) is answered with an error naming the field, and no worker
+   is lost.  After a miss, health reports the workers' peak memory. *)
+let test_bad_config_refused () =
+  let scfg =
+    { (base_config (Filename.temp_file "critload" ".sock")) with S.workers = 1 }
+  in
+  let pid = start_server scfg in
+  let c = Client.connect scfg.S.socket_path in
+  submit c "miss" (P.job ~cfg ~warmup:false "2mm");
+  ignore (payload_str (Hashtbl.find (collect c 1) "miss"));
+  if Sys.file_exists "/proc/self/status" then
+    Alcotest.(check bool) "workers' peak memory reported" true
+      ((health_of c).Pr.h_worker_peak_rss_kb > 0);
+  let rec set path x v =
+    match (path, v) with
+    | [], _ -> x
+    | k :: rest, Json.Obj ms ->
+        Json.Obj (List.map (fun (k', y) -> (k', if k' = k then set rest x y else y)) ms)
+    | _ :: _, v -> v
+  in
+  let submit_json = Pr.request_to_json (Pr.Submit { id = "bad"; job = P.job "2mm" }) in
+  write_all c.Client.fd
+    (F.frame (set [ "job"; "config"; "warp_size" ] (Json.Int 0) submit_json));
+  (match Client.recv c with
+  | Pr.Error_response { message } ->
+      Alcotest.(check bool) ("the error names the field: " ^ message) true
+        (String.ends_with ~suffix:"warp_size = 0 is outside [1, 32]" message)
+  | r ->
+      Alcotest.failf "expected an error response, got %s"
+        (Json.to_string (Pr.response_to_json r)));
+  let h = health_of c in
+  Alcotest.(check int) "no worker crashed" 0 h.Pr.h_crashes;
+  Alcotest.(check int) "the worker is alive" 1 h.Pr.h_alive;
+  Client.close c;
   stop_server scfg pid
 
 (* ---- backpressure: the queue is bounded, rejects carry a hint ---- *)
@@ -737,6 +776,8 @@ let () =
           Alcotest.test_case "byte-identity" `Slow test_submit_byte_identity;
           Alcotest.test_case "bad request line" `Quick test_bad_request_line;
           Alcotest.test_case "vanished reader" `Quick test_vanished_reader;
+          Alcotest.test_case "bad config refused" `Quick
+            test_bad_config_refused;
           Alcotest.test_case "backpressure" `Slow test_backpressure;
           Alcotest.test_case "job timeout" `Slow test_job_timeout;
           Alcotest.test_case "crash retry (chaos)" `Slow

@@ -138,26 +138,33 @@ let test_kernel_text_sensitivity () =
   Alcotest.(check bool) "changed instruction changes the fingerprint" true
     (fp kernel_a <> fp kernel_b)
 
-(* A kernel both verifiers accept but the parser cannot read back: a
-   float immediate as a load's address base prints as [0x1p+0], whose
-   exponent sign parses as an offset separator.  The fingerprint hashes
-   the printed text and parses nothing, so such an app still digests,
-   and by its kernel's content. *)
+(* A float immediate as a load's address base prints as [0x1p+0], whose
+   exponent sign parses as an offset separator.  The structural
+   verifier rejects that form ([float-immediate-address]), so an app
+   launching such a kernel fails with a typed error when it is
+   digested, and no cache entry is named by text that cannot be read
+   back.  (The fingerprint still parses nothing: "kernel-text" digests
+   kernels by their printed text.) *)
 let test_unparseable_kernel_fingerprints () =
-  let app base =
+  let app =
     mini_app_of
       (Ptx.Kernel.create ~name:"k" ~params:[] ~nregs:1 ~npregs:1
          ~smem_bytes:0
          [| Ptx.Instr.Ld
               ( Ptx.Types.Global, Ptx.Types.U32, 0,
-                { Ptx.Types.abase = Ptx.Types.Fimm base; aoffset = 0 } );
+                { Ptx.Types.abase = Ptx.Types.Fimm 1.0; aoffset = 0 } );
             Ptx.Instr.Exit |])
   in
-  let fp base = P.app_fingerprint (app base) Workloads.App.Small in
-  Alcotest.(check int) "an MD5 in hex" 32 (String.length (fp 1.0));
-  Alcotest.(check string) "deterministic" (fp 1.0) (fp 1.0);
-  Alcotest.(check bool) "another base, another fingerprint" true
-    (fp 1.0 <> fp 2.0)
+  match P.app_fingerprint app Workloads.App.Small with
+  | _ -> Alcotest.fail "a kernel that cannot be read back was digested"
+  | exception Gsim.Sim_error.Error e ->
+      Alcotest.(check string) "a typed verification error" "invalid-kernel"
+        (Gsim.Sim_error.kind_name e.Gsim.Sim_error.e_kind);
+      let msg = e.Gsim.Sim_error.e_msg in
+      Alcotest.(check bool) ("names the form: " ^ msg) true
+        (List.exists
+           (String.starts_with ~prefix:"float-immediate-address]")
+           (String.split_on_char '[' msg))
 
 (* ---- store / lookup primitives ---- *)
 

@@ -230,6 +230,69 @@ let test_unprintable_forms () =
     [ (1, "param-address"); (2, "float-op-type") ]
     (List.map (fun (d : V.diag) -> (d.V.d_pc, d.V.d_code)) (V.structural k))
 
+(* A float immediate as an address base prints as [0x1p+0], whose
+   exponent sign the parser reads as the offset separator. *)
+let test_float_immediate_address () =
+  let a = { abase = Fimm 1.0; aoffset = 0 } in
+  let k =
+    mk
+      [ Instr.Ld (Global, U32, 0, a);
+        Instr.St (Shared, U32, a, Reg 0);
+        Instr.Atom (Aadd, U32, 1, a, Imm 1L);
+        Instr.Exit ]
+  in
+  Alcotest.(check (list (pair int string)))
+    "ld, st and atom rejected at their pcs"
+    [ (0, "float-immediate-address"); (1, "float-immediate-address");
+      (2, "float-immediate-address") ]
+    (List.map (fun (d : V.diag) -> (d.V.d_pc, d.V.d_code)) (V.structural k))
+
+(* Kernel, parameter and label names print bare, so one that is not an
+   identifier splits its token: [.param .u64 a b], [@%p0 bra l x]. *)
+let test_bad_names () =
+  let named ~name ~param ~label =
+    Ptx.Kernel.create ~name
+      ~params:[ { Ptx.Kernel.pname = param; pty = U64 } ]
+      ~nregs:2 ~npregs:1 ~smem_bytes:0
+      [| Instr.Ld_param (0, param);
+         Instr.Setp (Eq, U64, 0, Reg 0, Imm 0L);
+         Instr.Bra (Some (true, 0), label);
+         Instr.Mov (1, Imm 1L);
+         Instr.Label label;
+         Instr.Exit |]
+  in
+  Alcotest.(check (list (pair int string)))
+    "kernel, parameter and label names rejected"
+    [ (-1, "bad-name"); (-1, "bad-name"); (4, "bad-name") ]
+    (List.map
+       (fun (d : V.diag) -> (d.V.d_pc, d.V.d_code))
+       (V.structural (named ~name:"k 1" ~param:"a b" ~label:"l x")));
+  Alcotest.(check (list string))
+    "the identifier spellings are clean" []
+    (List.map V.to_string
+       (V.structural (named ~name:"k_1" ~param:"a_b" ~label:"$l_x")))
+
+(* The corrected forms — a register address base loaded with the
+   immediate, identifier names — print and parse back as themselves. *)
+let test_corrected_forms_roundtrip () =
+  let k =
+    Ptx.Kernel.create ~name:"k_1"
+      ~params:[ { Ptx.Kernel.pname = "a_b"; pty = U64 } ]
+      ~nregs:3 ~npregs:1 ~smem_bytes:0
+      [| Instr.Ld_param (0, "a_b");
+         Instr.Setp (Eq, U64, 0, Reg 0, Imm 0L);
+         Instr.Bra (Some (true, 0), "$l_x");
+         Instr.Mov (1, Imm 64L);
+         Instr.Ld (Global, U32, 2, { abase = Reg 1; aoffset = 4 });
+         Instr.St (Global, U32, { abase = Reg 1; aoffset = 8 }, Reg 2);
+         Instr.Atom (Aadd, U32, 2, { abase = Reg 1; aoffset = 0 }, Imm 1L);
+         Instr.Label "$l_x";
+         Instr.Exit |]
+  in
+  let text = Ptx.Kernel.to_string (V.validate k) in
+  Alcotest.(check string) "print -> parse -> print" text
+    (Ptx.Kernel.to_string (Ptx.Parse.kernel_of_string text))
+
 (* structural errors suppress the dataflow pass (whose analyses assume
    in-bounds registers) *)
 let test_structural_gates_dataflow () =
@@ -277,5 +340,11 @@ let () =
             test_structural_gates_dataflow;
           Alcotest.test_case "unprintable forms" `Quick
             test_unprintable_forms;
+          Alcotest.test_case "float immediate address base" `Quick
+            test_float_immediate_address;
+          Alcotest.test_case "names that are not identifiers" `Quick
+            test_bad_names;
+          Alcotest.test_case "corrected forms round-trip" `Quick
+            test_corrected_forms_roundtrip;
         ] );
     ]
