@@ -44,9 +44,19 @@ let scale_arg =
     & info [ "scale" ] ~docv:"SCALE"
         ~doc:("Dataset scale: " ^ String.concat "|" names ^ "."))
 
+(* A negative cap is an argument error (exit 124), reported before any
+   work runs. *)
+let non_negative_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 -> Error (`Msg (Printf.sprintf "%d is negative" n))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let cap_arg ?(default = 150_000) () =
   Arg.(
-    value & opt int default
+    value & opt non_negative_int default
     & info [ "cap" ] ~docv:"N"
         ~doc:"Warp-instruction cap for cycle simulation (0 = none).")
 

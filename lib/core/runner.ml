@@ -67,12 +67,9 @@ let run_func ?(cfg = Gsim.Config.default) ?(max_warp_insts = 0)
    steady state the paper reports.  A functional pre-pass counts each
    launch's coalesced global-load requests, modelling no cache, and
    finds the first launch carrying substantial traffic (>= 25% of the
-   busiest launch); the timing pass executes the launches before it
-   functionally — the memory image is shared, so simulation can resume
-   exactly there — and cycle-simulates from that point. *)
-let warmup_launches ?(cfg = Gsim.Config.default) (app : Workloads.App.t) scale
-    =
-  let run = app.Workloads.App.make scale in
+   busiest launch).  It walks [run] to its end, executing every
+   launch. *)
+let first_heavy_launch cfg (run : Workloads.App.run) =
   let per_launch = ref [] in
   Workloads.App.iter_launches run (fun launch ->
       per_launch := Gsim.Funcsim.count_requests cfg launch :: !per_launch;
@@ -92,11 +89,31 @@ let warmup_launches ?(cfg = Gsim.Config.default) (app : Workloads.App.t) scale
   in
   first 0
 
-(* The timing run's statistics and the number of launches it pulled. *)
+let warmup_launches ?(cfg = Gsim.Config.default) (app : Workloads.App.t) scale
+    =
+  first_heavy_launch cfg (app.Workloads.App.make scale)
+
+(* The timing run's statistics and the number of launches it pulled.
+   One dataset serves both walks: the fresh image's touched prefix is
+   copied before the pre-pass, and afterwards the image is put back and
+   the host program started again (see [App.host]).  The timing walk
+   executes the launches before the first heavy one functionally, so
+   simulation resumes from exactly the memory image they leave, and
+   cycle-simulates from there. *)
 let run_timing ?(cfg = Gsim.Config.default) ?(warmup = true) ?trace
     ?trace_kernel ?(fast_forward = false) (app : Workloads.App.t) scale =
-  let skip = if warmup then warmup_launches ~cfg app scale else 0 in
   let run = app.Workloads.App.make scale in
+  let skip =
+    if warmup then begin
+      let global = run.Workloads.App.global in
+      let fresh = Gsim.Mem.copy_image global in
+      let skip = first_heavy_launch cfg run in
+      Gsim.Mem.restore_image global fresh;
+      run.Workloads.App.restart ();
+      skip
+    end
+    else 0
+  in
   let machine = Gsim.Gpu.create_machine ~cfg ?trace () in
   let stats = machine.Gsim.Gpu.stats in
   let trace = machine.Gsim.Gpu.trace in

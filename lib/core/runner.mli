@@ -96,4 +96,5 @@ val warmup_launches :
     ({!Gsim.Funcsim.count_requests}) and models no cache.  Iterative
     apps (bfs, sssp, ...) spend their first launches on tiny frontiers;
     measuring only those would mischaracterize the steady state the
-    paper reports. *)
+    paper reports.  It builds the app's dataset ([make]) for its own
+    walk; a timing run walks its one dataset twice instead. *)

@@ -22,8 +22,34 @@ let lines ~line_size ~mask ~addrs =
   done;
   List.rev !out
 
+(* [count]'s distinct lines so far: one row for every call, since the
+   simulators run on one domain.  A mask has at most [Sys.int_size]
+   lanes. *)
+let distinct = Array.make Sys.int_size 0
+
+(* [List.length (lines ...)] without the list: a lane counts only when
+   its line is not among the distinct lines the earlier active lanes
+   found.  One division per lane, as in [lines], and no allocation. *)
 let count ~line_size ~mask ~addrs =
-  List.length (lines ~line_size ~mask ~addrs)
+  let n = ref 0 in
+  let m = ref mask in
+  let lane = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 then begin
+      let line = addrs.(!lane) / line_size in
+      let k = ref 0 in
+      while !k < !n && distinct.(!k) <> line do
+        incr k
+      done;
+      if !k = !n then begin
+        distinct.(!n) <- line;
+        incr n
+      end
+    end;
+    m := !m lsr 1;
+    incr lane
+  done;
+  !n
 
 (* Ascending-address ordering of a coalesced line list — the order the
    IAR reorder unit buffers entries in, so same-line requests from

@@ -35,6 +35,20 @@ let check_slow t addr len =
 let[@inline] check t addr len =
   if addr < 0 || addr + len > t.zeroed then check_slow t addr len
 
+(* The zeroed prefix is every byte an access or a zeroing pass has
+   reached; the rest of the buffer is unread garbage.  So copying the
+   prefix and its length captures the whole image, and putting them
+   back restores it even if later writes went past the old watermark:
+   those bytes are zeroed again before anything reads them. *)
+type image = Bytes.t
+
+let copy_image t = Bytes.sub t.data 0 t.zeroed
+
+let restore_image t image =
+  let n = Bytes.length image in
+  Bytes.blit image 0 t.data 0 n;
+  t.zeroed <- n
+
 (* All loads zero-extend into the 64-bit register except the signed
    narrow types, which sign-extend (as PTX ld.sN does). *)
 let[@inline] load t (ty : Ptx.Types.dtype) addr =

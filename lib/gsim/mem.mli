@@ -30,6 +30,22 @@ val store_slot : t -> Ptx.Types.dtype -> int -> Bytes.t -> int -> unit
     word at byte offset [off] of [src] (unchecked).
     @raise Sim_error.Error ([Mem_fault]) on out-of-bounds access. *)
 
+(** {1 Copies of the image} *)
+
+type image
+(** The contents of a memory at one moment. *)
+
+val copy_image : t -> image
+(** [copy_image t] copies the bytes of [t] any access has reached so
+    far (the zeroed prefix, at most a few MB for the suite's datasets,
+    not the whole buffer). *)
+
+val restore_image : t -> image -> unit
+(** [restore_image t image] puts [t] back to the contents [image] was
+    copied from: every later write is undone, including writes past
+    the copied prefix, which read as zero again.
+    @raise Invalid_argument if [image] came from a larger memory. *)
+
 (** {1 Host-side convenience accessors} *)
 
 val get_u32 : t -> int -> int

@@ -54,14 +54,14 @@ type t = {
   mutable thread_insts : int;
 }
 
+(* Branch-free SWAR count: 2-, 4- then 8-bit partial sums, added up
+   by the multiply into the top byte.  Exact for every non-negative
+   int (a warp mask has at most 32 lanes). *)
 let popcount mask =
-  let m = ref mask in
-  let acc = ref 0 in
-  while !m <> 0 do
-    m := !m land (!m - 1);
-    incr acc
-  done;
-  !acc
+  let x = mask - ((mask lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 let full_mask n = (1 lsl n) - 1
 

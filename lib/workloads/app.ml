@@ -33,6 +33,7 @@ let scale_of_string s =
 type run = {
   global : Gsim.Mem.t;
   next_launch : unit -> Gsim.Launch.t option;
+  restart : unit -> unit;
   check : unit -> bool;
 }
 
@@ -101,7 +102,18 @@ let host ~global ~check program =
         Effect.Deep.match_with program launch handler
     | None -> None
   in
-  { global; next_launch; check }
+  (* The program keeps its loop state in its own frames, so starting it
+     afresh replays it from its first line; a parked run is unwound
+     first, as [iter_launches] ends one. *)
+  let restart () =
+    Option.iter
+      (fun k ->
+        parked := None;
+        ignore (Effect.Deep.discontinue k Closed))
+      !parked;
+    started := false
+  in
+  { global; next_launch; restart; check }
 
 (* do { flag = 0; body } while (flag && ++i < max_iters): the
    relaunch-until-stable loop of the LonestarGPU hosts. *)

@@ -22,11 +22,13 @@ val scale_of_string : string -> scale
 (** One run of an application: a global-memory image plus a host
     program yielding kernel launches one at a time (the CUDA host loop,
     e.g. bfs relaunching until the frontier empties; see {!host}).
-    [check] verifies the computation against a host reference after the
-    run completes. *)
+    [restart ()] starts the program again from its first line, so one
+    dataset can serve two walks (see {!host}).  [check] verifies the
+    computation against a host reference after the run completes. *)
 type run = {
   global : Gsim.Mem.t;
   next_launch : unit -> Gsim.Launch.t option;
+  restart : unit -> unit;
   check : unit -> bool;
 }
 
@@ -58,7 +60,8 @@ val host : global:Gsim.Mem.t -> check:(unit -> bool) -> (launch -> unit) -> run
     64)].  The program runs only inside [next_launch]: each pull
     resumes it up to its next [launch], which creates the
     {!Gsim.Launch.t} against [global] and suspends the program there.
-    Once the program returns, every pull answers [None].
+    Once the program returns, every pull answers [None] (until
+    [restart]).
 
     The contract with the consumer: it executes each launch before it
     pulls the next, so a program that reads simulated memory (bfs's
@@ -71,7 +74,18 @@ val host : global:Gsim.Mem.t -> check:(unit -> bool) -> (launch -> unit) -> run
     {!iter_launches} then unwinds the parked program (its
     [Fun.protect] finalisers run); a consumer that just stops calling
     [next_launch] leaves the program's fiber stack, a few KB, to the
-    end of the process. *)
+    end of the process.
+
+    A host program may run more than once.  [restart ()] unwinds a
+    parked program (as {!iter_launches} does) and lets the next pull
+    start [program] again from its first line.  It does not touch
+    [global]: a caller that wants the first walk's launches again puts
+    the image back first ({!Gsim.Mem.restore_image} of a copy taken
+    before the first pull).  For that to replay the same launches,
+    [program] keeps all its state in its own frames (loop counters,
+    {!while_flag}, mst's [round]) and mutates nothing but [global]:
+    whatever else it reads was fixed when [make] returned.  All 15
+    suite programs do (test_workloads' [restart replays] cases). *)
 
 val while_flag :
   global:Gsim.Mem.t -> flag:int -> max_iters:int -> (unit -> unit) -> unit

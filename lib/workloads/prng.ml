@@ -4,7 +4,14 @@
    well-tested recurrences.  Every dataset in the suite is generated
    from a fixed seed so runs are exactly reproducible. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four state words s0..s3 live at byte offsets 0, 8, 16 and 24,
+   read and written unboxed (as [Exec]'s register rows are), so a draw
+   neither allocates nor goes through [caml_modify]: mutable [int64]
+   fields would box every word. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let splitmix64_next state =
   state := Int64.add !state 0x9E3779B97F4A7C15L;
@@ -15,25 +22,26 @@ let splitmix64_next state =
 
 let create seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix64_next state)
+  done;
+  t
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* xoshiro256++ *)
-let next t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+(* xoshiro256++.  Inlined into [int] and [float], so a draw allocates
+   nothing. *)
+let[@inline] next t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set64 t 0 (Int64.logxor s0 s3);
+  set64 t 8 (Int64.logxor s1 s2);
+  set64 t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
 
 (* Uniform in [0, bound). *)
@@ -43,14 +51,12 @@ let int t bound =
   v mod bound
 
 (* Uniform in [0, 1). *)
-let float t =
+let[@inline] float t =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v /. 9007199254740992.0 (* 2^53 *)
 
 (* Uniform in [lo, hi). *)
 let float_range t lo hi = lo +. ((hi -. lo) *. float t)
-
-let bool t = Int64.logand (next t) 1L = 1L
 
 (* In-place Fisher–Yates shuffle. *)
 let shuffle t arr =

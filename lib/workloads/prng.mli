@@ -5,7 +5,10 @@
 type t
 
 val create : int -> t
+
 val next : t -> int64
+(** The next 64-bit word of the stream.  Inlined into {!int} and
+    {!float}: a draw allocates nothing. *)
 
 val int : t -> int -> int
 (** Uniform in [0, bound). @raise Invalid_argument when bound <= 0. *)
@@ -14,7 +17,6 @@ val float : t -> float
 (** Uniform in [0, 1). *)
 
 val float_range : t -> float -> float -> float
-val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -47,6 +47,90 @@ let prop_count_at_most_active =
       let active = Gsim.Warp.popcount (mask land 0xFFFFFFFF) in
       if active = 0 then n = 0 else n >= 1 && n <= active)
 
+(* The counting primitives against their reference definitions:
+   [Coalesce.count] is the length of [Coalesce.lines]'s list, and
+   [Warp.popcount] the bit-clearing loop.  Addresses are drawn from a
+   pool of 1..40 lines, so lanes share lines as coalesced loads do and
+   a pool over 32 gives full gathers too. *)
+let gen_count_case =
+  let open QCheck.Gen in
+  let* line_size = oneofl [ 32; 64; 128 ] in
+  let* mask =
+    oneof
+      [ int_bound 0xFFFFFFFF; return 0xFFFFFFFF; return 0;
+        map (fun b -> 1 lsl b) (int_bound 31) ]
+  in
+  let* pool = int_range 1 40 in
+  let+ addrs =
+    array_size (return 32)
+      (map2
+         (fun l off -> (l * line_size) + off)
+         (int_bound (pool - 1)) (int_bound (line_size - 1)))
+  in
+  (line_size, mask, addrs)
+
+let print_count_case (line_size, mask, addrs) =
+  Printf.sprintf "line_size %d, mask %#x, addrs [%s]" line_size mask
+    (String.concat "; " (Array.to_list (Array.map string_of_int addrs)))
+
+let prop_count_is_lines_length =
+  QCheck.Test.make ~count:1000
+    ~name:"coalesce: count = length of lines (line sizes 32, 64, 128)"
+    (QCheck.make ~print:print_count_case gen_count_case)
+    (fun (line_size, mask, addrs) ->
+      Gsim.Coalesce.count ~line_size ~mask ~addrs
+      = List.length (Gsim.Coalesce.lines ~line_size ~mask ~addrs))
+
+let popcount_reference mask =
+  let m = ref mask and n = ref 0 in
+  while !m <> 0 do
+    m := !m land (!m - 1);
+    incr n
+  done;
+  !n
+
+let prop_popcount_reference =
+  QCheck.Test.make ~count:1000 ~name:"popcount = bit-clearing loop"
+    (QCheck.int_bound 0xFFFFFFFF)
+    (fun m -> Gsim.Warp.popcount m = popcount_reference m)
+
+let popcount_edge_masks =
+  0 :: 0xFFFFFFFF :: (1 lsl 31) :: max_int :: List.init 32 (fun b -> 1 lsl b)
+
+let test_popcount_edges () =
+  List.iter
+    (fun m ->
+      Alcotest.(check int) (Printf.sprintf "popcount %#x" m)
+        (popcount_reference m) (Gsim.Warp.popcount m))
+    popcount_edge_masks
+
+(* Both run on every warp step or global load of the warmup walk, so
+   neither may allocate (native code). *)
+let test_counting_no_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let cases =
+      Array.of_list
+        (QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:200
+           gen_count_case)
+    in
+    let edges = Array.of_list popcount_edge_masks in
+    let acc = ref 0 in
+    let before = Gc.minor_words () in
+    for i = 0 to Array.length cases - 1 do
+      let line_size, mask, addrs = cases.(i) in
+      acc :=
+        !acc
+        + Gsim.Coalesce.count ~line_size ~mask ~addrs
+        + Gsim.Warp.popcount mask
+    done;
+    for i = 0 to Array.length edges - 1 do
+      acc := !acc + Gsim.Warp.popcount edges.(i)
+    done;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check (float 0.)) "minor words" 0. words;
+    ignore (Sys.opaque_identity !acc)
+  end
+
 (* a fully-strided warp (lane i reads base + i*elem) generates the
    minimum number of requests: exactly the lines of the touched span *)
 let prop_strided_minimal =
@@ -666,6 +750,8 @@ let tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_cover_each_sector_once;
       prop_count_at_most_active;
+      prop_count_is_lines_length;
+      prop_popcount_reference;
       prop_strided_minimal;
       prop_split_subwarp_coverage;
       prop_builder_roundtrip;
@@ -673,6 +759,9 @@ let tests =
       prop_json_roundtrip;
       prop_config_table_complete;
       prop_codec_mutations ]
+  @ [ Alcotest.test_case "popcount: edge masks" `Quick test_popcount_edges;
+      Alcotest.test_case "counting primitives allocate nothing" `Quick
+        test_counting_no_allocation ]
   @ name_cases
 
 let () = Alcotest.run "props" [ ("props", tests) ]

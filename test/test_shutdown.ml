@@ -262,6 +262,16 @@ let test_usage_exit_codes () =
     (run [ "submit"; "--socket"; "/nonexistent/nowhere.sock"; "--health" ]);
   Alcotest.(check int) "unknown experiment is exit 2" 2
     (run [ "experiment"; "nosuch" ]);
+  (* a negative --cap is refused when arguments are parsed *)
+  List.iter
+    (fun argv ->
+      Alcotest.(check int)
+        (String.concat " " argv ^ " is exit 124")
+        124
+        (run (argv @ [ "--scale"; "small"; "--cap=-1" ])))
+    [ [ "simulate"; "bfs" ]; [ "trace"; "bfs" ];
+      [ "sweep"; "--apps"; "2mm"; "--no-cache"; "--out"; "-" ];
+      [ "experiment"; "fig3" ] ];
   (* an --out into a missing directory is an argument error, caught
      before any job runs *)
   let dir = fresh_dir () in

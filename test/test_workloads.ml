@@ -117,6 +117,25 @@ let test_host_stopped_early () =
   Alcotest.(check bool) "iter_launches: unwound" true !unwound;
   Alcotest.(check (option int)) "then None" None (pull run)
 
+(* [restart] on a parked program unwinds it, and the next pull starts
+   the program again from its first line. *)
+let test_host_restart_parked () =
+  let starts = ref 0 and unwound = ref 0 in
+  let run =
+    tagged_host (fun launch ->
+        incr starts;
+        Fun.protect
+          ~finally:(fun () -> incr unwound)
+          (fun () -> launch 1; launch 2))
+  in
+  Alcotest.(check (option int)) "first pull" (Some 1) (pull run);
+  run.App.restart ();
+  Alcotest.(check int) "parked program unwound" 1 !unwound;
+  Alcotest.(check (list (option int)))
+    "restarted from the first launch" [ Some 1; Some 2; None ]
+    (List.init 3 (fun _ -> pull run));
+  Alcotest.(check int) "program started twice" 2 !starts
+
 (* Two different kernels built under one name:
    [same_name_kernel ~gather:false] loads a[tid] (D);
    [same_name_kernel ~gather:true] loads a[a[tid]] (N), after one more
@@ -183,6 +202,97 @@ let test_bfs_unexecuted_walk () =
   Alcotest.(check (list string)) "kernel_launches" [ "bfs_k1"; "bfs_k2" ]
     (names (App.kernel_launches (app.App.make App.Small)))
 
+(* ---------------- restarting a host program ---------------- *)
+
+(* A timing run walks one dataset twice: the warmup pre-pass, then,
+   after the image is restored and the program restarted, the timing
+   walk.  Each app's restarted walk must launch what a walk over a
+   fresh [make] launches, and leave the same final image. *)
+let launch_key (l : Gsim.Launch.t) =
+  let x, y, z = l.Gsim.Launch.grid and bx, by, bz = l.Gsim.Launch.block in
+  let params =
+    Hashtbl.fold
+      (fun k v acc -> Printf.sprintf "%s=%Ld" k v :: acc)
+      l.Gsim.Launch.params []
+  in
+  Printf.sprintf "%s grid (%d,%d,%d) block (%d,%d,%d) %s"
+    l.Gsim.Launch.kernel.Ptx.Kernel.kname x y z bx by bz
+    (String.concat " " (List.sort compare params))
+
+let executed_walk run =
+  let keys = ref [] in
+  App.iter_launches run (fun l ->
+      keys := launch_key l :: !keys;
+      Gsim.Funcsim.execute Gsim.Config.default l;
+      true);
+  List.rev !keys
+
+(* The first address whose 64-bit word (or trailing byte) differs. *)
+let first_difference a b =
+  let n = Gsim.Mem.size a in
+  let rec words i =
+    if i + 8 > n then bytes i
+    else if Int64.equal (Gsim.Mem.get_i64 a i) (Gsim.Mem.get_i64 b i) then
+      words (i + 8)
+    else Some i
+  and bytes i =
+    if i >= n then None
+    else if
+      Int64.equal
+        (Gsim.Mem.load a Ptx.Types.U8 i)
+        (Gsim.Mem.load b Ptx.Types.U8 i)
+    then bytes (i + 1)
+    else Some i
+  in
+  if Gsim.Mem.size b <> n then Some n else words 0
+
+let test_restart_replays (app : App.t) () =
+  let reference = app.App.make App.Small in
+  let expected = executed_walk reference in
+  let run = app.App.make App.Small in
+  let fresh = Gsim.Mem.copy_image run.App.global in
+  ignore (executed_walk run);
+  Gsim.Mem.restore_image run.App.global fresh;
+  run.App.restart ();
+  Alcotest.(check (list string))
+    "restarted walk launches what a fresh make launches" expected
+    (executed_walk run);
+  Alcotest.(check (option int))
+    "first differing address of the final images" None
+    (first_difference run.App.global reference.App.global)
+
+(* No suite walk at Small moves the image's zeroed watermark, so this
+   one writes past it: a counter the program bumps at an address no
+   access had reached when the copy was taken (as an atomic sum into
+   zero-initialized memory would).  After the restore it must read
+   zero again. *)
+let test_restart_past_copied_prefix () =
+  let global = Gsim.Mem.create (1 lsl 20) in
+  let counter = 1 lsl 19 in
+  let run =
+    App.host ~global ~check:(fun () -> true) (fun launch ->
+        let v = Gsim.Mem.get_u32 global counter + 1 in
+        Gsim.Mem.set_u32 global counter v;
+        launch ~kernel:empty_kernel ~grid:(v, 1, 1) ~block:(32, 1, 1)
+          ~params:[])
+  in
+  let walk () = List.init 2 (fun _ -> pull run) in
+  let fresh = Gsim.Mem.copy_image global in
+  Alcotest.(check (list (option int))) "first walk" [ Some 1; None ] (walk ());
+  Gsim.Mem.restore_image global fresh;
+  run.App.restart ();
+  Alcotest.(check (list (option int)))
+    "restarted walk reads the counter as zero" [ Some 1; None ] (walk ())
+
+let restart_tests =
+  List.map
+    (fun (app : App.t) ->
+      Alcotest.test_case ("restart replays " ^ app.App.name) `Quick
+        (test_restart_replays app))
+    Workloads.Suite.all
+  @ [ Alcotest.test_case "restart past the copied prefix" `Quick
+        test_restart_past_copied_prefix ]
+
 (* ---------------- classification expectations ---------------- *)
 
 (* The paper's Fig 1 structure: linear algebra and image processing are
@@ -235,6 +345,66 @@ let test_prng_determinism () =
   let c = Prng.create 43 in
   Alcotest.(check bool) "different seed differs" true
     (Prng.next (Prng.create 42) <> Prng.next c)
+
+(* The stream itself, pinned: every dataset is drawn from it, so a
+   changed word changes every app.  test/goldens/prng.golden holds one
+   line per (draw kind, seed) as [prng_golden_lines] renders them; it
+   was generated from the record-of-int64 generator this one
+   replaced. *)
+let prng_seeds = [ 0; 42; 0x5559 ]
+
+let prng_bounds =
+  [ 1; 2; 3; 7; 10; 100; 1000; 4096; 65_535; 1_000_003; 1 lsl 30;
+    (1 lsl 31) - 1; 1 lsl 40; 1 lsl 61; max_int - 1; max_int ]
+
+let prng_golden_lines () =
+  let line kind seed values =
+    String.concat " " (kind :: string_of_int seed :: values)
+  in
+  List.concat_map
+    (fun seed ->
+      let g = Prng.create seed in
+      let next = List.init 16 (fun _ -> Printf.sprintf "%016Lx" (Prng.next g)) in
+      let g = Prng.create seed in
+      let ints = List.map (fun b -> string_of_int (Prng.int g b)) prng_bounds in
+      let g = Prng.create seed in
+      let floats = List.init 16 (fun _ -> Printf.sprintf "%h" (Prng.float g)) in
+      let g = Prng.create seed in
+      let arr = Array.init 16 Fun.id in
+      Prng.shuffle g arr;
+      let shuffled = Array.to_list (Array.map string_of_int arr) in
+      [ line "next" seed next; line "int" seed ints; line "float" seed floats;
+        line "shuffle" seed shuffled ])
+    prng_seeds
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let test_prng_golden () =
+  let path =
+    List.find Sys.file_exists
+      [ "goldens/prng.golden"; "test/goldens/prng.golden" ]
+  in
+  Alcotest.(check (list string))
+    "stream equals the golden" (read_lines path) (prng_golden_lines ())
+
+(* The state words stay unboxed: an [int] draw allocates nothing in
+   native code.  ([float] boxes its result when called from another
+   module, since dune's dev profile compiles with -opaque.) *)
+let test_prng_no_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let g = Prng.create 7 in
+    let acc = ref 0 in
+    let before = Gc.minor_words () in
+    for i = 1 to 1000 do
+      acc := !acc + Prng.int g i
+    done;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check (float 0.)) "minor words for 1,000 draws" 0. words;
+    ignore (Sys.opaque_identity !acc)
+  end
 
 let prop_prng_int_range =
   QCheck.Test.make ~count:500 ~name:"Prng.int stays in range"
@@ -350,7 +520,7 @@ let test_layout_alignment () =
     (fun () -> ignore (Workloads.Layout.alloc l 4000))
 
 let tests =
-  app_tests
+  app_tests @ restart_tests
   @ [
       Alcotest.test_case "static classification per app" `Quick
         test_static_classification;
@@ -360,10 +530,15 @@ let tests =
       Alcotest.test_case "host program exception" `Quick test_host_exception;
       Alcotest.test_case "host program stopped early" `Quick
         test_host_stopped_early;
+      Alcotest.test_case "host program restart while parked" `Quick
+        test_host_restart_parked;
       Alcotest.test_case "host program same-name kernels" `Quick
         test_host_same_name_kernels;
       Alcotest.test_case "bfs unexecuted walk" `Quick test_bfs_unexecuted_walk;
       Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
+      Alcotest.test_case "prng stream golden" `Quick test_prng_golden;
+      Alcotest.test_case "prng draws allocate nothing" `Quick
+        test_prng_no_allocation;
       QCheck_alcotest.to_alcotest prop_prng_int_range;
       QCheck_alcotest.to_alcotest prop_prng_float_range;
       QCheck_alcotest.to_alcotest prop_shuffle_is_permutation;
